@@ -8,7 +8,9 @@ sharing peers, and require every peer to fetch the newest shared data before
 further operations are accepted.
 
 * :mod:`repro.contracts.base` — the contract programming model
-  (require/revert, events, storage snapshots).
+  (require/revert, events, storage).
+* :mod:`repro.contracts.storage` — undo-journaled storage: tracked
+  containers and records, rollback on revert without copying.
 * :mod:`repro.contracts.runtime` — deterministic execution of deploy/call
   transactions; plugs into the ledger as its transaction executor.
 * :mod:`repro.contracts.sharing_contract` — the metadata-collection contract

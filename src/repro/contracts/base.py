@@ -8,7 +8,11 @@ root check in tests verifies.
 A contract method can:
 
 * read ``self.ctx`` — the caller address, block number and block timestamp;
-* mutate its own attributes (its "storage");
+* mutate its own attributes (its "storage"): scalars, tuples, ``dict``/``list``
+  at any depth and :class:`~repro.contracts.storage.StorageRecord` objects.
+  Every mutation made during a call is journaled (see
+  :mod:`repro.contracts.storage`), so a call costs what it touches and a
+  revert undoes exactly that — no author discipline, no storage copy;
 * call :meth:`Contract.require` to revert with a reason;
 * call :meth:`Contract.emit` to produce an event delivered to subscribers.
 """
@@ -19,7 +23,11 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.contracts import storage
 from repro.errors import ContractRevert, PermissionDenied
+
+#: Per-call attributes of a contract instance; everything else is storage.
+_CALL_STATE = ("_ctx", "_pending_events")
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,18 @@ class ContractEvent:
         return {"contract": self.contract, "name": self.name, "data": dict(self.data)}
 
 
-class Contract:
+class Contract(storage.StorageRecord):
     """Base class for deployable contracts."""
 
     def __init__(self) -> None:
         self._ctx: Optional[CallContext] = None
         self._pending_events: List[ContractEvent] = []
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name in _CALL_STATE:
+            object.__setattr__(self, name, value)
+        else:
+            super().__setattr__(name, value)
 
     # -- runtime integration ----------------------------------------------------
 
@@ -63,29 +77,25 @@ class Contract:
     def _begin_call(self, ctx: CallContext) -> None:
         self._ctx = ctx
         self._pending_events = []
+        storage.begin()
 
-    def _end_call(self) -> Tuple[ContractEvent, ...]:
-        events = tuple(self._pending_events)
+    def _end_call(self, revert: bool = False) -> Tuple[ContractEvent, ...]:
+        """Close the call; ``revert`` undoes its storage mutations and events."""
+        storage.end(revert)
+        events = () if revert else tuple(self._pending_events)
         self._ctx = None
         self._pending_events = []
         return events
 
-    def storage_snapshot(self) -> Dict[str, Any]:
-        """A deep copy of the contract storage (everything except call state)."""
-        storage = {
-            key: value
-            for key, value in self.__dict__.items()
-            if key not in ("_ctx", "_pending_events")
-        }
-        return copy.deepcopy(storage)
+    def storage_view(self) -> Dict[str, Any]:
+        """The live storage (everything except call state) — read it, under the
+        world state's ``execution_lock``, and do not keep or mutate it."""
+        return {key: value for key, value in self.__dict__.items()
+                if key not in _CALL_STATE}
 
-    def restore_storage(self, snapshot: Mapping[str, Any]) -> None:
-        """Restore storage from a snapshot (used to roll back reverted calls)."""
-        for key in list(self.__dict__.keys()):
-            if key not in ("_ctx", "_pending_events"):
-                del self.__dict__[key]
-        for key, value in copy.deepcopy(dict(snapshot)).items():
-            self.__dict__[key] = value
+    def storage_snapshot(self) -> Dict[str, Any]:
+        """A detached deep copy of the storage, in plain ``dict``/``list``."""
+        return copy.deepcopy(self.storage_view())
 
     # -- helpers for contract authors ------------------------------------------
 
@@ -117,7 +127,7 @@ class Contract:
             attribute = getattr(cls, name)
             if callable(attribute) and name not in (
                 "abi", "require", "require_permission", "emit",
-                "storage_snapshot", "restore_storage",
+                "storage_view", "storage_snapshot",
             ):
                 methods.append(name)
         return tuple(sorted(methods))

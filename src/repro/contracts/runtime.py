@@ -10,6 +10,11 @@
 * a reverted call rolls the contract's storage back and produces a failed
   receipt — exactly what Fig. 4 step 3 needs ("if permission denied, then
   this request failed").
+
+Storage is undo-journaled (:mod:`repro.contracts.storage`): a call journals
+the inverse of each mutation it makes, a revert replays that journal
+backwards and a ``static_call`` is a call that always reverts — so a
+successful call and a read-only probe never copy storage.
 """
 
 from __future__ import annotations
@@ -57,11 +62,11 @@ class ContractRuntime(TransactionExecutor):
 
     def execute(self, tx: Transaction, state: WorldState, block_number: int,
                 timestamp: float) -> TransactionReceipt:
-        # Contract execution mutates shared replica state (and even reverted
-        # or read-only calls snapshot/restore storage), so every execution on
+        # Contract execution mutates shared replica state in place (and a
+        # reverted call undoes its mutations in place), so every execution on
         # one world state is serialised with that state's other executions
         # and static calls — an admission-time permission probe must never
-        # observe a contract mid-restore.
+        # observe a half-applied or half-rolled-back call.
         with state.execution_lock:
             gas = self.gas_schedule.intrinsic_gas(tx)
             if tx.kind == "deploy":
@@ -119,7 +124,6 @@ class ContractRuntime(TransactionExecutor):
                 tx_hash=tx.tx_hash, block_number=block_number, success=False, gas_used=gas,
                 error=f"contract has no method {method_name!r}",
             )
-        snapshot = contract.storage_snapshot()
         context = CallContext(
             caller=tx.sender,
             block_number=block_number,
@@ -130,16 +134,14 @@ class ContractRuntime(TransactionExecutor):
         try:
             return_value = method(**tx.args)
         except ContractRevert as exc:
-            contract.restore_storage(snapshot)
-            contract._end_call()  # reverted calls emit no events
+            contract._end_call(revert=True)  # reverted calls emit no events
             self._revert_count += 1
             return TransactionReceipt(
                 tx_hash=tx.tx_hash, block_number=block_number, success=False, gas_used=gas,
                 error=str(exc), contract_address=tx.contract, events=(),
             )
         except Exception as exc:  # non-revert failure is a bug in the contract
-            contract.restore_storage(snapshot)
-            contract._end_call()
+            contract._end_call(revert=True)
             self._revert_count += 1
             raise ContractError(
                 f"contract {tx.contract} method {method_name!r} raised "
@@ -168,11 +170,9 @@ class ContractRuntime(TransactionExecutor):
             bound = getattr(contract, method, None)
             if bound is None or not callable(bound):
                 raise ContractError(f"contract has no method {method!r}")
-            snapshot = contract.storage_snapshot()
             contract._begin_call(CallContext(caller=caller, block_number=-1, timestamp=0.0,
                                              contract_address=contract_address))
             try:
                 return bound(**args)
             finally:
-                contract._end_call()
-                contract.restore_storage(snapshot)
+                contract._end_call(revert=True)

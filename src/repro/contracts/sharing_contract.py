@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.contracts.base import Contract
+from repro.contracts.storage import StorageRecord
 from repro.crypto.keys import address_from_public_key
 from repro.crypto.signatures import Signature, verify
 
@@ -47,7 +48,7 @@ def fold_attestation_payload(metadata_id: str, diff_hash: str,
 
 
 @dataclass
-class UpdateRecord:
+class UpdateRecord(StorageRecord):
     """One accepted operation on a shared table (kept on-chain for audit).
 
     ``contributions`` is non-empty only for *folded* updates: several sharing
@@ -86,7 +87,7 @@ class UpdateRecord:
 
 
 @dataclass
-class MetadataEntry:
+class MetadataEntry(StorageRecord):
     """One row of the Fig. 3 metadata collection table."""
 
     metadata_id: str
@@ -276,7 +277,7 @@ class SharedDataContract(Contract):
             requester_role=role,
             changed_attributes=list(changed_attributes),
             diff_hash=diff_hash,
-            notify_peers=entry.pending_acks,
+            notify_peers=list(entry.pending_acks),
             contributions=[dict(entry_) for entry_ in contributions],
         )
         return record.to_dict()
@@ -414,8 +415,11 @@ class SharedDataContract(Contract):
             self.ctx.caller in entry.sharing_peers,
             f"caller {self.ctx.caller} is not a sharing peer of {metadata_id!r}",
         )
-        record = next((r for r in self.history if r.update_id == update_id), None)
-        self.require(record is not None, f"unknown update id {update_id}")
+        # Update ids are 1 + the record's position in ``history``.
+        known = isinstance(update_id, int) and 0 < update_id <= len(self.history)
+        record = self.history[update_id - 1] if known else None
+        self.require(record is not None and record.update_id == update_id,
+                     f"unknown update id {update_id}")
         self.require(record.metadata_id == metadata_id,
                      f"update {update_id} does not belong to {metadata_id!r}")
         if self.ctx.caller in entry.pending_acks:

@@ -1,8 +1,12 @@
 """Schnorr signatures over canonicalised payloads.
 
-Used by the ledger to authenticate transactions: every node re-verifies the
-signature of each transaction before accepting a block, mirroring how a real
-Ethereum-style chain validates sender authenticity.
+Used by the ledger to authenticate transactions: every node verifies the
+signature of each transaction at mempool admission and again before accepting
+a block, mirroring how a real Ethereum-style chain validates sender
+authenticity.  Every call site still calls :func:`verify`; the modular
+exponentiations behind it are memoised per process (see
+:func:`_equation_holds`), so the nine replicas simulated in one process pay
+for a given signature once.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from repro.crypto.hashing import canonical_json
@@ -58,10 +63,25 @@ def sign(keypair: KeyPair, payload: Any) -> Signature:
     return Signature(commitment=commitment, response=response)
 
 
+#: Entries the verification memo keeps (four 256-bit integers each).
+VERIFY_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=VERIFY_MEMO_SIZE, typed=True)
+def _equation_holds(public_key: int, challenge: int, commitment: int, response: int) -> bool:
+    """The Schnorr check ``g^s == R * y^c (mod p)``.
+
+    A pure function of its four integers, so the bounded memo is exact: the
+    challenge is recomputed from the message on every :func:`verify`, and a
+    changed key, payload, commitment or response is a different memo key.
+    """
+    left = pow(GENERATOR, response, PRIME)
+    right = (commitment * pow(public_key, challenge, PRIME)) % PRIME
+    return left == right
+
+
 def verify(public_key: int, payload: Any, signature: Signature) -> bool:
     """Verify ``signature`` over ``payload`` for ``public_key``."""
     message = canonical_json(payload).encode("utf-8")
     challenge = _challenge(signature.commitment, public_key, message)
-    left = pow(GENERATOR, signature.response, PRIME)
-    right = (signature.commitment * pow(public_key, challenge, PRIME)) % PRIME
-    return left == right
+    return _equation_holds(public_key, challenge, signature.commitment, signature.response)

@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.crypto.hashing import hash_payload
+from repro.crypto.hashing import canonical_json, sha256_hex
 
 
 @dataclass
@@ -40,7 +40,8 @@ class WorldState:
         self._accounts: Dict[str, Account] = {}
         self._contracts: Dict[str, Any] = {}
         #: Serialises contract execution (including read-only static calls,
-        #: which snapshot-and-restore storage) and state-root hashing on this
+        #: which run the method and undo whatever it journaled) and state-root
+        #: hashing, which reads live storage without copying it, on this
         #: replica.  The gateway admits requests while a commit mines, so a
         #: session's permission probe can hit a node whose replica is
         #: applying a block on another thread; each call is microseconds, so
@@ -90,30 +91,19 @@ class WorldState:
 
     # ------------------------------------------------------------------- root
 
+    def _canonical_bytes(self) -> bytes:
+        """Accounts and live contract storage, serialised under the lock (no copy)."""
+        with self.execution_lock:
+            return canonical_json({
+                "accounts": {a: acct.to_dict() for a, acct in self._accounts.items()},
+                "contracts": {address: contract.storage_view()
+                              for address, contract in self._contracts.items()},
+            }).encode("utf-8")
+
     def state_root(self) -> str:
         """A hash committing to accounts and contract storage."""
-        with self.execution_lock:
-            contracts = {}
-            for address, contract in self._contracts.items():
-                snapshot = contract.storage_snapshot() if hasattr(contract, "storage_snapshot") else {}
-                contracts[address] = snapshot
-            payload = {
-                "accounts": {a: acct.to_dict() for a, acct in self._accounts.items()},
-                "contracts": contracts,
-            }
-            return hash_payload(payload)
+        return sha256_hex(self._canonical_bytes())
 
     def storage_bytes(self) -> int:
         """Approximate serialised size of the state (per-node storage pressure)."""
-        from repro.crypto.hashing import canonical_json
-
-        with self.execution_lock:
-            contracts = {}
-            for address, contract in self._contracts.items():
-                snapshot = contract.storage_snapshot() if hasattr(contract, "storage_snapshot") else {}
-                contracts[address] = snapshot
-            payload = {
-                "accounts": {a: acct.to_dict() for a, acct in self._accounts.items()},
-                "contracts": contracts,
-            }
-            return len(canonical_json(payload).encode("utf-8"))
+        return len(self._canonical_bytes())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.contracts.base import Contract
+from repro.contracts.base import CallContext, Contract
 from repro.contracts.runtime import ContractRuntime, contract_address_for
 from repro.crypto.keys import generate_keypair
 from repro.errors import ContractError, ContractNotFoundError
@@ -150,6 +150,7 @@ class TestStaticCall:
         address = _deploy(runtime, state).contract_address
         runtime.static_call(state, address, "increment", by=5)
         assert state.contract_at(address).value == 0
+        assert state.contract_at(address).history == []
 
     def test_static_call_unknown_contract(self, runtime, state):
         with pytest.raises(ContractNotFoundError):
@@ -176,6 +177,11 @@ class TestContractBase:
     def test_storage_snapshot_and_restore(self):
         contract = Counter(start=1)
         snapshot = contract.storage_snapshot()
+        contract._begin_call(CallContext(caller="0xa", block_number=1, timestamp=1.0,
+                                         contract_address="0xc"))
         contract.value = 99
-        contract.restore_storage(snapshot)
+        contract.history.append(("0xa", 98))
+        assert snapshot == {"value": 1, "history": []}  # detached from live storage
+        contract._end_call(revert=True)
         assert contract.value == 1
+        assert contract.storage_snapshot() == snapshot

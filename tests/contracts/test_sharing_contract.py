@@ -16,14 +16,12 @@ OUTSIDER = "0xbad" + "0" * 37
 
 def call(contract, caller, method, block_number=1, timestamp=1.0, **kwargs):
     """Drive a contract method the way the runtime would (revert → rollback)."""
-    snapshot = contract.storage_snapshot()
     contract._begin_call(CallContext(caller=caller, block_number=block_number,
                                      timestamp=timestamp, contract_address="0xcontract"))
     try:
         result = getattr(contract, method)(**kwargs)
     except ContractRevert:
-        contract.restore_storage(snapshot)
-        contract._end_call()
+        contract._end_call(revert=True)
         raise
     events = contract._end_call()
     return result, events
