@@ -8,16 +8,14 @@ consistency hazards the rule prevents — and shows the latency cost it adds.
 
 The second ablation (E9b) A/Bs the runtime boundary's two wire codecs over
 real system payloads — every block and transaction a paper-scenario run
-gossips, plus the WAL entries a durable database writes — and gates that the
-deterministic binary TLV encoding is strictly smaller than canonical JSON
-(wire and on-disk WAL) at a bounded round-trip time overhead, with decoded
-values exactly matching the canonical-JSON value model.
+gossips — and gates that the deterministic binary TLV encoding is strictly
+smaller than canonical JSON on the wire at a bounded round-trip time
+overhead, with decoded values exactly matching the canonical-JSON value model.
 """
 
 from __future__ import annotations
 
 import json
-import tempfile
 import time
 
 import pytest
@@ -26,14 +24,12 @@ from repro.config import SystemConfig
 from repro.core.scenario import DOCTOR_RESEARCHER_TABLE, build_paper_scenario
 from repro.crypto.hashing import canonical_json
 from repro.metrics.reporting import format_table
-from repro.relational.durability import JsonlWalBackend
-from repro.relational.wal import WalEntry
 from repro.runtime import get_codec
 
 BLOCK_INTERVAL = 2.0
 
-#: E9b gates: binary must be strictly smaller on the wire and in the WAL,
-#: and its encode+decode round trip must stay within this factor of the
+#: E9b gates: binary must be strictly smaller on the wire, and its
+#: encode+decode round trip must stay within this factor of the
 #: C-accelerated json module's.
 MAX_ROUNDTRIP_OVERHEAD = 5.0
 
@@ -143,13 +139,6 @@ def _wire_corpus() -> list:
     return json.loads(canonical_json(corpus))
 
 
-def _wal_entries(corpus: list) -> list:
-    return [WalEntry(sequence=index + 1, operation="response",
-                     table="responses", payload=payload)
-            for index, payload in enumerate(corpus)
-            if isinstance(payload, dict)]
-
-
 def _time_roundtrip(codec, corpus: list, repeats: int) -> float:
     blobs = [codec.encode(payload) for payload in corpus]
     start = time.perf_counter()
@@ -161,21 +150,10 @@ def _time_roundtrip(codec, corpus: list, repeats: int) -> float:
     return time.perf_counter() - start
 
 
-def _wal_bytes(entries: list, codec_name: str) -> int:
-    with tempfile.TemporaryDirectory(prefix=f"e9b-{codec_name}-") as wal_dir:
-        backend = JsonlWalBackend(wal_dir, codec=codec_name)
-        for entry in entries:
-            backend.append(entry)
-        backend.sync()
-        total = sum(path.stat().st_size for path in backend.segment_paths())
-        backend.close()
-        return total
-
-
 def test_wire_codec_ablation(emit, quick):
-    """The binary codec must beat canonical JSON on size — wire payloads and
-    WAL segments — at a bounded round-trip overhead, decoding every payload
-    back to exactly the canonical value model."""
+    """The binary codec must beat canonical JSON on wire size at a bounded
+    round-trip overhead, decoding every payload back to exactly the canonical
+    value model."""
     corpus = _wire_corpus()
     assert corpus, "paper scenario produced no gossiped payloads"
     json_codec = get_codec("canonical-json")
@@ -195,17 +173,12 @@ def test_wire_codec_ablation(emit, quick):
     binary_seconds = _time_roundtrip(binary_codec, corpus, repeats)
     roundtrip_overhead = binary_seconds / json_seconds
 
-    entries = _wal_entries(corpus)
-    wal_json = _wal_bytes(entries, "canonical-json")
-    wal_binary = _wal_bytes(entries, "binary")
-
     emit("E9b_wire_codec", format_table(
         ("metric", "canonical-json", "binary"),
         [("wire bytes (corpus)", json_bytes, binary_bytes),
          ("size ratio (binary/json)", "", f"{size_ratio:.3f}"),
          ("round-trip seconds", f"{json_seconds:.4f}", f"{binary_seconds:.4f}"),
          ("round-trip overhead", "1.00x", f"{roundtrip_overhead:.2f}x"),
-         ("WAL bytes (same entries)", wal_json, wal_binary),
          ("payloads", len(corpus), len(corpus)),
          ("round-trip fidelity", fidelity_ok, fidelity_ok)],
         title="Wire codec A/B over gossiped blocks + transactions"))
@@ -213,8 +186,6 @@ def test_wire_codec_ablation(emit, quick):
     assert fidelity_ok, "a codec round trip changed a payload"
     assert binary_bytes < json_bytes, (
         f"binary wire encoding is not smaller: {binary_bytes} >= {json_bytes}")
-    assert wal_binary < wal_json, (
-        f"binary WAL segments are not smaller: {wal_binary} >= {wal_json}")
     assert roundtrip_overhead <= MAX_ROUNDTRIP_OVERHEAD, (
         f"binary round trip is {roundtrip_overhead:.2f}x canonical JSON "
         f"(> {MAX_ROUNDTRIP_OVERHEAD}x): the pure-Python codec drifted")

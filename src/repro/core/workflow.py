@@ -14,6 +14,34 @@ The :class:`UpdateCoordinator` drives the paper's protocols end to end:
 Every run produces a :class:`WorkflowTrace` whose steps mirror the numbered
 steps of the figures, with simulated timestamps and block numbers, so the
 benchmarks and the examples can print the exact choreography.
+
+**One leg, three drivers.**  A *leg* carries one diff of one shared table
+from its initiator to the counterpart.  It exists once, as stage methods over
+a :class:`_Leg` record; each stage maps onto Fig. 5 (a cascaded leg repeats
+steps 1–5 as steps 7–11):
+
+* the entry points and ``_cascade`` — step 1: ``get`` / a local edit gives
+  the view diff;
+* ``_build_request`` — step 2: the signed permission request;
+* ``_accept`` — step 2's verdict (``contract_request``): install the
+  initiator's view; a direct edit is also ``put`` into the initiator's base;
+* ``_middle`` — steps 3–5: ``notified``, ``fetch_data``, the counterpart's
+  ``bx_put``; then the acknowledgement is built.  Ledger-free;
+* ``_confirm`` — the metadata update (``acknowledge``) and step 6:
+  ``check_dependencies`` → ``_cascade``, whose legs are steps 7–11.
+
+Three drivers run the stages: ``_run_protocol`` (one leg, two mining rounds
+of its own), :meth:`UpdateCoordinator.commit_entry_batch` (the gateway's
+groups share one request round and one acknowledgement round) and
+``_cascade_parallel`` (one cascade's legs share two rounds, their middles run
+on executor threads).  Drivers may differ only in how transactions reach the
+mempool (a single gossip, or local ingestion then one ``tx-batch`` flood), in
+error policy (raise :class:`UpdateRejected` / :class:`WorkflowError`; record
+the error on the group's trace, carry on and notify listeners without a diff;
+or raise the first error after the ordered merge of buffered steps) and in
+where the middle runs and where its steps go.  Those differences reach the
+stages as data — a step-text suffix, a step sink — never as a mode a stage
+branches on.
 """
 
 from __future__ import annotations
@@ -24,19 +52,21 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import hash_payload
 from repro.errors import ReproError, UpdateRejected, WorkflowError
-from repro.core.sharing import SharingAgreement
 from repro.chaos import NULL_INJECTOR
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.diff import TableDiff, diff_tables
 from repro.relational.table import Table
 
-#: Callback fired after a shared table changed: ``(metadata_id, operation, peers)``.
-SharedChangeListener = Callable[[str, str, Tuple[str, str]], None]
-
 #: Callback fired with the row-level view diff of the change (None when the
 #: change is not describable as a diff, e.g. a failed half-installed commit):
 #: ``(metadata_id, operation, peers, view_diff)``.
 SharedDiffListener = Callable[[str, str, Tuple[str, str], Optional[TableDiff]], None]
+
+#: Receives the steps a stage produces: ``(actor, action, description, **data)``.
+StepSink = Callable[..., None]
+
+#: Step-text suffix of the batched driver's shared request/ack rounds.
+BATCHED_ROUND = " (batched round)"
 
 
 @dataclass(frozen=True)
@@ -258,9 +288,39 @@ class BatchCommitResult:
     def accepted(self) -> int:
         return sum(1 for trace in self.traces if trace.succeeded)
 
-    @property
-    def rejected(self) -> int:
-        return sum(1 for trace in self.traces if not trace.succeeded)
+
+@dataclass
+class _Leg:
+    """One Fig. 5 leg in flight: ``diff`` on ``metadata_id`` travelling from
+    ``initiator`` to ``counterpart``.  The stages fill it in as it advances."""
+
+    initiator: str
+    counterpart: str
+    metadata_id: str
+    operation: str
+    diff: TableDiff
+    trace: WorkflowTrace
+    #: Shared attributes the diff touches (what permission is checked on).
+    changed: Tuple[str, ...]
+    diff_hash: str
+    #: Cascade depth of the protocol run this leg belongs to.
+    depth: int = 0
+    #: True for an edit of the shared table itself (Fig. 4), which the
+    #: initiator must also ``put`` into its own base table; False when the
+    #: diff came out of ``get`` (a propagation or a cascade leg).
+    direct_edit: bool = False
+    #: The edited snapshot full (non-delta) mode installs instead of the diff.
+    candidate_view: Optional[Table] = None
+    request_tx: Any = None
+    update_id: Optional[int] = None
+    #: Why the contract refused the request (set by ``_accept``).
+    rejection: Optional[str] = None
+    #: True once the initiator's stored shared table carries the change.
+    installed: bool = False
+    #: Base-table diff of the initiator's own ``put`` (direct edits only).
+    initiator_source_diff: Optional[TableDiff] = None
+    counterpart_diff: Optional[TableDiff] = None
+    ack_tx: Any = None
 
 
 class UpdateCoordinator:
@@ -268,7 +328,6 @@ class UpdateCoordinator:
 
     def __init__(self, system: "MedicalDataSharingSystem"):  # noqa: F821 (forward ref)
         self.system = system
-        self._change_listeners: List[SharedChangeListener] = []
         self._diff_listeners: List[SharedDiffListener] = []
         #: When true, propagation legs push row-level diffs through lenses,
         #: indexes and caches instead of recomputing whole tables.
@@ -292,32 +351,22 @@ class UpdateCoordinator:
 
     # ------------------------------------------------------------ change hooks
 
-    def subscribe_shared_change(self, listener: SharedChangeListener) -> None:
-        """Register a callback fired after every successful propagation of a
-        shared-table change (including each cascaded Fig. 5 leg).
-
-        The gateway's view cache uses this to invalidate materialised views.
-        """
-        self._change_listeners.append(listener)
-
     def subscribe_shared_diff(self, listener: SharedDiffListener) -> None:
-        """Like :meth:`subscribe_shared_change`, but the listener also receives
-        the row-level :class:`TableDiff` the shared table underwent (or None
+        """Register a callback fired after every propagation of a
+        shared-table change (including each cascaded Fig. 5 leg) with the
+        row-level :class:`TableDiff` the shared table underwent — or None
         when the change cannot be described as a diff, e.g. a commit that
-        failed after partially installing).
+        failed after partially installing.
 
         The gateway's view cache uses this to *patch* cached views row by row
         instead of dropping them.
         """
         self._diff_listeners.append(listener)
 
-    def _notify_change(self, metadata_id: str, operation: str,
-                       peers: Tuple[str, str],
-                       view_diff: Optional[TableDiff] = None) -> None:
-        for listener in self._change_listeners:
-            listener(metadata_id, operation, peers)
+    def _notify_change(self, leg: _Leg, view_diff: Optional[TableDiff] = None) -> None:
         for listener in self._diff_listeners:
-            listener(metadata_id, operation, peers, view_diff)
+            listener(leg.metadata_id, leg.operation,
+                     (leg.initiator, leg.counterpart), view_diff)
 
     # --------------------------------------------------------------- utilities
 
@@ -350,36 +399,32 @@ class UpdateCoordinator:
             return self.retrier.call(one_round, label="consensus.round")
         return one_round()
 
-    def _submit_and_mine(self, peer_name: str, method: str, args: Mapping[str, Any]):
-        """Submit a signed contract call from ``peer_name`` and mine it.
-
-        Returns ``(receipt, blocks_created)`` using the submitting peer's own
-        node replica for the receipt lookup.
-        """
-        app = self._app(peer_name)
-        tx = app.build_contract_call(method, args)
-        with self.tracer.span("consensus.round", phase="sequential",
-                              method=method) as span:
-            self.system.simulator.submit_transaction(app.node.name, tx)
+    def _mine_round(self, phase: str, submit: Callable[..., Any], *submission: Any,
+                    **attrs: Any) -> int:
+        """One consensus round: ``submit(*submission)`` hands the round's
+        transactions to the network — the simulator's single gossip or its
+        one ``tx-batch`` flood, the driver's choice — then everything pending
+        is mined.  Returns the number of blocks produced."""
+        with self.tracer.span("consensus.round", phase=phase, **attrs) as span:
+            submit(*submission)
             blocks = self._mine()
             span.annotate(blocks=blocks)
-        receipt = app.node.chain.receipt(tx.tx_hash)
-        return receipt, blocks
+        return blocks
 
-    @staticmethod
-    def _diff_hash(diff: TableDiff) -> str:
-        return hash_payload(diff.to_dict())
+    def _gossip_and_mine(self, app, tx) -> int:
+        """Gossip one transaction from ``app``'s node and mine it in a round
+        of its own; returns the number of blocks produced."""
+        return self._mine_round("sequential", self.system.simulator.submit_transaction,
+                                app.node.name, tx, method=tx.method)
 
-    @staticmethod
-    def _changed_attributes(diff: TableDiff, agreement: SharingAgreement) -> Tuple[str, ...]:
-        """The shared attributes an operation touches (what permission is checked on)."""
-        shared = set(agreement.shared_columns)
-        return tuple(column for column in diff.touched_columns if column in shared)
+    def _sink(self, trace: WorkflowTrace) -> StepSink:
+        """A step sink that lands steps on ``trace`` at the current sim time."""
+        def emit(actor: str, action: str, description: str, **data: Any) -> None:
+            trace.add_step(actor, action, description, self._clock.now(), **data)
+        return emit
 
-    def _fold_contributions(self, group: BatchGroup, diff: TableDiff,
-                            agreement: SharingAgreement,
-                            edit_errors: Sequence[Optional[str]],
-                            diff_hash: str) -> List[dict]:
+    def _fold_contributions(self, group: BatchGroup, leg: _Leg,
+                            edit_errors: Sequence[Optional[str]]) -> List[dict]:
         """Per-contributor ``{"peer": address, "changed_attributes": [...]}``
         entries of a cross-peer folded group.
 
@@ -396,7 +441,7 @@ class UpdateCoordinator:
         from repro.contracts.sharing_contract import fold_attestation_payload
         from repro.crypto.signatures import sign
 
-        touched = set(diff.touched_columns) & set(agreement.shared_columns)
+        touched = set(leg.changed)
         columns_by_peer: Dict[str, List[str]] = {}
         for index, (edit, author) in enumerate(zip(group.edits, group.edit_peers)):
             if index < len(edit_errors) and edit_errors[index] is not None:
@@ -412,7 +457,7 @@ class UpdateCoordinator:
             peer = self._peer(peer_name)
             contribution = {"peer": peer.address, "changed_attributes": columns}
             if peer_name != group.peer:
-                payload = fold_attestation_payload(group.metadata_id, diff_hash,
+                payload = fold_attestation_payload(group.metadata_id, leg.diff_hash,
                                                    columns)
                 contribution["public_key"] = hex(peer.keypair.public_key)
                 contribution["attestation"] = sign(peer.keypair, payload).to_dict()
@@ -442,12 +487,7 @@ class UpdateCoordinator:
                        f"regenerate shared view from local base table "
                        f"({len(diff)} row change(s))", self._clock.now(),
                        rows_changed=len(diff))
-        if diff.is_empty:
-            trace.succeeded = True
-            trace.finished_at = self._clock.now()
-            return trace
-        self._finish(trace, peer_name, metadata_id, "update", diff,
-                     install_initiator_view=True, reflect_initiator_source=False)
+        self._finish(trace, diff)
         return trace
 
     def update_shared_entry(self, peer_name: str, metadata_id: str, key: Sequence[Any],
@@ -458,74 +498,55 @@ class UpdateCoordinator:
         peer's stored shared table, reflected into the peer's own base table
         with ``put``, and propagated to the sharing peer.
         """
-        trace = WorkflowTrace(initiator=peer_name, metadata_id=metadata_id, operation="update",
-                              started_at=self._clock.now())
-        peer = self._peer(peer_name)
-        stored = peer.shared_table(metadata_id)
-        if self.delta_enabled:
-            # O(changed rows): validate the edit and build its diff directly,
-            # without snapshotting the whole shared table.
-            diff = stored.diff_for_update(key, updates)
-            candidate = None
-        else:
-            candidate = stored.snapshot()
-            candidate.update_by_key(key, updates)
-            diff = diff_tables(stored, candidate)
-        trace.add_step(peer_name, "local_edit",
-                       f"edit shared entry {tuple(key)!r}: {dict(updates)!r}",
-                       self._clock.now(), rows_changed=len(diff))
-        if diff.is_empty:
-            trace.succeeded = True
-            trace.finished_at = self._clock.now()
-            return trace
-        self._finish(trace, peer_name, metadata_id, "update", diff,
-                     install_initiator_view=True, reflect_initiator_source=True,
-                     candidate_view=candidate)
-        return trace
+        return self._edit_shared_entry(
+            peer_name, metadata_id, EntryEdit("update", key, updates),
+            f"edit shared entry {tuple(key)!r}: {dict(updates)!r}")
 
     def create_shared_entry(self, peer_name: str, metadata_id: str,
                             values: Mapping[str, Any]) -> WorkflowTrace:
         """Fig. 4 entry-level create: add a row to the shared table."""
-        trace = WorkflowTrace(initiator=peer_name, metadata_id=metadata_id, operation="create",
-                              started_at=self._clock.now())
-        peer = self._peer(peer_name)
-        stored = peer.shared_table(metadata_id)
-        if self.delta_enabled:
-            diff = stored.diff_for_insert(values)
-            candidate = None
-        else:
-            candidate = stored.snapshot()
-            candidate.insert(values)
-            diff = diff_tables(stored, candidate)
-        trace.add_step(peer_name, "local_edit", f"create shared entry {dict(values)!r}",
-                       self._clock.now(), rows_changed=len(diff))
-        self._finish(trace, peer_name, metadata_id, "create", diff,
-                     install_initiator_view=True, reflect_initiator_source=True,
-                     candidate_view=candidate)
-        return trace
+        return self._edit_shared_entry(
+            peer_name, metadata_id, EntryEdit("create", values=values),
+            f"create shared entry {dict(values)!r}")
 
     def delete_shared_entry(self, peer_name: str, metadata_id: str,
                             key: Sequence[Any]) -> WorkflowTrace:
         """Fig. 4 entry-level delete: remove a row from the shared table."""
-        trace = WorkflowTrace(initiator=peer_name, metadata_id=metadata_id, operation="delete",
-                              started_at=self._clock.now())
-        peer = self._peer(peer_name)
-        stored = peer.shared_table(metadata_id)
-        if self.delta_enabled:
-            diff = stored.diff_for_delete(key)
-            candidate = None
-        else:
-            candidate = stored.snapshot()
-            candidate.delete_by_key(key)
-            diff = diff_tables(stored, candidate)
-        trace.add_step(peer_name, "local_edit", f"delete shared entry {tuple(key)!r}",
-                       self._clock.now(), rows_changed=len(diff))
-        self._finish(trace, peer_name, metadata_id, "delete", diff,
-                     install_initiator_view=True, reflect_initiator_source=True,
-                     candidate_view=candidate)
+        return self._edit_shared_entry(
+            peer_name, metadata_id, EntryEdit("delete", key),
+            f"delete shared entry {tuple(key)!r}")
+
+    def _edit_shared_entry(self, peer_name: str, metadata_id: str, edit: EntryEdit,
+                           description: str) -> WorkflowTrace:
+        trace = WorkflowTrace(initiator=peer_name, metadata_id=metadata_id,
+                              operation=edit.op, started_at=self._clock.now())
+        stored = self._peer(peer_name).shared_table(metadata_id)
+        diff, candidate = self._diff_of_edits(stored, (edit,))
+        trace.add_step(peer_name, "local_edit", description, self._clock.now(),
+                       rows_changed=len(diff))
+        self._finish(trace, diff, direct_edit=True, candidate_view=candidate)
         return trace
 
-    # ------------------------------------------------------- batched commits
+    def _finish(self, trace: WorkflowTrace, diff: TableDiff, direct_edit: bool = False,
+                candidate_view: Optional[Table] = None) -> None:
+        """Run the protocol for a non-empty ``diff``, always stamping the trace
+        end time; rejections carry the trace on the raised exception
+        (``exc.trace``)."""
+        if diff.is_empty:
+            trace.succeeded = True
+        else:
+            leg = self._new_leg(trace.initiator, trace.metadata_id, trace.operation,
+                                diff, trace, direct_edit=direct_edit,
+                                candidate_view=candidate_view)
+            try:
+                self._run_protocol(leg)
+            except UpdateRejected as exc:
+                trace.finished_at = self._clock.now()
+                exc.trace = trace  # type: ignore[attr-defined]
+                raise
+        trace.finished_at = self._clock.now()
+
+    # ---------------------------------------------------------- edits → diff
 
     @staticmethod
     def _apply_edit(candidate: Table, edit: EntryEdit) -> None:
@@ -536,36 +557,228 @@ class UpdateCoordinator:
         else:
             candidate.delete_by_key(edit.key)
 
-    def update_shared_entries(self, peer_name: str, metadata_id: str,
-                              edits: Sequence[EntryEdit]) -> WorkflowTrace:
-        """Fold several entry-level edits on one shared table into a single
-        protocol run: one diff, one contract request, one acknowledgement.
+    def _diff_of_edits(self, stored: Table, edits: Sequence[EntryEdit],
+                       edit_errors: Optional[List[Optional[str]]] = None,
+                       ) -> Tuple[TableDiff, Optional[Table]]:
+        """The :class:`TableDiff` ``edits`` make on ``stored``, plus the edited
+        snapshot full (non-delta) mode installs — None in delta mode.
 
-        This is the single-group form of batched commits — ``k`` edits cost
-        the same two consensus rounds a lone :meth:`update_shared_entry` does.
+        Without ``edit_errors`` an invalid edit raises.  With it (a batched
+        group) each edit applies on its own: an invalid one (missing key,
+        duplicate insert, constraint violation) is recorded at its index and
+        rejected alone, and the group carries on with the rest.
         """
-        group = BatchGroup(peer=peer_name, metadata_id=metadata_id, edits=tuple(edits))
-        trace = WorkflowTrace(initiator=peer_name, metadata_id=metadata_id,
-                              operation=group.operation, started_at=self._clock.now())
-        peer = self._peer(peer_name)
-        stored = peer.shared_table(metadata_id)
+        if self.delta_enabled and edit_errors is None and len(edits) == 1:
+            # O(changed rows): validate the edit and build its diff directly,
+            # without snapshotting the whole shared table.
+            (edit,) = edits
+            if edit.op == "update":
+                return stored.diff_for_update(edit.key, edit.values), None
+            if edit.op == "create":
+                return stored.diff_for_insert(edit.values), None
+            return stored.diff_for_delete(edit.key), None
         candidate = stored.snapshot()
-        for edit in group.edits:
-            self._apply_edit(candidate, edit)
+        for index, edit in enumerate(edits):
+            try:
+                self._apply_edit(candidate, edit)
+            except ReproError as exc:
+                if edit_errors is None:
+                    raise
+                edit_errors[index] = str(exc)
         diff = diff_tables(stored, candidate)
-        trace.add_step(peer_name, "local_edit",
-                       f"batch of {len(group.edits)} edit(s) on shared table",
-                       self._clock.now(), rows_changed=len(diff), edits=len(group.edits))
-        if diff.is_empty:
-            trace.succeeded = True
-            trace.finished_at = self._clock.now()
-            return trace
         # In delta mode the diff (not the materialised candidate) is installed,
         # so the remaining legs stay O(changed rows).
-        self._finish(trace, peer_name, metadata_id, group.operation, diff,
-                     install_initiator_view=True, reflect_initiator_source=True,
-                     candidate_view=None if self.delta_enabled else candidate)
-        return trace
+        return diff, None if self.delta_enabled else candidate
+
+    # ------------------------------------------------------- permission admin
+
+    def change_permission(self, peer_name: str, metadata_id: str, attribute: str,
+                          new_writers: Sequence[str]) -> dict:
+        """Have the authority peer change the writers of one attribute."""
+        app = self._app(peer_name)
+        tx = app.build_contract_call(
+            "change_permission",
+            {"metadata_id": metadata_id, "attribute": attribute,
+             "new_writers": list(new_writers)})
+        self._gossip_and_mine(app, tx)
+        receipt = app.node.chain.receipt(tx.tx_hash)
+        if not receipt.success:
+            raise UpdateRejected(f"permission change rejected: {receipt.error}")
+        return receipt.return_value
+
+    # ------------------------------------------------- the leg (Fig. 5), once
+
+    def _new_leg(self, initiator: str, metadata_id: str, operation: str,
+                 diff: TableDiff, trace: WorkflowTrace, **leg_fields: Any) -> _Leg:
+        """A fresh leg; ``leg_fields`` set ``depth`` / ``direct_edit`` /
+        ``candidate_view`` where they differ from the defaults."""
+        agreement = self._peer(initiator).agreement(metadata_id)
+        shared = set(agreement.shared_columns)
+        return _Leg(
+            initiator=initiator, counterpart=agreement.counterparty_of(initiator),
+            metadata_id=metadata_id, operation=operation, diff=diff, trace=trace,
+            changed=tuple(c for c in diff.touched_columns if c in shared),
+            diff_hash=hash_payload(diff.to_dict()), **leg_fields)
+
+    def _build_request(self, leg: _Leg,
+                       contributions: Optional[List[dict]] = None) -> None:
+        """Step 2: build and sign the permission request.  ``contributions``
+        (a cross-peer folded group) turns it into a folded request carrying
+        every contributor's attested attributes."""
+        if contributions is None:
+            method = {"update": "request_update", "create": "request_create",
+                      "delete": "request_delete"}[leg.operation]
+            args = {"metadata_id": leg.metadata_id,
+                    "changed_attributes": list(leg.changed),
+                    "diff_hash": leg.diff_hash}
+        else:
+            method = "request_folded_update"
+            args = {"metadata_id": leg.metadata_id, "contributions": contributions,
+                    "diff_hash": leg.diff_hash}
+        leg.request_tx = self._app(leg.initiator).build_contract_call(method, args)
+
+    def _accept(self, leg: _Leg, suffix: str = "") -> bool:
+        """Read the mined request's receipt.  Accepted: install the change on
+        the initiator side (and, for a direct edit, ``put`` it into the
+        initiator's own base table) and return True.  Refused: record why on
+        the trace and the leg and return False."""
+        trace = leg.trace
+        app = self._app(leg.initiator)
+        receipt = app.node.chain.receipt(leg.request_tx.tx_hash)
+        trace.add_step(leg.initiator, "contract_request",
+                       f"send {leg.operation} request for attributes "
+                       f"{list(leg.changed)}{suffix}",
+                       self._clock.now(), block_number=receipt.block_number,
+                       success=receipt.success, error=receipt.error)
+        if not receipt.success:
+            trace.succeeded = False
+            trace.error = receipt.error
+            leg.rejection = (f"{leg.operation} on {leg.metadata_id!r} by "
+                             f"{leg.initiator} rejected: {receipt.error}")
+            return False
+        leg.update_id = int(receipt.return_value["update_id"])
+        self._install_initiator_view(leg)
+        leg.installed = True
+        app.outgoing_diffs[leg.metadata_id] = leg.diff
+        if leg.direct_edit:
+            leg.initiator_source_diff = self._put(app, leg, self._sink(trace))
+        return True
+
+    def _install_initiator_view(self, leg: _Leg) -> None:
+        """Install the accepted change into the initiator's stored shared table.
+
+        Delta mode patches only the changed rows; diffs computed in the
+        ``get`` direction (propagations and cascade legs) additionally run
+        the sampled full-``get`` verification.  Full mode keeps the seed
+        behaviour (whole-table replace/refresh).
+        """
+        manager = self._app(leg.initiator).manager
+        if leg.candidate_view is not None:
+            manager.replace_shared_table(leg.metadata_id, leg.candidate_view)
+        elif not self.delta_enabled:
+            manager.refresh_shared_table(leg.metadata_id)
+        elif leg.direct_edit:
+            manager.apply_incoming_diff(leg.metadata_id, leg.diff)
+        else:
+            manager.refresh_shared_table_delta(leg.metadata_id, leg.diff)
+
+    def _put(self, app, leg: _Leg, emit: StepSink) -> TableDiff:
+        """Reflect the leg's view diff into ``app``'s base table (the ``put``
+        direction): incrementally when enabled, else fully."""
+        with self.tracer.span("delta.leg", peer=app.peer.name,
+                              metadata_id=leg.metadata_id,
+                              delta=self.delta_enabled) as span:
+            if self.delta_enabled:
+                source_diff = app.manager.reflect_shared_table_delta(leg.metadata_id,
+                                                                     leg.diff)
+            else:
+                source_diff = app.manager.reflect_shared_table(leg.metadata_id)
+            span.annotate(rows=len(source_diff))
+        emit(app.peer.name, "bx_put",
+             f"reflect shared-table change into local base table "
+             f"({len(source_diff)} row change(s))", rows_changed=len(source_diff))
+        return source_diff
+
+    def _middle(self, leg: _Leg, emit: StepSink) -> None:
+        """Steps 3–5 and the acknowledgement transaction.  Touches no ledger
+        state and no trace — only the two peers' apps, ``leg`` and ``emit`` —
+        so the parallel driver may run it on an executor thread."""
+        app = self._app(leg.initiator)
+        counterpart_app = self._app(leg.counterpart)
+        metadata_id, update_id = leg.metadata_id, leg.update_id
+
+        # Step 3: the sharing peer is notified through the contract event.
+        notifications = counterpart_app.pop_notifications(metadata_id)
+        if not any(n.update_id == update_id for n in notifications):
+            raise WorkflowError(
+                f"peer {leg.counterpart!r} did not receive the contract notification "
+                f"for update {update_id} on {metadata_id!r}"
+            )
+        emit(leg.counterpart, "notified",
+             f"received contract notification (update #{update_id})",
+             update_id=update_id)
+
+        # Step 4: the sharing peer fetches the newest shared data over the channel.
+        counterpart_app.request_shared_data(metadata_id, leg.initiator,
+                                            since_update=update_id)
+        transfer = app.serve_shared_data(metadata_id, leg.counterpart, mode="diff")
+        counterpart_app.receive_shared_data(metadata_id, transfer)
+        emit(leg.counterpart, "fetch_data",
+             f"fetched updated shared data ({transfer.kind}, "
+             f"{transfer.size_bytes} bytes)",
+             transfer_kind=transfer.kind, bytes=transfer.size_bytes)
+
+        # Step 5: the sharing peer reflects the change into its complete data (put).
+        leg.counterpart_diff = self._put(counterpart_app, leg, emit)
+
+        # Metadata update / acknowledgement: the sharing peer confirms it holds
+        # the newest shared data, unblocking further operations on this table.
+        leg.ack_tx = counterpart_app.build_contract_call(
+            "acknowledge_update", {"metadata_id": metadata_id, "update_id": update_id})
+
+    def _confirm(self, leg: _Leg, suffix: str = "") -> None:
+        """Read the mined acknowledgement's receipt, then run step 6: both the
+        peer that absorbed the update (the counterpart) and — when it
+        reflected a direct edit into its own base table — the initiator check
+        whether other shared pieces derived from the same base table changed,
+        and re-share them (steps 7–11)."""
+        trace = leg.trace
+        ack_receipt = self._app(leg.counterpart).node.chain.receipt(leg.ack_tx.tx_hash)
+        trace.add_step(leg.counterpart, "acknowledge",
+                       f"acknowledged the update on the smart contract{suffix}",
+                       self._clock.now(), block_number=ack_receipt.block_number,
+                       success=ack_receipt.success)
+        if not ack_receipt.success:
+            raise WorkflowError(
+                f"acknowledgement by {leg.counterpart!r} failed: {ack_receipt.error}"
+            )
+        self._cascade(leg.counterpart, leg.metadata_id, trace, leg.depth,
+                      source_diff=leg.counterpart_diff)
+        if leg.initiator_source_diff is not None:
+            self._cascade(leg.initiator, leg.metadata_id, trace, leg.depth,
+                          source_diff=leg.initiator_source_diff)
+        trace.succeeded = True
+
+    # ------------------------------------------------- driver 1: sequential
+
+    def _run_protocol(self, leg: _Leg) -> None:
+        """Steps 2..11 of Fig. 5 for one leg, each of its two transactions
+        gossiped alone and mined in a round of its own.  A refused request
+        raises :class:`UpdateRejected`, any later failure
+        :class:`WorkflowError`."""
+        trace = leg.trace
+        self._build_request(leg)
+        trace.blocks_created += self._gossip_and_mine(self._app(leg.initiator),
+                                                      leg.request_tx)
+        if not self._accept(leg):
+            raise UpdateRejected(leg.rejection)
+        self._middle(leg, self._sink(trace))
+        trace.blocks_created += self._gossip_and_mine(self._app(leg.counterpart),
+                                                      leg.ack_tx)
+        self._confirm(leg)
+        self._notify_change(leg, leg.diff)
+
+    # ---------------------------------------------- driver 2: batched commit
 
     def commit_entry_batch(self, groups: Sequence[BatchGroup]) -> BatchCommitResult:
         """Commit many groups through *shared* consensus rounds (the gateway's
@@ -593,14 +806,12 @@ class UpdateCoordinator:
             seen_ids.add(group.metadata_id)
 
         result = BatchCommitResult()
-        method_by_op = {"update": "request_update", "create": "request_create",
-                        "delete": "request_delete"}
 
-        # Phase A: validate every group locally and submit every request
+        # Phase A: validate every group locally and build every request
         # transaction, then mine them all in one consensus round.  Requests
         # are gossiped as one batch (a single tx-batch flood) after each has
         # been ingested at its own peer's node for nonce accounting.
-        prepared = []
+        prepared: List[_Leg] = []
         request_submissions: List[Tuple[str, Any]] = []
         for group in groups:
             trace = WorkflowTrace(initiator=group.peer, metadata_id=group.metadata_id,
@@ -610,25 +821,13 @@ class UpdateCoordinator:
             result.edit_errors.append(edit_errors)
             try:
                 self.injector.maybe_fail("contract.fail", group.metadata_id)
-                peer = self._peer(group.peer)
-                agreement = peer.agreement(group.metadata_id)
-                stored = peer.shared_table(group.metadata_id)
-                candidate = stored.snapshot()
+                stored = self._peer(group.peer).shared_table(group.metadata_id)
+                diff, candidate = self._diff_of_edits(stored, group.edits, edit_errors)
             except ReproError as exc:
                 trace.error = str(exc)
                 trace.finished_at = self._clock.now()
                 continue
-            # Apply each edit on its own: an invalid one (missing key,
-            # duplicate insert, constraint violation) is rejected alone and
-            # the group carries on with the rest.
-            applied = 0
-            for index, edit in enumerate(group.edits):
-                try:
-                    self._apply_edit(candidate, edit)
-                    applied += 1
-                except ReproError as exc:
-                    edit_errors[index] = str(exc)
-            diff = diff_tables(stored, candidate)
+            applied = edit_errors.count(None)
             trace.add_step(group.peer, "local_edit",
                            f"batch of {len(group.edits)} edit(s) on shared table "
                            f"({applied} applied)", self._clock.now(),
@@ -636,157 +835,72 @@ class UpdateCoordinator:
                            edits_applied=applied)
             if applied == 0:
                 trace.error = next(error for error in edit_errors if error)
-                trace.finished_at = self._clock.now()
-                continue
-            if diff.is_empty:
+            elif diff.is_empty:
                 trace.succeeded = True
-                trace.finished_at = self._clock.now()
-                continue
-            app = self._app(group.peer)
-            if group.folded:
-                diff_hash = self._diff_hash(diff)
-                contributions = self._fold_contributions(group, diff, agreement,
-                                                         edit_errors, diff_hash)
-                tx = app.build_contract_call(
-                    "request_folded_update",
-                    {"metadata_id": group.metadata_id,
-                     "contributions": contributions,
-                     "diff_hash": diff_hash},
-                )
             else:
-                tx = app.build_contract_call(
-                    method_by_op[group.operation],
-                    {"metadata_id": group.metadata_id,
-                     "changed_attributes": list(self._changed_attributes(diff, agreement)),
-                     "diff_hash": self._diff_hash(diff)},
-                )
-            # Ingest at the submitting peer's own node right away so a peer
-            # initiating several groups keeps its nonces sequential.
-            if not app.node.receive_transaction(tx):
-                trace.error = f"request transaction rejected by {app.node.name!r}'s mempool"
-                trace.finished_at = self._clock.now()
-                continue
-            request_submissions.append((app.node.name, tx))
-            prepared.append((group, trace, agreement, candidate, diff, tx))
+                leg = self._new_leg(group.peer, group.metadata_id, group.operation,
+                                    diff, trace, direct_edit=True,
+                                    candidate_view=candidate)
+                self._build_request(
+                    leg, self._fold_contributions(group, leg, edit_errors)
+                    if group.folded else None)
+                # Ingest at the submitting peer's own node right away so a
+                # peer initiating several groups keeps its nonces sequential.
+                node = self._app(group.peer).node
+                if node.receive_transaction(leg.request_tx):
+                    request_submissions.append((node.name, leg.request_tx))
+                    prepared.append(leg)
+                    continue
+                trace.error = f"request transaction rejected by {node.name!r}'s mempool"
+            # Every group that does not ride the request round ends here.
+            trace.finished_at = self._clock.now()
         if not prepared:
             return result
-        with self.tracer.span("consensus.round", phase="requests",
-                              groups=len(prepared)) as span:
-            self.system.simulator.submit_transaction_batch(request_submissions)
-            blocks = self._mine()
-            span.annotate(blocks=blocks)
-        result.blocks_created += blocks
+        result.blocks_created += self._mine_round(
+            "requests", self.system.simulator.submit_transaction_batch,
+            request_submissions, groups=len(prepared))
         result.consensus_rounds += 1
 
-        # Phase B: install accepted groups on both sides and submit every
+        # Phase B: install accepted groups on both sides and build every
         # acknowledgement (gossiped as one batch, like the requests), then
         # mine them all in a second shared round.
-        acknowledged = []
+        acknowledged: List[_Leg] = []
         ack_submissions: List[Tuple[str, Any]] = []
-        for group, trace, agreement, candidate, diff, tx in prepared:
-            app = self._app(group.peer)
-            counterpart = agreement.counterparty_of(group.peer)
-            installed = False
+        for leg in prepared:
+            trace = leg.trace
             try:
-                receipt = app.node.chain.receipt(tx.tx_hash)
-                trace.add_step(group.peer, "contract_request",
-                               f"send {group.operation} request for attributes "
-                               f"{list(self._changed_attributes(diff, agreement))} "
-                               f"(batched round)",
-                               self._clock.now(), block_number=receipt.block_number,
-                               success=receipt.success, error=receipt.error)
-                if not receipt.success:
-                    trace.error = receipt.error
+                if not self._accept(leg, suffix=BATCHED_ROUND):
                     trace.finished_at = self._clock.now()
                     continue
-                update_id = int(receipt.return_value["update_id"])
-                counterpart_app = self._app(counterpart)
-                if self.delta_enabled:
-                    app.manager.apply_incoming_diff(group.metadata_id, diff)
-                else:
-                    app.manager.replace_shared_table(group.metadata_id, candidate)
-                installed = True
-                app.outgoing_diffs[group.metadata_id] = diff
-                initiator_source_diff = self._reflect(app, group.metadata_id, diff)
-                trace.add_step(group.peer, "bx_put",
-                               f"reflect shared-table change into local base table "
-                               f"({len(initiator_source_diff)} row change(s))",
-                               self._clock.now(),
-                               rows_changed=len(initiator_source_diff))
-                notifications = counterpart_app.pop_notifications(group.metadata_id)
-                if not any(n.update_id == update_id for n in notifications):
-                    raise WorkflowError(
-                        f"peer {counterpart!r} did not receive the contract notification "
-                        f"for update {update_id} on {group.metadata_id!r}"
-                    )
-                trace.add_step(counterpart, "notified",
-                               f"received contract notification (update #{update_id})",
-                               self._clock.now(), update_id=update_id)
-                counterpart_app.request_shared_data(group.metadata_id, group.peer,
-                                                    since_update=update_id)
-                transfer = app.serve_shared_data(group.metadata_id, counterpart, mode="diff")
-                counterpart_app.receive_shared_data(group.metadata_id, transfer)
-                trace.add_step(counterpart, "fetch_data",
-                               f"fetched updated shared data ({transfer.kind}, "
-                               f"{transfer.size_bytes} bytes)", self._clock.now(),
-                               transfer_kind=transfer.kind, bytes=transfer.size_bytes)
-                counterpart_diff = self._reflect(counterpart_app, group.metadata_id, diff)
-                trace.add_step(counterpart, "bx_put",
-                               f"reflect shared-table change into local base table "
-                               f"({len(counterpart_diff)} row change(s))", self._clock.now(),
-                               rows_changed=len(counterpart_diff))
-                ack_tx = counterpart_app.build_contract_call(
-                    "acknowledge_update",
-                    {"metadata_id": group.metadata_id, "update_id": update_id},
-                )
-                counterpart_app.node.receive_transaction(ack_tx)
-                ack_submissions.append((counterpart_app.node.name, ack_tx))
+                self._middle(leg, self._sink(trace))
+                counterpart_node = self._app(leg.counterpart).node
+                counterpart_node.receive_transaction(leg.ack_tx)
+                ack_submissions.append((counterpart_node.name, leg.ack_tx))
             except ReproError as exc:
                 trace.error = str(exc)
                 trace.finished_at = self._clock.now()
-                if installed:
+                if leg.installed:
                     # The initiator's shared table was already replaced, so
                     # cached views of it are stale even though the protocol
                     # did not complete — listeners must still be told.  No
                     # diff is passed: a half-installed change is not safely
                     # describable as one, so caches drop the views instead.
-                    self._notify_change(group.metadata_id, group.operation,
-                                        (group.peer, counterpart))
+                    self._notify_change(leg)
                 continue
-            acknowledged.append((group, trace, counterpart, ack_tx, diff,
-                                 initiator_source_diff, counterpart_diff))
+            acknowledged.append(leg)
         if not acknowledged:
             return result
-        with self.tracer.span("consensus.round", phase="acks",
-                              groups=len(acknowledged)) as span:
-            self.system.simulator.submit_transaction_batch(ack_submissions)
-            blocks = self._mine()
-            span.annotate(blocks=blocks)
-        result.blocks_created += blocks
+        result.blocks_created += self._mine_round(
+            "acks", self.system.simulator.submit_transaction_batch,
+            ack_submissions, groups=len(acknowledged))
         result.consensus_rounds += 1
 
         # Phase C: confirm acknowledgements, run the Fig. 5 step-6 cascades
         # (each cascade mines its own rounds) and fire the change listeners.
-        for (group, trace, counterpart, ack_tx, diff,
-             initiator_source_diff, counterpart_diff) in acknowledged:
-            counterpart_app = self._app(counterpart)
+        for leg in acknowledged:
+            trace = leg.trace
             try:
-                ack_receipt = counterpart_app.node.chain.receipt(ack_tx.tx_hash)
-                trace.add_step(counterpart, "acknowledge",
-                               "acknowledged the update on the smart contract "
-                               "(batched round)",
-                               self._clock.now(), block_number=ack_receipt.block_number,
-                               success=ack_receipt.success)
-                if not ack_receipt.success:
-                    trace.error = (f"acknowledgement by {counterpart!r} failed: "
-                                   f"{ack_receipt.error}")
-                    trace.finished_at = self._clock.now()
-                    continue
-                self._cascade(counterpart, group.metadata_id, trace, depth=0,
-                              source_diff=counterpart_diff)
-                self._cascade(group.peer, group.metadata_id, trace, depth=0,
-                              source_diff=initiator_source_diff)
-                trace.succeeded = True
+                self._confirm(leg, suffix=BATCHED_ROUND)
             except ReproError as exc:
                 trace.error = str(exc)
             finally:
@@ -795,184 +909,10 @@ class UpdateCoordinator:
                 # whatever happened to its cascade: listeners always fire.
                 # The diff travels along only for fully-successful groups so
                 # caches can patch rather than drop.
-                self._notify_change(group.metadata_id, group.operation,
-                                    (group.peer, counterpart),
-                                    diff if trace.succeeded else None)
+                self._notify_change(leg, leg.diff if trace.succeeded else None)
         return result
 
-    def _finish(self, trace: WorkflowTrace, peer_name: str, metadata_id: str, operation: str,
-                diff: TableDiff, install_initiator_view: bool, reflect_initiator_source: bool,
-                candidate_view: Optional[Table] = None) -> None:
-        """Run the protocol, always stamping the trace end time; rejections carry
-        the trace on the raised exception (``exc.trace``)."""
-        try:
-            self._run_protocol(peer_name, metadata_id, operation, diff, trace,
-                               install_initiator_view=install_initiator_view,
-                               reflect_initiator_source=reflect_initiator_source,
-                               candidate_view=candidate_view)
-        except UpdateRejected as exc:
-            trace.finished_at = self._clock.now()
-            exc.trace = trace  # type: ignore[attr-defined]
-            raise
-        trace.finished_at = self._clock.now()
-
-    # ------------------------------------------------------- permission admin
-
-    def change_permission(self, peer_name: str, metadata_id: str, attribute: str,
-                          new_writers: Sequence[str]) -> dict:
-        """Have the authority peer change the writers of one attribute."""
-        receipt, _blocks = self._submit_and_mine(
-            peer_name, "change_permission",
-            {"metadata_id": metadata_id, "attribute": attribute,
-             "new_writers": list(new_writers)},
-        )
-        if not receipt.success:
-            raise UpdateRejected(f"permission change rejected: {receipt.error}")
-        return receipt.return_value
-
-    # -------------------------------------------------------------- the protocol
-
-    def _run_protocol(self, initiator: str, metadata_id: str, operation: str,
-                      diff: TableDiff, trace: WorkflowTrace,
-                      install_initiator_view: bool, reflect_initiator_source: bool,
-                      candidate_view: Optional[Table] = None, depth: int = 0) -> None:
-        """Steps 2..11 of Fig. 5 (recursing into step 6's cascade)."""
-        if depth > 8:
-            raise WorkflowError("propagation cascade exceeded the supported depth")
-        peer = self._peer(initiator)
-        app = self._app(initiator)
-        agreement = peer.agreement(metadata_id)
-        counterpart = agreement.counterparty_of(initiator)
-        counterpart_app = self._app(counterpart)
-        changed_attributes = self._changed_attributes(diff, agreement)
-        diff_hash = self._diff_hash(diff)
-
-        # Step 2: request permission from the smart contract.
-        method = {"update": "request_update", "create": "request_create",
-                  "delete": "request_delete"}[operation]
-        receipt, blocks = self._submit_and_mine(
-            initiator, method,
-            {"metadata_id": metadata_id, "changed_attributes": list(changed_attributes),
-             "diff_hash": diff_hash},
-        )
-        trace.blocks_created += blocks
-        trace.add_step(initiator, "contract_request",
-                       f"send {operation} request for attributes {list(changed_attributes)}",
-                       self._clock.now(), block_number=receipt.block_number,
-                       success=receipt.success, error=receipt.error)
-        if not receipt.success:
-            trace.succeeded = False
-            trace.error = receipt.error
-            raise UpdateRejected(
-                f"{operation} on {metadata_id!r} by {initiator} rejected: {receipt.error}"
-            )
-        update_id = int(receipt.return_value["update_id"])
-
-        # The contract accepted: install the local changes on the initiator side.
-        if install_initiator_view:
-            self._install_initiator_view(app, metadata_id, diff, candidate_view,
-                                         from_get=not reflect_initiator_source)
-        app.outgoing_diffs[metadata_id] = diff
-        initiator_reflected = False
-        initiator_source_diff: Optional[TableDiff] = None
-        if reflect_initiator_source:
-            initiator_source_diff = self._reflect(app, metadata_id, diff)
-            initiator_reflected = True
-            trace.add_step(initiator, "bx_put",
-                           f"reflect shared-table change into local base table "
-                           f"({len(initiator_source_diff)} row change(s))", self._clock.now(),
-                           rows_changed=len(initiator_source_diff))
-
-        # Step 3: the sharing peer is notified through the contract event.
-        notifications = counterpart_app.pop_notifications(metadata_id)
-        matching = [n for n in notifications if n.update_id == update_id]
-        if not matching:
-            raise WorkflowError(
-                f"peer {counterpart!r} did not receive the contract notification for "
-                f"update {update_id} on {metadata_id!r}"
-            )
-        trace.add_step(counterpart, "notified",
-                       f"received contract notification (update #{update_id})",
-                       self._clock.now(), update_id=update_id)
-
-        # Step 4: the sharing peer fetches the newest shared data over the channel.
-        counterpart_app.request_shared_data(metadata_id, initiator, since_update=update_id)
-        transfer = app.serve_shared_data(metadata_id, counterpart, mode="diff")
-        counterpart_app.receive_shared_data(metadata_id, transfer)
-        trace.add_step(counterpart, "fetch_data",
-                       f"fetched updated shared data ({transfer.kind}, "
-                       f"{transfer.size_bytes} bytes)", self._clock.now(),
-                       transfer_kind=transfer.kind, bytes=transfer.size_bytes)
-
-        # Step 5: the sharing peer reflects the change into its complete data (put).
-        source_diff = self._reflect(counterpart_app, metadata_id, diff)
-        trace.add_step(counterpart, "bx_put",
-                       f"reflect shared-table change into local base table "
-                       f"({len(source_diff)} row change(s))", self._clock.now(),
-                       rows_changed=len(source_diff))
-
-        # Metadata update / acknowledgement: the sharing peer confirms it holds
-        # the newest shared data, unblocking further operations on this table.
-        ack_receipt, ack_blocks = self._submit_and_mine(
-            counterpart, "acknowledge_update",
-            {"metadata_id": metadata_id, "update_id": update_id},
-        )
-        trace.blocks_created += ack_blocks
-        trace.add_step(counterpart, "acknowledge",
-                       "acknowledged the update on the smart contract",
-                       self._clock.now(), block_number=ack_receipt.block_number,
-                       success=ack_receipt.success)
-        if not ack_receipt.success:
-            raise WorkflowError(
-                f"acknowledgement by {counterpart!r} failed: {ack_receipt.error}"
-            )
-
-        # Step 6 and steps 7-11: both the peer that absorbed the update (the
-        # counterpart) and — when it reflected a direct edit into its own base
-        # table — the initiator must check whether other shared pieces derived
-        # from the same base table changed, and re-share them.
-        self._cascade(counterpart, metadata_id, trace, depth, source_diff=source_diff)
-        if initiator_reflected:
-            self._cascade(initiator, metadata_id, trace, depth,
-                          source_diff=initiator_source_diff)
-
-        trace.succeeded = True
-        self._notify_change(metadata_id, operation, (initiator, counterpart), diff)
-
-    # ----------------------------------------------------- delta/full dispatch
-
-    def _install_initiator_view(self, app, metadata_id: str, diff: TableDiff,
-                                candidate_view: Optional[Table],
-                                from_get: bool) -> None:
-        """Install the accepted change into the initiator's stored shared table.
-
-        Delta mode patches only the changed rows; ``from_get`` marks diffs
-        computed in the ``get`` direction (propagations and cascade legs),
-        which additionally run the sampled full-``get`` verification.  Full
-        mode keeps the seed behaviour (whole-table replace/refresh).
-        """
-        if candidate_view is not None:
-            app.manager.replace_shared_table(metadata_id, candidate_view)
-        elif self.delta_enabled:
-            if from_get:
-                app.manager.refresh_shared_table_delta(metadata_id, diff)
-            else:
-                app.manager.apply_incoming_diff(metadata_id, diff)
-        else:
-            app.manager.refresh_shared_table(metadata_id)
-
-    def _reflect(self, app, metadata_id: str, view_diff: TableDiff) -> TableDiff:
-        """Run the ``put`` direction: incrementally when enabled, else fully."""
-        with self.tracer.span("delta.leg", peer=app.peer.name,
-                              metadata_id=metadata_id,
-                              delta=self.delta_enabled) as span:
-            if self.delta_enabled:
-                result = app.manager.reflect_shared_table_delta(metadata_id,
-                                                                view_diff)
-            else:
-                result = app.manager.reflect_shared_table(metadata_id)
-            span.annotate(rows=len(result))
-            return result
+    # ------------------------------------------------------ step 6: cascades
 
     def _cascade(self, peer_name: str, metadata_id: str, trace: WorkflowTrace,
                  depth: int, source_diff: Optional[TableDiff] = None) -> None:
@@ -995,42 +935,52 @@ class UpdateCoordinator:
         trace.add_step(peer_name, "check_dependencies",
                        f"{len(dependents)} dependent shared table(s) affected",
                        self._clock.now(), dependents=sorted(dependents))
-        legs = sorted(dependents.items())
-        router = self.system.simulator.router
-        if self.parallel_enabled and router.num_shards > 1 and len(legs) > 1:
-            self._cascade_parallel(peer_name, trace, depth, legs)
+        if dependents and depth >= 8:
+            raise WorkflowError("propagation cascade exceeded the supported depth")
+        legs = [self._new_leg(peer_name, dependent_id, "update", dependent_diff,
+                              trace, depth=depth + 1)
+                for dependent_id, dependent_diff in sorted(dependents.items())]
+        if (self.parallel_enabled and self.system.simulator.router.num_shards > 1
+                and len(legs) > 1):
+            self._cascade_parallel(legs)
             return
-        for dependent_id, dependent_diff in legs:
-            trace.cascaded_metadata_ids.append(dependent_id)
-            trace.add_step(peer_name, "bx_get",
-                           f"regenerate dependent shared view {dependent_id!r} "
-                           f"({len(dependent_diff)} row change(s))", self._clock.now(),
-                           rows_changed=len(dependent_diff))
-            with self.tracer.span("cascade.leg", peer=peer_name,
-                                  metadata_id=dependent_id, depth=depth,
-                                  lane=router.shard_of(dependent_id),
-                                  rows=len(dependent_diff)) as span:
+        for leg in legs:
+            self._announce_cascade_leg(leg)
+            with self._cascade_leg_span(leg) as span:
                 try:
-                    self._run_protocol(peer_name, dependent_id, "update",
-                                       dependent_diff, trace,
-                                       install_initiator_view=True,
-                                       reflect_initiator_source=False,
-                                       depth=depth + 1)
-                    app.manager.clear_view_unhealed(dependent_id)
-                except UpdateRejected as exc:
-                    # A rejected cascade leg does not undo the already-accepted
-                    # primary update; the peer simply keeps its other shared
-                    # piece unchanged and the trace records the refusal.  The
-                    # dependent view now lags its base table, so the delta
-                    # dependency check must diff it exactly until a leg goes
-                    # through again.
-                    app.manager.mark_view_unhealed(dependent_id)
-                    span.annotate(rejected=True)
-                    trace.add_step(peer_name, "cascade_rejected", str(exc),
-                                   self._clock.now())
+                    self._run_protocol(leg)
+                    app.manager.clear_view_unhealed(leg.metadata_id)
+                except UpdateRejected:
+                    self._cascade_leg_rejected(span, leg)
 
-    def _cascade_parallel(self, peer_name: str, trace: WorkflowTrace, depth: int,
-                          legs: Sequence[Tuple[str, TableDiff]]) -> None:
+    def _announce_cascade_leg(self, leg: _Leg) -> None:
+        leg.trace.cascaded_metadata_ids.append(leg.metadata_id)
+        leg.trace.add_step(leg.initiator, "bx_get",
+                           f"regenerate dependent shared view {leg.metadata_id!r} "
+                           f"({len(leg.diff)} row change(s))", self._clock.now(),
+                           rows_changed=len(leg.diff))
+
+    def _cascade_leg_span(self, leg: _Leg):
+        return self.tracer.span(
+            "cascade.leg", peer=leg.initiator, metadata_id=leg.metadata_id,
+            depth=leg.depth - 1,
+            lane=self.system.simulator.router.shard_of(leg.metadata_id),
+            rows=len(leg.diff))
+
+    def _cascade_leg_rejected(self, span, leg: _Leg) -> None:
+        """A rejected cascade leg does not undo the already-accepted primary
+        update; the peer simply keeps its other shared piece unchanged and
+        the trace records the refusal.  The dependent view now lags its base
+        table, so the delta dependency check must diff it exactly until a leg
+        goes through again."""
+        self._app(leg.initiator).manager.mark_view_unhealed(leg.metadata_id)
+        span.annotate(rejected=True)
+        leg.trace.add_step(leg.initiator, "cascade_rejected", leg.rejection,
+                           self._clock.now())
+
+    # --------------------------------------------- driver 3: parallel cascade
+
+    def _cascade_parallel(self, legs: Sequence[_Leg]) -> None:
         """Propagate one peer's cascade legs through *shared* consensus rounds,
         running different-lane counterpart work on executor threads.
 
@@ -1052,10 +1002,8 @@ class UpdateCoordinator:
         unhealed-view mark, a ``cascade_rejected`` step) without aborting the
         batch.
         """
-        if depth + 1 > 8:
-            raise WorkflowError("propagation cascade exceeded the supported depth")
+        peer_name, trace, depth = legs[0].initiator, legs[0].trace, legs[0].depth - 1
         app = self._app(peer_name)
-        peer = self._peer(peer_name)
         router = self.system.simulator.router
 
         # Phase A (serial, sorted): record each leg, build + locally ingest
@@ -1063,134 +1011,52 @@ class UpdateCoordinator:
         # and pre-resolve the pairwise data channel — registry creation is
         # not thread-safe, transfers on existing channels are.  Then one
         # shared consensus round mines every request.
-        prepared: List[Dict[str, Any]] = []
         request_submissions: List[Tuple[str, Any]] = []
-        for dependent_id, diff in legs:
-            trace.cascaded_metadata_ids.append(dependent_id)
-            trace.add_step(peer_name, "bx_get",
-                           f"regenerate dependent shared view {dependent_id!r} "
-                           f"({len(diff)} row change(s))", self._clock.now(),
-                           rows_changed=len(diff))
-            agreement = peer.agreement(dependent_id)
-            counterpart = agreement.counterparty_of(peer_name)
-            app.channel_to(counterpart)
-            changed = self._changed_attributes(diff, agreement)
-            tx = app.build_contract_call(
-                "request_update",
-                {"metadata_id": dependent_id,
-                 "changed_attributes": list(changed),
-                 "diff_hash": self._diff_hash(diff)},
-            )
-            if not app.node.receive_transaction(tx):
+        for leg in legs:
+            self._announce_cascade_leg(leg)
+            app.channel_to(leg.counterpart)
+            self._build_request(leg)
+            if not app.node.receive_transaction(leg.request_tx):
                 raise WorkflowError(
-                    f"cascade request for {dependent_id!r} rejected by "
+                    f"cascade request for {leg.metadata_id!r} rejected by "
                     f"{app.node.name!r}'s mempool"
                 )
-            request_submissions.append((app.node.name, tx))
-            prepared.append({
-                "dependent_id": dependent_id,
-                "diff": diff,
-                "changed": changed,
-                "counterpart": counterpart,
-                "lane": router.shard_of(dependent_id),
-                "tx": tx,
-            })
-        with self.tracer.span("consensus.round", phase="cascade_requests",
-                              legs=len(prepared), depth=depth) as span:
-            self.system.simulator.submit_transaction_batch(request_submissions)
-            blocks = self._mine()
-            span.annotate(blocks=blocks)
-        trace.blocks_created += blocks
+            request_submissions.append((app.node.name, leg.request_tx))
+        trace.blocks_created += self._mine_round(
+            "cascade_requests", self.system.simulator.submit_transaction_batch,
+            request_submissions, legs=len(legs), depth=depth)
 
         # Phase B (serial, sorted): read each receipt; install accepted legs
         # on the initiator side, leave rejected ones with the sequential
         # path's bookkeeping.
-        active: List[Dict[str, Any]] = []
-        for leg in prepared:
-            dependent_id = leg["dependent_id"]
-            diff = leg["diff"]
-            receipt = app.node.chain.receipt(leg["tx"].tx_hash)
-            trace.add_step(peer_name, "contract_request",
-                           f"send update request for attributes {list(leg['changed'])}",
-                           self._clock.now(), block_number=receipt.block_number,
-                           success=receipt.success, error=receipt.error)
-            if not receipt.success:
-                trace.succeeded = False
-                trace.error = receipt.error
-                with self.tracer.span("cascade.leg", peer=peer_name,
-                                      metadata_id=dependent_id, depth=depth,
-                                      lane=leg["lane"], rows=len(diff)) as span:
-                    span.annotate(rejected=True)
-                app.manager.mark_view_unhealed(dependent_id)
-                trace.add_step(
-                    peer_name, "cascade_rejected",
-                    f"update on {dependent_id!r} by {peer_name} rejected: "
-                    f"{receipt.error}",
-                    self._clock.now())
+        active: List[_Leg] = []
+        for leg in legs:
+            if self._accept(leg):
+                active.append(leg)
                 continue
-            leg["update_id"] = int(receipt.return_value["update_id"])
-            self._install_initiator_view(app, dependent_id, diff, None,
-                                         from_get=True)
-            app.outgoing_diffs[dependent_id] = diff
-            active.append(leg)
+            with self._cascade_leg_span(leg) as span:
+                self._cascade_leg_rejected(span, leg)
         if not active:
             return
 
-        # Phase B2 (concurrent): the ledger-free middle of each accepted leg.
-        # Worker threads never touch the trace — steps buffer per leg and
-        # merge serially below, so step order stays deterministic whatever
-        # the thread interleaving.
-        def run_legs(group: Sequence[Dict[str, Any]]) -> None:
-            for leg in group:
-                dependent_id = leg["dependent_id"]
-                diff = leg["diff"]
-                counterpart = leg["counterpart"]
-                counterpart_app = self._app(counterpart)
-                update_id = leg["update_id"]
-                steps: List[Tuple[str, str, str, Dict[str, Any]]] = []
-                with self.tracer.span("cascade.leg", peer=peer_name,
-                                      metadata_id=dependent_id, depth=depth,
-                                      lane=leg["lane"], rows=len(diff)):
-                    notifications = counterpart_app.pop_notifications(dependent_id)
-                    if not any(n.update_id == update_id for n in notifications):
-                        raise WorkflowError(
-                            f"peer {counterpart!r} did not receive the contract "
-                            f"notification for update {update_id} on {dependent_id!r}"
-                        )
-                    steps.append((counterpart, "notified",
-                                  f"received contract notification "
-                                  f"(update #{update_id})",
-                                  {"update_id": update_id}))
-                    counterpart_app.request_shared_data(dependent_id, peer_name,
-                                                        since_update=update_id)
-                    transfer = app.serve_shared_data(dependent_id, counterpart,
-                                                     mode="diff")
-                    counterpart_app.receive_shared_data(dependent_id, transfer)
-                    steps.append((counterpart, "fetch_data",
-                                  f"fetched updated shared data ({transfer.kind}, "
-                                  f"{transfer.size_bytes} bytes)",
-                                  {"transfer_kind": transfer.kind,
-                                   "bytes": transfer.size_bytes}))
-                    counterpart_diff = self._reflect(counterpart_app,
-                                                     dependent_id, diff)
-                    steps.append((counterpart, "bx_put",
-                                  f"reflect shared-table change into local base "
-                                  f"table ({len(counterpart_diff)} row change(s))",
-                                  {"rows_changed": len(counterpart_diff)}))
-                    ack_tx = counterpart_app.build_contract_call(
-                        "acknowledge_update",
-                        {"metadata_id": dependent_id, "update_id": update_id},
-                    )
-                    counterpart_app.node.receive_transaction(ack_tx)
-                leg["steps"] = steps
-                leg["counterpart_diff"] = counterpart_diff
-                leg["ack_tx"] = ack_tx
+        # Phase B2 (concurrent): the ledger-free middle of each accepted leg,
+        # its steps buffered per leg.  Only a leg whose middle ran to the end
+        # hands its buffer over.
+        buffered: Dict[str, List[Tuple[tuple, dict]]] = {}
 
-        groups: Dict[Any, List[Dict[str, Any]]] = {}
+        def run_legs(group: Sequence[_Leg]) -> None:
+            for leg in group:
+                steps: List[Tuple[tuple, dict]] = []
+                with self._cascade_leg_span(leg):
+                    self._middle(leg, lambda *step, **data: steps.append((step, data)))
+                    self._app(leg.counterpart).node.receive_transaction(leg.ack_tx)
+                buffered[leg.metadata_id] = steps
+
+        groups: Dict[Any, List[_Leg]] = {}
         group_of_counterpart: Dict[str, Any] = {}
         for leg in active:
-            key = group_of_counterpart.setdefault(leg["counterpart"],
-                                                  ("lane", leg["lane"]))
+            key = group_of_counterpart.setdefault(
+                leg.counterpart, ("lane", router.shard_of(leg.metadata_id)))
             groups.setdefault(key, []).append(leg)
         errors: List[BaseException] = []
         if len(groups) == 1:
@@ -1206,46 +1072,26 @@ class UpdateCoordinator:
                     exc = future.exception()
                     if exc is not None:
                         errors.append(exc)
-        # Deterministic ordered merge: buffered steps land on the trace in
-        # sorted leg order, stamped at the post-barrier simulated time (the
-        # clock only ever advances by summed, commutative increments).
+        # The ordered merge: buffered steps land on the trace in sorted leg
+        # order, stamped at the post-barrier simulated time.
         merged_at = self._clock.now()
         for leg in active:
-            for actor, action, description, data in leg.get("steps", ()):
-                trace.add_step(actor, action, description, merged_at, **data)
+            for step, data in buffered.get(leg.metadata_id, ()):
+                trace.add_step(*step, merged_at, **data)
         if errors:
             raise errors[0]
 
         # Phase B3 (serial): one shared consensus round for every
         # acknowledgement.
-        ack_submissions = [(self._app(leg["counterpart"]).node.name, leg["ack_tx"])
-                           for leg in active]
-        with self.tracer.span("consensus.round", phase="cascade_acks",
-                              legs=len(active), depth=depth) as span:
-            self.system.simulator.submit_transaction_batch(ack_submissions)
-            blocks = self._mine()
-            span.annotate(blocks=blocks)
-        trace.blocks_created += blocks
+        trace.blocks_created += self._mine_round(
+            "cascade_acks", self.system.simulator.submit_transaction_batch,
+            [(self._app(leg.counterpart).node.name, leg.ack_tx) for leg in active],
+            legs=len(active), depth=depth)
 
         # Phase C (serial, sorted): confirm acknowledgements, recurse into
         # each counterpart's own cascade (which may batch again), fire the
         # change listeners and heal the view bookkeeping.
         for leg in active:
-            dependent_id = leg["dependent_id"]
-            counterpart = leg["counterpart"]
-            counterpart_app = self._app(counterpart)
-            ack_receipt = counterpart_app.node.chain.receipt(leg["ack_tx"].tx_hash)
-            trace.add_step(counterpart, "acknowledge",
-                           "acknowledged the update on the smart contract",
-                           self._clock.now(), block_number=ack_receipt.block_number,
-                           success=ack_receipt.success)
-            if not ack_receipt.success:
-                raise WorkflowError(
-                    f"acknowledgement by {counterpart!r} failed: {ack_receipt.error}"
-                )
-            self._cascade(counterpart, dependent_id, trace, depth + 1,
-                          source_diff=leg["counterpart_diff"])
-            trace.succeeded = True
-            self._notify_change(dependent_id, "update", (peer_name, counterpart),
-                                leg["diff"])
-            app.manager.clear_view_unhealed(dependent_id)
+            self._confirm(leg)
+            self._notify_change(leg, leg.diff)
+            app.manager.clear_view_unhealed(leg.metadata_id)

@@ -212,10 +212,6 @@ class SessionError(GatewayError):
     """A gateway session is invalid, closed, or not authorised for a request."""
 
 
-class RateLimitExceeded(GatewayError):
-    """A tenant exceeded its per-session request rate (backpressure)."""
-
-
 class CircuitOpenError(GatewayError):
     """A circuit breaker refused the request without attempting the work."""
 

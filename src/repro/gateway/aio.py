@@ -59,8 +59,7 @@ class AsyncSharingGateway:
 
     def __init__(self, target: Union[SharingGateway, MedicalDataSharingSystem],
                  *, seal_depth: Optional[int] = None, max_delay: float = 0.0,
-                 idle_timeout: float = 0.02, per_shard: bool = False,
-                 **gateway_kwargs):
+                 idle_timeout: float = 0.02, **gateway_kwargs):
         if isinstance(target, SharingGateway):
             if gateway_kwargs:
                 raise ValueError("gateway keyword arguments are only accepted "
@@ -77,13 +76,8 @@ class AsyncSharingGateway:
         self.seal_depth = seal_depth or self.gateway.scheduler.max_batch_size
         self.max_delay = max_delay
         self.idle_timeout = idle_timeout
-        #: ``per_shard`` runs one commit-pump task per consensus lane, each
-        #: sealing lane-pure batches (``commit_once(shard=i)``) so a deep
-        #: backlog on one lane cannot delay sealing on another.  With a
-        #: single-shard router this degenerates to the one classic pump.
-        self.per_shard = per_shard
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pump_tasks: List[asyncio.Task] = []
+        self._pump_task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
         self._terminal_event: Optional[asyncio.Event] = None
         self._stopping = False
@@ -96,23 +90,12 @@ class AsyncSharingGateway:
         self.commit_errors: List[str] = []
         self.sealed_by: Dict[str, int] = {TRIGGER_DEPTH: 0, TRIGGER_DEADLINE: 0,
                                           TRIGGER_IDLE: 0, TRIGGER_FLUSH: 0}
-        #: Per-lane seal counters, keyed "all" (the unfiltered pump) or the
-        #: shard index as a string.  Only populated by pumps that ran.
-        self.sealed_by_lane: Dict[str, Dict[str, int]] = {}
 
     # ----------------------------------------------------------------- lifecycle
 
     @property
     def running(self) -> bool:
-        return any(not task.done() for task in self._pump_tasks)
-
-    def _pump_lanes(self) -> List[Optional[int]]:
-        if not self.per_shard:
-            return [None]
-        router = self.gateway.system.simulator.router
-        if router.num_shards <= 1:
-            return [None]
-        return list(range(router.num_shards))
+        return self._pump_task is not None and not self._pump_task.done()
 
     async def start(self) -> "AsyncSharingGateway":
         if self.running:
@@ -124,13 +107,8 @@ class AsyncSharingGateway:
         if not self._subscribed:
             self.gateway.subscribe_terminal(self._on_terminal)
             self._subscribed = True
-        self._pump_tasks = [
-            self._loop.create_task(
-                self._commit_pump(lane),
-                name=("gateway-commit-pump" if lane is None
-                      else f"gateway-commit-pump-shard-{lane}"))
-            for lane in self._pump_lanes()
-        ]
+        self._pump_task = self._loop.create_task(self._commit_pump(),
+                                                 name="gateway-commit-pump")
         return self
 
     async def stop(self, flush: bool = True) -> None:
@@ -143,9 +121,9 @@ class AsyncSharingGateway:
         self._stopping = True
         if self._wake is not None:
             self._wake.set()
-        if self._pump_tasks:
-            await asyncio.gather(*self._pump_tasks)
-            self._pump_tasks = []
+        if self._pump_task is not None:
+            await self._pump_task
+            self._pump_task = None
         self.gateway.flush_journal()
 
     async def __aenter__(self) -> "AsyncSharingGateway":
@@ -234,64 +212,49 @@ class AsyncSharingGateway:
 
     # --------------------------------------------------------------- commit pump
 
-    def _lane_depth(self, lane: Optional[int]) -> int:
-        if lane is None:
-            return self.gateway.queue_depth
-        router = self.gateway.system.simulator.router
-        depths = self.gateway.scheduler.queue_depth_by_shard(router)
-        return depths.get(lane, 0)
-
-    def _seal_trigger(self, idle_expired: bool = False,
-                      lane: Optional[int] = None) -> Optional[str]:
-        """Which trigger (if any) says the pump should seal a batch now.
-
-        A lane pump only looks at its own lane's depth; the deadline check
-        still reads the global oldest-enqueued timestamp (a spurious deadline
-        fire for another lane's write just plans an empty batch, which is a
-        no-op and does not count toward the seal stats).
-        """
-        depth = self._lane_depth(lane)
-        if depth == 0:
+    def _seal_trigger(self, idle_expired: bool = False) -> Optional[str]:
+        """Which trigger (if any) says the pump should seal a batch now."""
+        gateway = self.gateway
+        if gateway.queue_depth == 0:
             return None
         if self._stopping:
             return TRIGGER_FLUSH
-        if depth >= self.seal_depth:
+        if gateway.queue_depth >= self.seal_depth:
             return TRIGGER_DEPTH
         if self.max_delay > 0:
-            oldest = self.gateway.scheduler.oldest_enqueued_at
+            oldest = gateway.scheduler.oldest_enqueued_at
             if (oldest is not None
-                    and self.gateway.system.simulator.clock.now() - oldest >= self.max_delay):
+                    and gateway.system.simulator.clock.now() - oldest >= self.max_delay):
                 return TRIGGER_DEADLINE
         if idle_expired:
             return TRIGGER_IDLE
         return None
 
-    async def _commit_pump(self, lane: Optional[int] = None) -> None:
+    async def _commit_pump(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            trigger = self._seal_trigger(lane=lane)
+            trigger = self._seal_trigger()
             if trigger is None:
-                if self._stopping and self._lane_depth(lane) == 0:
+                if self._stopping and self.gateway.queue_depth == 0:
                     return
                 # Clear-then-recheck so a wake between the check and the wait
                 # is never lost.
                 self._wake.clear()
-                trigger = self._seal_trigger(lane=lane)
+                trigger = self._seal_trigger()
                 if trigger is None:
-                    if self._stopping and self._lane_depth(lane) == 0:
+                    if self._stopping and self.gateway.queue_depth == 0:
                         return
-                    timeout = self.idle_timeout if self._lane_depth(lane) else None
+                    timeout = self.idle_timeout if self.gateway.queue_depth else None
                     try:
                         await asyncio.wait_for(self._wake.wait(), timeout)
                     except asyncio.TimeoutError:
-                        trigger = self._seal_trigger(idle_expired=True, lane=lane)
+                        trigger = self._seal_trigger(idle_expired=True)
                     if trigger is None:
                         continue
-            await self._commit_in_executor(loop, trigger, lane=lane)
+            await self._commit_in_executor(loop, trigger)
 
     async def _commit_in_executor(self, loop: asyncio.AbstractEventLoop,
-                                  trigger: str,
-                                  lane: Optional[int] = None) -> None:
+                                  trigger: str) -> None:
         """Run one batch commit off-loop; survive (and record) its failures.
 
         ``sealed_by`` counts the trigger only when a batch was actually
@@ -304,22 +267,14 @@ class AsyncSharingGateway:
         try:
             result = await loop.run_in_executor(
                 None, functools.partial(self.gateway.commit_once,
-                                        trigger=trigger, shard=lane))
+                                        trigger=trigger))
         except Exception as exc:  # noqa: BLE001 - the pump must survive
             self.commit_errors.append(f"{type(exc).__name__}: {exc}")
-            self._count_seal(trigger, lane)
+            self.sealed_by[trigger] += 1
             return
         if result is not None:
             self.commits += 1
-            self._count_seal(trigger, lane)
-
-    def _count_seal(self, trigger: str, lane: Optional[int]) -> None:
-        self.sealed_by[trigger] += 1
-        key = "all" if lane is None else str(lane)
-        per_lane = self.sealed_by_lane.setdefault(
-            key, {TRIGGER_DEPTH: 0, TRIGGER_DEADLINE: 0,
-                  TRIGGER_IDLE: 0, TRIGGER_FLUSH: 0})
-        per_lane[trigger] += 1
+            self.sealed_by[trigger] += 1
 
     async def drain(self) -> None:
         """Seal until no write is queued or awaiting its terminal response."""
@@ -341,7 +296,7 @@ class AsyncSharingGateway:
 
     def statistics(self) -> Dict[str, object]:
         """Transport-level stats: sealing triggers, pump health, in-flight."""
-        stats: Dict[str, object] = {
+        return {
             "transport": "async",
             "running": self.running,
             "seal_depth": self.seal_depth,
@@ -356,13 +311,6 @@ class AsyncSharingGateway:
             "commit_path_unhealthy": self.gateway.commit_path_unhealthy(),
             "breaker_states": self.gateway.breakers.states(),
         }
-        if self.per_shard:
-            stats["per_shard"] = True
-            stats["sealed_by_lane"] = {
-                lane: dict(counts)
-                for lane, counts in sorted(self.sealed_by_lane.items())
-            }
-        return stats
 
     def metrics(self) -> Dict[str, object]:
         """The shared gateway metrics plus this transport's own section."""

@@ -223,12 +223,6 @@ class ViewCache:
 
     # -------------------------------------------------------------- change hook
 
-    def on_shared_change(self, metadata_id: str, operation: str,
-                         peers: Tuple[str, str]) -> None:
-        """The :meth:`UpdateCoordinator.subscribe_shared_change` listener
-        (diff-less form): drops the affected views."""
-        self.invalidate(metadata_id)
-
     def on_shared_diff(self, metadata_id: str, operation: str,
                        peers: Tuple[str, str],
                        diff: Optional[TableDiff] = None) -> None:

@@ -36,12 +36,19 @@ can overlap a commit round:
   — so new arrivals are admitted (and reads served from cache) while a batch
   is mining.
 
-Lock order is always ``_commit_lock`` → ``_lock`` (or either alone); the
-cache lock is never held while acquiring either (see
-:meth:`ViewCache.get`'s generation guard).  The worker pool in
-:mod:`repro.gateway.worker` and the asyncio transport in
-:mod:`repro.gateway.aio` both drain the same queue through
-:meth:`commit_once`.
+The full lock order is ``_commit_lock`` → {``_lock``, the cache lock}, and
+``_lock`` → the cache lock where both are taken: a commit takes the admission
+lock for its bookkeeping and the :class:`ViewCache` lock when the diff hook
+patches entries or a failed group's views are dropped (the latter under
+``_lock``), never the reverse — the cache lock is not
+held while acquiring either gateway lock (:meth:`ViewCache.get` runs the
+read-through loader, which takes ``_commit_lock``, outside it).  The
+:class:`WriteScheduler`'s internal lock and the :class:`ResponseJournal`'s
+lock (with its WAL backend's lock beneath it) are leaves: they guard only
+their own structure, and no gateway, cache or scheduler lock is ever acquired
+under them.  Every ``commit_once`` caller — :meth:`drain`, the worker pool in
+:mod:`repro.gateway.worker`, the asyncio pump in :mod:`repro.gateway.aio` —
+drains the same queue and serialises on ``_commit_lock``.
 """
 
 from __future__ import annotations
@@ -324,9 +331,8 @@ class SharingGateway:
         self._batch_ids = itertools.count(1)
         self._outstanding = PeakGauge()
         self.batch_sizes: List[int] = []
-        # Serving counters live in the unified registry; the attributes the
-        # rest of the codebase reads (``gateway.writes_committed``, ...) are
-        # read-only properties over these instruments.
+        # Serving counters live in the unified registry; ``metrics()`` reads
+        # their values into its tree.
         self._batch_blocks = self.registry.counter("gateway_batch_blocks")
         self._batch_consensus_rounds = self.registry.counter(
             "gateway_batch_consensus_rounds")
@@ -356,11 +362,12 @@ class SharingGateway:
         self._enqueue_listeners: List[Callable[[int], None]] = []
         self._lock = threading.RLock()
         self._commit_lock = threading.RLock()
-        #: Per-lane commit-pump stats, keyed by lane ("all" for unfiltered
-        #: commits, "0"/"1"/... for lane-pure pumps).  Updated under
-        #: ``_lock`` inside commit_once; surfaced in
-        #: ``metrics()["transport"]["pumps"]``.
-        self._pump_stats: Dict[str, Dict[str, Any]] = {}
+        #: Commit-pump stats (every ``commit_once`` call, whichever transport
+        #: made it).  Updated under ``_lock`` inside commit_once; surfaced as
+        #: ``metrics()["transport"]["pumps"]["all"]``.
+        self._pump_stats: Dict[str, Any] = {
+            "commits": 0, "writes": 0, "empty_plans": 0, "deferred": 0,
+            "triggers": {}}
         # Durability: terminal responses are journaled to an on-disk WAL
         # (before terminal listeners fire), so a restarted gateway answers
         # old request-id lookups and in-memory responses can be evicted
@@ -483,45 +490,6 @@ class SharingGateway:
             reg.gauge("journal_wal_bytes", fn=backend.wal_bytes)
             reg.gauge("journal_appends", fn=lambda: backend.appends)
             reg.gauge("journal_syncs", fn=lambda: backend.syncs)
-
-    # Compatibility views over the registry counters: external readers (and
-    # the metrics() tree) keep their familiar integer attributes.
-
-    @property
-    def batch_blocks(self) -> int:
-        return self._batch_blocks.value
-
-    @property
-    def batch_consensus_rounds(self) -> int:
-        return self._batch_consensus_rounds.value
-
-    @property
-    def writes_committed(self) -> int:
-        return self._writes_committed.value
-
-    @property
-    def writes_rejected(self) -> int:
-        return self._writes_rejected.value
-
-    @property
-    def shed_requests(self) -> int:
-        return self._shed_requests.value
-
-    @property
-    def admitted_during_commit(self) -> int:
-        return self._admitted_during_commit.value
-
-    @property
-    def degraded_reads_served(self) -> int:
-        return self._degraded_reads_served.value
-
-    @property
-    def responses_evicted(self) -> int:
-        return self._responses_evicted.value
-
-    @property
-    def responses_journaled(self) -> int:
-        return self._responses_journaled.value
 
     # ---------------------------------------------------------------- sessions
 
@@ -933,8 +901,7 @@ class SharingGateway:
         """Batch commits currently running their consensus rounds (0 or 1)."""
         return self._commits_in_flight.value
 
-    def commit_once(self, trigger: Optional[str] = None,
-                    shard: Optional[int] = None) -> Optional[BatchCommitResult]:
+    def commit_once(self, trigger: Optional[str] = None) -> Optional[BatchCommitResult]:
         """Plan and commit one batch; None when the queue is empty.
 
         A failure inside the commit never strands queued responses: every
@@ -946,31 +913,17 @@ class SharingGateway:
 
         ``trigger`` labels the commit's trace span with what sealed the
         batch (the async pump's depth/deadline/idle/flush, or "worker").
-
-        ``shard`` makes the commit *lane-pure*: only writes whose table
-        routes to that consensus shard are planned (per-shard pumps each
-        drive their own lane; writes for other lanes stay queued for their
-        own pump).  Commits still serialise on the commit lock — the
-        chain's block sequence is global — but each lane plans, seals and
-        reports independently; ``metrics()["transport"]["pumps"]`` shows
-        the per-lane pump activity.
         """
-        pump_key = "all" if shard is None else str(shard)
-        router = self.system.simulator.router if shard is not None else None
         with self._commit_lock:
             with self.tracer.span("gateway.commit") as span:
                 if trigger is not None:
                     span.annotate(trigger=trigger)
-                if shard is not None:
-                    span.annotate(shard=shard)
                 with self._lock:
                     with self.tracer.span("scheduler.plan") as plan_span:
-                        plan = self.scheduler.plan(shard=shard, router=router)
+                        plan = self.scheduler.plan()
                         plan_span.annotate(groups=len(plan.groups),
                                            size=plan.size)
-                    pump = self._pump_stats.setdefault(pump_key, {
-                        "commits": 0, "writes": 0, "empty_plans": 0,
-                        "deferred": 0, "triggers": {}})
+                    pump = self._pump_stats
                     if trigger is not None:
                         pump["triggers"][trigger] = (
                             pump["triggers"].get(trigger, 0) + 1)
@@ -1202,26 +1155,26 @@ class SharingGateway:
                     "enqueued_total": self.scheduler.enqueued_total,
                     "outstanding_writes": self._outstanding.value,
                     "capacity": self.scheduler.queue_capacity,
-                    "shed_requests": self.shed_requests,
+                    "shed_requests": self._shed_requests.value,
                 },
                 "transport": {
                     "commits_in_flight": self._commits_in_flight.value,
                     "commits_in_flight_peak": self._commits_in_flight.peak,
-                    "admitted_during_commit": self.admitted_during_commit,
+                    "admitted_during_commit": self._admitted_during_commit.value,
                     "outstanding_writes_peak": self._outstanding.peak,
-                    "pumps": {key: {**stats,
-                                    "triggers": dict(sorted(
-                                        stats["triggers"].items()))}
-                              for key, stats in sorted(self._pump_stats.items())},
+                    "pumps": {"all": {
+                        **self._pump_stats,
+                        "triggers": dict(sorted(
+                            self._pump_stats["triggers"].items()))}},
                 },
                 "batches": {
                     "committed": batches,
-                    "writes_committed": self.writes_committed,
-                    "writes_rejected": self.writes_rejected,
+                    "writes_committed": self._writes_committed.value,
+                    "writes_rejected": self._writes_rejected.value,
                     "mean_size": (sum(self.batch_sizes) / batches) if batches else 0.0,
                     "max_size": max(self.batch_sizes) if self.batch_sizes else 0,
-                    "consensus_rounds": self.batch_consensus_rounds,
-                    "blocks_created": self.batch_blocks,
+                    "consensus_rounds": self._batch_consensus_rounds.value,
+                    "blocks_created": self._batch_blocks.value,
                     "folded_writes": self.scheduler.folded_writes_total,
                     "fold_rounds_saved": self.scheduler.fold_rounds_saved,
                 },
@@ -1236,7 +1189,7 @@ class SharingGateway:
                         reason: counter.value
                         for reason, counter in sorted(self._shed_by_reason.items())},
                     "degraded_reads_enabled": self.degraded_reads,
-                    "degraded_reads_served": self.degraded_reads_served,
+                    "degraded_reads_served": self._degraded_reads_served.value,
                     "chaos_events": len(self.system.injector.events),
                 },
                 "cache": self.cache.statistics(),
@@ -1265,7 +1218,7 @@ class SharingGateway:
         metrics: Dict[str, object] = {
             "enabled": self.journal is not None,
             "responses_in_memory": len(self._responses),
-            "responses_evicted": self.responses_evicted,
+            "responses_evicted": self._responses_evicted.value,
             "max_responses": self.max_responses,
             "checkpoints": self._checkpoints.value,
             "checkpoint_segments_removed": self._checkpoint_segments_removed.value,
@@ -1277,7 +1230,7 @@ class SharingGateway:
             metrics.update({
                 "state_dir": str(self.state_dir),
                 "fsync_policy": self.fsync_policy,
-                "responses_journaled": self.responses_journaled,
+                "responses_journaled": self._responses_journaled.value,
                 "wal_bytes": journal["wal_bytes"],
                 "wal_segments": journal["segments"],
                 "journal_syncs": journal["syncs"],

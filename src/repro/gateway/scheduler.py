@@ -134,11 +134,11 @@ class WriteScheduler:
         self.queue_capacity = max_queue_depth
         self._queue: Deque[PendingWrite] = deque()
         #: Guards queue/tenant-count *iteration* against mutation.  Single
-        #: deque operations are atomic under the GIL, but per-shard pumps
-        #: read multi-item snapshots (``queue_depth_by_shard``, ``pending``,
-        #: ``queued_by_tenant``) from threads that do not hold the gateway's
-        #: admission lock — iterating while ``enqueue``/``plan`` mutate
-        #: raises ``RuntimeError: deque mutated during iteration``.
+        #: deque operations are atomic under the GIL, but multi-item
+        #: snapshots (``queue_depth_by_shard``, ``pending``,
+        #: ``queued_by_tenant``) are read from threads that do not hold the
+        #: gateway's admission lock — iterating while ``enqueue``/``plan``
+        #: mutate raises ``RuntimeError: deque mutated during iteration``.
         self._lock = threading.Lock()
         #: Live queued-write count per tenant, for fair-queueing admission.
         self._tenant_counts: Dict[str, int] = {}
@@ -216,8 +216,8 @@ class WriteScheduler:
         """Queued writes per consensus shard (``router`` maps metadata ids).
 
         Empty shards are included so dashboards see the full lane picture.
-        Safe to call from lane-pump threads: the queue is snapshotted under
-        the scheduler's lock before shard routing runs on the copy.
+        Safe to call from any thread: the queue is snapshotted under the
+        scheduler's lock before shard routing runs on the copy.
         """
         with self._lock:
             snapshot = tuple(self._queue)
@@ -228,8 +228,7 @@ class WriteScheduler:
 
     # ---------------------------------------------------------------- planning
 
-    def plan(self, limit: Optional[int] = None, shard: Optional[int] = None,
-             router=None) -> BatchPlan:
+    def plan(self, limit: Optional[int] = None) -> BatchPlan:
         """Dequeue up to ``limit`` compatible writes and group them.
 
         The queue is scanned oldest-first; a write that conflicts with the
@@ -238,27 +237,16 @@ class WriteScheduler:
         edited, or a full group) stays queued for the next batch — that
         deferral is exactly what serialises same-key writes.
 
-        With ``shard``/``router`` the plan is *lane-pure*: only writes whose
-        table routes to that consensus shard are eligible; the rest stay
-        queued, untouched, for their own lane's pump.  Lane filtering is
-        order-safe because every table maps to exactly one lane and all of
-        the serialisation machinery (claimed row keys, deferred peer-table
-        pairs) is per-table — two writes that must stay ordered always land
-        in the same lane's plans.
-
         The scheduler's lock is held for the whole scan (callers already
         serialise ``plan`` against ``enqueue`` through the gateway's
         admission lock; this additionally keeps depth snapshots from racing
         the popleft/appendleft churn).
         """
         with self._lock:
-            return self._plan_locked(limit=limit, shard=shard, router=router)
+            return self._plan_locked(limit)
 
-    def _plan_locked(self, limit: Optional[int], shard: Optional[int],
-                     router) -> BatchPlan:
+    def _plan_locked(self, limit: Optional[int]) -> BatchPlan:
         limit = self.max_batch_size if limit is None else min(limit, self.max_batch_size)
-        if shard is not None and router is None:
-            raise ValueError("lane-filtered planning needs the shard router")
         plan = BatchPlan()
         group_of_table: Dict[str, int] = {}
         states: List[_GroupState] = []
@@ -268,18 +256,10 @@ class WriteScheduler:
         #: tenant's writes on one shared table commit in submission order.
         deferred_peer_tables = set()
         kept: List[PendingWrite] = []
-        scanned = 0
-        queue_size = len(self._queue)
-        while self._queue and scanned < queue_size and plan.size < limit:
+        while self._queue and plan.size < limit:
             pending = self._queue.popleft()
-            scanned += 1
             self._count_down(pending)
             metadata_id = pending.request.metadata_id
-            if shard is not None and router.shard_of(metadata_id) != shard:
-                # Another lane's write: skip without claiming keys or
-                # deferring — this scan must not affect its ordering state.
-                kept.append(pending)
-                continue
             edit = pending.to_edit()
             conflict = pending.conflict_key()
             columns = pending.column_set()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional
+from typing import List
 
 from repro.gateway.gateway import SharingGateway
 
@@ -29,23 +29,11 @@ class GatewayWorkerPool:
     """N worker threads calling :meth:`SharingGateway.commit_once` in a loop."""
 
     def __init__(self, gateway: SharingGateway, workers: int = 2,
-                 idle_sleep: float = 0.001, per_shard: bool = False):
+                 idle_sleep: float = 0.001):
         if workers < 1:
             raise ValueError("the pool needs at least one worker")
         self.gateway = gateway
-        #: ``per_shard`` pins one worker to each consensus lane: worker *i*
-        #: plans lane-pure batches for shard *i* (``commit_once(shard=i)``),
-        #: so every lane has a dedicated pump and no lane can starve behind
-        #: another's backlog.  The ``workers`` count is then derived from
-        #: the router instead of the argument.
-        self.per_shard = per_shard
-        if per_shard:
-            router = gateway.system.simulator.router
-            self._lanes: List[Optional[int]] = list(range(router.num_shards))
-            self.worker_count = len(self._lanes)
-        else:
-            self._lanes = [None] * workers
-            self.worker_count = workers
+        self.worker_count = workers
         if idle_sleep <= 0:
             raise ValueError("idle_sleep must be positive")
         #: Idle workers block on the enqueue event; this only sets the
@@ -80,9 +68,7 @@ class GatewayWorkerPool:
             self._subscribed = True
         self._stop.clear()
         for index in range(self.worker_count):
-            lane = self._lanes[index]
-            suffix = f"gateway-worker-{index}" if lane is None else f"gateway-pump-shard-{lane}"
-            thread = threading.Thread(target=self._run, args=(lane,), name=suffix,
+            thread = threading.Thread(target=self._run, name=f"gateway-worker-{index}",
                                       daemon=True)
             self._threads.append(thread)
             thread.start()
@@ -108,17 +94,10 @@ class GatewayWorkerPool:
 
     # -------------------------------------------------------------------- work
 
-    def _lane_depth(self, lane: Optional[int]) -> int:
-        if lane is None:
-            return self.gateway.queue_depth
-        router = self.gateway.system.simulator.router
-        depths = self.gateway.scheduler.queue_depth_by_shard(router)
-        return depths.get(lane, 0)
-
-    def _run(self, lane: Optional[int] = None) -> None:
+    def _run(self) -> None:
         while True:
             try:
-                result = self.gateway.commit_once(trigger="worker", shard=lane)
+                result = self.gateway.commit_once(trigger="worker")
             except Exception as exc:  # noqa: BLE001 - a worker must survive
                 with self._counter_lock:
                     self.errors.append(f"{type(exc).__name__}: {exc}")
@@ -130,20 +109,9 @@ class GatewayWorkerPool:
             if self._stop.is_set():
                 return
             # Clear-then-check-then-wait: an enqueue between the check and
-            # the wait re-sets the event, so no wakeup is ever lost.  A lane
-            # worker checks only its own lane's depth — re-spinning on another
-            # lane's backlog would busy-loop on empty plans.
+            # the wait re-sets the event, so no wakeup is ever lost.
             self._work_available.clear()
-            try:
-                depth = self._lane_depth(lane)
-            except Exception as exc:  # noqa: BLE001 - the pump must survive
-                # A failed depth probe must not kill the lane's only pump
-                # (queued writes would stall forever); record it and re-check
-                # through commit_once, which has its own error handling.
-                with self._counter_lock:
-                    self.errors.append(f"{type(exc).__name__}: {exc}")
-                depth = 1
-            if depth > 0 or self._stop.is_set():
+            if self.gateway.queue_depth > 0 or self._stop.is_set():
                 continue
             self._work_available.wait(timeout=max(self.idle_sleep, 0.1))
 

@@ -56,9 +56,6 @@ class WorldState:
             self._accounts[address] = Account(address=address)
         return self._accounts[address]
 
-    def has_account(self, address: str) -> bool:
-        return address in self._accounts
-
     def increment_nonce(self, address: str) -> int:
         account = self.get_account(address)
         account.nonce += 1
@@ -81,13 +78,6 @@ class WorldState:
 
     def contract_at(self, address: str) -> Optional[Any]:
         return self._contracts.get(address)
-
-    def has_contract(self, address: str) -> bool:
-        return address in self._contracts
-
-    @property
-    def contract_addresses(self) -> Tuple[str, ...]:
-        return tuple(self._contracts)
 
     # ------------------------------------------------------------------- root
 

@@ -71,23 +71,6 @@ class BlockchainNode:
             block = Block.from_dict(message.payload)
             self.receive_block(block)
 
-    def handle_envelope(self, envelope) -> None:
-        """Runtime-boundary entry point: dispatch a typed
-        :class:`~repro.runtime.envelope.Envelope` as gossip.
-
-        A node placed behind a :class:`~repro.runtime.transport.Transport`
-        receives envelopes instead of :class:`Message` objects; the kinds
-        and payload shapes are identical, so this adapter reuses
-        :meth:`handle_message` and the envelope's ``sent_at`` timestamp.
-        """
-        self.handle_message(Message(
-            sender=envelope.sender,
-            recipient=self.name,
-            kind=envelope.kind,
-            payload=dict(envelope.payload or {}),
-            sent_at=envelope.sent_at,
-        ))
-
     def receive_transaction(self, transaction: Transaction) -> bool:
         """Add a gossiped transaction to the local mempool (idempotent)."""
         if transaction.tx_hash in self._seen_transactions:

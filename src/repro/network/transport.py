@@ -89,9 +89,6 @@ class SimTransport:
         """Register (or replace) the handler for peer ``name``."""
         self._handlers[name] = handler
 
-    def is_registered(self, name: str) -> bool:
-        return name in self._handlers
-
     @property
     def peer_names(self) -> Tuple[str, ...]:
         return tuple(self._handlers)

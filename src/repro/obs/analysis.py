@@ -136,14 +136,6 @@ class TraceAnalyzer:
                 add_subtree(span)
         return [matched[span_id] for span_id in sorted(matched)]
 
-    def trace_ids(self) -> List[str]:
-        seen = []
-        for span in self.spans:
-            tid = span["trace_id"]
-            if tid is not None and tid not in seen:
-                seen.append(tid)
-        return seen
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "spans": len(self.spans),

@@ -96,40 +96,6 @@ def _encoded_name(name: str) -> bytes:
     return cached
 
 
-def _framed_prefix_length(data: bytes) -> int:
-    """The byte length of the complete-frame prefix of ``data``.
-
-    Binary segments are a concatenation of ``4-byte big-endian length +
-    payload`` frames; anything past the returned offset is a torn tail.
-    """
-    offset = 0
-    size = len(data)
-    while offset + 4 <= size:
-        length = int.from_bytes(data[offset:offset + 4], "big")
-        if offset + 4 + length > size:
-            break
-        offset += 4 + length
-    return offset
-
-
-def _split_frames(data: bytes) -> Tuple[List[bytes], bool]:
-    """Split a binary segment into frame payloads.
-
-    Returns ``(payloads, torn)`` where ``torn`` reports a trailing partial
-    frame (bytes past the last complete frame).
-    """
-    payloads: List[bytes] = []
-    offset = 0
-    size = len(data)
-    while offset + 4 <= size:
-        length = int.from_bytes(data[offset:offset + 4], "big")
-        if offset + 4 + length > size:
-            break
-        payloads.append(data[offset + 4:offset + 4 + length])
-        offset += 4 + length
-    return payloads, offset != size
-
-
 def _validate_policy(fsync_policy: str) -> str:
     if fsync_policy not in FSYNC_POLICIES:
         raise ValueError(
@@ -145,38 +111,13 @@ class JsonlWalBackend:
     """
 
     def __init__(self, directory: PathLike, fsync_policy: str = FSYNC_BATCH,
-                 segment_max_bytes: int = 1_000_000, codec=None):
+                 segment_max_bytes: int = 1_000_000):
         if segment_max_bytes <= 0:
             raise ValueError("segment_max_bytes must be positive")
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_policy = _validate_policy(fsync_policy)
         self.segment_max_bytes = segment_max_bytes
-        # ``codec`` plugs a :mod:`repro.runtime` wire codec under the same
-        # API.  ``None`` and ``canonical-json`` keep the proven JSONL line
-        # format byte-for-byte (the hand-assembled fast path below);
-        # ``binary`` switches segments to length-prefixed frames of the
-        # codec's bytes (``wal-<seq>.walb``).  A directory written in one
-        # format refuses to reopen in the other — mixing them would make
-        # half the log invisible to reads.
-        self.codec = None
-        self._suffix = SEGMENT_SUFFIX
-        if codec is not None:
-            from repro.runtime.codec import get_codec
-            resolved = get_codec(codec)
-            if resolved.segment_suffix != SEGMENT_SUFFIX:
-                self.codec = resolved
-                self._suffix = resolved.segment_suffix
-        foreign = [
-            path.name
-            for suffix in {SEGMENT_SUFFIX, ".walb"} - {self._suffix}
-            for path in self.directory.glob(f"{SEGMENT_PREFIX}*{suffix}")
-        ]
-        if foreign:
-            raise WalCorruptionError(
-                f"WAL directory {self.directory} holds segments in another "
-                f"codec's format ({', '.join(sorted(foreign))}); reopen it "
-                f"with the codec that wrote them")
         self._lock = threading.Lock()
         self._handle = None
         self._current: Optional[pathlib.Path] = None
@@ -206,23 +147,16 @@ class JsonlWalBackend:
             self._current_bytes = self._current.stat().st_size
 
     def _repair_torn_tail(self, segment: pathlib.Path) -> None:
-        """Truncate ``segment`` back to its last complete record.
+        """Truncate ``segment`` back to its last complete line.
 
-        JSONL: lines contain no raw newlines (the encoder escapes them), so
-        a file not ending in ``\\n`` ends in a torn write; everything after
-        the last newline is the torn tail a crash left.  Binary: frames are
-        length-prefixed, so the tail is torn exactly when the last prefix
-        promises more bytes than the file holds.
+        Lines contain no raw newlines (the encoder escapes them), so a file
+        not ending in ``\\n`` ends in a torn write; everything after the last
+        newline is the torn tail a crash left.
         """
         data = segment.read_bytes()
-        if self.codec is not None:
-            keep = _framed_prefix_length(data)
-            if keep == len(data):
-                return
-        else:
-            if not data or data.endswith(b"\n"):
-                return
-            keep = data.rfind(b"\n") + 1  # 0 when the segment is one torn line
+        if not data or data.endswith(b"\n"):
+            return
+        keep = data.rfind(b"\n") + 1  # 0 when the segment is one torn line
         with open(segment, "r+b") as handle:
             handle.truncate(keep)
         self.torn_lines_repaired += 1
@@ -230,18 +164,18 @@ class JsonlWalBackend:
     # ------------------------------------------------------------------ layout
 
     def _segment_name(self, first_sequence: int) -> str:
-        return f"{SEGMENT_PREFIX}{first_sequence:016d}{self._suffix}"
+        return f"{SEGMENT_PREFIX}{first_sequence:016d}{SEGMENT_SUFFIX}"
 
     def segment_paths(self) -> List[pathlib.Path]:
         """All segment files, ordered by their first sequence number."""
-        return sorted(self.directory.glob(f"{SEGMENT_PREFIX}*{self._suffix}"))
+        return sorted(self.directory.glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"))
 
     def wal_bytes(self) -> int:
         """Total size of all segment files on disk."""
         return sum(path.stat().st_size for path in self.segment_paths())
 
     def statistics(self) -> Dict[str, Any]:
-        stats = {
+        return {
             "directory": str(self.directory),
             "fsync_policy": self.fsync_policy,
             "segments": len(self.segment_paths()),
@@ -250,9 +184,6 @@ class JsonlWalBackend:
             "syncs": self.syncs,
             "rotations": self.rotations,
         }
-        if self.codec is not None:
-            stats["codec"] = self.codec.name
-        return stats
 
     # ----------------------------------------------------------------- appends
 
@@ -263,24 +194,18 @@ class JsonlWalBackend:
         callers that need random access later (the gateway's response
         journal) can index it instead of rescanning the log.
         """
-        if self.codec is not None:
-            # Binary mode: one length-prefixed frame per entry.
-            payload = self.codec.encode(entry.to_dict())
-            data = len(payload).to_bytes(4, "big") + payload
-        else:
-            # The line's envelope is assembled from pre-encoded pieces and
-            # only the payload runs through the JSON encoder (null
-            # transaction ids omitted): this path rides every logged
-            # database mutation, so each avoidable microsecond shows up
-            # directly in the fsync-policy overhead bench.  The result is a
-            # plain JSON object line, identical to what
-            # ``json.dumps(entry.to_dict())`` would produce.
-            tail = (b"}\n" if entry.transaction_id is None
-                    else b',"transaction_id":%d}\n' % entry.transaction_id)
-            data = (b'{"sequence":%d,"operation":%s,"table":%s,"payload":%s'
-                    % (entry.sequence, _encoded_name(entry.operation),
-                       _encoded_name(entry.table),
-                       _ENTRY_ENCODER.encode(entry.payload).encode("utf-8"))) + tail
+        # The line's envelope is assembled from pre-encoded pieces and only
+        # the payload runs through the JSON encoder (null transaction ids
+        # omitted): this path rides every logged database mutation, so each
+        # avoidable microsecond shows up directly in the fsync-policy
+        # overhead bench.  The result is a plain JSON object line, identical
+        # to what ``json.dumps(entry.to_dict())`` would produce.
+        tail = (b"}\n" if entry.transaction_id is None
+                else b',"transaction_id":%d}\n' % entry.transaction_id)
+        data = (b'{"sequence":%d,"operation":%s,"table":%s,"payload":%s'
+                % (entry.sequence, _encoded_name(entry.operation),
+                   _encoded_name(entry.table),
+                   _ENTRY_ENCODER.encode(entry.payload).encode("utf-8"))) + tail
         with self.tracer.span("wal.append", table=entry.table,
                               bytes=len(data)), self._lock:
             if self.retrier is not None:
@@ -365,7 +290,7 @@ class JsonlWalBackend:
 
     def _segment_first_sequence(self, segment: pathlib.Path) -> int:
         """The first sequence a segment holds, read from its file name."""
-        return int(segment.name[len(SEGMENT_PREFIX):-len(self._suffix)])
+        return int(segment.name[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)])
 
     def first_sequence(self) -> Optional[int]:
         """The first sequence still retained on disk (``None`` when empty)."""
@@ -426,35 +351,16 @@ class JsonlWalBackend:
         last_sequence = since
         final_segment = len(segments) - 1
         for segment_index, segment in enumerate(segments[start:], start):
-            if self.codec is not None:
-                records, framing_torn = _split_frames(segment.read_bytes())
-                if framing_torn:
-                    # A length prefix promising bytes the file lacks: a
-                    # crash artefact on the final segment, corruption
-                    # anywhere else (appends only ever go to the newest).
-                    if segment_index != final_segment:
-                        raise WalCorruptionError(
-                            f"torn frame inside non-final WAL segment "
-                            f"{segment.name}")
-                    torn += 1
-            else:
-                records = segment.read_bytes().split(b"\n")
-                if records and records[-1] == b"":
-                    records.pop()
+            records = segment.read_bytes().split(b"\n")
+            if records and records[-1] == b"":
+                records.pop()
             for record_index, raw in enumerate(records):
                 is_final_record = (segment_index == final_segment
                                    and record_index == len(records) - 1)
                 try:
-                    if self.codec is not None:
-                        entry = WalEntry.from_dict(self.codec.decode(raw))
-                    else:
-                        entry = WalEntry.from_dict(json.loads(raw.decode("utf-8")))
+                    entry = WalEntry.from_dict(json.loads(raw.decode("utf-8")))
                 except Exception as exc:
-                    # A complete binary frame holds exactly the bytes its
-                    # writer framed, so decode failure there is always
-                    # corruption; only a JSONL final line can legitimately
-                    # tear mid-record.
-                    if is_final_record and self.codec is None:
+                    if is_final_record:
                         torn += 1
                         break
                     raise WalCorruptionError(
@@ -549,14 +455,6 @@ class JsonlWalBackend:
 
     def _last_sequence_in(self, segment: pathlib.Path) -> Optional[int]:
         last: Optional[int] = None
-        if self.codec is not None:
-            records, _torn = _split_frames(segment.read_bytes())
-            for raw in records:
-                try:
-                    last = int(self.codec.decode(raw)["sequence"])
-                except Exception:
-                    break  # torn tail; entries before it still count
-            return last
         for raw in segment.read_bytes().split(b"\n"):
             if not raw:
                 continue
@@ -742,7 +640,7 @@ def replay_entry(database: Database, entry: WalEntry) -> None:
 
 
 def recover(state_dir: PathLike, fsync_policy: str = FSYNC_BATCH,
-            segment_max_bytes: int = 1_000_000, codec=None) -> RecoveryResult:
+            segment_max_bytes: int = 1_000_000) -> RecoveryResult:
     """Rebuild a database from a durable state directory.
 
     Loads the manifest's snapshot (if any), replays every WAL entry past the
@@ -772,7 +670,7 @@ def recover(state_dir: PathLike, fsync_policy: str = FSYNC_BATCH,
     else:
         database = Database(manifest.get("name", state_path.name))
     backend = JsonlWalBackend(state_path / WAL_DIR_NAME, fsync_policy=fsync_policy,
-                              segment_max_bytes=segment_max_bytes, codec=codec)
+                              segment_max_bytes=segment_max_bytes)
     entries, torn = backend.read_entries(since=checkpoint_sequence)
     torn += backend.torn_lines_repaired  # amputated at open, before the read
     with database.wal.suspended():
@@ -802,14 +700,13 @@ def recover(state_dir: PathLike, fsync_policy: str = FSYNC_BATCH,
 
 def open_durable_database(name: str, state_dir: PathLike,
                           fsync_policy: str = FSYNC_BATCH,
-                          segment_max_bytes: int = 1_000_000,
-                          codec=None) -> Database:
+                          segment_max_bytes: int = 1_000_000) -> Database:
     """Create a new durable database in ``state_dir``, or recover the one
     already there (matching names enforced)."""
     state_path = pathlib.Path(state_dir)
     if read_manifest(state_path) is not None:
         result = recover(state_path, fsync_policy=fsync_policy,
-                         segment_max_bytes=segment_max_bytes, codec=codec)
+                         segment_max_bytes=segment_max_bytes)
         if result.database.name != name:
             raise RecoveryError(
                 f"state directory {state_path} holds database "
@@ -817,7 +714,7 @@ def open_durable_database(name: str, state_dir: PathLike,
         return result.database
     state_path.mkdir(parents=True, exist_ok=True)
     backend = JsonlWalBackend(state_path / WAL_DIR_NAME, fsync_policy=fsync_policy,
-                              segment_max_bytes=segment_max_bytes, codec=codec)
+                              segment_max_bytes=segment_max_bytes)
     database = Database(name, wal_backend=backend)
     _write_manifest(state_path, {
         "name": name,

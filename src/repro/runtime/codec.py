@@ -18,8 +18,7 @@ the rest of the system already speaks: ``None``, ``bool``, ``int``,
     compact 1-byte length form; everything else a 4-byte big-endian form.
 
 Framing helpers (:func:`write_frame` / :func:`read_frame`) wrap encoded
-payloads in a 4-byte big-endian length prefix for pipe/socket transports
-and for the binary WAL segment format.
+payloads in a 4-byte big-endian length prefix for pipe/socket transports.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ class WireCodec:
     #: Registry name, e.g. ``"canonical-json"``.
     name: str = ""
 
-    #: Filename suffix for WAL segments written with this codec.
-    segment_suffix: str = ".jsonl"
-
     def encode(self, value: Any) -> bytes:
         raise NotImplementedError
 
@@ -74,7 +70,6 @@ class CanonicalJsonCodec(WireCodec):
     """
 
     name = "canonical-json"
-    segment_suffix = ".jsonl"
 
     def encode(self, value: Any) -> bytes:
         try:
@@ -129,7 +124,6 @@ class BinaryCodec(WireCodec):
     """
 
     name = "binary"
-    segment_suffix = ".walb"
 
     def encode(self, value: Any) -> bytes:
         out = bytearray()

@@ -79,7 +79,7 @@ class TestSyncShedding:
         assert shed.status == STATUS_SHED
         assert shed.shed and shed.terminal
         assert "capacity" in shed.error
-        assert gateway.shed_requests == 1
+        assert gateway.metrics()["queue"]["shed_requests"] == 1
         metrics = gateway.metrics()
         assert metrics["queue"]["shed_requests"] == 1
         assert metrics["queue"]["capacity"] == 1
@@ -110,7 +110,7 @@ class TestSyncShedding:
         assert recovered.status == STATUS_OK
         view = system.peer(peer).shared_table(metadata_id)
         assert view.get((patient_id,))["clinical_data"] == "recovered"
-        assert gateway.shed_requests == 1
+        assert gateway.metrics()["queue"]["shed_requests"] == 1
 
     def test_shed_response_not_counted_as_outstanding(self):
         gateway, system = build_gateway(max_queue_depth=1)

@@ -401,3 +401,14 @@ class TestStatistics:
                 assert "batches" in merged and "transport" in merged
 
         run(scenario())
+
+    def test_classic_async_stats_have_no_lane_keys(self):
+        async def scenario():
+            async with AsyncSharingGateway(build_system(), seal_depth=2,
+                                           max_batch_size=4) as front:
+                await front.drain()
+            stats = front.statistics()
+            assert "per_shard" not in stats
+            assert "sealed_by_lane" not in stats
+
+        run(scenario())

@@ -41,7 +41,7 @@ class TestJournaling:
             journaled = gateway.journal.lookup(response.request_id)
             assert journaled is not None
             assert journaled.canonical() == response.canonical()
-        assert gateway.responses_journaled == 2
+        assert gateway.metrics()["durability"]["responses_journaled"] == 2
 
     def test_journal_happens_before_terminal_listeners(self, tmp_path):
         """A listener woken by a terminal response must already be able to
@@ -127,7 +127,7 @@ class TestRetentionCap:
         for _ in range(4):
             gateway.submit(session, _read())
         assert len(gateway._responses) <= 2
-        assert gateway.responses_evicted >= 3
+        assert gateway.metrics()["durability"]["responses_evicted"] >= 3
         assert gateway.get_response(first.request_id) is None
 
     def test_cap_validated(self):

@@ -22,6 +22,19 @@ def _tenant_tables(system):
     return {f"patient-{mid.split(':')[1]}": mid for mid in system.agreement_ids}
 
 
+def _submit_doctor_rounds(gateway, doctor, tables, rounds):
+    """``rounds`` doctor updates of every per-patient table, in table order."""
+    responses = []
+    for round_number in range(rounds):
+        for metadata_id in tables:
+            patient_id = int(metadata_id.split(":")[1])
+            responses.append(gateway.submit(doctor, UpdateEntryRequest(
+                metadata_id=metadata_id, key=(patient_id,),
+                updates={"clinical_data": f"round-{round_number}",
+                         "dosage": f"round-{round_number}"})))
+    return responses
+
+
 class TestWritePath:
     def test_write_queues_then_commits(self, paper_gateway):
         gateway = paper_gateway
@@ -120,7 +133,7 @@ class TestCrossPeerFoldEndToEnd:
             CARE_TABLE, (189,), {"clinical_data": "patient-reported"}))
         batches = gateway.drain()
         assert batches == 2
-        assert gateway.batch_consensus_rounds == 4
+        assert gateway.metrics()["batches"]["consensus_rounds"] == 4
         assert gateway.metrics()["batches"]["folded_writes"] == 0
         assert system.all_shared_tables_consistent()
 
@@ -257,8 +270,29 @@ class TestWorkerPool:
         pool.stop()
         assert not pool.running
 
+    def test_classic_pool_unchanged(self, topology_gateway):
+        gateway = topology_gateway
+        doctor = gateway.open_session("doctor")
+        tables = sorted(gateway.system.agreement_ids)
+        with GatewayWorkerPool(gateway, workers=2) as pool:
+            responses = _submit_doctor_rounds(gateway, doctor, tables, rounds=3)
+            assert pool.join_idle(timeout=60.0)
+        assert all(response.ok for response in responses)
+        assert set(gateway.metrics()["transport"]["pumps"]) == {"all"}
+
 
 class TestReadsAndMetrics:
+    def test_unfiltered_commits_use_the_all_key(self, topology_gateway):
+        gateway = topology_gateway
+        doctor = gateway.open_session("doctor")
+        tables = sorted(gateway.system.agreement_ids)
+        _submit_doctor_rounds(gateway, doctor, tables, rounds=1)
+        gateway.drain()
+        pumps = gateway.metrics()["transport"]["pumps"]
+        assert set(pumps) == {"all"}
+        assert pumps["all"]["commits"] >= 1
+        assert pumps["all"]["writes"] == len(tables)
+
     def test_audit_query(self, paper_gateway):
         gateway = paper_gateway
         doctor = gateway.open_session("doctor")

@@ -268,7 +268,7 @@ class TestDegradedReads:
         assert response.status == STATUS_OK
         assert response.payload["degraded"] is True
         assert response.payload["staleness"] == pytest.approx(2.0)
-        assert gateway.degraded_reads_served == 1
+        assert gateway.metrics()["resilience"]["degraded_reads_served"] == 1
         assert gateway.metrics()["resilience"]["degraded_reads_served"] == 1
 
     def test_over_age_entries_fall_back_to_the_normal_path(self):
@@ -283,7 +283,7 @@ class TestDegradedReads:
         response = gateway.submit(session, ReadViewRequest(metadata_id))
         assert response.status == STATUS_OK
         assert "degraded" not in response.payload
-        assert gateway.degraded_reads_served == 0
+        assert gateway.metrics()["resilience"]["degraded_reads_served"] == 0
 
     def test_disabled_by_default(self):
         gateway, system = build_gateway()
@@ -371,7 +371,7 @@ class TestStalenessWiring:
         # Unknown age fails the staleness cutoff: the read takes the normal
         # path instead of being served degraded at an unbounded age.
         assert "degraded" not in response.payload
-        assert gateway.degraded_reads_served == 0
+        assert gateway.metrics()["resilience"]["degraded_reads_served"] == 0
 
     def test_gateway_asserts_clock_wiring(self):
         from repro.errors import GatewayError

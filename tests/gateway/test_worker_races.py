@@ -143,7 +143,7 @@ class TestConcurrentCommitsAndReads:
         metrics = gateway.metrics()
         assert metrics["transport"]["commits_in_flight"] == 0
         assert metrics["queue"]["outstanding_writes"] == 0
-        assert gateway.writes_committed == len(tables)
+        assert gateway.metrics()["batches"]["writes_committed"] == len(tables)
 
     def test_concurrent_commit_once_from_many_threads(self):
         """commit_once from N racing threads must commit every write exactly
@@ -176,7 +176,7 @@ class TestConcurrentCommitsAndReads:
             thread.join(timeout=60)
         assert not errors, errors
         assert gateway.outstanding_writes == 0
-        assert gateway.writes_committed == 3 * len(tables)
+        assert gateway.metrics()["batches"]["writes_committed"] == 3 * len(tables)
         for peer, metadata_id in tables.items():
             patient_id = int(metadata_id.split(":")[1])
             view = system.peer(peer).shared_table(metadata_id)

@@ -9,13 +9,21 @@ import pytest
 
 pytestmark = [pytest.mark.integration]
 
-from repro.config import NetworkConfig, SystemConfig
+from repro.config import ConsensusConfig, LedgerConfig, NetworkConfig, SystemConfig
 from repro.core.scenario import (
     DOCTOR_RESEARCHER_TABLE,
     PATIENT_DOCTOR_TABLE,
     build_paper_scenario,
 )
+from repro.core.workflow import BatchGroup, EntryEdit
 from repro.errors import InvalidTransactionError, UpdateRejected, WorkflowError
+from repro.workloads.topology import (
+    HOSPITAL_TABLE_ID,
+    TopologySpec,
+    build_join_topology_system,
+    build_topology_system,
+    patients_by_medication,
+)
 
 
 class TestPermissionFailureIsolation:
@@ -127,7 +135,133 @@ class TestTamperEvidence:
         assert system.server_app("doctor").node.chain.verify_chain()
 
 
+def _drop_notifications(app):
+    """The contract event never reaches the peer (e.g. its node is partitioned)."""
+    app._on_event = lambda entry: None
+    app.node._event_subscribers = [app._on_event]
+
+
+def _break_acknowledgement(app):
+    """The peer acknowledges an update the contract never issued."""
+    build = app.build_contract_call
+
+    def acknowledge_the_wrong_update(method, args, contract_address=None):
+        if method == "acknowledge_update":
+            args = {**args, "update_id": 999}
+        return build(method, args, contract_address)
+
+    app.build_contract_call = acknowledge_the_wrong_update
+
+
+SHARED_MIDDLE_FAULTS = {
+    "missing_notification": (_drop_notifications, "did not receive the contract notification"),
+    "failing_acknowledgement": (_break_acknowledgement, "acknowledgement by"),
+}
+
+
 class TestWorkflowRobustness:
+    @pytest.mark.parametrize("fault", sorted(SHARED_MIDDLE_FAULTS))
+    @pytest.mark.parametrize("driver", ["sequential", "batch", "parallel"])
+    def test_middle_faults_keep_each_drivers_contract(self, driver, fault):
+        """The notification check and the acknowledgement are shared by the
+        three Fig. 5 drivers; what a failure there *means* is the driver's:
+        the sequential protocol raises, the batched commit records the error
+        on the group's trace and carries on, the parallel cascade lands every
+        buffered step in sorted leg order and then raises."""
+        inject, message = SHARED_MIDDLE_FAULTS[fault]
+        notified = []
+
+        def listener(metadata_id, operation, peers, diff):
+            notified.append((metadata_id, diff))
+
+        if driver == "sequential":
+            system = build_paper_scenario()
+            inject(system.server_app("doctor"))
+            with pytest.raises(WorkflowError, match=message):
+                system.coordinator.update_shared_entry(
+                    "researcher", DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
+                    {"mechanism_of_action": "MeA1-v2"})
+            return
+
+        if driver == "batch":
+            system = build_topology_system(TopologySpec(patients=2, researchers=0),
+                                           SystemConfig.private_chain(1.0))
+            system.coordinator.subscribe_shared_diff(listener)
+            tables = sorted(mid for mid in system.agreement_ids
+                            if mid.split(":")[1].isdigit())
+            faulted, healthy = tables
+            inject(system.server_app(f"patient-{faulted.split(':')[1]}"))
+            result = system.coordinator.commit_entry_batch([
+                BatchGroup(peer="doctor", metadata_id=table, edits=(EntryEdit(
+                    op="update", key=(int(table.split(":")[1]),),
+                    values={"dosage": "batched dose"}),))
+                for table in tables])
+            failed, committed = result.traces
+            assert not failed.succeeded and message in failed.error
+            assert committed.succeeded and committed.error is None
+            assert result.consensus_rounds == 2
+            # The initiator side was installed before the fault: listeners
+            # hear about the faulted table, but without a diff to patch from.
+            assert [(mid, diff is None) for mid, diff in notified] == [
+                (faulted, True), (healthy, False)]
+            return
+
+        system = build_join_topology_system(
+            TopologySpec(patients=12, researchers=0, distinct_medications=3,
+                         first_patient_id=1008),
+            SystemConfig(
+                ledger=LedgerConfig(
+                    consensus=ConsensusConfig(kind="poa", block_interval=1.0),
+                    max_transactions_per_block=16, consensus_shards=5),
+                network=NetworkConfig(base_latency=0.002, latency_jitter=0.001)))
+        coordinator = system.coordinator
+        coordinator.subscribe_shared_diff(listener)
+        _medication, patient_ids = max(patients_by_medication(system).items(),
+                                       key=lambda item: len(item[1]))
+        victim = patient_ids[1]
+        inject(system.server_app(f"patient-{victim}"))
+        raised = []
+        cascade_parallel = coordinator._cascade_parallel
+
+        def spy(*args, **kwargs):
+            try:
+                return cascade_parallel(*args, **kwargs)
+            except WorkflowError as exc:
+                raised.append(str(exc))
+                raise
+
+        coordinator._cascade_parallel = spy
+        result = coordinator.commit_entry_batch([BatchGroup(
+            peer="hospital", metadata_id=HOSPITAL_TABLE_ID,
+            edits=tuple(EntryEdit(op="update", key=(patient_id,),
+                                  values={"mechanism_of_action": "MeA-fanout"})
+                        for patient_id in patient_ids))])
+        trace = result.traces[0]
+        assert len(raised) == 1 and message in raised[0]
+        assert trace.error == raised[0]
+        legs = [f"patient-{patient_id}" for patient_id in patient_ids]
+
+        def actors(action):
+            return [step.actor for step in trace.steps
+                    if step.action == action and step.actor in legs]
+
+        if fault == "missing_notification":
+            # Every healthy leg's buffered middle landed, in sorted leg
+            # order, before the error surfaced; no acknowledgement was mined.
+            healthy = [leg for leg in legs if leg != f"patient-{victim}"]
+            assert actors("notified") == actors("fetch_data") == healthy
+            assert actors("acknowledge") == []
+            # The hospital group itself was installed on both sides:
+            # listeners still hear about it, without a diff.
+            assert not trace.succeeded
+            assert notified == [(HOSPITAL_TABLE_ID, None)]
+        else:
+            # Legs are confirmed in sorted order up to the failing one.
+            assert actors("notified") == actors("fetch_data") == legs
+            assert actors("acknowledge") == legs[:2]
+            assert [mid for mid, _diff in notified] == [
+                f"D13&D31:{patient_ids[0]}", HOSPITAL_TABLE_ID]
+
     def test_missing_notification_is_an_explicit_error(self, fresh_paper_system):
         """If the contract event never reaches the sharing peer (e.g. its node
         is partitioned), the workflow fails loudly instead of silently

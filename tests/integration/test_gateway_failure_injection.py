@@ -78,7 +78,7 @@ class TestSyncCommitBlowup:
         assert all(response.terminal for response in responses)
         assert gateway.outstanding_writes == 0
         assert gateway.queue_depth == 0
-        assert gateway.writes_rejected == len(responses)
+        assert gateway.metrics()["batches"]["writes_rejected"] == len(responses)
         assert injector.events_by_kind() == {"commit.fail": 1}
 
     def test_cache_has_no_half_patched_entries_after_blowup(self):

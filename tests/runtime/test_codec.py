@@ -159,9 +159,6 @@ class TestRegistry:
         with pytest.raises(CodecError, match="unknown wire codec"):
             get_codec("msgpack")
 
-    def test_segment_suffixes_distinct(self):
-        assert CanonicalJsonCodec().segment_suffix != BinaryCodec().segment_suffix
-
 
 class TestFraming:
     def test_round_trip_stream(self):
