@@ -22,12 +22,15 @@ without parsing tables.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import (Any, Container, Dict, List, Optional, get_args,
+                    get_type_hints)
 
 from repro.baselines.full_record import FullRecordSharingBaseline
-from repro.config import SystemConfig
+from repro.config import (DurabilityConfig, LoadtestSpec, ReplicationConfig,
+                          SystemConfig)
 from repro.core.scenario import (
     CARE_TABLE,
     DOCTOR_RESEARCHER_TABLE,
@@ -36,7 +39,7 @@ from repro.core.scenario import (
     build_extended_scenario,
     build_paper_scenario,
 )
-from repro.errors import ChaosError
+from repro.errors import ChaosError, FleetError
 from repro.metrics.collectors import exposure_report, measure_throughput
 from repro.metrics.reporting import format_table
 from repro.workloads.updates import UpdateStreamGenerator
@@ -180,134 +183,85 @@ def _cmd_exposure(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float = 1.0,
-                         read_fraction: float = 0.5, interval: float = 2.0,
-                         batch_size: int = 16, seed: int = 23,
-                         rate_limit: float = 0.0, transport: str = "sync",
-                         max_delay: float = 1.0,
-                         max_queue_depth: Optional[int] = None,
-                         state_dir: Optional[str] = None,
-                         fsync_policy: Optional[str] = None,
-                         max_responses: Optional[int] = None,
-                         trace: bool = False,
-                         trace_out: Optional[str] = None,
-                         registry: bool = False,
-                         latency_target: Optional[float] = None,
-                         chaos: Optional[Any] = None,
-                         chaos_events_out: Optional[str] = None,
-                         replicas: int = 0,
-                         replica_ship_interval: float = 0.0,
-                         replica_max_lag: float = 30.0,
-                         wire_codec: Optional[str] = None,
-                         include_fingerprints: bool = False) -> Dict[str, Any]:
+def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
+                         **overrides: Any) -> Dict[str, Any]:
     """Drive open-loop multi-tenant traffic through the gateway; returns metrics.
 
     The engine behind the ``gateway-loadtest`` subcommand (also importable
-    for scripting).  ``transport`` selects the synchronous front end (the
-    driver commits when the queue is deep, draining between arrivals) or the
-    asyncio one (arrivals admitted open-loop while the commit pump seals
-    batches on queue-depth/deadline triggers).  ``max_queue_depth`` enables
-    gateway-wide load shedding on either transport.  ``state_dir`` journals
-    terminal responses to an on-disk WAL (``fsync_policy`` trades durability
-    for latency; ``max_responses`` caps the in-memory response store, with
-    journaled responses evicted, not lost).
+    for scripting).  The run is described by one :class:`LoadtestSpec` —
+    see its fields for every parameter; keyword ``overrides`` replace
+    fields of ``spec`` (or of the default spec), so
+    ``run_gateway_loadtest(tenants=4, transport="async")`` works and an
+    unknown keyword is a ``TypeError``.  A spec with ``processes > 1`` runs
+    as a worker fleet (:func:`run_gateway_fleet`) and returns the fleet's
+    aggregated result instead.
 
-    ``trace``/``trace_out`` attach a :class:`~repro.obs.Tracer` over the
-    whole pipeline: the result gains a ``trace`` key (the
-    :class:`~repro.obs.TraceAnalyzer` aggregation) and, with ``trace_out``,
-    the raw spans are exported as WAL-envelope JSONL.  ``registry`` adds the
-    gateway's unified :meth:`MetricsRegistry.snapshot` under ``registry``.
-
-    ``latency_target`` enables commit-latency-driven admission shedding (the
-    p99 bound in simulated seconds).  ``chaos`` attaches a seeded fault plan
-    — a :class:`~repro.chaos.FaultPlan`, its dict form, or a path to its
-    JSON — together with the configured retry policy, so injected drops,
-    disk errors and slow rounds are survived; the result then gains a
-    ``chaos`` section and ``chaos_events_out`` exports the fault-event
-    JSONL.
-
-    ``replicas`` attaches that many WAL-shipping read replicas behind the
-    gateway's bounded-staleness router: view reads fan out across the fleet
-    (``replica_ship_interval`` throttles shipments and so creates measurable
-    staleness; ``replica_max_lag`` is the routing cutoff) while writes stay
-    on the primary.  Replicas need durable peers, so without ``state_dir``
-    a temporary one backs the run.
-
-    ``wire_codec`` attaches a :mod:`repro.runtime` codec to the network
-    transport's delivery boundary, round-tripping every gossiped payload
-    through encode/decode (the in-process rehearsal of a real wire; adds
-    ``wire_messages``/``wire_bytes`` to the transport stats).
-    ``include_fingerprints`` adds the system's per-peer per-table state
-    fingerprints to the result — the oracle the gateway-fleet bench uses
-    to prove loopback placement is byte-identical to this single-process
-    run.
+    The result always carries ``metrics`` (the gateway's tree) and the
+    simulated write throughput; ``trace``/``trace_out`` add a ``trace``
+    section (the :class:`~repro.obs.TraceAnalyzer` aggregation, plus the
+    export path and span count), ``registry`` the registry snapshot,
+    ``chaos`` a ``chaos`` section (and ``chaos_events_out`` its event
+    JSONL), ``include_fingerprints`` the state fingerprints.
     """
     import asyncio
-    import dataclasses
+    import tempfile
 
-    from repro.config import DurabilityConfig, ReplicationConfig
     from repro.gateway import AsyncSharingGateway, SharingGateway
     from repro.obs import Tracer, TraceAnalyzer, write_trace_jsonl
     from repro.workloads.topology import TopologySpec, build_topology_system
     from repro.workloads.traffic import (TrafficGenerator, default_tenant_profiles,
                                          replay_open_loop)
 
-    if transport not in ("sync", "async"):
-        raise ValueError(f"unknown transport {transport!r}: use 'sync' or 'async'")
-    if replicas > 0 and state_dir is None:
-        import tempfile
+    spec = dataclasses.replace(spec or LoadtestSpec(), **overrides)
+    if spec.processes > 1:
+        return run_gateway_fleet(spec.processes, mode=spec.fleet_mode, spec=spec)
+    if spec.replicas > 0 and spec.state_dir is None:
+        # Replicas bootstrap from durable peers' checkpoints and WALs.
         with tempfile.TemporaryDirectory(prefix="repro-replicas-") as tmp:
-            return run_gateway_loadtest(
-                tenants=tenants, duration=duration, rate=rate,
-                read_fraction=read_fraction, interval=interval,
-                batch_size=batch_size, seed=seed, rate_limit=rate_limit,
-                transport=transport, max_delay=max_delay,
-                max_queue_depth=max_queue_depth, state_dir=tmp,
-                fsync_policy=fsync_policy, max_responses=max_responses,
-                trace=trace, trace_out=trace_out, registry=registry,
-                latency_target=latency_target, chaos=chaos,
-                chaos_events_out=chaos_events_out, replicas=replicas,
-                replica_ship_interval=replica_ship_interval,
-                replica_max_lag=replica_max_lag, wire_codec=wire_codec,
-                include_fingerprints=include_fingerprints)
-    config = SystemConfig.private_chain(interval)
-    if replicas > 0:
+            return run_gateway_loadtest(dataclasses.replace(spec, state_dir=tmp))
+    config = SystemConfig.private_chain(spec.interval)
+    if spec.replicas > 0:
         config = dataclasses.replace(
             config,
-            durability=DurabilityConfig(state_dir=state_dir),
-            replication=ReplicationConfig(replicas=replicas,
-                                          ship_interval=replica_ship_interval,
-                                          max_lag=replica_max_lag))
-    system = build_topology_system(TopologySpec(patients=tenants, researchers=0, seed=seed),
-                                   config)
-    if wire_codec is not None:
-        system.simulator.transport.configure_wire_codec(wire_codec)
-    tracer = Tracer(system.simulator.clock) if (trace or trace_out) else None
+            durability=DurabilityConfig(
+                state_dir=spec.state_dir,
+                fsync_policy=spec.fsync_policy or DurabilityConfig.fsync_policy),
+            replication=ReplicationConfig(replicas=spec.replicas,
+                                          ship_interval=spec.replica_ship_interval,
+                                          max_lag=spec.replica_max_lag))
+    system = build_topology_system(
+        TopologySpec(patients=spec.tenants, researchers=0, seed=spec.seed), config)
+    if spec.wire_codec is not None:
+        system.simulator.transport.configure_wire_codec(spec.wire_codec)
+    tracer = Tracer(system.simulator.clock) if (spec.trace or spec.trace_out) else None
     injector = None
-    if chaos is not None:
+    if spec.chaos is not None:
         from repro.chaos import FaultInjector, RetryPolicy
         from repro.obs.tracer import NULL_TRACER
-        injector = FaultInjector(_coerce_fault_plan(chaos), system.simulator.clock,
+        injector = FaultInjector(_coerce_fault_plan(spec.chaos), system.simulator.clock,
                                  tracer=tracer if tracer is not None else NULL_TRACER)
         system.attach_chaos(injector,
                             retry_policy=RetryPolicy.from_config(
                                 system.config.resilience))
-    gateway = SharingGateway(system, max_batch_size=batch_size, default_rate=rate_limit,
-                             max_queue_depth=max_queue_depth, state_dir=state_dir,
-                             fsync_policy=fsync_policy, max_responses=max_responses,
-                             tracer=tracer, latency_target=latency_target)
-    profiles = default_tenant_profiles(system, request_rate=rate,
-                                       read_fraction=read_fraction)
+    gateway = SharingGateway(system, max_batch_size=spec.batch_size,
+                             default_rate=spec.rate_limit,
+                             max_queue_depth=spec.max_queue_depth,
+                             state_dir=spec.state_dir,
+                             fsync_policy=spec.fsync_policy,
+                             max_responses=spec.max_responses,
+                             tracer=tracer, latency_target=spec.latency_target)
+    profiles = default_tenant_profiles(system, request_rate=spec.rate,
+                                       read_fraction=spec.read_fraction)
     clock = system.simulator.clock
-    arrivals = TrafficGenerator(system, seed=seed).open_loop(
-        profiles, duration=duration, start_time=clock.now())
+    arrivals = TrafficGenerator(system, seed=spec.seed).open_loop(
+        profiles, duration=spec.duration, start_time=clock.now())
     sessions = {profile.peer: gateway.open_session(profile.peer) for profile in profiles}
     start = clock.now()
     async_stats: Optional[Dict[str, Any]] = None
-    if transport == "async":
+    if spec.transport == "async":
         async def drive() -> Dict[str, Any]:
-            async with AsyncSharingGateway(gateway, seal_depth=batch_size,
-                                           max_delay=max_delay) as front:
+            async with AsyncSharingGateway(gateway, seal_depth=spec.batch_size,
+                                           max_delay=spec.max_delay) as front:
                 futures = await replay_open_loop(
                     arrivals,
                     lambda timed: front.submit_nowait(sessions[timed.tenant],
@@ -322,8 +276,8 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
         # With shedding on, the queue can never reach batch_size if the
         # capacity is smaller — commit at whichever threshold is lower, or
         # everything past the capacity would shed until the final drain.
-        commit_depth = (batch_size if max_queue_depth is None
-                        else min(batch_size, max_queue_depth))
+        commit_depth = (spec.batch_size if spec.max_queue_depth is None
+                        else min(spec.batch_size, spec.max_queue_depth))
         for timed in arrivals:
             clock.advance_to(timed.arrival_time)
             gateway.submit(sessions[timed.tenant], timed.request)
@@ -337,23 +291,23 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
         metrics["async_transport"] = async_stats
     writes = metrics["batches"]["writes_committed"]
     result = {
-        "tenants": tenants,
-        "transport": transport,
+        "tenants": spec.tenants,
+        "transport": spec.transport,
         "arrivals": len(arrivals),
         "simulated_seconds": elapsed,
         "write_throughput": (writes / elapsed) if elapsed > 0 else 0.0,
         "metrics": metrics,
     }
-    if include_fingerprints:
+    if spec.include_fingerprints:
         result["fingerprints"] = system.state_fingerprints()
     if tracer is not None:
         result["trace"] = TraceAnalyzer.from_tracer(tracer).to_dict()
         result["trace"]["tracer"] = tracer.statistics()
-        if trace_out:
+        if spec.trace_out:
             result["trace"]["exported_spans"] = write_trace_jsonl(
-                tracer.spans(), trace_out)
-            result["trace"]["export_path"] = str(trace_out)
-    if registry:
+                tracer.spans(), spec.trace_out)
+            result["trace"]["export_path"] = spec.trace_out
+    if spec.registry:
         result["registry"] = gateway.registry.snapshot()
     if injector is not None:
         result["chaos"] = {
@@ -361,60 +315,43 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
             "events_by_kind": injector.events_by_kind(),
             "transport": dict(system.simulator.transport.statistics),
         }
-        if chaos_events_out:
-            result["chaos"]["events_path"] = str(chaos_events_out)
+        if spec.chaos_events_out:
+            result["chaos"]["events_path"] = spec.chaos_events_out
             result["chaos"]["events_written"] = injector.write_events(
-                chaos_events_out)
+                spec.chaos_events_out)
     return result
 
 
-def run_gateway_fleet(processes: int, tenants: int = 8, duration: float = 30.0,
-                      rate: float = 1.0, read_fraction: float = 0.5,
-                      interval: float = 2.0, batch_size: int = 16,
-                      seed: int = 23, transport: str = "sync",
-                      mode: str = "multiprocess",
-                      wire_codec: Optional[str] = None,
-                      state_dir: Optional[str] = None,
-                      fsync_policy: Optional[str] = None,
-                      include_fingerprints: bool = False,
-                      timeout: float = 300.0) -> Dict[str, Any]:
+def run_gateway_fleet(processes: int, mode: str = "multiprocess",
+                      timeout: float = 300.0,
+                      spec: Optional[LoadtestSpec] = None,
+                      **overrides: Any) -> Dict[str, Any]:
     """Run the gateway load test as a worker fleet; returns aggregated metrics.
 
-    The engine behind ``gateway-loadtest --processes N``: the tenant
-    population is dealt round-robin into ``processes`` worker slices (seeds
-    ``seed + index``), each slice runs :func:`run_gateway_loadtest` behind a
-    :mod:`repro.runtime` transport, and the coordinator merges results,
-    simulated clocks and (optionally) state fingerprints.  ``mode`` picks
+    The engine behind ``gateway-loadtest --processes N``: the run's
+    :class:`LoadtestSpec` (``spec`` with keyword ``overrides``, as for
+    :func:`run_gateway_loadtest`) is dealt into ``processes`` worker slices
+    (:meth:`LoadtestSpec.for_worker`), each slice runs
+    :func:`run_gateway_loadtest` behind a :mod:`repro.runtime` transport,
+    and the coordinator merges results and simulated clocks.  A worker
+    receives its whole spec, so its result carries its own ``trace`` /
+    ``registry`` / ``chaos`` / ``fingerprints`` sections.  ``mode`` picks
     the placement: ``multiprocess`` forks real worker processes (socketpair
     framing, genuinely parallel commits), ``loopback`` runs the same
     protocol over in-process queues (deterministic, byte-identical to the
-    sequential runs).  ``wire_codec`` selects the fleet's wire encoding and
-    is also handed to each worker's network transport.
-
-    With ``state_dir`` each worker journals responses under its own
-    ``<state_dir>/<worker-name>`` subdirectory, so a crashed worker's WAL
-    recovers independently of its siblings.
+    sequential runs).  The spec's ``wire_codec`` is the fleet's wire
+    encoding and each worker's network-transport codec.
     """
-    import dataclasses as _dataclasses
-    import os as _os
-
     from repro.runtime import GatewayFleet, partition_tenants
 
-    specs = partition_tenants(
-        tenants, processes, base_seed=seed, duration=duration, rate=rate,
-        read_fraction=read_fraction, interval=interval, batch_size=batch_size,
-        transport=transport, fsync_policy=fsync_policy, wire_codec=wire_codec,
-        include_fingerprints=include_fingerprints)
-    if state_dir is not None:
-        specs = [_dataclasses.replace(spec,
-                                      state_dir=_os.path.join(state_dir, spec.name))
-                 for spec in specs]
-    fleet = GatewayFleet(specs, mode=mode, wire_codec=wire_codec,
-                         timeout=timeout)
+    spec = dataclasses.replace(spec or LoadtestSpec(), processes=processes,
+                               fleet_mode=mode, **overrides)
+    fleet = GatewayFleet(partition_tenants(spec), mode=spec.fleet_mode,
+                         wire_codec=spec.wire_codec, timeout=timeout)
     result = fleet.run().to_dict()
-    result["processes"] = processes
-    result["tenants"] = tenants
-    result["wire_codec"] = wire_codec
+    result["processes"] = spec.processes
+    result["tenants"] = spec.tenants
+    result["wire_codec"] = spec.wire_codec
     return result
 
 
@@ -477,7 +414,7 @@ def run_chaos_soak(tenants: int = 4, rounds: int = 12, seed: int = 23,
     import tempfile
 
     from repro.chaos import FaultInjector, RetryPolicy
-    from repro.errors import ChaosError
+    from repro.errors import ChaosError, FleetError
     from repro.gateway import SharingGateway, UpdateEntryRequest
     from repro.workloads.topology import TopologySpec, build_topology_system
     from repro.workloads.updates import UpdateStreamGenerator
@@ -649,54 +586,63 @@ def _cmd_chaos_soak(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_gateway_loadtest(args: argparse.Namespace) -> int:
-    if args.processes > 1:
-        # The fleet branch forwards only the per-worker engine knobs.  A
-        # flag it would silently drop must be an error, not a run that does
-        # not match the requested configuration.  (value, default) pairs
-        # mirror the argparse defaults above.
-        unsupported = [
-            ("--rate-limit", args.rate_limit, 0.0),
-            ("--max-delay", args.max_delay, 1.0),
-            ("--max-queue-depth", args.max_queue_depth, None),
-            ("--max-responses", args.max_responses, None),
-            ("--trace", args.trace, False),
-            ("--trace-out", args.trace_out, None),
-            ("--latency-target", args.latency_target, None),
-            ("--chaos", args.chaos, None),
-            ("--chaos-events-out", args.chaos_events_out, None),
-            ("--replicas", args.replicas, 0),
-            ("--replica-ship-interval", args.replica_ship_interval, 0.0),
-            ("--replica-max-lag", args.replica_max_lag, 30.0),
-        ]
-        rejected = [flag for flag, value, default in unsupported
-                    if value != default]
-        if rejected:
-            print("gateway-loadtest: " + ", ".join(rejected) + " "
-                  + ("is" if len(rejected) == 1 else "are")
-                  + " not supported with --processes > 1; run the fleet "
-                  "without them or drop --processes", file=sys.stderr)
-            return 2
-        return _cmd_gateway_fleet(args)
+def _add_spec_options(parser: argparse.ArgumentParser,
+                      names: Optional[Container[str]] = None,
+                      **defaults: Any) -> None:
+    """Generate ``--flag`` options from :class:`LoadtestSpec`'s fields.
+
+    Flag name, type, default, choices, metavar and help all come from the
+    field declaration; ``names`` restricts a subcommand to a subset and
+    ``defaults`` lets it start from different values.
+    """
+    hints = get_type_hints(LoadtestSpec)
+    for spec_field in dataclasses.fields(LoadtestSpec):
+        meta = spec_field.metadata
+        if "help" not in meta or (names is not None
+                                  and spec_field.name not in names):
+            continue
+        flag = "--" + spec_field.name.replace("_", "-")
+        # Optional[X] -> X; strings (and the chaos plan path) are argparse's
+        # own default type.
+        kind = next((arg for arg in get_args(hints[spec_field.name])
+                     if arg is not type(None)), hints[spec_field.name])
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", help=meta["help"])
+        else:
+            parser.add_argument(
+                flag, type=kind if kind in (int, float) else None,
+                default=defaults.get(spec_field.name, spec_field.default),
+                choices=meta["choices"], metavar=meta["metavar"],
+                help=meta["help"])
+
+
+def _loadtest_from_args(args: argparse.Namespace,
+                        **overrides: Any) -> Optional[Dict[str, Any]]:
+    """Run the load test the parsed options describe.
+
+    A spec the options cannot form, a bad fault plan, an unusable path or a
+    failed fleet is reported as one line on stderr and ``None`` (the
+    subcommand then exits 2), never a traceback.
+    """
+    options = {spec_field.name: getattr(args, spec_field.name)
+               for spec_field in dataclasses.fields(LoadtestSpec)
+               if hasattr(args, spec_field.name)}
     try:
-        result = run_gateway_loadtest(
-            tenants=args.tenants, duration=args.duration, rate=args.rate,
-            read_fraction=args.read_fraction, interval=args.interval,
-            batch_size=args.batch_size, seed=args.seed, rate_limit=args.rate_limit,
-            transport=args.transport, max_delay=args.max_delay,
-            max_queue_depth=args.max_queue_depth, state_dir=args.state_dir,
-            fsync_policy=args.fsync_policy, max_responses=args.max_responses,
-            trace=args.trace, trace_out=args.trace_out,
-            latency_target=args.latency_target, chaos=args.chaos,
-            chaos_events_out=args.chaos_events_out, replicas=args.replicas,
-            replica_ship_interval=args.replica_ship_interval,
-            replica_max_lag=args.replica_max_lag,
-            wire_codec=args.wire_codec)
-    except (ValueError, ChaosError, OSError) as exc:
-        print(f"gateway-loadtest: {exc}", file=sys.stderr)
+        return run_gateway_loadtest(LoadtestSpec(**{**options, **overrides}))
+    except (ValueError, ChaosError, FleetError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_gateway_loadtest(args: argparse.Namespace) -> int:
+    result = _loadtest_from_args(args)
+    if result is None:
         return 2
     if args.json:
         _emit_json(result)
+        return 0
+    if "workers" in result:
+        _print_fleet_tables(result)
         return 0
     metrics = result["metrics"]
     rows = [
@@ -771,25 +717,8 @@ def _cmd_gateway_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gateway_fleet(args: argparse.Namespace) -> int:
-    """The ``--processes N`` (N>1) branch of ``gateway-loadtest``."""
-    from repro.errors import FleetError, WorkerCrashError
-
-    try:
-        result = run_gateway_fleet(
-            processes=args.processes, tenants=args.tenants,
-            duration=args.duration, rate=args.rate,
-            read_fraction=args.read_fraction, interval=args.interval,
-            batch_size=args.batch_size, seed=args.seed,
-            transport=args.transport, mode=args.fleet_mode,
-            wire_codec=args.wire_codec, state_dir=args.state_dir,
-            fsync_policy=args.fsync_policy)
-    except (ValueError, FleetError, WorkerCrashError, OSError) as exc:
-        print(f"gateway-loadtest: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _emit_json(result)
-        return 0
+def _print_fleet_tables(result: Dict[str, Any]) -> None:
+    """Render a ``--processes N`` (N>1) fleet result: totals, then slices."""
     rows = [
         ("placement", result["mode"]),
         ("worker processes", result["processes"]),
@@ -823,7 +752,6 @@ def _cmd_gateway_fleet(args: argparse.Namespace) -> int:
                              crash["state_dir"] or "-")
                             for crash in result["crashes"]],
                            title="Crashed workers"))
-    return 0
 
 
 def _format_stage_table(trace: Dict[str, Any]) -> str:
@@ -845,10 +773,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as state_dir:
         # A durable state_dir makes the WAL stage observable too, so the
         # report covers all five pipeline stages.
-        result = run_gateway_loadtest(
-            tenants=args.tenants, duration=args.duration, seed=args.seed,
-            interval=args.interval, trace=True, trace_out=args.out,
-            state_dir=state_dir)
+        result = _loadtest_from_args(args, trace=True, trace_out=args.out,
+                                     state_dir=state_dir)
+    if result is None:
+        return 2
     trace = result["trace"]
     if args.json:
         _emit_json(trace)
@@ -878,9 +806,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Run a gateway load test and print the unified registry snapshot."""
-    result = run_gateway_loadtest(tenants=args.tenants, duration=args.duration,
-                                  seed=args.seed, interval=args.interval,
-                                  registry=True)
+    result = _loadtest_from_args(args, registry=True)
+    if result is None:
+        return 2
     snapshot = result["registry"]
     if args.json:
         _emit_json(snapshot)
@@ -979,98 +907,16 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest = add_command("gateway-loadtest",
                            "drive multi-tenant open-loop traffic through the gateway",
                            _cmd_gateway_loadtest)
-    loadtest.add_argument("--tenants", type=int, default=8,
-                          help="number of patient tenants")
-    loadtest.add_argument("--duration", type=float, default=30.0,
-                          help="traffic duration in simulated seconds")
-    loadtest.add_argument("--rate", type=float, default=1.0,
-                          help="per-tenant requests per simulated second")
-    loadtest.add_argument("--read-fraction", type=float, default=0.5,
-                          help="fraction of requests that are view reads")
-    loadtest.add_argument("--interval", type=float, default=2.0,
-                          help="block interval in simulated seconds")
-    loadtest.add_argument("--batch-size", type=int, default=16,
-                          help="max write requests folded into one batch")
-    loadtest.add_argument("--seed", type=int, default=23)
-    loadtest.add_argument("--rate-limit", type=float, default=0.0,
-                          help="per-tenant token-bucket rate (0 disables throttling)")
-    loadtest.add_argument("--transport", choices=("sync", "async"), default="sync",
-                          help="serving front end: synchronous driver or the "
-                               "asyncio commit-pump transport")
-    loadtest.add_argument("--max-delay", type=float, default=1.0,
-                          help="async transport: seal a batch once its oldest "
-                               "write waited this many simulated seconds")
-    loadtest.add_argument("--max-queue-depth", type=int, default=None,
-                          help="shed writes (typed 'shed' response) while the "
-                               "queue holds this many (default: no shedding)")
-    loadtest.add_argument("--state-dir", default=None,
-                          help="journal terminal responses to an on-disk WAL "
-                               "under this directory (default: in-memory only)")
-    loadtest.add_argument("--fsync-policy", choices=("always", "batch", "never"),
-                          default=None,
-                          help="WAL fsync policy: per append, per committed "
-                               "batch (default), or never")
-    loadtest.add_argument("--max-responses", type=int, default=None,
-                          help="cap the in-memory response store; journaled "
-                               "responses are evicted, not lost")
-    loadtest.add_argument("--trace", action="store_true",
-                          help="trace the pipeline and report per-stage "
-                               "self-time with the results")
-    loadtest.add_argument("--trace-out", default=None, metavar="PATH",
-                          help="export the recorded spans as WAL-envelope "
-                               "JSONL to PATH (implies tracing)")
-    loadtest.add_argument("--latency-target", type=float, default=None,
-                          help="shed writes while the committed-write p99 "
-                               "(or predicted queueing delay) exceeds this "
-                               "many simulated seconds")
-    loadtest.add_argument("--chaos", default=None, metavar="PLAN",
-                          help="attach a seeded fault plan (path to its "
-                               "JSON) plus the configured retry policy")
-    loadtest.add_argument("--chaos-events-out", default=None, metavar="PATH",
-                          help="export the injected fault events as JSONL")
-    loadtest.add_argument("--replicas", type=int, default=0,
-                          help="attach this many WAL-shipping read replicas "
-                               "and fan view reads across them at bounded "
-                               "staleness (0 disables replication)")
-    loadtest.add_argument("--replica-ship-interval", type=float, default=0.0,
-                          metavar="SECONDS",
-                          help="simulated seconds between WAL shipments "
-                               "(0 ships every commit; larger values create "
-                               "measurable replica staleness)")
-    loadtest.add_argument("--replica-max-lag", type=float, default=30.0,
-                          metavar="SECONDS",
-                          help="bounded-staleness routing cutoff: replicas "
-                               "lagging more than this fall back to the primary")
-    loadtest.add_argument("--processes", type=int, default=1,
-                          help="run as a worker fleet: partition the tenants "
-                               "across this many worker processes, each a "
-                               "full gateway pipeline behind the runtime "
-                               "message boundary (1 = classic single-process "
-                               "run)")
-    loadtest.add_argument("--fleet-mode", choices=("multiprocess", "loopback"),
-                          default="multiprocess",
-                          help="fleet placement: forked worker processes "
-                               "(parallel commits) or in-process loopback "
-                               "threads (deterministic rehearsal of the "
-                               "same protocol)")
-    loadtest.add_argument("--wire-codec", choices=("canonical-json", "binary"),
-                          default=None,
-                          help="wire codec for the runtime boundary: fleet "
-                               "framing and the gossip transport's "
-                               "encode/decode rehearsal (default: no "
-                               "re-encoding)")
+    _add_spec_options(loadtest)
 
     soak = add_command(
         "chaos-soak", "run a seeded fault plan against its fault-free "
                       "oracle and verify byte-identical final state",
         _cmd_chaos_soak)
-    soak.add_argument("--tenants", type=int, default=4,
-                      help="number of patient tenants")
+    _add_spec_options(soak, names=("tenants", "interval", "seed"),
+                      tenants=4, interval=1.0)
     soak.add_argument("--rounds", type=int, default=12,
                       help="write rounds (one write per tenant per round)")
-    soak.add_argument("--seed", type=int, default=23)
-    soak.add_argument("--interval", type=float, default=1.0,
-                      help="block interval in simulated seconds")
     soak.add_argument("--plan", default=None, metavar="PLAN",
                       help="fault plan JSON path (default: the built-in "
                            "drops + fsync errors + crash window + slow "
@@ -1078,29 +924,21 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--events-out", default=None, metavar="PATH",
                       help="export the faulted run's fault events as JSONL")
 
+    # `trace` and `metrics` run a short load test shaped by four of the
+    # spec's options.
+    small_run = dict(names=("tenants", "duration", "interval", "seed"),
+                     tenants=4, duration=10.0)
     trace_cmd = add_command(
         "trace", "trace a gateway load test: per-stage self-time, lanes, "
                  "critical path", _cmd_trace)
-    trace_cmd.add_argument("--tenants", type=int, default=4,
-                           help="number of patient tenants")
-    trace_cmd.add_argument("--duration", type=float, default=10.0,
-                           help="traffic duration in simulated seconds")
-    trace_cmd.add_argument("--interval", type=float, default=2.0,
-                           help="block interval in simulated seconds")
-    trace_cmd.add_argument("--seed", type=int, default=23)
+    _add_spec_options(trace_cmd, **small_run)
     trace_cmd.add_argument("--out", default=None, metavar="PATH",
                            help="also export the spans as JSONL to PATH")
 
     metrics_cmd = add_command(
         "metrics", "run a gateway load test and print the unified metrics "
                    "registry snapshot", _cmd_metrics)
-    metrics_cmd.add_argument("--tenants", type=int, default=4,
-                             help="number of patient tenants")
-    metrics_cmd.add_argument("--duration", type=float, default=10.0,
-                             help="traffic duration in simulated seconds")
-    metrics_cmd.add_argument("--interval", type=float, default=2.0,
-                             help="block interval in simulated seconds")
-    metrics_cmd.add_argument("--seed", type=int, default=23)
+    _add_spec_options(metrics_cmd, **small_run)
 
     recover_cmd = add_command(
         "recover", "rebuild a durable database from its state directory",

@@ -7,8 +7,10 @@ simulated clock (:class:`repro.ledger.clock.SimClock`).
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Dict, Optional, Sequence
 
 #: Valid WAL fsync policies (mirrors :mod:`repro.relational.durability`).
 _FSYNC_POLICIES = ("always", "batch", "never")
@@ -179,13 +181,6 @@ class ResilienceConfig:
         gateway sheds writes while the sliding-window p99 — or the predicted
         queueing delay at the current depth — exceeds the target.  ``None``
         (default) keeps queue-depth-only shedding.
-    latency_window / latency_min_samples:
-        Sliding window (simulated seconds) and minimum sample count before
-        the p99 estimate participates in shed decisions.
-    fair_queueing:
-        When true, a tenant holding at least its fair share of the bounded
-        write queue (capacity / active queued tenants) is shed before the
-        queue is full, so one hot tenant cannot starve the fleet.
     degraded_reads / max_staleness:
         When degraded reads are enabled and the commit path is unhealthy
         (commit breaker open, or p99 over target), ``ReadViewRequest``s are
@@ -202,9 +197,6 @@ class ResilienceConfig:
     breaker_failure_threshold: int = 3
     breaker_reset_timeout: float = 10.0
     latency_target_p99: Optional[float] = None
-    latency_window: float = 30.0
-    latency_min_samples: int = 5
-    fair_queueing: bool = True
     degraded_reads: bool = False
     max_staleness: float = 30.0
 
@@ -223,10 +215,6 @@ class ResilienceConfig:
             raise ValueError("breaker_reset_timeout must be positive")
         if self.latency_target_p99 is not None and self.latency_target_p99 <= 0:
             raise ValueError("latency_target_p99 must be positive (or None)")
-        if self.latency_window <= 0:
-            raise ValueError("latency_window must be positive")
-        if self.latency_min_samples < 1:
-            raise ValueError("latency_min_samples must be at least 1")
         if self.max_staleness <= 0:
             raise ValueError("max_staleness must be positive")
 
@@ -310,7 +298,6 @@ class SystemConfig:
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     replication: ReplicationConfig = field(default_factory=ReplicationConfig)
     check_lens_laws: bool = True
-    audit_enabled: bool = True
     delta_propagation: bool = True
     delta_verify_interval: int = 16
     parallel_cascades: bool = True
@@ -343,3 +330,160 @@ class SystemConfig:
                 )
             )
         )
+
+
+def _option(default: Any, help: str, choices: Optional[Sequence[str]] = None,
+            metavar: Optional[str] = None, path: bool = False) -> Any:
+    """A :class:`LoadtestSpec` field that is also a ``--flag``: the CLI
+    generates the option (name, type, default, choices, help) from it.
+    ``path`` marks a filesystem location each fleet worker gets its own
+    sub-path of."""
+    return field(default=default, metadata={
+        "help": help, "choices": choices, "metavar": metavar, "path": path})
+
+
+@dataclass(frozen=True)
+class LoadtestSpec:
+    """One gateway load-test run, declared once.
+
+    Every parameter of a run — tenants and traffic, the serving front end,
+    durability, replicas, faults, tracing, process placement — is a field
+    here and nowhere else: ``repro gateway-loadtest`` / ``trace`` /
+    ``metrics`` generate their options from the field metadata (a field
+    built with :func:`_option` is a ``--flag`` of the same name),
+    :func:`repro.cli.run_gateway_loadtest` runs a spec, and a fleet worker
+    receives its slice of one (:meth:`for_worker`) over the wire, so a fleet
+    honours every option a single process does.  A spec is validated on
+    construction and is JSON-able (:meth:`to_dict` / :meth:`from_dict`
+    round-trip through every wire codec).
+
+    Two fields are library-only (no flag): ``registry`` adds the gateway's
+    unified :meth:`MetricsRegistry.snapshot` to the result under
+    ``registry`` (what ``repro metrics`` prints), and
+    ``include_fingerprints`` adds the system's per-peer per-table state
+    fingerprints — the oracle the fleet tests use to prove that placement
+    never changes what a slice computes.
+    """
+
+    tenants: int = _option(8, "number of patient tenants")
+    duration: float = _option(30.0, "traffic duration in simulated seconds")
+    rate: float = _option(1.0, "per-tenant requests per simulated second")
+    read_fraction: float = _option(
+        0.5, "fraction of requests that are view reads")
+    interval: float = _option(2.0, "block interval in simulated seconds")
+    batch_size: int = _option(16, "max write requests folded into one batch")
+    seed: int = _option(23, "seed of the topology and the traffic")
+    rate_limit: float = _option(
+        0.0, "per-tenant token-bucket rate (0 disables throttling)")
+    transport: str = _option(
+        "sync", "serving front end: synchronous driver (commits when the "
+                "queue is deep, draining between arrivals) or the asyncio "
+                "commit-pump transport (arrivals admitted open-loop)",
+        choices=("sync", "async"))
+    max_delay: float = _option(
+        1.0, "async transport: seal a batch once its oldest write waited "
+             "this many simulated seconds")
+    max_queue_depth: Optional[int] = _option(
+        None, "shed writes (typed 'shed' response) while the queue holds "
+              "this many (default: no shedding)")
+    state_dir: Optional[str] = _option(
+        None, "journal terminal responses to an on-disk WAL under this "
+              "directory (default: in-memory only; each fleet worker "
+              "uses its own sub-directory, named after the worker)",
+        path=True)
+    fsync_policy: Optional[str] = _option(
+        None, "WAL fsync policy: per append, per committed batch (default), "
+              "or never", choices=_FSYNC_POLICIES)
+    max_responses: Optional[int] = _option(
+        None, "cap the in-memory response store; journaled responses are "
+              "evicted, not lost")
+    trace: bool = _option(
+        False, "trace the pipeline and report per-stage self-time with the "
+               "results (a `trace` section in the result)")
+    trace_out: Optional[str] = _option(
+        None, "export the recorded spans as WAL-envelope JSONL to PATH "
+              "(implies tracing; a fleet worker writes PATH/WORKER-NAME)",
+        metavar="PATH", path=True)
+    latency_target: Optional[float] = _option(
+        None, "shed writes while the committed-write p99 (or predicted "
+              "queueing delay) exceeds this many simulated seconds")
+    chaos: Optional[Any] = _option(
+        None, "attach a seeded fault plan (path to its JSON; the library "
+              "also takes a FaultPlan or its dict form) plus the configured "
+              "retry policy; the result gains a `chaos` section",
+        metavar="PLAN")
+    chaos_events_out: Optional[str] = _option(
+        None, "export the injected fault events as JSONL (a fleet worker "
+              "writes PATH/WORKER-NAME)", metavar="PATH", path=True)
+    replicas: int = _option(
+        0, "attach this many WAL-shipping read replicas and fan view reads "
+           "across them at bounded staleness (0 disables replication; "
+           "replicas need durable peers, so without --state-dir a "
+           "temporary one backs the run)")
+    replica_ship_interval: float = _option(
+        0.0, "simulated seconds between WAL shipments (0 ships every "
+             "commit; larger values create measurable replica staleness)",
+        metavar="SECONDS")
+    replica_max_lag: float = _option(
+        30.0, "bounded-staleness routing cutoff: replicas lagging more than "
+              "this fall back to the primary", metavar="SECONDS")
+    processes: int = _option(
+        1, "run as a worker fleet: partition the tenants across this many "
+           "worker processes, each a full gateway pipeline behind the "
+           "runtime message boundary, worker i seeded with seed + i "
+           "(1 = classic single-process run)")
+    fleet_mode: str = _option(
+        "multiprocess", "fleet placement: forked worker processes (parallel "
+                        "commits) or in-process loopback threads "
+                        "(deterministic rehearsal of the same protocol)",
+        choices=("multiprocess", "loopback"))
+    wire_codec: Optional[str] = _option(
+        None, "wire codec for the runtime boundary: fleet framing and the "
+              "gossip transport's encode/decode rehearsal (default: no "
+              "re-encoding)", choices=("canonical-json", "binary"))
+    registry: bool = False
+    include_fingerprints: bool = False
+
+    def __post_init__(self) -> None:
+        for spec_field in dataclasses.fields(self):
+            value = getattr(self, spec_field.name)
+            # Store the JSON-able form: a path as a string, a FaultPlan as
+            # its dict.
+            if isinstance(value, os.PathLike):
+                object.__setattr__(self, spec_field.name, os.fspath(value))
+            elif hasattr(value, "to_dict"):
+                object.__setattr__(self, spec_field.name, value.to_dict())
+            choices = spec_field.metadata.get("choices")
+            if choices and value is not None and value not in choices:
+                raise ValueError(f"unknown {spec_field.name} {value!r}: "
+                                 f"use one of {tuple(choices)}")
+        if self.tenants < 1:
+            raise ValueError("a load test needs at least one tenant")
+        if self.processes < 1:
+            raise ValueError("a load test needs at least one worker process")
+        if self.replicas < 0:
+            raise ValueError("replicas must be non-negative")
+
+    def to_dict(self) -> Dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "LoadtestSpec":
+        return cls(**data)
+
+    def for_worker(self, index: int, name: str) -> "LoadtestSpec":
+        """The slice fleet worker ``index`` (of ``processes``) runs.
+
+        Tenants are dealt round-robin so worker loads differ by at most
+        one, the seed is ``seed + index`` (distinct, deterministic traffic
+        per slice), and every path-valued field points at the worker's own
+        ``<path>/<name>`` so workers never share a file or a WAL.
+        """
+        base, extra = divmod(self.tenants, self.processes)
+        paths = {spec_field.name: os.path.join(getattr(self, spec_field.name), name)
+                 for spec_field in dataclasses.fields(self)
+                 if spec_field.metadata.get("path")
+                 and getattr(self, spec_field.name) is not None}
+        return dataclasses.replace(
+            self, tenants=base + (1 if index < extra else 0),
+            seed=self.seed + index, processes=1, **paths)

@@ -85,7 +85,7 @@ from repro.gateway.requests import (
     ReadViewRequest,
 )
 from repro.gateway.scheduler import BatchPlan, PendingWrite, WriteScheduler
-from repro.gateway.session import GatewaySession
+from repro.gateway.session import DEFAULT_BURST, GatewaySession
 from repro.metrics.collectors import LatencyCollector, PeakGauge
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -256,8 +256,7 @@ class SharingGateway:
 
     def __init__(self, system: MedicalDataSharingSystem,
                  max_batch_size: int = 16, max_edits_per_group: int = 8,
-                 cache_enabled: bool = True,
-                 default_rate: float = 0.0, default_burst: float = 8.0,
+                 default_rate: float = 0.0,
                  fold_cross_peer: bool = True,
                  max_queue_depth: Optional[int] = None,
                  state_dir: Optional[Union[str, pathlib.Path]] = None,
@@ -279,7 +278,7 @@ class SharingGateway:
                                         max_edits_per_group=max_edits_per_group,
                                         fold_cross_peer=fold_cross_peer,
                                         max_queue_depth=max_queue_depth)
-        self.cache = ViewCache(enabled=cache_enabled)
+        self.cache = ViewCache()
         self.cache.tracer = self.tracer
         #: Diff-driven cache pre-warming: when a commit's TableDiff names a
         #: view no reader has pulled yet, materialise and install it at the
@@ -309,19 +308,15 @@ class SharingGateway:
         self.cache.clock = clock
         self.latency_target = (resilience.latency_target_p99
                                if latency_target is None else latency_target)
-        self.shedder = LatencyShedder(clock, self.latency_target,
-                                      window=resilience.latency_window,
-                                      min_samples=resilience.latency_min_samples)
+        self.shedder = LatencyShedder(clock, self.latency_target)
         self.breakers = BreakerBoard(
             clock, failure_threshold=resilience.breaker_failure_threshold,
             reset_timeout=resilience.breaker_reset_timeout,
             tracer=self.tracer, registry=self.registry)
-        self.fair_queueing = resilience.fair_queueing
         self.degraded_reads = (resilience.degraded_reads
                                if degraded_reads is None else degraded_reads)
         self.max_staleness = resilience.max_staleness
         self.default_rate = default_rate
-        self.default_burst = default_burst
         self._sessions: Dict[str, GatewaySession] = {}
         self._responses: Dict[str, GatewayResponse] = {}
         self._latency_by_tenant: Dict[str, LatencyCollector] = {}
@@ -435,7 +430,7 @@ class SharingGateway:
                 return system.peer(peer).agreement(metadata_id).view_name_for(peer)
 
             for index in range(replication.replicas):
-                replica_cache = ViewCache(enabled=cache_enabled)
+                replica_cache = ViewCache()
                 replica_cache.tracer = self.tracer
                 self.shipper.attach(ReadReplica(
                     f"replica-{index}", clock, _view_name_for,
@@ -500,7 +495,7 @@ class SharingGateway:
             session = GatewaySession(
                 self.system, peer_name,
                 rate=self.default_rate if rate is None else rate,
-                burst=self.default_burst if burst is None else burst,
+                burst=DEFAULT_BURST if burst is None else burst,
             )
             self._sessions[session.session_id] = session
             return session
@@ -728,10 +723,9 @@ class SharingGateway:
         decision = self.shedder.decision(self.scheduler.queue_depth)
         if decision is not None:
             return ("latency", decision)
-        if self.fair_queueing:
-            fair = fair_share_exceeded(self.scheduler, tenant)
-            if fair is not None:
-                return ("fair_share", fair)
+        fair = fair_share_exceeded(self.scheduler, tenant)
+        if fair is not None:
+            return ("fair_share", fair)
         return None
 
     def _load_view(self, peer_name: str, metadata_id: str):
@@ -1183,7 +1177,6 @@ class SharingGateway:
                     "latency_target": self.latency_target,
                     "shedder": self.shedder.statistics(),
                     "breakers": self.breakers.statistics(),
-                    "fair_queueing": self.fair_queueing,
                     "queued_by_tenant": self.scheduler.queued_by_tenant(),
                     "shed_by_reason": {
                         reason: counter.value

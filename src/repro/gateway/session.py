@@ -25,6 +25,9 @@ from repro.ledger.clock import SimClock
 
 _session_counter = itertools.count(1)
 
+#: Token-bucket capacity of a session opened without an explicit ``burst``.
+DEFAULT_BURST = 8.0
+
 
 @dataclass
 class TokenBucket:
@@ -76,7 +79,7 @@ class GatewaySession:
     """One authenticated tenant connection to the gateway."""
 
     def __init__(self, system: MedicalDataSharingSystem, peer_name: str,
-                 rate: float = 0.0, burst: float = 8.0):
+                 rate: float = 0.0, burst: float = DEFAULT_BURST):
         # Opening a session authenticates the tenant: the peer must exist and
         # hold a key pair (raises SharingError otherwise).
         self.peer = system.peer(peer_name)

@@ -28,19 +28,11 @@ from repro.gateway.gateway import SharingGateway
 class GatewayWorkerPool:
     """N worker threads calling :meth:`SharingGateway.commit_once` in a loop."""
 
-    def __init__(self, gateway: SharingGateway, workers: int = 2,
-                 idle_sleep: float = 0.001):
+    def __init__(self, gateway: SharingGateway, workers: int = 2):
         if workers < 1:
             raise ValueError("the pool needs at least one worker")
         self.gateway = gateway
         self.worker_count = workers
-        if idle_sleep <= 0:
-            raise ValueError("idle_sleep must be positive")
-        #: Idle workers block on the enqueue event; this only sets the
-        #: fallback re-check period (defence in depth against an enqueue
-        #: path that bypassed the hook), floored so tiny legacy values do
-        #: not reintroduce busy polling.
-        self.idle_sleep = idle_sleep
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         #: Set by the gateway's enqueue hook: work is (probably) available.
@@ -113,7 +105,10 @@ class GatewayWorkerPool:
             self._work_available.clear()
             if self.gateway.queue_depth > 0 or self._stop.is_set():
                 continue
-            self._work_available.wait(timeout=max(self.idle_sleep, 0.1))
+            # Idle workers block on the enqueue event; the timeout is only a
+            # fallback re-check (defence in depth against an enqueue path
+            # that bypassed the hook).
+            self._work_available.wait(timeout=0.1)
 
     def join_idle(self, timeout: float = 10.0) -> bool:
         """Block until every accepted write has a terminal response.

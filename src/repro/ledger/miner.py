@@ -22,7 +22,7 @@ seals a block in the *same* simulated block interval.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.chain import Blockchain
@@ -33,13 +33,10 @@ from repro.ledger.mempool import Mempool
 from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.obs.tracer import NULL_TRACER
 
-#: Returns the "shared data key" a transaction contends on, or None when the
-#: transaction is not an update request on shared data.
-ConflictKeyFn = Callable[[Transaction], Optional[str]]
-
 
 def default_conflict_key(tx: Transaction) -> Optional[str]:
-    """The default contention rule.
+    """The contention rule: the "shared data key" a transaction contends
+    on, or None when it is not an update request on shared data.
 
     Contract calls that request an operation on shared data carry the target
     ``metadata_id`` in their arguments; two requests on the same metadata id
@@ -63,14 +60,12 @@ class Miner:
         mempool: Mempool,
         clock: SimClock,
         proposer: str = "miner-0",
-        conflict_key: ConflictKeyFn = default_conflict_key,
         enforce_serialization: bool = True,
     ):
         self.chain = chain
         self.mempool = mempool
         self.clock = clock
         self.proposer = proposer
-        self.conflict_key = conflict_key
         self.enforce_serialization = enforce_serialization
         self.gas_schedule = GasSchedule(
             per_transaction=chain.config.gas_per_transaction,
@@ -122,7 +117,7 @@ class Miner:
                 deferred_next.append(tx.tx_hash)
                 return
             if self.enforce_serialization:
-                key = self.conflict_key(tx)
+                key = default_conflict_key(tx)
                 if key is not None:
                     if key in used_keys:
                         # The paper's rule: defer the second update on the same

@@ -23,7 +23,8 @@ Two placements share one protocol:
 Protocol (all envelopes sequence-checked per direction):
 
 ========================  =============================================
-coordinator → worker      ``worker.run`` (payload: the WorkerSpec dict),
+coordinator → worker      ``worker.run`` (payload: the WorkerSpec dict —
+                          the slice's whole LoadtestSpec),
                           then ``worker.shutdown``
 worker → coordinator      ``clock.report`` (payload: worker sim-time),
                           then ``worker.result`` (payload: slice result)
@@ -46,6 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.config import LoadtestSpec
 from repro.crypto.hashing import canonical_json
 from repro.errors import FleetError, FleetProtocolError, WorkerCrashError
 from repro.runtime.clock import ClockCoordinator
@@ -65,25 +67,14 @@ CRASH_EXIT_CODE = 86
 class WorkerSpec:
     """One worker's slice of the fleet workload.
 
-    Mirrors the knobs of :func:`repro.cli.run_gateway_loadtest`; each
-    worker drives that engine over its own tenants and seed, so a
-    one-worker fleet with the full tenant count reproduces the
-    single-process run exactly.
+    ``spec`` is the slice's whole :class:`~repro.config.LoadtestSpec`; the
+    worker hands it to :func:`repro.cli.run_gateway_loadtest` unchanged, so
+    a worker honours every option a single-process run does and a
+    one-worker fleet with the full tenant count reproduces that run exactly.
     """
 
     name: str
-    tenants: int
-    duration: float = 30.0
-    rate: float = 1.0
-    read_fraction: float = 0.5
-    interval: float = 2.0
-    batch_size: int = 16
-    seed: int = 23
-    transport: str = "sync"
-    state_dir: Optional[str] = None
-    fsync_policy: Optional[str] = None
-    wire_codec: Optional[str] = None
-    include_fingerprints: bool = True
+    spec: LoadtestSpec
     #: Test hook: crash the worker process (``os._exit``) inside the Nth
     #: response-journal sync — i.e. mid-commit, after WAL appends.
     crash_after_syncs: Optional[int] = None
@@ -93,7 +84,8 @@ class WorkerSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "WorkerSpec":
-        return cls(**data)
+        return cls(data["name"], LoadtestSpec.from_dict(data["spec"]),
+                   data["crash_after_syncs"])
 
 
 @dataclass
@@ -112,11 +104,6 @@ class FleetResult:
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
-    def fingerprints(self) -> Dict[str, Any]:
-        """Per-worker state fingerprints (present when specs asked for them)."""
-        return {name: result.get("fingerprints")
-                for name, result in self.workers.items()}
-
 
 def run_worker_slice(spec: WorkerSpec) -> Dict[str, Any]:
     """Run one worker slice in the current process and return its result.
@@ -130,20 +117,7 @@ def run_worker_slice(spec: WorkerSpec) -> Dict[str, Any]:
     from repro.cli import run_gateway_loadtest
 
     started = time.perf_counter()
-    result = run_gateway_loadtest(
-        tenants=spec.tenants,
-        duration=spec.duration,
-        rate=spec.rate,
-        read_fraction=spec.read_fraction,
-        interval=spec.interval,
-        batch_size=spec.batch_size,
-        seed=spec.seed,
-        transport=spec.transport,
-        state_dir=spec.state_dir,
-        fsync_policy=spec.fsync_policy,
-        wire_codec=spec.wire_codec,
-        include_fingerprints=spec.include_fingerprints,
-    )
+    result = run_gateway_loadtest(spec.spec)
     result["worker"] = spec.name
     result["wall_seconds"] = time.perf_counter() - started
     return json.loads(canonical_json(result))
@@ -382,7 +356,7 @@ class GatewayFleet:
                     raise
                 crashes.append({"worker": crash.worker,
                                 "exitcode": crash.exitcode,
-                                "state_dir": spec.state_dir})
+                                "state_dir": spec.spec.state_dir})
         return workers, crashes
 
     @staticmethod
@@ -390,26 +364,12 @@ class GatewayFleet:
         return {name: end.statistics() for name, end in ends.items()}
 
 
-def partition_tenants(tenants: int, workers: int, base_seed: int = 23,
-                      **spec_kwargs: Any) -> List[WorkerSpec]:
-    """Split a tenant population into per-worker specs.
-
-    Tenants are dealt round-robin so worker loads differ by at most one;
-    each worker derives its seed as ``base_seed + index`` (distinct,
-    deterministic traffic per slice).
-    """
-    if workers < 1:
-        raise FleetError("need at least one worker")
-    if tenants < workers:
-        raise FleetError(f"cannot split {tenants} tenants across "
-                         f"{workers} workers")
-    base, extra = divmod(tenants, workers)
-    specs = []
-    for index in range(workers):
-        specs.append(WorkerSpec(
-            name=f"worker-{index}",
-            tenants=base + (1 if index < extra else 0),
-            seed=base_seed + index,
-            **spec_kwargs,
-        ))
-    return specs
+def partition_tenants(spec: LoadtestSpec) -> List[WorkerSpec]:
+    """Deal one run into ``spec.processes`` worker slices, named
+    ``worker-<index>`` (see :meth:`LoadtestSpec.for_worker`)."""
+    if spec.tenants < spec.processes:
+        raise FleetError(f"cannot split {spec.tenants} tenants across "
+                         f"{spec.processes} workers")
+    names = [f"worker-{index}" for index in range(spec.processes)]
+    return [WorkerSpec(name, spec.for_worker(index, name))
+            for index, name in enumerate(names)]
