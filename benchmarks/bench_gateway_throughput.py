@@ -33,7 +33,9 @@ from typing import Dict, List
 
 from repro.config import SystemConfig
 from repro.core.system import MedicalDataSharingSystem
+from repro.crypto.signatures import _equation_holds
 from repro.gateway import ReadViewRequest, SharingGateway, UpdateEntryRequest
+from repro.ledger.transaction import _decode_shared
 from repro.obs import Tracer
 from repro.workloads.topology import TopologySpec, build_topology_system
 
@@ -143,6 +145,11 @@ def _run_batched_workload(tenants: int, rounds: int, interval: float,
     """One batched-gateway run of the shared write workload, timed both on
     the simulated clock and the wall clock; ``trace`` attaches a pipeline
     tracer (the thing whose cost is being measured)."""
+    # Both arms replay the same seeded transactions in one process: without
+    # this the second arm finds every decode and signature check already done
+    # by the first, and ``wall_overhead`` measures that instead of the tracer.
+    _decode_shared.cache_clear()
+    _equation_holds.cache_clear()
     system = _build(tenants, interval)
     tracer = Tracer(system.simulator.clock) if trace else None
     gateway = SharingGateway(system, max_batch_size=tenants, tracer=tracer)

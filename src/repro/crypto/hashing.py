@@ -22,7 +22,7 @@ def canonical_json(payload: Any) -> str:
     >>> canonical_json({"b": 1, "a": 2})
     '{"a":2,"b":1}'
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_json_default)
+    return _encode(payload)
 
 
 def _json_default(value: Any) -> Any:
@@ -37,6 +37,11 @@ def _json_default(value: Any) -> Any:
     if hasattr(value, "to_dict"):
         return value.to_dict()
     raise TypeError(f"cannot canonicalise value of type {type(value).__name__}")
+
+
+#: One encoder for the process: ``json.dumps`` with non-default arguments
+#: builds one per call, and every hash, signature and WAL append comes here.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default).encode
 
 
 def sha256_hex(data: bytes) -> str:

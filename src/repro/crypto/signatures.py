@@ -3,10 +3,12 @@
 Used by the ledger to authenticate transactions: every node verifies the
 signature of each transaction at mempool admission and again before accepting
 a block, mirroring how a real Ethereum-style chain validates sender
-authenticity.  Every call site still calls :func:`verify`; the modular
-exponentiations behind it are memoised per process (see
-:func:`_equation_holds`), so the nine replicas simulated in one process pay
-for a given signature once.
+authenticity.  Asking is per node; the arithmetic is per process: the replicas
+simulated in one process hold one frozen instance of a transaction
+(``Transaction.from_dict``), which remembers its verdict, and the modular
+exponentiations are memoised (:func:`_equation_holds`) for the checks no
+instance remembers — the origin's own copy, and fold attestations, which every
+replica verifies inside contract execution.
 """
 
 from __future__ import annotations

@@ -32,9 +32,18 @@ class GasSchedule:
 
 
 def payload_size(tx: Transaction) -> int:
-    """Serialized size in bytes of the transaction's call data and payload."""
-    body = {"method": tx.method, "args": tx.args, "payload": tx.payload}
-    return len(canonical_json(body).encode("utf-8"))
+    """Serialized size in bytes of the transaction's call data and payload.
+
+    Charged by the miner and by every replica's runtime; a signed transaction
+    is frozen, so its size is measured once and kept on the instance.
+    """
+    size = tx.__dict__.get("_cached_payload_size")
+    if size is None:
+        body = {"method": tx.method, "args": tx.args, "payload": tx.payload}
+        size = len(canonical_json(body).encode("utf-8"))
+        if tx.is_frozen:
+            tx.__dict__["_cached_payload_size"] = size
+    return size
 
 
 def transaction_gas(tx: Transaction, schedule: GasSchedule = GasSchedule()) -> int:

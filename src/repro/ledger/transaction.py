@@ -4,18 +4,29 @@ A transaction is a signed request from an account: either a plain value/data
 transfer, a contract deployment, or a contract call.  Contract calls carry a
 method name and keyword arguments; the contract runtime executes them when a
 block is applied.
+
+A signed transaction is immutable, so the nodes simulated in one process hold
+*one* instance of it: :meth:`Transaction.from_dict` content-interns decodes,
+and the pure functions of it (hash, signature verdict, gas size) are computed
+once, on that instance.  Everything stateful stays per node.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from repro.crypto.hashing import hash_payload
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, address_from_public_key
 from repro.crypto.signatures import Signature, sign, verify
 from repro.errors import InvalidTransactionError
+
+#: Signed transactions :meth:`Transaction.from_dict` keeps interned (the
+#: decode-side sibling of ``repro.crypto.signatures.VERIFY_MEMO_SIZE``).
+DECODE_TABLE_SIZE = 4096
 
 
 class FrozenDict(dict):
@@ -44,8 +55,6 @@ class FrozenDict(dict):
         return FrozenDict(self)
 
     def __deepcopy__(self, memo: Dict[int, Any]) -> "FrozenDict":
-        import copy
-
         return FrozenDict(
             (key, copy.deepcopy(value, memo)) for key, value in self.items())
 
@@ -188,14 +197,21 @@ class Transaction:
         )
 
     def verify_signature(self) -> bool:
-        """True when the transaction carries a valid signature of its sender."""
-        if self.signature is None or self.sender_public_key is None:
-            return False
-        from repro.crypto.keys import address_from_public_key
+        """True when the transaction carries a valid signature of its sender.
 
-        if address_from_public_key(self.sender_public_key) != self.sender:
-            return False
-        return verify(self.sender_public_key, self.signing_payload(), self.signature)
+        Every node asks, at mempool admission and again at block validation;
+        a signed transaction is frozen, so the instance remembers the answer
+        the way it remembers its hash.
+        """
+        verdict = self.__dict__.get("_cached_signature_valid")
+        if verdict is None:
+            verdict = (
+                self.signature is not None and self.sender_public_key is not None
+                and address_from_public_key(self.sender_public_key) == self.sender
+                and verify(self.sender_public_key, self.signing_payload(), self.signature))
+            if self.is_frozen:
+                self.__dict__["_cached_signature_valid"] = verdict
+        return verdict
 
     # ------------------------------------------------------------- serialisation
 
@@ -207,6 +223,20 @@ class Transaction:
 
     @staticmethod
     def from_dict(payload: dict) -> "Transaction":
+        """Decode a wire payload; signed transactions are shared per process.
+
+        A payload that **compares equal** to one already decoded returns that
+        decode's frozen instance: the signature only picks the slot, equality
+        with the table's own copy of the payload decides (:class:`_WirePayload`).
+        Unsigned transactions are mutable and always decode fresh.
+        ``_decode_shared.cache_info()`` / ``.cache_clear()`` are ``lru_cache``'s.
+        """
+        if payload.get("signature"):
+            return _decode_shared(_WirePayload(payload))
+        return Transaction._decode(payload)
+
+    @staticmethod
+    def _decode(payload: dict) -> "Transaction":
         return Transaction(
             sender=payload["sender"],
             kind=payload["kind"],
@@ -221,6 +251,32 @@ class Transaction:
             signature=Signature.from_dict(payload["signature"])
             if payload.get("signature") else None,
         )
+
+
+class _WirePayload:
+    """A signed wire payload as a cache key: hashed by its signature alone,
+    equal only when the whole payload is.  (``==`` reads ``3`` and ``3.0`` as
+    one value: a re-spelt payload gets the transaction as it was signed, never
+    one with the re-spelt field.)"""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+
+    def __hash__(self) -> int:
+        return hash(self.payload["signature"]["response"])
+
+    def __eq__(self, other: Any) -> bool:
+        return self.payload == other.payload
+
+
+@lru_cache(maxsize=DECODE_TABLE_SIZE)
+def _decode_shared(wire: _WirePayload) -> Transaction:
+    # The cache keeps ``wire`` as the entry's key: hand it a private copy, so
+    # what the entry matches cannot change when the caller's dict does.
+    wire.payload = copy.deepcopy(wire.payload)
+    return Transaction._decode(wire.payload)
 
 
 @dataclass(frozen=True)

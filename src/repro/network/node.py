@@ -5,6 +5,12 @@ receive gossiped transactions and blocks over the transport; applying a block
 re-executes its transactions locally, so every honest node reaches the same
 world state — the consensus property the paper relies on ("each node will
 conduct the smart contract locally").
+
+Per node: mempool, chain (its ``Block``/``BlockHeader`` objects included),
+contract execution, receipts, events, and *asking* whether each signature is
+valid, at admission and at block validation.  Per process: decoding a signed
+transaction — ``Transaction.from_dict`` hands every node the same frozen
+instance, which carries its hash, signature verdict and gas size.
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from repro.core.records import doctor_schema, patient_schema, researcher_schema
 from repro.core.scenario import PAPER_RECORDS, build_paper_scenario
+from repro.ledger import transaction
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 
@@ -73,3 +76,17 @@ def paper_system():
 def fresh_paper_system():
     """A function-scoped Fig. 1 system for tests that mutate shared data."""
     return build_paper_scenario()
+
+
+@pytest.fixture
+def decode_table(monkeypatch):
+    """``decode_table(bound)`` swaps in an empty ``Transaction.from_dict``
+    decode table holding at most ``bound`` entries (0: every decode is fresh)
+    until the test ends, and returns it (``cache_info()``)."""
+
+    def install(bound=transaction.DECODE_TABLE_SIZE):
+        table = lru_cache(maxsize=bound)(transaction._decode_shared.__wrapped__)
+        monkeypatch.setattr(transaction, "_decode_shared", table)
+        return table
+
+    return install

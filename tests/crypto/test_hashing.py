@@ -1,8 +1,14 @@
 """Tests for canonical hashing."""
 
+import json
+import types
+
 import pytest
 
+from repro.crypto import hashing
 from repro.crypto.hashing import canonical_json, hash_pair, hash_payload, sha256_hex, short_hash
+from repro.crypto.signatures import Signature
+from repro.ledger.transaction import FrozenDict
 
 
 class TestCanonicalJson:
@@ -28,6 +34,25 @@ class TestCanonicalJson:
     def test_unserialisable_raises(self):
         with pytest.raises(TypeError):
             canonical_json({"f": object()})
+
+    @pytest.mark.parametrize("payload", [
+        {"b": {"z": [1, {"y": None, "x": True}], "a": {}}, "a": [[], [[]]]},
+        FrozenDict(args=FrozenDict(columns=("patient_id", "dosage"), where=None), nonce=3),
+        {"tuple": (1, (2, 3)), "set": {3, 1, 2}, "frozen": frozenset({"b", "a"})},
+        {"bytes": b"\x00\xff", "proxy": types.MappingProxyType({"k": b"\x01"})},
+        {"signature": Signature(commitment=11, response=12), "list": [Signature(1, 2)]},
+        {"text": "Ibuprofén 200 mg — 痛み止め \u2028 \"quoted\" \\ \n", "ключ": "значение"},
+        {"floats": [0.1, 1e-7, 1e22, 5.0, -0.0, 14.073028155986584, float("inf")], "int": 2 ** 256},
+        [], "plain", 7, None,
+    ])
+    def test_the_shared_encoder_is_byte_identical_to_json_dumps(self, payload):
+        """``canonical_json`` binds one ``JSONEncoder`` for the process; every
+        hash, signature and WAL record depends on it spelling exactly what
+        ``json.dumps`` with the same arguments spelt."""
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                              default=hashing._json_default)
+        assert canonical_json(payload) == expected
+        assert canonical_json(payload) == expected  # and the encoder keeps no state
 
 
 class TestHashPayload:

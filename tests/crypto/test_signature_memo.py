@@ -10,6 +10,7 @@ from repro.crypto import signatures
 from repro.crypto.keys import generate_keypair
 from repro.crypto.signatures import Signature, sign, verify
 from repro.errors import PermissionDenied
+from repro.ledger import transaction as transaction_module
 from repro.ledger.transaction import Transaction
 from repro.network.simulator import NetworkSimulator
 
@@ -49,6 +50,33 @@ class TestMemoCannotBeFooled:
             assert not forged.verify_signature()
             assert not forged.verify_signature()  # and the cached answer is still False
         assert tx.verify_signature()
+
+    def test_a_shared_decode_does_not_vouch_for_a_changed_payload(self):
+        """The same forgeries arriving over the wire: ``from_dict`` shares an
+        instance only with a payload equal to the one it was decoded from, so
+        keeping the signature (the table's slot) and changing anything else
+        decodes to a different, invalid transaction."""
+        tx = signed_call(args={"metadata_id": "m", "view_spec": {"where": {"value": [190]}}})
+        wire = tx.to_dict()
+        genuine = Transaction.from_dict(wire)
+        assert genuine.verify_signature() and genuine.verify_signature()
+        forgeries = [
+            {**wire, "args": {"metadata_id": "m", "view_spec": {"where": {"value": [191]}}}},
+            {**wire, "nonce": 4},
+            {**wire, "method": "request_delete"},
+            {**wire, "timestamp": 6.0},
+            {**wire, "sender_public_key": hex(MALLORY.public_key)},
+            {**wire, "sender": MALLORY.address, "sender_public_key": hex(MALLORY.public_key)},
+        ]
+        for payload in forgeries:
+            assert payload["signature"] == wire["signature"]
+            forged = Transaction.from_dict(payload)
+            assert forged is not genuine
+            assert not forged.verify_signature()
+            assert not forged.verify_signature()  # and the instance's answer is still False
+            assert not Transaction.from_dict(dict(payload)).verify_signature()
+        assert Transaction.from_dict(tx.to_dict()) is genuine
+        assert genuine.verify_signature()
 
     def test_a_forged_signature_stays_invalid_on_requery(self):
         payload = {"action": "update"}
@@ -103,10 +131,17 @@ def test_the_memo_stays_under_its_bound():
 
 
 def test_every_node_still_checks_at_admission_and_at_block_validation(monkeypatch):
-    """The memo saves the arithmetic, not the check: each of N nodes calls
+    """Sharing saves the work, not the check: each of N nodes calls
     ``verify_signature`` once when the transaction enters its mempool and once
-    when it validates the block — but the process does the modular
-    exponentiations once."""
+    when it validates the block — but the process decodes the transaction once
+    and does the modular exponentiations once.
+
+    The ``_equation_holds`` *hit* count this test used to pin (``2N - 1``) is
+    gone on purpose: the N - 1 ``tx`` deliveries and N - 1 ``block``
+    deliveries now decode to one shared frozen instance, which answers from
+    its own verdict before the memo is consulted.  What repeats is the decode
+    table's count — 1 miss, ``2(N - 1) - 1`` hits — and the memo serves the
+    one check made on a second instance, the origin's own object."""
     calls = []
     real = Transaction.verify_signature
     monkeypatch.setattr(Transaction, "verify_signature",
@@ -116,6 +151,7 @@ def test_every_node_still_checks_at_admission_and_at_block_validation(monkeypatc
     tx = Transaction(sender=ALICE.address, kind="transfer", nonce=0,
                      timestamp=123.456).signed_by(ALICE)
     before = signatures._equation_holds.cache_info()
+    decodes_before = transaction_module._decode_shared.cache_info()
     network.submit_transaction("node-1", tx)
     assert calls.count(tx.tx_hash) == len(nodes)  # mempool admission, every node
     blocks = network.mine()
@@ -124,4 +160,7 @@ def test_every_node_still_checks_at_admission_and_at_block_validation(monkeypatc
     assert calls.count(tx.tx_hash) == 2 * len(nodes)  # + validate_block, every node
     after = signatures._equation_holds.cache_info()
     assert after.misses - before.misses == 1
-    assert after.hits - before.hits == 2 * len(nodes) - 1
+    assert after.hits - before.hits == 1  # the origin's object and the shared one
+    decodes = transaction_module._decode_shared.cache_info()
+    assert decodes.misses - decodes_before.misses == 1
+    assert decodes.hits - decodes_before.hits == 2 * (len(nodes) - 1) - 1

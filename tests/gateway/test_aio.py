@@ -1,6 +1,7 @@
 """The asyncio gateway transport: futures, commit pump, triggers, parity."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -291,21 +292,41 @@ class TestPumpTriggers:
 
 class TestInterleaving:
     def test_arrivals_admitted_while_commit_in_flight(self):
+        """Deterministic: the first commit is held open inside the executor
+        (after the gateway counted it in flight) until the loop has admitted
+        the remaining writes — an event pair, not a race against how long a
+        one-write commit happens to take."""
+        commit_started, release_commit = threading.Event(), threading.Event()
+
         async def scenario():
             system = build_system(patients=3)
             tables = tenant_tables(system)
+            real_commit = system.coordinator.commit_entry_batch
+
+            def gated_commit(groups):
+                commit_started.set()
+                assert release_commit.wait(WAIT)
+                return real_commit(groups)
+
+            system.coordinator.commit_entry_batch = gated_commit
             gateway = SharingGateway(system, max_batch_size=16)
             async with AsyncSharingGateway(gateway, seal_depth=1) as front:
                 sessions = {peer: front.open_session(peer) for peer in tables}
+                writes = [(peer, metadata_id, f"r{round_index}")
+                          for round_index in range(4)
+                          for peer, metadata_id in sorted(tables.items())]
                 futures = []
-                # seal_depth 1 makes the pump commit eagerly; later arrivals
-                # land while those commits mine in the executor.
-                for round_index in range(4):
-                    for peer, metadata_id in sorted(tables.items()):
+                try:
+                    # seal_depth 1 makes the pump commit the first write
+                    # eagerly; the rest arrive while it sits in the executor.
+                    for index, (peer, metadata_id, tag) in enumerate(writes):
                         futures.append(front.submit_nowait(
-                            sessions[peer],
-                            update_for(metadata_id, f"r{round_index}")))
+                            sessions[peer], update_for(metadata_id, tag)))
+                        if index == 0:
+                            assert await asyncio.to_thread(commit_started.wait, WAIT)
                         await asyncio.sleep(0)
+                finally:
+                    release_commit.set()
                 await front.drain()
                 responses = await asyncio.gather(*futures)
             assert all(response.status == STATUS_OK for response in responses)

@@ -17,9 +17,11 @@ GOLDEN_HEAD_HASH = "f799de7fedec7d3e7b382383b59ee27390002c4ec70b9b3caaffe701abc8
 GOLDEN_RECEIPTS = (34, 6, "96d15c820bd97967a9bb63b691b4773f3355d6c907b0b5bbb1d3a60f38e40fa5")
 
 
-def _run():
+def _run(prepare=None):
     system = build_topology_system(TopologySpec(patients=3, researchers=1, seed=7),
                                    SystemConfig.private_chain(1.0))
+    if prepare is not None:
+        prepare(system)  # e.g. attach a fault plan or a wire codec before traffic
     gateway = SharingGateway(system)
     tables = {f"patient-{mid.split(':')[1]}": mid for mid in system.agreement_ids
               if mid.split(":")[1].isdigit()}
