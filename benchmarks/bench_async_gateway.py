@@ -31,6 +31,14 @@ A third, threaded run drives the real ``GatewayWorkerPool`` under the same
 trace — its wall-clock batching is scheduling-dependent so it is reported,
 fingerprint-checked, but not gated.
 
+The JSON result separates what two runs can be compared on from what they
+cannot: ``deterministic`` (the inline sync baseline's numbers, each arm's
+committed writes, the one state digest all three arms must share) is
+byte-identical run to run; ``scheduling_dependent`` (how the async pump and
+the threaded pool happened to batch: batch counts, simulated seconds,
+``speedup``, ``admitted_during_commit``, ``sealed_by``) races an executor
+thread by construction and is gated by inequalities only.
+
 Runnable two ways::
 
     python -m pytest benchmarks/bench_async_gateway.py           # asserts ≥2×
@@ -42,15 +50,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import hashlib
 import json
 from typing import Dict, List, Sequence
 
 from repro.config import SystemConfig
-from repro.core.system import MedicalDataSharingSystem
 from repro.gateway import AsyncSharingGateway, GatewayWorkerPool, SharingGateway
 from repro.workloads.topology import TopologySpec, build_topology_system
-from repro.workloads.traffic import (TimedRequest, TrafficGenerator,
-                                     default_tenant_profiles, replay_open_loop)
+from repro.workloads.traffic import (TrafficGenerator, default_tenant_profiles,
+                                     replay_open_loop)
 
 DEFAULT_TENANTS = 8
 FULL_DURATION = 12.0
@@ -68,28 +76,23 @@ MAX_DELAY = BLOCK_INTERVAL
 TARGET_SPEEDUP = 2.0
 
 
-def _build(tenants: int, interval: float) -> MedicalDataSharingSystem:
-    return build_topology_system(TopologySpec(patients=tenants, researchers=0, seed=SEED),
-                                 SystemConfig.private_chain(interval))
-
-
-def _fingerprints(system: MedicalDataSharingSystem) -> Dict[str, str]:
-    return {
-        f"{peer.name}:{table_name}": peer.database.table(table_name).fingerprint()
-        for peer in system.peers
-        for table_name in sorted(peer.database.table_names)
-    }
-
-
-def _trace(system: MedicalDataSharingSystem, duration: float) -> List[TimedRequest]:
+def _setup(tenants: int, duration: float, interval: float):
+    """One arm's system, gateway, arrival trace and sessions (same seed)."""
+    system = build_topology_system(
+        TopologySpec(patients=tenants, researchers=0, seed=SEED),
+        SystemConfig.private_chain(interval))
+    gateway = SharingGateway(system, max_batch_size=BATCH_SIZE)
     profiles = default_tenant_profiles(system, request_rate=REQUEST_RATE,
                                        read_fraction=READ_FRACTION)
-    return TrafficGenerator(system, seed=SEED).open_loop(
+    arrivals = TrafficGenerator(system, seed=SEED).open_loop(
         profiles, duration=duration, start_time=system.simulator.clock.now())
+    sessions = {tenant: gateway.open_session(tenant)
+                for tenant in {timed.tenant for timed in arrivals}}
+    return system, gateway, arrivals, sessions
 
 
-def _summarise(system: MedicalDataSharingSystem, gateway: SharingGateway,
-               responses: Sequence[object], elapsed: float) -> Dict[str, object]:
+def _summarise(system, gateway: SharingGateway, responses: Sequence[object],
+               elapsed: float) -> Dict[str, object]:
     assert all(response.terminal for response in responses), (
         "a response was left in a non-terminal state")
     assert system.all_shared_tables_consistent()
@@ -106,6 +109,8 @@ def _summarise(system: MedicalDataSharingSystem, gateway: SharingGateway,
         "mean_batch_size": metrics["batches"]["mean_size"],
         "admitted_during_commit": metrics["transport"]["admitted_during_commit"],
         "cache_hit_rate": metrics["cache"]["hit_rate"],
+        "state_digest": hashlib.sha256(json.dumps(
+            system.state_fingerprints(), sort_keys=True).encode()).hexdigest(),
     }
 
 
@@ -117,13 +122,9 @@ def _run_sync_baseline(tenants: int, duration: float,
     replaying that behaviour inline (submit an arrival, then drain whatever
     is queued) reproduces its simulated-time cost exactly while keeping the
     result machine-independent — which the thread-scheduled pool itself is
-    not (see the ``threaded`` section for the real pool).
+    not (see the ``threaded_pool`` arm for the real pool).
     """
-    system = _build(tenants, interval)
-    gateway = SharingGateway(system, max_batch_size=BATCH_SIZE)
-    arrivals = _trace(system, duration)
-    sessions = {profile: gateway.open_session(profile)
-                for profile in {timed.tenant for timed in arrivals}}
+    system, gateway, arrivals, sessions = _setup(tenants, duration, interval)
     clock = system.simulator.clock
     start = clock.now()
     responses = []
@@ -133,20 +134,13 @@ def _run_sync_baseline(tenants: int, duration: float,
         while gateway.queue_depth > 0:
             gateway.commit_once()
     gateway.drain()
-    elapsed = clock.now() - start
-    result = _summarise(system, gateway, responses, elapsed)
-    result["fingerprints"] = _fingerprints(system)
-    return result
+    return _summarise(system, gateway, responses, clock.now() - start)
 
 
 def _run_threaded_pool(tenants: int, duration: float,
                        interval: float, workers: int = 2) -> Dict[str, object]:
     """The real threaded worker pool under the same trace (not gated)."""
-    system = _build(tenants, interval)
-    gateway = SharingGateway(system, max_batch_size=BATCH_SIZE)
-    arrivals = _trace(system, duration)
-    sessions = {profile: gateway.open_session(profile)
-                for profile in {timed.tenant for timed in arrivals}}
+    system, gateway, arrivals, sessions = _setup(tenants, duration, interval)
     clock = system.simulator.clock
     start = clock.now()
     responses = []
@@ -156,18 +150,11 @@ def _run_threaded_pool(tenants: int, duration: float,
             responses.append(gateway.submit(sessions[timed.tenant], timed.request))
         assert pool.join_idle(timeout=60.0), "worker pool did not drain"
         assert not pool.errors, pool.errors
-    elapsed = clock.now() - start
-    result = _summarise(system, gateway, responses, elapsed)
-    result["fingerprints"] = _fingerprints(system)
-    return result
+    return _summarise(system, gateway, responses, clock.now() - start)
 
 
 def _run_async(tenants: int, duration: float, interval: float) -> Dict[str, object]:
-    system = _build(tenants, interval)
-    gateway = SharingGateway(system, max_batch_size=BATCH_SIZE)
-    arrivals = _trace(system, duration)
-    sessions = {profile: gateway.open_session(profile)
-                for profile in {timed.tenant for timed in arrivals}}
+    system, gateway, arrivals, sessions = _setup(tenants, duration, interval)
     clock = system.simulator.clock
 
     async def drive():
@@ -185,7 +172,6 @@ def _run_async(tenants: int, duration: float, interval: float) -> Dict[str, obje
     responses, elapsed, transport_stats = asyncio.run(drive())
     result = _summarise(system, gateway, responses, elapsed)
     result["transport"] = transport_stats
-    result["fingerprints"] = _fingerprints(system)
     return result
 
 
@@ -193,18 +179,13 @@ def run_async_gateway_comparison(tenants: int = DEFAULT_TENANTS,
                                  duration: float = FULL_DURATION,
                                  interval: float = BLOCK_INTERVAL) -> Dict[str, object]:
     """Run all three transports over one trace; returns the JSON-able result."""
-    sync_result = _run_sync_baseline(tenants, duration, interval)
-    async_result = _run_async(tenants, duration, interval)
-    threaded_result = _run_threaded_pool(tenants, duration, interval)
-
-    assert sync_result["fingerprints"] == async_result["fingerprints"], (
-        "async transport diverged from the sync baseline: " + str(
-            [key for key, print_ in sync_result["fingerprints"].items()
-             if async_result["fingerprints"].get(key) != print_]))
-    assert sync_result["fingerprints"] == threaded_result["fingerprints"], (
-        "threaded worker pool diverged from the sync baseline")
-
-    result = {
+    arms = {"sync_worker_pool": _run_sync_baseline(tenants, duration, interval),
+            "async": _run_async(tenants, duration, interval),
+            "threaded_pool": _run_threaded_pool(tenants, duration, interval)}
+    digests = {name: arm.pop("state_digest") for name, arm in arms.items()}
+    writes = {name: arm["writes_committed"] for name, arm in arms.items()}
+    sync_result, async_result = arms["sync_worker_pool"], arms["async"]
+    return {
         "experiment": "E14_async_gateway",
         "workload": (f"{tenants} tenants, Poisson open loop at "
                      f"{REQUEST_RATE}/s/tenant for {duration}s, "
@@ -212,17 +193,40 @@ def run_async_gateway_comparison(tenants: int = DEFAULT_TENANTS,
         "tenants": tenants,
         "duration": duration,
         "block_interval": interval,
-        "sync_worker_pool": {k: v for k, v in sync_result.items()
-                             if k != "fingerprints"},
-        "async": {k: v for k, v in async_result.items() if k != "fingerprints"},
-        "threaded_pool": {k: v for k, v in threaded_result.items()
-                          if k != "fingerprints"},
-        "speedup": async_result["throughput"] / sync_result["throughput"],
-        "rounds_cut": (sync_result["consensus_rounds"]
-                       - async_result["consensus_rounds"]),
-        "fingerprints_identical": True,
+        "deterministic": {
+            "sync_worker_pool": sync_result,
+            "writes_committed": writes,
+            "state_digest": digests["sync_worker_pool"],
+            "fingerprints_identical": len(set(digests.values())) == 1,
+        },
+        "scheduling_dependent": {
+            "async": async_result,
+            "threaded_pool": arms["threaded_pool"],
+            "speedup": async_result["throughput"] / sync_result["throughput"],
+            "rounds_cut": (sync_result["consensus_rounds"]
+                           - async_result["consensus_rounds"]),
+        },
     }
-    return result
+
+
+def gate_failures(result: Dict[str, object]) -> List[str]:
+    """The E14 gates, one message per failed one (``main`` and the test agree)."""
+    measured = result["scheduling_dependent"]
+    sealed = measured["async"]["transport"]["sealed_by"]
+    gates = {
+        # Byte-identical tables on every peer across all three arms.
+        "fingerprints identical": result["deterministic"]["fingerprints_identical"],
+        f"speedup >= {TARGET_SPEEDUP}": measured["speedup"] >= TARGET_SPEEDUP,
+        # Open-loop interleaving actually happened: arrivals were admitted
+        # while a commit round was mining, and batches carried > 1 write.
+        "admitted during commit": measured["async"]["admitted_during_commit"] > 0,
+        "mean batch size > 1": measured["async"]["mean_batch_size"] > 1.0,
+        # The pump sealed on its triggers, not only on the final flush.
+        "sealed on a trigger": sealed["depth"] + sealed["deadline"] + sealed["idle"] > 0,
+        # The batch amortisation is where the speedup comes from.
+        "rounds cut": measured["rounds_cut"] > 0,
+    }
+    return [name for name, passed in gates.items() if not passed]
 
 
 def test_async_transport_throughput_and_fingerprints(emit, quick):
@@ -232,17 +236,7 @@ def test_async_transport_throughput_and_fingerprints(emit, quick):
     duration = QUICK_DURATION if quick else FULL_DURATION
     result = run_async_gateway_comparison(duration=duration)
     emit("E14_async_gateway", json.dumps(result, indent=2, sort_keys=True))
-    assert result["fingerprints_identical"]
-    assert result["speedup"] >= TARGET_SPEEDUP
-    # Open-loop interleaving actually happened: arrivals were admitted while
-    # a commit round was mining, and batches carried more than one write.
-    assert result["async"]["admitted_during_commit"] > 0
-    assert result["async"]["mean_batch_size"] > 1.0
-    # The pump sealed on its triggers, not only on the final flush.
-    sealed = result["async"]["transport"]["sealed_by"]
-    assert sealed["depth"] + sealed["deadline"] + sealed["idle"] > 0
-    # The batch amortisation is where the speedup comes from.
-    assert result["rounds_cut"] > 0
+    assert not gate_failures(result)
 
 
 def main() -> int:
@@ -259,7 +253,7 @@ def main() -> int:
     result = run_async_gateway_comparison(tenants=args.tenants, duration=duration,
                                           interval=args.interval)
     print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if result["speedup"] >= TARGET_SPEEDUP else 1
+    return 1 if gate_failures(result) else 0
 
 
 if __name__ == "__main__":

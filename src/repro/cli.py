@@ -207,7 +207,7 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
     import tempfile
 
     from repro.gateway import AsyncSharingGateway, SharingGateway
-    from repro.obs import Tracer, TraceAnalyzer, write_trace_jsonl
+    from repro.obs import MetricsRegistry, Tracer, TraceAnalyzer, write_trace_jsonl
     from repro.workloads.topology import TopologySpec, build_topology_system
     from repro.workloads.traffic import (TrafficGenerator, default_tenant_profiles,
                                          replay_open_loop)
@@ -234,22 +234,26 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
     if spec.wire_codec is not None:
         system.simulator.transport.configure_wire_codec(spec.wire_codec)
     tracer = Tracer(system.simulator.clock) if (spec.trace or spec.trace_out) else None
+    # One registry, so chaos counters reach the snapshot ``repro metrics`` prints.
+    registry = MetricsRegistry()
     injector = None
     if spec.chaos is not None:
         from repro.chaos import FaultInjector, RetryPolicy
         from repro.obs.tracer import NULL_TRACER
         injector = FaultInjector(_coerce_fault_plan(spec.chaos), system.simulator.clock,
-                                 tracer=tracer if tracer is not None else NULL_TRACER)
-        system.attach_chaos(injector,
-                            retry_policy=RetryPolicy.from_config(
-                                system.config.resilience))
+                                 tracer=tracer if tracer is not None else NULL_TRACER,
+                                 registry=registry)
+        system.attach_chaos(
+            injector, registry=registry,
+            retry_policy=RetryPolicy.from_config(system.config.resilience))
     gateway = SharingGateway(system, max_batch_size=spec.batch_size,
                              default_rate=spec.rate_limit,
                              max_queue_depth=spec.max_queue_depth,
                              state_dir=spec.state_dir,
                              fsync_policy=spec.fsync_policy,
                              max_responses=spec.max_responses,
-                             tracer=tracer, latency_target=spec.latency_target)
+                             tracer=tracer, registry=registry,
+                             latency_target=spec.latency_target)
     profiles = default_tenant_profiles(system, request_rate=spec.rate,
                                        read_fraction=spec.read_fraction)
     clock = system.simulator.clock
@@ -257,38 +261,32 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
         profiles, duration=spec.duration, start_time=clock.now())
     sessions = {profile.peer: gateway.open_session(profile.peer) for profile in profiles}
     start = clock.now()
-    async_stats: Optional[Dict[str, Any]] = None
+    front = None
     if spec.transport == "async":
-        async def drive() -> Dict[str, Any]:
-            async with AsyncSharingGateway(gateway, seal_depth=spec.batch_size,
-                                           max_delay=spec.max_delay) as front:
+        front = AsyncSharingGateway(gateway, max_delay=spec.max_delay)
+
+        async def drive() -> None:
+            async with front:  # leaving it drains
                 futures = await replay_open_loop(
                     arrivals,
                     lambda timed: front.submit_nowait(sessions[timed.tenant],
                                                       timed.request),
                     clock)
-                await front.drain()
-                await asyncio.gather(*futures)
-                return front.statistics()
+            await asyncio.gather(*futures)
 
-        async_stats = asyncio.run(drive())
+        asyncio.run(drive())
     else:
-        # With shedding on, the queue can never reach batch_size if the
-        # capacity is smaller — commit at whichever threshold is lower, or
-        # everything past the capacity would shed until the final drain.
-        commit_depth = (spec.batch_size if spec.max_queue_depth is None
-                        else min(spec.batch_size, spec.max_queue_depth))
         for timed in arrivals:
             clock.advance_to(timed.arrival_time)
             gateway.submit(sessions[timed.tenant], timed.request)
-            if gateway.queue_depth >= commit_depth:
-                gateway.commit_once()
+            trigger = gateway.seal_trigger()
+            if trigger is not None:
+                gateway.commit_once(trigger)
         gateway.drain()
     gateway.close()
+    system.close()
     elapsed = clock.now() - start
-    metrics = gateway.metrics()
-    if async_stats is not None:
-        metrics["async_transport"] = async_stats
+    metrics = (front or gateway).metrics()
     writes = metrics["batches"]["writes_committed"]
     result = {
         "tenants": spec.tenants,
@@ -501,6 +499,7 @@ def run_chaos_soak(tenants: int = 4, rounds: int = 12, seed: int = 23,
         system.simulator.transport.flush()
     gateway.drain()
     gateway.close()
+    system.close()
 
     statuses: Dict[str, int] = {}
     for response in responses:

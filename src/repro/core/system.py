@@ -181,6 +181,13 @@ class MedicalDataSharingSystem:
                 synced += 1
         return synced
 
+    def close(self) -> None:
+        """Sync and close every durable peer database's WAL segment handle
+        (a later append reopens it, so closing twice or early is harmless)."""
+        for peer in self._peers.values():
+            if peer.database.wal.durable:
+                peer.database.wal.backend.close()
+
     def peer(self, name: str) -> Peer:
         if name not in self._peers:
             raise SharingError(f"unknown peer {name!r}")

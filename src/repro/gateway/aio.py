@@ -9,42 +9,28 @@ an event loop in front of the same gateway:
 * :meth:`AsyncSharingGateway.submit_nowait` admits a request and returns an
   :class:`asyncio.Future` that resolves when the response turns terminal —
   the caller keeps submitting (open loop) instead of waiting;
-* a **commit pump** task seals batches when the queue is deep enough
-  (``seal_depth``), when the oldest queued write has waited ``max_delay``
-  simulated seconds (deadline), or when arrivals go quiet for
-  ``idle_timeout`` real seconds — no explicit ``drain()`` calls;
+* a **commit pump** task asks the gateway's seal rule
+  (:meth:`~repro.gateway.gateway.SharingGateway.seal_trigger`) after every
+  admission and when arrivals go quiet — no explicit ``drain()`` calls;
 * the batch itself runs in an executor thread while the event loop keeps
   admitting arrivals, so admission genuinely overlaps the consensus rounds
   (the gateway's commit lock, not its admission lock, covers the mining).
 
-Both transports share one :class:`~repro.gateway.scheduler.WriteScheduler`
-(the batch planner), one :class:`~repro.gateway.cache.ViewCache` and one
-response store, so everything the sync path guarantees — per-tenant
-same-table order, fold rules, conflict serialisation — holds unchanged
-under the async transport.
+Everything else — planner, cache, response store, pump record, end-of-run
+quiesce — is the gateway's own, so what the sync path guarantees (per-tenant
+same-table order, fold rules, conflict serialisation) holds unchanged.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 from typing import Dict, List, Optional, Union
 
 from repro.core.system import MedicalDataSharingSystem
 from repro.gateway.gateway import SharingGateway
-from repro.gateway.requests import (
-    STATUS_QUEUED,
-    GatewayRequest,
-    GatewayResponse,
-)
+from repro.gateway.requests import STATUS_QUEUED, GatewayRequest, GatewayResponse
 from repro.gateway.session import GatewaySession
 from repro.metrics.collectors import PeakGauge
-
-#: Why the commit pump sealed a batch.
-TRIGGER_DEPTH = "depth"        # queue depth reached seal_depth
-TRIGGER_DEADLINE = "deadline"  # oldest queued write waited max_delay sim-seconds
-TRIGGER_IDLE = "idle"          # no arrivals for idle_timeout real seconds
-TRIGGER_FLUSH = "flush"        # explicit drain()/stop() flush
 
 
 class AsyncSharingGateway:
@@ -54,7 +40,8 @@ class AsyncSharingGateway:
     ``max_delay`` (simulated seconds, 0 disables) bounds how long a queued
     write waits for its batch to fill; ``idle_timeout`` (real seconds) seals
     pending work when the arrival stream goes quiet, so no write ever hangs
-    waiting for traffic that never comes.
+    waiting for traffic that never comes.  ``sealed_by`` / ``commits`` /
+    ``commit_errors`` read the gateway's pump record.
     """
 
     def __init__(self, target: Union[SharingGateway, MedicalDataSharingSystem],
@@ -81,15 +68,24 @@ class AsyncSharingGateway:
         self._wake: Optional[asyncio.Event] = None
         self._terminal_event: Optional[asyncio.Event] = None
         self._stopping = False
-        self._subscribed = False
         #: request_id → future of a queued write awaiting its batch commit.
         self._pending: Dict[str, asyncio.Future] = {}
         self._in_flight = PeakGauge()
         self._reads_in_flight = PeakGauge()
-        self.commits = 0
-        self.commit_errors: List[str] = []
-        self.sealed_by: Dict[str, int] = {TRIGGER_DEPTH: 0, TRIGGER_DEADLINE: 0,
-                                          TRIGGER_IDLE: 0, TRIGGER_FLUSH: 0}
+        # The hook outlives the pump; it is a no-op while no loop is attached.
+        self.gateway.subscribe_terminal(self._on_terminal)
+
+    @property
+    def sealed_by(self) -> Dict[str, int]:
+        return self.gateway.pump_record()["triggers"]
+
+    @property
+    def commits(self) -> int:
+        return self.gateway.pump_record()["commits"]
+
+    @property
+    def commit_errors(self) -> List[str]:
+        return self.gateway.pump_record()["errors"]
 
     # ----------------------------------------------------------------- lifecycle
 
@@ -104,27 +100,20 @@ class AsyncSharingGateway:
         self._wake = asyncio.Event()
         self._terminal_event = asyncio.Event()
         self._stopping = False
-        if not self._subscribed:
-            self.gateway.subscribe_terminal(self._on_terminal)
-            self._subscribed = True
         self._pump_task = self._loop.create_task(self._commit_pump(),
                                                  name="gateway-commit-pump")
         return self
 
-    async def stop(self, flush: bool = True) -> None:
-        """Stop the pump; with ``flush`` (default) first drain queued writes
-        so every accepted request leaves with a terminal response.  A durable
-        response journal (gateway ``state_dir``) is fsynced on the way out so
-        a clean shutdown never leaves terminal responses buffered."""
-        if flush:
-            await self.drain()
+    async def stop(self) -> None:
+        """Stop the pump, then :meth:`drain`: every accepted request leaves
+        with a terminal response on stable storage and the replicas equal the
+        primary, so a clean shutdown ends like every other run."""
         self._stopping = True
-        if self._wake is not None:
-            self._wake.set()
         if self._pump_task is not None:
+            self._wake.set()
             await self._pump_task
             self._pump_task = None
-        self.gateway.flush_journal()
+        await self.drain()
 
     async def __aenter__(self) -> "AsyncSharingGateway":
         return await self.start()
@@ -153,22 +142,26 @@ class AsyncSharingGateway:
         batch containing them commits; reads are served on an executor
         thread (a cache miss waits for any in-flight commit there, not
         here); throttled/shed/rejected requests resolve immediately.
+
+        Every admission wakes the pump, whatever its outcome: the caller
+        advanced the simulated clock to get here, so a shed write or a read
+        turns the seal rule's deadline answer as a queued write its depth one.
         """
         if not self.running:
             raise RuntimeError("async gateway is not running; use 'async with' "
                                "or await start() first")
-        loop = self._loop
-        future: "asyncio.Future[GatewayResponse]" = loop.create_future()
         response, read_pending = self.gateway._admit(session, request)
+        self._wake.set()
         if read_pending:
             self._reads_in_flight.increment()
-            served = loop.run_in_executor(
+            served = self._loop.run_in_executor(
                 None, self.gateway._serve_read, session, request, response)
-            served.add_done_callback(lambda task: self._read_done(task, future))
-        elif response.status == STATUS_QUEUED:
+            served.add_done_callback(self._read_done)
+            return served
+        future: "asyncio.Future[GatewayResponse]" = self._loop.create_future()
+        if response.status == STATUS_QUEUED:
             self._pending[response.request_id] = future
             self._in_flight.increment()
-            self._wake.set()
         else:
             future.set_result(response)
         return future
@@ -178,31 +171,20 @@ class AsyncSharingGateway:
         """Admit a request and await its terminal response."""
         return await self.submit_nowait(session, request)
 
-    def _read_done(self, task: "asyncio.Future", future: "asyncio.Future") -> None:
+    def _read_done(self, _served: "asyncio.Future") -> None:
         self._reads_in_flight.decrement()
-        if self._terminal_event is not None:
-            self._terminal_event.set()
-        if future.done():
-            return
-        if task.cancelled():
-            future.cancel()
-        elif task.exception() is not None:
-            future.set_exception(task.exception())
-        else:
-            future.set_result(task.result())
+        self._terminal_event.set()
 
     # The gateway calls this on whichever thread finalised the response
     # (event loop for admission-time terminals, executor for batch commits);
     # the future itself is always resolved on the event loop.
     def _on_terminal(self, response: GatewayResponse) -> None:
         loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        loop.call_soon_threadsafe(self._resolve_future, response)
+        if loop is not None and not loop.is_closed():
+            loop.call_soon_threadsafe(self._resolve_future, response)
 
     def _resolve_future(self, response: GatewayResponse) -> None:
-        if self._terminal_event is not None:
-            self._terminal_event.set()
+        self._terminal_event.set()
         future = self._pending.pop(response.request_id, None)
         if future is None:
             return
@@ -212,98 +194,57 @@ class AsyncSharingGateway:
 
     # --------------------------------------------------------------- commit pump
 
-    def _seal_trigger(self, idle_expired: bool = False) -> Optional[str]:
-        """Which trigger (if any) says the pump should seal a batch now."""
-        gateway = self.gateway
-        if gateway.queue_depth == 0:
-            return None
-        if self._stopping:
-            return TRIGGER_FLUSH
-        if gateway.queue_depth >= self.seal_depth:
-            return TRIGGER_DEPTH
-        if self.max_delay > 0:
-            oldest = gateway.scheduler.oldest_enqueued_at
-            if (oldest is not None
-                    and gateway.system.simulator.clock.now() - oldest >= self.max_delay):
-                return TRIGGER_DEADLINE
-        if idle_expired:
-            return TRIGGER_IDLE
-        return None
-
     async def _commit_pump(self) -> None:
         loop = asyncio.get_running_loop()
-        while True:
-            trigger = self._seal_trigger()
-            if trigger is None:
-                if self._stopping and self.gateway.queue_depth == 0:
-                    return
-                # Clear-then-recheck so a wake between the check and the wait
-                # is never lost.
-                self._wake.clear()
-                trigger = self._seal_trigger()
-                if trigger is None:
-                    if self._stopping and self.gateway.queue_depth == 0:
-                        return
-                    timeout = self.idle_timeout if self.gateway.queue_depth else None
-                    try:
-                        await asyncio.wait_for(self._wake.wait(), timeout)
-                    except asyncio.TimeoutError:
-                        trigger = self._seal_trigger(idle_expired=True)
-                    if trigger is None:
-                        continue
-            await self._commit_in_executor(loop, trigger)
-
-    async def _commit_in_executor(self, loop: asyncio.AbstractEventLoop,
-                                  trigger: str) -> None:
-        """Run one batch commit off-loop; survive (and record) its failures.
-
-        ``sealed_by`` counts the trigger only when a batch was actually
-        planned — a racing drain()/pump pair may both answer one queue
-        build-up, and the loser's commit_once is a no-op that must not
-        inflate the stats.  A blown-up commit still counts: it consumed (and
-        terminal-failed) a planned batch.  The gateway terminal-fails every
-        member before re-raising, so the pump only notes the error.
-        """
-        try:
-            result = await loop.run_in_executor(
-                None, functools.partial(self.gateway.commit_once,
-                                        trigger=trigger))
-        except Exception as exc:  # noqa: BLE001 - the pump must survive
-            self.commit_errors.append(f"{type(exc).__name__}: {exc}")
-            self.sealed_by[trigger] += 1
-            return
-        if result is not None:
-            self.commits += 1
-            self.sealed_by[trigger] += 1
+        idle = False
+        while not self._stopping:
+            # Clear-then-check-then-wait: a wake after the check is kept.
+            self._wake.clear()
+            trigger = self.gateway.seal_trigger(self.seal_depth, self.max_delay, idle)
+            idle = False
+            if trigger is not None:
+                # Off-loop, so admission overlaps the consensus rounds.
+                await loop.run_in_executor(None, self.gateway.pump_once, trigger)
+                continue
+            timeout = self.idle_timeout if self.gateway.queue_depth else None
+            try:
+                await asyncio.wait_for(self._wake.wait(), timeout)
+            except asyncio.TimeoutError:
+                idle = True
 
     async def drain(self) -> None:
-        """Seal until no write is queued or awaiting its terminal response."""
+        """Flush until no write is queued or awaiting its terminal response
+        and no read is in flight, then finish through
+        :meth:`SharingGateway.drain` like every front end."""
         loop = asyncio.get_running_loop()
-        while True:
-            if self.gateway.queue_depth > 0:
-                await self._commit_in_executor(loop, TRIGGER_FLUSH)
+
+        def quiet() -> bool:
+            return (self.gateway.outstanding_writes == 0
+                    and self._reads_in_flight.value == 0)
+
+        while not quiet():  # a queued write is an outstanding one
+            trigger = self.gateway.seal_trigger(flushing=True)
+            if trigger is not None:
+                await loop.run_in_executor(None, self.gateway.pump_once, trigger)
                 continue
-            if (self.gateway.outstanding_writes == 0
-                    and self._reads_in_flight.value == 0):
-                return
             self._terminal_event.clear()
-            if (self.gateway.outstanding_writes == 0
-                    and self._reads_in_flight.value == 0):
-                return
-            await self._terminal_event.wait()
+            if not quiet():
+                await self._terminal_event.wait()
+        await loop.run_in_executor(None, self.gateway.drain)
 
     # ------------------------------------------------------------------- metrics
 
     def statistics(self) -> Dict[str, object]:
         """Transport-level stats: sealing triggers, pump health, in-flight."""
+        record = self.gateway.pump_record()  # one snapshot, so the three agree
         return {
             "transport": "async",
             "running": self.running,
             "seal_depth": self.seal_depth,
             "max_delay": self.max_delay,
-            "commits": self.commits,
-            "commit_errors": len(self.commit_errors),
-            "sealed_by": dict(self.sealed_by),
+            "commits": record["commits"],
+            "commit_errors": len(record["errors"]),
+            "sealed_by": record["triggers"],
             "pending_futures": self._in_flight.value,
             "pending_futures_peak": self._in_flight.peak,
             "reads_in_flight": self._reads_in_flight.value,
@@ -314,6 +255,4 @@ class AsyncSharingGateway:
 
     def metrics(self) -> Dict[str, object]:
         """The shared gateway metrics plus this transport's own section."""
-        merged = self.gateway.metrics()
-        merged["async_transport"] = self.statistics()
-        return merged
+        return {**self.gateway.metrics(), "async_transport": self.statistics()}

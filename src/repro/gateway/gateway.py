@@ -46,9 +46,11 @@ read-through loader, which takes ``_commit_lock``, outside it).  The
 :class:`WriteScheduler`'s internal lock and the :class:`ResponseJournal`'s
 lock (with its WAL backend's lock beneath it) are leaves: they guard only
 their own structure, and no gateway, cache or scheduler lock is ever acquired
-under them.  Every ``commit_once`` caller — :meth:`drain`, the worker pool in
-:mod:`repro.gateway.worker`, the asyncio pump in :mod:`repro.gateway.aio` —
-drains the same queue and serialises on ``_commit_lock``.
+under them.  Every ``commit_once`` caller — :meth:`drain`, the load test's
+sync loop, the worker pool in :mod:`repro.gateway.worker`, the asyncio pump in
+:mod:`repro.gateway.aio` — drains the same queue and serialises on
+``_commit_lock``; the pumps ask :meth:`SharingGateway.seal_trigger` *when* to
+commit, commit through ``pump_once`` and quiesce through :meth:`drain`.
 """
 
 from __future__ import annotations
@@ -357,12 +359,12 @@ class SharingGateway:
         self._enqueue_listeners: List[Callable[[int], None]] = []
         self._lock = threading.RLock()
         self._commit_lock = threading.RLock()
-        #: Commit-pump stats (every ``commit_once`` call, whichever transport
-        #: made it).  Updated under ``_lock`` inside commit_once; surfaced as
-        #: ``metrics()["transport"]["pumps"]["all"]``.
+        #: The commit pump's one record (every ``commit_once`` call, whichever
+        #: driver made it; updated under ``_lock``): the front ends' counters
+        #: are views of it, ``metrics()["transport"]["pump"]`` renders it.
         self._pump_stats: Dict[str, Any] = {
-            "commits": 0, "writes": 0, "empty_plans": 0, "deferred": 0,
-            "triggers": {}}
+            "commits": 0, "writes": 0, "empty_plans": 0, "deferred": 0, "errors": [],
+            "triggers": dict.fromkeys(("flush", "depth", "deadline", "idle"), 0)}
         # Durability: terminal responses are journaled to an on-disk WAL
         # (before terminal listeners fire), so a restarted gateway answers
         # old request-id lookups and in-memory responses can be evicted
@@ -600,7 +602,7 @@ class SharingGateway:
         # order of the async transport): by the time anything a listener
         # wakes runs, the response is appended to the WAL — durable
         # immediately under the ``always`` policy, at the next commit
-        # boundary (``journal.sync()`` in commit_once / flush_journal) under
+        # boundary (``journal.sync()`` in commit_once / drain) under
         # ``batch``.  The append is outside the admission lock so an
         # fsync-per-append policy never stalls admission.
         if self.journal is not None:
@@ -895,6 +897,53 @@ class SharingGateway:
         """Batch commits currently running their consensus rounds (0 or 1)."""
         return self._commits_in_flight.value
 
+    def seal_trigger(self, seal_depth: Optional[int] = None, max_delay: float = 0.0,
+                     idle: bool = False, flushing: bool = False) -> Optional[str]:
+        """The seal rule every pump driver asks: what says a batch should
+        commit now (None: nothing — an empty queue never seals), first match:
+
+        * ``"flush"`` — the caller is draining or stopping (``flushing``);
+        * ``"depth"`` — the queue holds ``seal_depth`` writes (default: the
+          scheduler's ``max_batch_size``) or is at capacity, whichever is
+          lower: past its capacity a bounded queue only sheds;
+        * ``"deadline"`` — the oldest queued write has waited ``max_delay``
+          simulated seconds (0 disables);
+        * ``"idle"`` — the caller saw arrivals go quiet (``idle``).
+        """
+        scheduler = self.scheduler
+        depth = scheduler.queue_depth
+        if depth == 0:
+            return None
+        if flushing:
+            return "flush"
+        if (depth >= (seal_depth or scheduler.max_batch_size)
+                or scheduler.at_capacity):
+            return "depth"
+        if max_delay > 0:
+            oldest = scheduler.oldest_enqueued_at
+            if (oldest is not None and
+                    self.system.simulator.clock.now() - oldest >= max_delay):
+                return "deadline"
+        return "idle" if idle else None
+
+    def pump_once(self, trigger: str) -> None:
+        """One pump step: commit the batch ``trigger`` sealed.  A pump must
+        survive a blown-up commit (every member was terminal-failed before
+        the re-raise), so the failure is kept in the pump record instead of
+        dying with the driver's thread or task."""
+        try:
+            self.commit_once(trigger)
+        except Exception as exc:  # noqa: BLE001 - the pump must survive
+            with self._lock:
+                self._pump_stats["errors"].append(f"{type(exc).__name__}: {exc}")
+
+    def pump_record(self) -> Dict[str, Any]:
+        """A snapshot of the commit pump's record (see ``_pump_stats``)."""
+        pump = self._pump_stats
+        with self._lock:
+            return {**pump, "triggers": dict(pump["triggers"]),
+                    "errors": list(pump["errors"])}
+
     def commit_once(self, trigger: Optional[str] = None) -> Optional[BatchCommitResult]:
         """Plan and commit one batch; None when the queue is empty.
 
@@ -905,8 +954,9 @@ class SharingGateway:
         consensus rounds, so new requests keep being admitted — and queued
         for the *next* batch — while this one is mining.
 
-        ``trigger`` labels the commit's trace span with what sealed the
-        batch (the async pump's depth/deadline/idle/flush, or "worker").
+        ``trigger`` is :meth:`seal_trigger`'s answer when a pump asked: it
+        labels the trace span and is counted once per *planned* batch (not
+        for a racing pump's empty plan; a commit that blows up still counts).
         """
         with self._commit_lock:
             with self.tracer.span("gateway.commit") as span:
@@ -918,13 +968,13 @@ class SharingGateway:
                         plan_span.annotate(groups=len(plan.groups),
                                            size=plan.size)
                     pump = self._pump_stats
-                    if trigger is not None:
-                        pump["triggers"][trigger] = (
-                            pump["triggers"].get(trigger, 0) + 1)
                     if plan.is_empty:
                         pump["empty_plans"] += 1
                         span.annotate(empty=True)
                         return None
+                    if trigger is not None:
+                        pump["triggers"][trigger] = (
+                            pump["triggers"].get(trigger, 0) + 1)
                     pump["commits"] += 1
                     pump["writes"] += plan.size
                     pump["deferred"] += plan.deferred
@@ -1022,27 +1072,26 @@ class SharingGateway:
             self._journal_bytes_reclaimed.inc(stats["bytes_reclaimed"])
 
     def drain(self, max_batches: int = 1_000) -> int:
-        """Commit batches until the write queue is empty; returns batch count."""
+        """Commit batches until the write queue is empty; returns batch count.
+
+        The one end-of-run quiesce — every front end's drain / stop /
+        ``join_idle`` finishes here: responses finalised outside a batch
+        (reads, sheds) reach stable storage and a forced shipment converges
+        every replica to the primary's exact state (the fingerprint oracle).
+        """
         committed = 0
-        while committed < max_batches:
-            if self.commit_once() is None:
-                break
+        while committed < max_batches and self.commit_once() is not None:
             committed += 1
-        self.flush_journal()
-        # Quiesce the fleet: an unconditional final shipment converges every
-        # replica to the primary's exact state (the fingerprint oracle).
-        if self.shipper is not None:
-            self.shipper.ship(force=True)
+        # Under the commit lock, as every shipment: a pump may still be committing.
+        with self._commit_lock:
+            if self.journal is not None:
+                self.journal.sync()
+            if self.shipper is not None:
+                self.shipper.ship(force=True)
         return committed
 
-    def flush_journal(self) -> None:
-        """Force journaled responses to stable storage (a commit boundary for
-        terminal responses finalised outside a batch, e.g. reads and sheds)."""
-        if self.journal is not None:
-            self.journal.sync()
-
     def close(self) -> None:
-        """Flush and close the durable journal (no-op without ``state_dir``)."""
+        """Flush and close the journal (idempotent; no-op without ``state_dir``)."""
         if self.journal is not None:
             self.journal.sync()
             self.journal.close()
@@ -1156,10 +1205,7 @@ class SharingGateway:
                     "commits_in_flight_peak": self._commits_in_flight.peak,
                     "admitted_during_commit": self._admitted_during_commit.value,
                     "outstanding_writes_peak": self._outstanding.peak,
-                    "pumps": {"all": {
-                        **self._pump_stats,
-                        "triggers": dict(sorted(
-                            self._pump_stats["triggers"].items()))}},
+                    "pump": self.pump_record(),
                 },
                 "batches": {
                     "committed": batches,

@@ -196,12 +196,12 @@ class WriteScheduler:
     def oldest_enqueued_at(self) -> Optional[float]:
         """Simulated enqueue time of the oldest queued write (None if empty).
 
-        The async transport's commit pump uses this for its deadline trigger:
-        a batch is sealed once the head of the queue has waited ``max_delay``
-        simulated seconds, even if the depth trigger has not fired.  The pump
-        reads this from the event loop while a commit plans on an executor
-        thread, so an emptied-underneath-us queue is answered with None, not
-        an IndexError.
+        The gateway's seal rule uses this for its deadline trigger: a batch
+        is sealed once the head of the queue has waited ``max_delay``
+        simulated seconds, even if the depth trigger has not fired.  A pump
+        asks the rule from its own thread while a commit plans on another,
+        so an emptied-underneath-us queue is answered with None, not an
+        IndexError.
         """
         try:
             return self._queue[0].enqueued_at

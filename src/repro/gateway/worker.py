@@ -1,19 +1,17 @@
 """A worker pool draining the gateway's write queue.
 
-Workers are real threads multiplexed over the *simulated* clock: each worker
-repeatedly asks the gateway to plan-and-commit one batch.  The gateway's
+Workers are real threads multiplexed over the *simulated* clock, each an
+always-idle driver of the gateway's commit pump: it asks the seal rule with
+``idle`` set, so it commits the moment anything is queued.  The gateway's
 commit lock makes a commit atomic while admission stays open, so the pool
 models the concurrency of a serving tier (many drainers, shared queue, safe
 interleaving) while the ledger rounds themselves stay deterministic.
 
-Idle workers do not sleep-poll: they wait on an event the gateway's enqueue
-hook sets, and :meth:`GatewayWorkerPool.join_idle` waits on the gateway's
-terminal-response hook — so tests synchronise on real state transitions
-rather than timing.
-
-For fully deterministic unit tests prefer :meth:`SharingGateway.drain`; the
-pool exists to serve continuous traffic and to prove the locking is sound
-under genuine thread interleaving.
+Nothing sleep-polls: idle workers wait on an event the gateway's enqueue hook
+sets and :meth:`GatewayWorkerPool.join_idle` on its terminal-response hook, so
+tests synchronise on real state transitions rather than timing.  For fully
+deterministic unit tests prefer :meth:`SharingGateway.drain`; the pool exists
+to prove the locking is sound under genuine thread interleaving.
 """
 
 from __future__ import annotations
@@ -26,7 +24,8 @@ from repro.gateway.gateway import SharingGateway
 
 
 class GatewayWorkerPool:
-    """N worker threads calling :meth:`SharingGateway.commit_once` in a loop."""
+    """N worker threads pumping :meth:`SharingGateway.pump_once` in a loop;
+    ``batches_committed`` and ``errors`` read the gateway's pump record."""
 
     def __init__(self, gateway: SharingGateway, workers: int = 2):
         if workers < 1:
@@ -35,29 +34,26 @@ class GatewayWorkerPool:
         self.worker_count = workers
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        #: Set by the gateway's enqueue hook: work is (probably) available.
         self._work_available = threading.Event()
-        #: Set by the gateway's terminal hook: a response just turned terminal.
         self._response_terminal = threading.Event()
-        self._subscribed = False
-        self.batches_committed = 0
-        #: Errors raised by commits inside workers (the gateway has already
-        #: terminal-failed the affected responses; recorded here so the
-        #: failure is observable instead of dying with the thread).
-        self.errors: List[str] = []
-        self._counter_lock = threading.Lock()
+        # Hooks outlive the pool; they only set events, so firing into a
+        # stopped pool is harmless.
+        gateway.subscribe_enqueue(lambda _depth: self._work_available.set())
+        gateway.subscribe_terminal(lambda _resp: self._response_terminal.set())
+
+    @property
+    def batches_committed(self) -> int:
+        return self.gateway.pump_record()["commits"]
+
+    @property
+    def errors(self) -> List[str]:
+        return self.gateway.pump_record()["errors"]
 
     # ---------------------------------------------------------------- lifecycle
 
     def start(self) -> None:
         if self._threads:
             raise RuntimeError("worker pool is already running")
-        if not self._subscribed:
-            # Hooks outlive the pool; they only set events, so firing into a
-            # stopped pool is harmless.
-            self.gateway.subscribe_enqueue(lambda _depth: self._work_available.set())
-            self.gateway.subscribe_terminal(lambda _resp: self._response_terminal.set())
-            self._subscribed = True
         self._stop.clear()
         for index in range(self.worker_count):
             thread = threading.Thread(target=self._run, name=f"gateway-worker-{index}",
@@ -65,12 +61,12 @@ class GatewayWorkerPool:
             self._threads.append(thread)
             thread.start()
 
-    def stop(self, wait: bool = True) -> None:
+    def stop(self) -> None:
+        """Stop the workers once they have flushed what is still queued."""
         self._stop.set()
         self._work_available.set()
-        if wait:
-            for thread in self._threads:
-                thread.join()
+        for thread in self._threads:
+            thread.join()
         self._threads = []
 
     def __enter__(self) -> "GatewayWorkerPool":
@@ -88,30 +84,23 @@ class GatewayWorkerPool:
 
     def _run(self) -> None:
         while True:
-            try:
-                result = self.gateway.commit_once(trigger="worker")
-            except Exception as exc:  # noqa: BLE001 - a worker must survive
-                with self._counter_lock:
-                    self.errors.append(f"{type(exc).__name__}: {exc}")
-                result = None
-            if result is not None:
-                with self._counter_lock:
-                    self.batches_committed += 1
-                continue
-            if self._stop.is_set():
-                return
-            # Clear-then-check-then-wait: an enqueue between the check and
-            # the wait re-sets the event, so no wakeup is ever lost.
+            # Clear-then-check-then-wait: an enqueue after the check re-sets
+            # the event, so no wakeup is ever lost.
             self._work_available.clear()
-            if self.gateway.queue_depth > 0 or self._stop.is_set():
-                continue
-            # Idle workers block on the enqueue event; the timeout is only a
-            # fallback re-check (defence in depth against an enqueue path
-            # that bypassed the hook).
-            self._work_available.wait(timeout=0.1)
+            stopping = self._stop.is_set()
+            trigger = self.gateway.seal_trigger(idle=True, flushing=stopping)
+            if trigger is not None:
+                self.gateway.pump_once(trigger)
+            elif stopping:
+                return
+            else:
+                # The timeout is only a fallback re-check (defence in depth
+                # against an enqueue path that bypassed the hook).
+                self._work_available.wait(timeout=0.1)
 
     def join_idle(self, timeout: float = 10.0) -> bool:
-        """Block until every accepted write has a terminal response.
+        """Block until every accepted write has a terminal response, then
+        finish through :meth:`SharingGateway.drain` like every front end.
 
         Returns False if ``timeout`` *real* seconds elapse first.  Waits on
         the gateway's terminal-response hook, not a sleep loop.
@@ -120,8 +109,9 @@ class GatewayWorkerPool:
         while True:
             self._response_terminal.clear()
             if self.gateway.outstanding_writes == 0:
+                self.gateway.drain()
                 return True
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                return self.gateway.outstanding_writes == 0
+                return False
             self._response_terminal.wait(remaining)

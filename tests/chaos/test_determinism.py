@@ -164,3 +164,26 @@ class TestExportDeterminism:
         for line in lines:
             event = json.loads(line)
             assert {"seq", "time", "kind", "target", "outcome"} <= set(event)
+
+
+class TestChaosCountersReachTheRegistry:
+    """The injector, the retriers and the gateway share one registry, so the
+    snapshot ``repro metrics`` prints names every injected fault and retry."""
+
+    def test_registry_counters_agree_with_the_event_log(self, tmp_path):
+        plan = FaultPlan(seed=7, specs=(
+            FaultSpec(kind="transport.drop", probability=0.1, max_fires=5),
+            FaultSpec(kind="consensus.fail", probability=0.3, max_fires=4),
+            FaultSpec(kind="wal.fsync", probability=0.2, max_fires=3)))
+        result = run_gateway_loadtest(
+            tenants=3, duration=8.0, seed=23, interval=1.0,
+            state_dir=str(tmp_path), chaos=plan, registry=True)
+        by_kind = result["chaos"]["events_by_kind"]
+        counters = result["registry"]["counters"]
+        assert by_kind["consensus.fail"] > 0 and by_kind["transport.drop"] > 0
+        assert {kind: counters[f'chaos_faults_injected{{kind="{kind}"}}']
+                for kind in by_kind} == by_kind
+        # Every failed consensus round was retried, none gave up.
+        assert counters['chaos_retries{scope="consensus"}'] == by_kind["consensus.fail"]
+        assert counters['chaos_retries_exhausted{scope="consensus"}'] == 0
+        assert counters['chaos_retries{scope="wal:journal"}'] == by_kind["wal.fsync"]

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.config import SystemConfig
+from repro.core.records import schema_for_attributes
 from repro.core.scenario import DOCTOR_RESEARCHER_TABLE, PATIENT_DOCTOR_TABLE
-from repro.errors import UpdateRejected
+from repro.core.sharing import SharingAgreement, ViewSpec
+from repro.core.system import MedicalDataSharingSystem
+from repro.errors import UpdateRejected, WorkflowError
 
 
 class TestReadOperation:
@@ -219,3 +223,72 @@ class TestSerializationOfConcurrentUpdates:
         receipt2 = researcher_app.node.chain.receipt(tx2.tx_hash)
         assert receipt1.success
         assert not receipt2.success  # blocked: the doctor had not fetched update 1
+
+
+def build_clinics(hops, ring=False):
+    """``hops + 1`` clinics, each keeping one dosage table and sharing it with
+    the next one along (table ``HOP<i>`` between clinic ``i`` and ``i + 1``):
+    an update at one end re-shares hop by hop, one cascade level per hop.
+    ``ring`` also shares the last clinic's table back with the first, closing
+    the dependencies into a cycle."""
+    system = MedicalDataSharingSystem(SystemConfig.private_chain(1.0))
+    schema = schema_for_attributes(["patient_id", "dosage"],
+                                   primary_key=["patient_id"])
+    names = [f"clinic-{index}" for index in range(hops + 1)]
+    for name in names:
+        system.add_peer(name, "Doctor").database.create_table(
+            "B", schema, [{"patient_id": 188, "dosage": "one tablet"}])
+    system.deploy_contracts(names[0])
+    pairs = list(zip(names, names[1:])) + ([(names[-1], names[0])] if ring else [])
+    for index, (sender, receiver) in enumerate(pairs):
+        columns = ("patient_id", "dosage")
+        system.establish_sharing(SharingAgreement.build(
+            metadata_id=f"HOP{index}",
+            peer_a=sender, role_a="Doctor",
+            spec_a=ViewSpec(source_table="B", view_name=f"out{index}",
+                            columns=columns, view_key=("patient_id",)),
+            peer_b=receiver, role_b="Doctor",
+            spec_b=ViewSpec(source_table="B", view_name=f"in{index}",
+                            columns=columns, view_key=("patient_id",)),
+            write_permission={"patient_id": ("Doctor",), "dosage": ("Doctor",)},
+            authority_role="Doctor", initiator=sender))
+    return system, names
+
+
+def dosages(system, names):
+    return [system.peer(name).local_table("B").get(188)["dosage"] for name in names]
+
+
+class TestCascadeDepthGuard:
+    """``_cascade`` refuses to re-share past depth 8."""
+
+    def test_eight_cascade_levels_are_supported(self):
+        system, names = build_clinics(hops=9)
+        trace = system.coordinator.update_shared_entry(
+            names[0], "HOP0", (188,), {"dosage": "two tablets"})
+        assert trace.succeeded
+        assert trace.cascaded_metadata_ids == [f"HOP{index}" for index in range(1, 9)]
+        assert dosages(system, names) == ["two tablets"] * 10
+
+    def test_a_ninth_level_raises(self):
+        system, names = build_clinics(hops=10)
+        with pytest.raises(WorkflowError, match="exceeded the supported depth"):
+            system.coordinator.update_shared_entry(
+                names[0], "HOP0", (188,), {"dosage": "two tablets"})
+        # Every hop up to the guard was installed; the one past it never ran.
+        assert dosages(system, names) == ["two tablets"] * 10 + ["one tablet"]
+
+    def test_a_dependency_cycle_converges_before_the_guard(self):
+        """A cycle of well-behaved lenses cannot reach the guard: once the
+        change is back where it started nothing differs, so nothing is
+        re-shared — only a chain longer than the guard trips it."""
+        system, names = build_clinics(hops=2, ring=True)
+        trace = system.coordinator.update_shared_entry(
+            names[0], "HOP0", (188,), {"dosage": "two tablets"})
+        assert trace.succeeded
+        # Both ways round the ring at once (the initiator re-shares its own
+        # edit along HOP2 too), and then it stops.
+        assert set(trace.cascaded_metadata_ids) == {"HOP1", "HOP2"}
+        assert len(trace.cascaded_metadata_ids) <= 3
+        assert dosages(system, names) == ["two tablets"] * 3
+        assert system.all_shared_tables_consistent()

@@ -274,8 +274,8 @@ class TestPumpTriggers:
             await front.start()
             session = front.open_session(peer)
             future = front.submit_nowait(session, update_for(metadata_id, "later"))
-            # stop(flush=True) is the default and must resolve the write even
-            # though no trigger fired yet.
+            # stop() drains: it must resolve the write even though no
+            # trigger fired yet.
             await front.stop()
             assert not front.running
             assert future.done()
