@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ConsensusConfig
-from repro.crypto.keys import generate_keypair
+from repro.crypto.keys import ORDER, generate_keypair
 from repro.errors import ConsensusError, InvalidBlockError, InvalidTransactionError
 from repro.ledger.block import Block, BlockHeader, make_genesis_block
 from repro.ledger.clock import SimClock
@@ -47,6 +47,32 @@ class TestMempool:
                                                             unsigned.tx_hash}
         assert all(reason for _tx_obj, reason in rejected)
         assert len(pool) == 2
+
+    @pytest.mark.parametrize("orders", [1, 3])
+    def test_rejects_a_malleated_signature(self, orders):
+        """``response + k*ORDER`` satisfies the Schnorr equation and changes the
+        hash: admitted, one signed transaction would be unboundedly many, each
+        new to every node's seen-set and to the shared decode table."""
+        tx = _tx()
+        wire = tx.to_dict()
+        response = int(wire["signature"]["response"], 16) + orders * ORDER
+        twin = Transaction.from_dict(
+            {**wire, "signature": {**wire["signature"], "response": hex(response)}})
+        assert twin.tx_hash != tx.tx_hash
+        assert not twin.verify_signature()
+        pool = Mempool()
+        with pytest.raises(InvalidTransactionError, match="invalid signature"):
+            pool.submit(twin)
+        assert pool.rejected_count == 1 and len(pool) == 0
+        assert Transaction.from_dict(wire).verify_signature()
+        pool.submit(Transaction.from_dict(wire))
+
+    def test_a_negative_signature_value_does_not_decode(self):
+        wire = _tx().to_dict()
+        response = int(wire["signature"]["response"], 16) - ORDER
+        with pytest.raises(ValueError, match="non-negative"):
+            Transaction.from_dict(
+                {**wire, "signature": {**wire["signature"], "response": hex(response)}})
 
     def test_rejects_duplicates(self):
         pool = Mempool()
