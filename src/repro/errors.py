@@ -247,6 +247,11 @@ class FleetProtocolError(FleetError):
     (out-of-sequence reply, unexpected kind, undecodable frame)."""
 
 
+class ReceiveTimeout(FleetProtocolError):
+    """Nothing arrived within a receive's timeout.  No byte of a frame was
+    consumed, so the stream is intact and the receive may be retried."""
+
+
 class WorkerCrashError(FleetError):
     """A worker process died before delivering its reply.
 

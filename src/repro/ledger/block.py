@@ -8,15 +8,37 @@ signer) lives in the header.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import copysign
 from typing import Optional, Tuple
 
 from repro.crypto.hashing import hash_payload
 from repro.crypto.merkle import MerkleTree
 from repro.errors import InvalidBlockError
-from repro.ledger.transaction import Transaction
+from repro.ledger.transaction import (
+    HEADER_DIGEST_TABLE_SIZE,
+    MERKLE_ROOT_TABLE_SIZE,
+    Transaction,
+)
 
 #: Previous-hash value of the genesis block.
 GENESIS_PARENT = "0" * 64
+
+#: The type each header field is declared with, in field order.
+_HEADER_FIELD_TYPES = (int, str, str, float, str, int, str, str)
+
+
+@lru_cache(maxsize=HEADER_DIGEST_TABLE_SIZE)
+def _header_digest(fields: tuple, sealed: bool) -> str:
+    """Per-process *content* memo of :meth:`BlockHeader.digest`: a digest is a
+    pure function of the field values, so replicas holding equal headers ask
+    once between them while each keeps its own mutable header; an edited
+    header is another key and gets its own, true digest."""
+    return BlockHeader(*fields).digest(sealed, memoise=False)
+
+
+#: The same for :meth:`Block.compute_merkle_root`, keyed by the transaction hashes.
+_merkle_root = lru_cache(maxsize=MERKLE_ROOT_TABLE_SIZE)(MerkleTree.root_of)
 
 
 @dataclass
@@ -44,9 +66,31 @@ class BlockHeader:
             "state_root": self.state_root,
         }
 
+    def digest(self, sealed: bool = True, memoise: bool = True) -> str:
+        """The block hash (``sealed``) or the PoA seal commitment (not).
+
+        Looked up by value unless ``memoise`` is off — the PoW nonce search,
+        whose failed candidates would only flush the table.  The lookup
+        compares keys with ``==``, which merges what canonical JSON spells
+        apart (``2`` / ``2.0``, ``1`` / ``True``, ``0.0`` / ``-0.0``), so only
+        a header whose fields have exactly their declared types is looked up;
+        any other is hashed directly.
+        """
+        if memoise:
+            fields = (self.number, self.parent_hash, self.merkle_root, self.timestamp,
+                      self.proposer, self.nonce, self.seal if sealed else "",
+                      self.state_root)
+            if (tuple(map(type, fields)) == _HEADER_FIELD_TYPES
+                    and copysign(1.0, self.timestamp) == 1.0):
+                return _header_digest(fields, sealed)
+        body = self.to_dict()
+        if not sealed:
+            del body["seal"]
+        return hash_payload(body)
+
     @property
     def block_hash(self) -> str:
-        return hash_payload(self.to_dict())
+        return self.digest()
 
 
 @dataclass
@@ -79,7 +123,7 @@ class Block:
         return tuple(tx.tx_hash for tx in self.transactions)
 
     def compute_merkle_root(self) -> str:
-        return MerkleTree.root_of(self.transaction_hashes())
+        return _merkle_root(self.transaction_hashes())
 
     def verify_merkle_root(self) -> bool:
         """True when the header's Merkle root matches the transaction list."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.config import ConsensusConfig
-from repro.crypto.hashing import hash_payload
 from repro.errors import ConsensusError, InvalidBlockError
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.clock import SimClock
@@ -67,9 +66,7 @@ class ProofOfAuthority(ConsensusEngine):
         """The authority's commitment covers every header field except the seal
         itself, so tampering with any field (timestamp, Merkle root, ...) is
         detectable even on the chain tip."""
-        body = header.to_dict()
-        body.pop("seal", None)
-        return hash_payload(body)
+        return header.digest(sealed=False)
 
     def seal(self, header: BlockHeader, clock: SimClock) -> BlockHeader:
         if not self.is_authority(header.proposer):
@@ -112,7 +109,7 @@ class ProofOfWork(ConsensusEngine):
         header.nonce = 0
         while True:
             attempts += 1
-            if self._meets_target(header.block_hash):
+            if self._meets_target(header.digest(memoise=False)):
                 break
             header.nonce += 1
             if attempts > 2_000_000:  # pragma: no cover - guard against misconfiguration

@@ -28,6 +28,11 @@ from repro.errors import InvalidTransactionError
 #: decode-side sibling of ``repro.crypto.signatures.VERIFY_MEMO_SIZE``).
 DECODE_TABLE_SIZE = 4096
 
+#: Header digests (block hash and PoA seal commitment, one entry each per
+#: header) and Merkle roots :mod:`repro.ledger.block` keeps, per process.
+HEADER_DIGEST_TABLE_SIZE = 1024
+MERKLE_ROOT_TABLE_SIZE = 1024
+
 
 class FrozenDict(dict):
     """A dict whose mutating methods raise.

@@ -29,6 +29,9 @@ class Message:
     attempt:
         Delivery attempt number; a retransmission of a dropped message is a
         fresh envelope with ``attempt`` bumped.
+    wire_bytes:
+        Encoded length of the payload when the transport has a wire codec
+        attached (0 without one); counted once per delivery.
     """
 
     sender: str
@@ -40,6 +43,7 @@ class Message:
     dropped: bool = False
     attempt: int = 1
     message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
+    wire_bytes: int = 0
 
     @property
     def latency(self) -> Optional[float]:

@@ -7,10 +7,18 @@ world state — the consensus property the paper relies on ("each node will
 conduct the smart contract locally").
 
 Per node: mempool, chain (its ``Block``/``BlockHeader`` objects included),
-contract execution, receipts, events, and *asking* whether each signature is
-valid, at admission and at block validation.  Per process: decoding a signed
-transaction — ``Transaction.from_dict`` hands every node the same frozen
-instance, which carries its hash, signature verdict and gas size.
+contract execution, receipts, events, and *asking* — whether each signature is
+valid, at admission and at block validation, and whether each block's linkage,
+seal, Merkle root and size hold.  Per process, the answers that are pure
+functions of content: decoding a signed transaction (``Transaction.from_dict``
+hands every node the same frozen instance, which carries its hash, signature
+verdict and gas size); the block hash and seal commitment of a header's field
+values and the Merkle root of a list of transaction hashes
+(:mod:`repro.ledger.block` looks them up by value, so a node that edits its
+own header asks a different question and gets that header's true digest); and,
+with a wire codec attached, the one encode/decode round trip of a broadcast
+body — every recipient's handler reads the same decoded body and leaves it
+as it found it, while ``wire_messages``/``wire_bytes`` count each delivery.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ the exposure benchmark audits.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.chaos import NULL_INJECTOR, RetryPolicy
 from repro.config import NetworkConfig
@@ -43,7 +44,7 @@ class SimTransport:
         self.config = config
         self._rng = random.Random(config.seed)
         self._handlers: Dict[str, MessageHandler] = {}
-        self._queue: List[Message] = []
+        self._queue: Deque[Message] = deque()
         self._log: List[Message] = []
         self._delivered_count = 0
         self._dropped_count = 0
@@ -66,15 +67,18 @@ class SimTransport:
             self.retry_policy = retry_policy
 
     def configure_wire_codec(self, codec) -> None:
-        """Round-trip every delivered payload through a wire codec.
+        """Round-trip every sent payload through a wire codec.
 
         ``codec`` is a :class:`~repro.runtime.codec.WireCodec` or registry
         name (``None`` disables the seam — the default, which leaves
         delivery byte-identical to the seed).  With a codec attached, each
-        payload is encoded and decoded at the delivery boundary, proving
-        the traffic fits the codec's wire model and measuring its encoded
-        size (``wire_messages``/``wire_bytes`` in :attr:`statistics`)
-        before any peer is moved out of process.
+        body is encoded and decoded once, when it is sent — a broadcast is
+        one body, whatever its fan-out — proving the traffic fits the
+        codec's wire model: every recipient's handler sees that one decoded
+        body, exactly what a remote peer would decode, and must not modify
+        it.  The encoded size is counted per *delivery*
+        (``wire_messages``/``wire_bytes`` in :attr:`statistics`), as the
+        bytes a real wire would carry to each peer.
         """
         if codec is None:
             self._wire_codec = None
@@ -100,26 +104,50 @@ class SimTransport:
         """Queue a message for delivery; returns the envelope."""
         if recipient not in self._handlers:
             raise UnknownPeerError(f"unknown recipient {recipient!r}")
+        return self._enqueue(sender, recipient, kind, *self._wire_body(payload))
+
+    def broadcast(self, sender: str, kind: str, payload: Optional[Mapping[str, Any]] = None,
+                  exclude: Tuple[str, ...] = ()) -> List[Message]:
+        """Send the same message to every registered peer except ``sender``/``exclude``.
+
+        Every envelope carries the same body object, which handlers read and
+        never modify.
+        """
+        recipients = [name for name in self._handlers
+                      if name != sender and name not in exclude]
+        if not recipients:
+            return []
+        body, wire_bytes = self._wire_body(payload)
+        return [self._enqueue(sender, name, kind, body, wire_bytes)
+                for name in recipients]
+
+    def _wire_body(self, payload: Optional[Mapping[str, Any]]) -> Tuple[Dict[str, Any], int]:
+        """The body the recipients' handlers will see, and its encoded length.
+
+        With a wire codec that is one round trip — the in-process rehearsal
+        of a real wire; without, a shallow copy and no length.
+        """
+        body = dict(payload or {})
+        if self._wire_codec is None:
+            return body, 0
+        data = self._wire_codec.encode(body)
+        return self._wire_codec.decode(data), len(data)
+
+    def _enqueue(self, sender: str, recipient: str, kind: str, body: Dict[str, Any],
+                 wire_bytes: int, attempt: int = 1) -> Message:
+        """The one place an envelope is made, queued and logged."""
         message = Message(
             sender=sender,
             recipient=recipient,
             kind=kind,
-            payload=dict(payload or {}),
+            payload=body,
             sent_at=self.clock.now(),
+            attempt=attempt,
+            wire_bytes=wire_bytes,
         )
         self._queue.append(message)
         self._log.append(message)
         return message
-
-    def broadcast(self, sender: str, kind: str, payload: Optional[Mapping[str, Any]] = None,
-                  exclude: Tuple[str, ...] = ()) -> List[Message]:
-        """Send the same message to every registered peer except ``sender``/``exclude``."""
-        messages = []
-        for name in self._handlers:
-            if name == sender or name in exclude:
-                continue
-            messages.append(self.send(sender, name, kind, payload))
-        return messages
 
     # ----------------------------------------------------------------- delivery
 
@@ -141,7 +169,7 @@ class SimTransport:
             if not self._queue and not self._release_parked():
                 break
             while self._queue:
-                message = self._queue.pop(0)
+                message = self._queue.popleft()
                 if (message.attempt > 0
                         and self.injector.active("peer.crash",
                                                  message.recipient)):
@@ -164,13 +192,9 @@ class SimTransport:
                 handler = self._handlers.get(message.recipient)
                 if handler is None:
                     raise UnknownPeerError(f"recipient {message.recipient!r} vanished")
-                if self._wire_codec is not None:
-                    # The in-process rehearsal of a real wire: the handler
-                    # sees exactly what a remote peer would decode.
-                    data = self._wire_codec.encode(message.payload)
+                if message.wire_bytes:
                     self._wire_messages += 1
-                    self._wire_bytes += len(data)
-                    message.payload = self._wire_codec.decode(data)
+                    self._wire_bytes += message.wire_bytes
                 handler(message)
                 delivered += 1
                 self._delivered_count += 1
@@ -197,16 +221,9 @@ class SimTransport:
         backoff = policy.backoff(message.attempt, self._retry_rng)
         if advance_clock:
             self.clock.advance(backoff)
-        clone = Message(
-            sender=message.sender,
-            recipient=message.recipient,
-            kind=message.kind,
-            payload=dict(message.payload),
-            sent_at=self.clock.now(),
-            attempt=message.attempt + 1,
-        )
-        self._queue.append(clone)
-        self._log.append(clone)
+        self._enqueue(message.sender, message.recipient, message.kind,
+                      message.payload, message.wire_bytes,
+                      attempt=message.attempt + 1)
         self._retransmit_count += 1
 
     def _release_parked(self) -> bool:
@@ -225,7 +242,7 @@ class SimTransport:
             replay = self._parked.pop(recipient)
             for message in replay:
                 message.attempt = 0
-            self._queue = replay + self._queue
+            self._queue.extendleft(reversed(replay))
             released = bool(replay) or released
         return released
 

@@ -22,10 +22,12 @@ protocol errors regardless of the medium underneath:
 from __future__ import annotations
 
 import queue
+import select
 import socket
+import time
 from typing import Any, Dict, Optional
 
-from repro.errors import CodecError, FleetProtocolError
+from repro.errors import CodecError, FleetProtocolError, ReceiveTimeout
 from repro.runtime.codec import WireCodec, get_codec, read_frame, write_frame
 from repro.runtime.envelope import Envelope, EnvelopeChannel
 
@@ -68,9 +70,10 @@ class Transport:
         """Receive the next envelope, verifying sequence discipline.
 
         Returns ``None`` on clean end-of-stream.  Raises
-        :class:`FleetProtocolError` on timeout, torn frames, or sequence
-        gaps — all of which mean the peer broke protocol, not that there
-        is simply nothing to read yet.
+        :class:`ReceiveTimeout` when nothing arrived within ``timeout`` — the
+        stream is intact and ``receive`` may be called again — and a plain
+        :class:`FleetProtocolError` on a frame that stalls half-read, a torn
+        frame or a sequence gap, all of which mean the peer broke protocol.
         """
         envelope = self._collect(timeout)
         if envelope is None:
@@ -140,7 +143,7 @@ class LoopbackTransport(Transport):
         try:
             envelope = self._inbox.get(timeout=timeout)
         except queue.Empty:
-            raise FleetProtocolError(
+            raise ReceiveTimeout(
                 f"loopback receive on {self.name!r} timed out after {timeout}s"
             ) from None
         if envelope is None:
@@ -154,21 +157,36 @@ class LoopbackTransport(Transport):
         self._outbox.put(None)
 
 
+class _DeadlineReader:
+    """The ``read`` :func:`read_frame` needs, straight off a socket.
+
+    Nothing is buffered, so a timeout strands no bytes; every ``recv`` of one
+    frame waits (in ``select``, the socket stays blocking) against the same
+    deadline, and ``consumed`` tells a frame that never started from one that
+    stalled.
+    """
+
+    def __init__(self, sock: socket.socket, timeout: Optional[float]):
+        self._sock = sock
+        self._deadline = None if timeout is None else time.monotonic() + timeout
+        self.consumed = 0
+
+    def read(self, count: int) -> bytes:
+        if self._deadline is not None:
+            remaining = max(0.0, self._deadline - time.monotonic())
+            if not select.select([self._sock], [], [], remaining)[0]:
+                raise socket.timeout()
+        chunk = self._sock.recv(count)
+        self.consumed += len(chunk)
+        return chunk
+
+
 class MultiprocessTransport(Transport):
     """Socket transport with length-prefixed frames.
 
     Each envelope is ``codec.encode(envelope.to_dict())`` behind a 4-byte
     big-endian length prefix.  The codec defaults to ``canonical-json``;
     the deterministic ``binary`` codec plugs in behind the same API.
-
-    .. warning:: a receive timeout **poisons the transport**.  Frames are
-       read through a buffered ``makefile`` reader; a timeout that fires
-       mid-frame leaves partially-consumed bytes in the buffer, permanently
-       desyncing the stream.  That is why the timeout surfaces as a fatal
-       :class:`FleetProtocolError` rather than a retryable "nothing yet":
-       after one, the peer is presumed broken and the transport must be
-       abandoned (the fleet coordinator treats it as a worker crash), never
-       ``receive``\\ d from again.
     """
 
     def __init__(self, name: str, sock: socket.socket,
@@ -177,7 +195,6 @@ class MultiprocessTransport(Transport):
         if self.codec is None:
             self.codec = get_codec(None)
         self._sock = sock
-        self._reader = sock.makefile("rb")
         self._writer = sock.makefile("wb")
 
     @classmethod
@@ -201,16 +218,19 @@ class MultiprocessTransport(Transport):
 
     def _collect(self, timeout: Optional[float]) -> Optional[Envelope]:
         assert self.codec is not None
-        self._sock.settimeout(timeout)
+        reader = _DeadlineReader(self._sock, timeout)
         try:
-            frame = read_frame(self._reader)
+            frame = read_frame(reader)
         except socket.timeout:
-            # Mid-frame bytes may be stranded in the buffered reader: the
-            # stream is desynced for good (see the class docstring), so this
-            # is deliberately fatal, not a retry hint.
+            if not reader.consumed:
+                raise ReceiveTimeout(
+                    f"socket receive on {self.name!r} timed out after "
+                    f"{timeout}s with no frame pending"
+                ) from None
+            # The consumed part of the frame is gone: the stream is desynced.
             raise FleetProtocolError(
-                f"socket receive on {self.name!r} timed out after {timeout}s; "
-                "the frame stream is now desynced — abandon this transport"
+                f"frame on transport {self.name!r} stalled after "
+                f"{reader.consumed} bytes; abandon this transport"
             ) from None
         except CodecError as exc:
             raise FleetProtocolError(
@@ -234,7 +254,7 @@ class MultiprocessTransport(Transport):
         return self._sock.fileno()
 
     def close(self) -> None:
-        for closer in (self._writer.close, self._reader.close, self._sock.close):
+        for closer in (self._writer.close, self._sock.close):
             try:
                 closer()
             except OSError:  # pragma: no cover - best-effort teardown

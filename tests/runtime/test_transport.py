@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.errors import FleetProtocolError
+from repro.errors import FleetProtocolError, ReceiveTimeout
 from repro.runtime import LoopbackTransport, MultiprocessTransport
 
 
@@ -104,6 +104,35 @@ class TestMultiprocessTransport:
         try:
             with pytest.raises(FleetProtocolError, match="timed out"):
                 left.receive(timeout=0.05)
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("codec", ["canonical-json", "binary"])
+    def test_idle_timeout_leaves_the_stream_usable(self, codec):
+        left, right = MultiprocessTransport.pair(codec=codec)
+        try:
+            with pytest.raises(ReceiveTimeout, match="no frame pending"):
+                left.receive(timeout=0.05)
+            right.send("late", {"rows": [1, 2, 3], "pad": "x" * 50_000})
+            got = left.receive(timeout=5)
+            assert (got.kind, got.sequence) == ("late", 0)
+            assert got.payload == {"rows": [1, 2, 3], "pad": "x" * 50_000}
+            left.send("ack", None)  # a past receive deadline does not bound sends
+            assert right.receive(timeout=5).kind == "ack"
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("written", [2, 4, 9])
+    def test_frame_that_stalls_half_written_is_fatal(self, written):
+        left, right = MultiprocessTransport.pair()
+        try:
+            frame = (64).to_bytes(4, "big") + b"{" * 64
+            right._sock.sendall(frame[:written])
+            with pytest.raises(FleetProtocolError, match="stalled") as raised:
+                left.receive(timeout=0.05)
+            assert not isinstance(raised.value, ReceiveTimeout)
         finally:
             left.close()
             right.close()
