@@ -675,6 +675,9 @@ def _cmd_gateway_loadtest(args: argparse.Namespace) -> int:
             ("max replica lag (s)", round(max(
                 replication["lags"].values(), default=0.0), 3)),
             ("WAL shipments", replication["shipper"]["shipments"]),
+            ("WAL entries read / shipped",
+             f"{replication['shipper']['entries_read']} / "
+             f"{replication['shipper']['entries_shipped']}"),
             ("cache pre-warms", replication["cache_prewarms"]),
         ])
     if "async_transport" in metrics:

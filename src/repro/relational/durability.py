@@ -27,6 +27,15 @@ make recovery sound:
 3. segments are deleted only *after* the manifest records the checkpoint
    that supersedes them, so a crash mid-checkpoint leaves a recoverable
    (old-checkpoint + longer-WAL) state.
+
+A backend is the only writer of its directory: it lists it once, at open,
+and afterwards knows its segments and their bytes (they change only at a
+rotation, in ``truncate`` and in ``replace_segments``).  A reader following
+the log (the replica shipper) may keep the :data:`TailPosition` a
+:meth:`JsonlWalBackend.read_tail` handed back; nobody builds one.  A position
+is ignored — the read starts from the segment list — when its sequence is
+not the cursor presented with it or its segment was removed; a rotation
+does not invalidate it.
 """
 
 from __future__ import annotations
@@ -55,6 +64,9 @@ from repro.relational.schema import Schema
 from repro.relational.wal import WalEntry, WriteAheadLog
 
 PathLike = Union[str, pathlib.Path]
+
+#: Where a tailing reader stopped: ``(last sequence, segment, byte offset)``.
+TailPosition = Tuple[int, pathlib.Path, int]
 
 #: fsync once per appended entry — maximal durability, maximal latency.
 FSYNC_ALWAYS = "always"
@@ -140,11 +152,19 @@ class JsonlWalBackend:
         #: line, or the concatenated garbage swallows the new entry (or
         #: poisons the stream with mid-file corruption).
         self.torn_lines_repaired = 0
-        segments = self.segment_paths()
-        if segments:
-            self._current = segments[-1]
+        #: Entries decoded by reads — what a read cost, next to ``appends``.
+        self.decoded = 0
+        #: The ordered segment files (the one listing of the directory) and
+        #: the bytes in all but the open one.
+        self._segments: List[pathlib.Path] = sorted(
+            self.directory.glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"))
+        self._sealed_bytes = 0
+        #: Sequence of the last entry this instance appended (``None``: none).
+        self._last_appended: Optional[int] = None
+        if self._segments:
+            self._current = self._segments[-1]
             self._repair_torn_tail(self._current)
-            self._current_bytes = self._current.stat().st_size
+            self._adopt_sizes()
 
     def _repair_torn_tail(self, segment: pathlib.Path) -> None:
         """Truncate ``segment`` back to its last complete line.
@@ -168,17 +188,23 @@ class JsonlWalBackend:
 
     def segment_paths(self) -> List[pathlib.Path]:
         """All segment files, ordered by their first sequence number."""
-        return sorted(self.directory.glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"))
+        return list(self._segments)
+
+    def _adopt_sizes(self) -> None:
+        """Re-read the segment sizes after the files changed under us."""
+        sizes = [path.stat().st_size for path in self._segments]
+        self._current_bytes = sizes.pop() if sizes else 0
+        self._sealed_bytes = sum(sizes)
 
     def wal_bytes(self) -> int:
-        """Total size of all segment files on disk."""
-        return sum(path.stat().st_size for path in self.segment_paths())
+        """Total bytes appended to the retained segments (buffered included)."""
+        return self._sealed_bytes + self._current_bytes
 
     def statistics(self) -> Dict[str, Any]:
         return {
             "directory": str(self.directory),
             "fsync_policy": self.fsync_policy,
-            "segments": len(self.segment_paths()),
+            "segments": len(self._segments),
             "wal_bytes": self.wal_bytes(),
             "appends": self.appends,
             "syncs": self.syncs,
@@ -224,12 +250,15 @@ class JsonlWalBackend:
         if (self._current is not None
                 and self._current_bytes >= self.segment_max_bytes):
             self._close_handle()
+            self._sealed_bytes += self._current_bytes
             self._current = None
             self.rotations += 1
         if self._handle is None:
             if self._current is None:
                 self._current = self.directory / self._segment_name(entry.sequence)
             self._handle = open(self._current, "ab")
+            if self._segments[-1:] != [self._current]:
+                self._segments.append(self._current)
             self._current_bytes = self._current.stat().st_size
         location = (self._current, self._current_bytes, len(data))
         self._handle.write(data)
@@ -242,6 +271,7 @@ class JsonlWalBackend:
                 os.fsync(self._handle.fileno())
             self.syncs += 1
         self._current_bytes += len(data)
+        self._last_appended = entry.sequence
         self.appends += 1
         return location
 
@@ -295,10 +325,8 @@ class JsonlWalBackend:
     def first_sequence(self) -> Optional[int]:
         """The first sequence still retained on disk (``None`` when empty)."""
         with self._lock:
-            segments = self.segment_paths()
-            if not segments:
-                return None
-            return self._segment_first_sequence(segments[0])
+            return (self._segment_first_sequence(self._segments[0])
+                    if self._segments else None)
 
     def covers(self, since: int) -> bool:
         """Whether ``read_entries(since=since)`` would see *every* entry
@@ -310,14 +338,20 @@ class JsonlWalBackend:
         shipping reader (replica cursor) must then re-bootstrap from the
         checkpoint manifest instead of replaying the tail.  An empty WAL
         trivially covers any cursor — there is nothing retained to miss;
-        whether the *checkpoint* superseded the cursor is the manifest's
-        call, not the backend's.
+        whether the *checkpoint* superseded the cursor is the log's call
+        (``WriteAheadLog.checkpoint_sequence``), not the backend's.
         """
+        first = self.first_sequence()
+        return first is None or first <= since + 1
+
+    def tail_position(self) -> Optional[TailPosition]:
+        """Where a reader that holds every entry appended so far stands —
+        known without touching the files once this instance has appended
+        (``None`` before that)."""
         with self._lock:
-            segments = self.segment_paths()
-            if not segments:
-                return True
-            return self._segment_first_sequence(segments[0]) <= since + 1
+            if self._last_appended is None:
+                return None
+            return (self._last_appended, self._current, self._current_bytes)
 
     def read_entries(self, since: int = 0) -> Tuple[List[WalEntry], int]:
         """All decodable entries with sequence > ``since``, in order.
@@ -331,50 +365,80 @@ class JsonlWalBackend:
         :meth:`covers` first: if truncation already removed entries past the
         cursor, the tail returned here is *incomplete*, not erroneous.
         """
+        entries, torn, _ = self.read_tail(since)
+        return entries, torn
+
+    def read_tail(self, since: int = 0, position: Optional[TailPosition] = None,
+                  ) -> Tuple[List[WalEntry], int, Optional[TailPosition]]:
+        """:meth:`read_entries` for a reader that keeps its place.
+
+        Also returns the position the read stopped at (``None`` when there
+        is no segment).  Handed back with ``since`` equal to its sequence, it
+        makes the next read seek there and decode only what was appended
+        since, under the same per-line checks (locations in errors read
+        ``segment+byte offset:line``); any other position is ignored.  It
+        sits in front of an unterminated final line, so a torn write is seen
+        again once completed.
+        """
+        with self._lock:
+            # Buffered appends (batch/never policies) must be visible to the
+            # read — a journaled-then-evicted response is answerable even
+            # before the next fsync boundary.
+            if self._handle is not None:
+                self._handle.flush()
+            segments = list(self._segments)
+        start = offset = 0
+        if (position is not None and position[0] == since
+                and position[1] in segments):
+            start, offset = segments.index(position[1]), position[2]
+        else:
+            # Skip whole segments that cannot hold entries past ``since``:
+            # every entry in a non-final segment precedes its successor's
+            # first sequence (same covering rule as truncation).
+            for index in range(len(segments) - 1):
+                if self._segment_first_sequence(segments[index + 1]) - 1 <= since:
+                    start = index + 1
+                else:
+                    break
         entries: List[WalEntry] = []
-        torn = 0
-        # Buffered appends (batch/never policies) must be visible to the
-        # read — a journaled-then-evicted response is answerable even
-        # before the next fsync boundary.
-        self.flush()
-        segments = self.segment_paths()
-        # Skip whole segments that cannot hold entries past ``since``: every
-        # entry in a non-final segment precedes its successor's first
-        # sequence (same covering rule as truncation), so continuous
-        # shipping stays O(new data) instead of re-decoding the full WAL.
-        start = 0
-        for index in range(len(segments) - 1):
-            if self._segment_first_sequence(segments[index + 1]) - 1 <= since:
-                start = index + 1
-            else:
-                break
+        torn = decoded = 0
         last_sequence = since
         final_segment = len(segments) - 1
         for segment_index, segment in enumerate(segments[start:], start):
-            records = segment.read_bytes().split(b"\n")
-            if records and records[-1] == b"":
+            with open(segment, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+            records = data.split(b"\n")
+            # An unterminated final line is decoded like any other, but the
+            # position stays in front of it.
+            resume_at = offset + len(data) - len(records[-1])
+            if not records[-1]:
                 records.pop()
             for record_index, raw in enumerate(records):
-                is_final_record = (segment_index == final_segment
-                                   and record_index == len(records) - 1)
                 try:
                     entry = WalEntry.from_dict(json.loads(raw.decode("utf-8")))
                 except Exception as exc:
-                    if is_final_record:
+                    if (segment_index == final_segment
+                            and record_index == len(records) - 1):
                         torn += 1
                         break
                     raise WalCorruptionError(
-                        f"undecodable WAL entry at {segment.name}:{record_index + 1}"
-                    ) from exc
+                        f"undecodable WAL entry at {segment.name}+{offset}:"
+                        f"{record_index + 1}") from exc
+                decoded += 1
                 if entries and entry.sequence <= last_sequence:
                     raise WalCorruptionError(
                         f"out-of-order WAL entry {entry.sequence} after "
-                        f"{last_sequence} at {segment.name}:{record_index + 1}"
-                    )
+                        f"{last_sequence} at {segment.name}+{offset}:"
+                        f"{record_index + 1}")
                 last_sequence = entry.sequence
                 if entry.sequence > since:
                     entries.append(entry)
-        return entries, torn
+            offset = 0
+        self.decoded += decoded
+        if not segments:
+            return entries, torn, None
+        return entries, torn, (last_sequence, segments[-1], resume_at)
 
     # --------------------------------------------------------------- truncation
 
@@ -389,7 +453,7 @@ class JsonlWalBackend:
         removed = 0
         with self._lock:
             self._close_handle()
-            segments = self.segment_paths()
+            segments = list(self._segments)
             for index, segment in enumerate(segments):
                 if index + 1 < len(segments):
                     # All entries here precede the next segment's first
@@ -409,13 +473,12 @@ class JsonlWalBackend:
                     fully_covered = last is not None and last <= checkpoint_sequence
                 if fully_covered:
                     segment.unlink()
+                    del self._segments[0]
                     removed += 1
                 else:
                     break
-            remaining = self.segment_paths()
-            self._current = remaining[-1] if remaining else None
-            self._current_bytes = (self._current.stat().st_size
-                                   if self._current is not None else 0)
+            self._current = self._segments[-1] if self._segments else None
+            self._adopt_sizes()
         return removed
 
     def replace_segments(self, lines: List[bytes],
@@ -434,7 +497,7 @@ class JsonlWalBackend:
         """
         with self._lock:
             self._close_handle()
-            old = self.segment_paths()
+            old = self._segments
             target = self.directory / self._segment_name(first_sequence)
             tmp = target.with_suffix(target.suffix + ".tmp")
             with open(tmp, "wb") as handle:
@@ -449,8 +512,9 @@ class JsonlWalBackend:
                 if segment != target:
                     segment.unlink()
             self.rotations += 1
+            self._segments = [target]
             self._current = target
-            self._current_bytes = target.stat().st_size
+            self._adopt_sizes()
             return target
 
     def _last_sequence_in(self, segment: pathlib.Path) -> Optional[int]:

@@ -26,6 +26,13 @@ trails the retained WAL (``backend.covers(cursor)`` is false) is
 re-bootstrapped from the manifest instead of replaying a silently
 incomplete tail — the segment-boundary edge that makes
 ``read_entries(since=...)`` load-bearing.
+
+A shipment costs what was appended since the last one: the shipper, and only
+the shipper, holds one tail position per peer, as handed back by the
+backend's ``read_tail``, and the next ship seeks there.  The position goes
+with the fleet's floor cursor — a replica attached late or re-bootstrapped
+moves the floor and the backend reads from the cursor as before; a
+re-bootstrap drops it — and a peer nothing was appended to is not read.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.database import Database
-from repro.relational.durability import read_manifest, replay_entry
+from repro.relational.durability import (TailPosition, read_manifest,
+                                         replay_entry)
 from repro.relational.persistence import load_database
 from repro.relational.wal import WalEntry
 
@@ -111,6 +119,11 @@ class ReadReplica:
     def peer_names(self) -> Tuple[str, ...]:
         with self._lock:
             return tuple(sorted(self._databases))
+
+    def follows(self, peer: str) -> bool:
+        """Whether this replica holds a follower database for ``peer``."""
+        with self._lock:
+            return peer in self._databases
 
     def bootstrap(self, peer: str, state_dir, backend=None,
                   now: float = 0.0) -> int:
@@ -297,7 +310,11 @@ class SegmentShipper:
         self._pending_notices: List[DiffNotice] = []
         self.shipments = 0
         self.entries_shipped = 0
+        #: Entries decoded while shipping (== appended, when no read fell back).
+        self.entries_read = 0
         self.rebootstraps = 0
+        #: peer → where the last shipment stopped reading its WAL.
+        self._positions: Dict[str, Optional[TailPosition]] = {}
         self._lock = threading.Lock()
         state_dir = system.config.durability.state_dir
         if state_dir is None:
@@ -320,6 +337,8 @@ class SegmentShipper:
                 continue
             replica.bootstrap(peer_name, self.peer_state_dir(peer_name),
                               backend=backend, now=now)
+            # The bootstrap read everything: its cursor stands at the end.
+            self._positions.setdefault(peer_name, backend.tail_position())
         with self._lock:
             if replica not in self.replicas:
                 self.replicas.append(replica)
@@ -365,37 +384,37 @@ class SegmentShipper:
         shipped = 0
         with self.tracer.span("replica.ship", replicas=len(replicas)) as span:
             for peer_name in self.system.peer_names:
-                backend = self.system.peer(peer_name).database.wal.backend
+                wal = self.system.peer(peer_name).database.wal
+                backend = wal.backend
                 if backend is None:
                     continue
-                state_dir = self.peer_state_dir(peer_name)
-                # A fully-truncated WAL trivially "covers" every cursor (no
-                # retained segments to miss), so the checkpoint manifest is
-                # the authority on whether a cursor lost entries to
-                # truncation — read lazily, only when the WAL is empty.
-                checkpoint_floor: Optional[int] = None
-                if backend.first_sequence() is None:
-                    manifest = read_manifest(state_dir)
-                    checkpoint_floor = (
-                        int(manifest.get("checkpoint_sequence", 0))
-                        if manifest is not None else 0)
                 cursors = []
                 for replica in replicas:
                     cursor = replica.applied_sequence(peer_name)
-                    if (peer_name not in replica.peer_names
+                    # A fully-truncated WAL trivially "covers" every cursor
+                    # (no retained segments to miss); the log's checkpoint
+                    # sequence then says whether a cursor lost entries.
+                    if (not replica.follows(peer_name)
                             or not backend.covers(cursor)
-                            or (checkpoint_floor is not None
-                                and cursor < checkpoint_floor)):
+                            or (backend.first_sequence() is None
+                                and cursor < wal.checkpoint_sequence)):
                         # The cursor trails the retained WAL (segments it
                         # needed were truncated at a checkpoint): replaying
                         # the tail would silently skip (cursor, checkpoint].
-                        replica.bootstrap(peer_name, state_dir,
+                        replica.bootstrap(peer_name,
+                                          self.peer_state_dir(peer_name),
                                           backend=backend, now=now)
                         self.rebootstraps += 1
+                        self._positions.pop(peer_name, None)
                         cursor = replica.applied_sequence(peer_name)
                     cursors.append(cursor)
                 floor = min(cursors)
-                entries, _ = backend.read_entries(since=floor)
+                entries: List[WalEntry] = []
+                if floor != wal.last_sequence:  # an idle peer costs no read
+                    decoded = backend.decoded
+                    entries, _, self._positions[peer_name] = backend.read_tail(
+                        floor, self._positions.get(peer_name))
+                    self.entries_read += backend.decoded - decoded
                 batch = ShippedBatch(peer=peer_name, entries=tuple(entries),
                                      committed_at=now)
                 for replica in replicas:
@@ -413,6 +432,7 @@ class SegmentShipper:
             "ship_interval": self.ship_interval,
             "shipments": self.shipments,
             "entries_shipped": self.entries_shipped,
+            "entries_read": self.entries_read,
             "rebootstraps": self.rebootstraps,
         }
 
@@ -476,7 +496,7 @@ class ReplicaRouter:
             ((replica.next_free_at, replica.name, replica)
              for replica in self.shipper.replicas
              if replica.lag(reference) <= self.max_lag
-             and peer in replica.peer_names),
+             and replica.follows(peer)),
             key=lambda item: (item[0], item[1]))
         for _, _, replica in candidates:
             try:
