@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.scenario import DOCTOR_RESEARCHER_TABLE, build_paper_scenario
-from repro.metrics.collectors import measure_throughput
+from repro.metrics.paper import measure_throughput
 from repro.metrics.reporting import format_table
 from repro.workloads.updates import UpdateStreamGenerator
 

@@ -19,7 +19,7 @@ from repro.core.scenario import (
     PATIENT_DOCTOR_TABLE,
     build_paper_scenario,
 )
-from repro.metrics.collectors import exposure_report
+from repro.metrics.paper import exposure_report
 from repro.metrics.reporting import format_table
 
 

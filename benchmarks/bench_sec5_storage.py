@@ -14,7 +14,7 @@ import pytest
 from repro.baselines.onchain_storage import OnChainStorageBaseline
 from repro.config import SystemConfig
 from repro.core.scenario import build_scaled_scenario
-from repro.metrics.collectors import StorageComparison
+from repro.metrics.paper import StorageComparison
 from repro.metrics.reporting import format_table
 from repro.workloads.generator import MedicalRecordGenerator
 

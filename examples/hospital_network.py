@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 
 from repro.config import SystemConfig
-from repro.metrics.collectors import measure_throughput
+from repro.metrics.paper import measure_throughput
 from repro.metrics.reporting import format_table
 from repro.workloads.topology import TopologySpec, build_topology_system
 from repro.workloads.updates import UpdateStreamGenerator

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.baselines.full_record import FullRecordSharingBaseline
 from repro.config import SystemConfig
 from repro.core.scenario import CARE_TABLE, STUDY_TABLE, build_extended_scenario
-from repro.metrics.collectors import exposure_report
+from repro.metrics.paper import exposure_report
 from repro.metrics.reporting import format_table
 
 

@@ -40,7 +40,7 @@ from repro.core.scenario import (
     build_paper_scenario,
 )
 from repro.errors import ChaosError, FleetError
-from repro.metrics.collectors import exposure_report, measure_throughput
+from repro.metrics.paper import exposure_report, measure_throughput
 from repro.metrics.reporting import format_table
 from repro.workloads.updates import UpdateStreamGenerator
 

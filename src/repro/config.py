@@ -48,9 +48,13 @@ class DurabilityConfig:
         after their previous checkpoint.  ``None`` disables the time trigger.
     journal_compact_bytes:
         Response-journal compaction trigger: when the journal's segment
-        bytes exceed this threshold at a commit boundary, fully-superseded
-        closed segments (every line re-recorded in a later segment) are
-        removed.  ``None`` disables compaction.
+        bytes exceed this threshold at a commit boundary, the journal is
+        rewritten as the newest response per request id — at most the
+        gateway's response cap (``response_retention``, or its
+        ``max_responses`` override) of them when one is set — into one
+        fresh segment that atomically replaces every old one
+        (``JsonlWalBackend.replace_segments``).  ``None`` disables
+        compaction.
     """
 
     state_dir: Optional[str] = None

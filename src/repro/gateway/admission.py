@@ -5,9 +5,11 @@ deep-but-under-capacity queue still drags every admitted write's commit
 latency with it.  The :class:`LatencyShedder` closes that gap with two
 complementary signals, both in simulated seconds over a sliding window:
 
-* **observed p99** — committed-write latencies recorded via the same values
-  the per-tenant :class:`~repro.metrics.collectors.LatencyCollector`\\ s see;
-  while the windowed p99 exceeds the target, new writes are shed;
+* **observed p99** — the latencies of writes committed within the window
+  (the values the gateway's per-tenant ``gateway_request_latency``
+  histograms also observe), by the registry's one
+  :func:`~repro.obs.registry.percentile`; while it exceeds the target, new
+  writes are shed;
 * **predicted queueing delay** — the current queue depth times the windowed
   mean per-write service time.  This is the signal that makes the bound
   *hold*: p99 alone reacts only after slow writes have already committed,
@@ -24,6 +26,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
+
+from repro.obs.registry import percentile
 
 
 class LatencyShedder:
@@ -87,13 +91,10 @@ class LatencyShedder:
         """Windowed p99 of committed-write latency (None below min samples)."""
         with self._lock:
             self._trim_locked()
-            values = sorted(latency for _, latency in self._latencies)
+            values = [latency for _, latency in self._latencies]
         if len(values) < self.min_samples:
             return None
-        rank = 0.99 * (len(values) - 1)
-        low = int(rank)
-        high = min(low + 1, len(values) - 1)
-        return values[low] + (values[high] - values[low]) * (rank - low)
+        return percentile(values, 99.0)
 
     @property
     def mean_service(self) -> Optional[float]:

@@ -30,7 +30,7 @@ from repro.core.system import MedicalDataSharingSystem
 from repro.gateway.gateway import SharingGateway
 from repro.gateway.requests import STATUS_QUEUED, GatewayRequest, GatewayResponse
 from repro.gateway.session import GatewaySession
-from repro.metrics.collectors import PeakGauge
+from repro.obs.registry import Gauge
 
 
 class AsyncSharingGateway:
@@ -70,8 +70,8 @@ class AsyncSharingGateway:
         self._stopping = False
         #: request_id → future of a queued write awaiting its batch commit.
         self._pending: Dict[str, asyncio.Future] = {}
-        self._in_flight = PeakGauge()
-        self._reads_in_flight = PeakGauge()
+        self._in_flight = Gauge()
+        self._reads_in_flight = Gauge()
         # The hook outlives the pump; it is a no-op while no loop is attached.
         self.gateway.subscribe_terminal(self._on_terminal)
 
@@ -153,7 +153,7 @@ class AsyncSharingGateway:
         response, read_pending = self.gateway._admit(session, request)
         self._wake.set()
         if read_pending:
-            self._reads_in_flight.increment()
+            self._reads_in_flight.add(1)
             served = self._loop.run_in_executor(
                 None, self.gateway._serve_read, session, request, response)
             served.add_done_callback(self._read_done)
@@ -161,7 +161,7 @@ class AsyncSharingGateway:
         future: "asyncio.Future[GatewayResponse]" = self._loop.create_future()
         if response.status == STATUS_QUEUED:
             self._pending[response.request_id] = future
-            self._in_flight.increment()
+            self._in_flight.add(1)
         else:
             future.set_result(response)
         return future
@@ -172,7 +172,7 @@ class AsyncSharingGateway:
         return await self.submit_nowait(session, request)
 
     def _read_done(self, _served: "asyncio.Future") -> None:
-        self._reads_in_flight.decrement()
+        self._reads_in_flight.add(-1)
         self._terminal_event.set()
 
     # The gateway calls this on whichever thread finalised the response
@@ -188,7 +188,7 @@ class AsyncSharingGateway:
         future = self._pending.pop(response.request_id, None)
         if future is None:
             return
-        self._in_flight.decrement()
+        self._in_flight.add(-1)
         if not future.done():
             future.set_result(response)
 

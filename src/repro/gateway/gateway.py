@@ -88,8 +88,7 @@ from repro.gateway.requests import (
 )
 from repro.gateway.scheduler import BatchPlan, PendingWrite, WriteScheduler
 from repro.gateway.session import DEFAULT_BURST, GatewaySession
-from repro.metrics.collectors import LatencyCollector, PeakGauge
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.relational.durability import JsonlWalBackend, checkpoint_database
 from repro.relational.replication import (
@@ -268,6 +267,12 @@ class SharingGateway:
                  registry: Optional[MetricsRegistry] = None,
                  latency_target: Optional[float] = None,
                  degraded_reads: Optional[bool] = None):
+        self.registry = registry if registry is not None else MetricsRegistry()
+        if any(name.startswith("gateway_") for name in self.registry.names()):
+            # Shared counters beside unshared batch and latency state would
+            # silently disagree: one registry serves one gateway.
+            raise GatewayError("the metrics registry already holds another "
+                               "gateway's gateway_* instruments")
         self.system = system
         # Tracing defaults to the shared no-op tracer; passing a real one
         # also attaches it downstream (coordinator, miners, peer WALs) so a
@@ -275,7 +280,6 @@ class SharingGateway:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if tracer is not None:
             system.attach_tracer(tracer)
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.scheduler = WriteScheduler(max_batch_size=max_batch_size,
                                         max_edits_per_group=max_edits_per_group,
                                         fold_cross_peer=fold_cross_peer,
@@ -321,35 +325,35 @@ class SharingGateway:
         self.default_rate = default_rate
         self._sessions: Dict[str, GatewaySession] = {}
         self._responses: Dict[str, GatewayResponse] = {}
-        self._latency_by_tenant: Dict[str, LatencyCollector] = {}
+        #: tenant → its ``gateway_request_latency`` registry histogram.
+        self._latency_by_tenant: Dict[str, Histogram] = {}
         self._status_counts: Dict[str, int] = {}
         self._kind_counts: Dict[str, int] = {}
         self._request_ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
-        self._outstanding = PeakGauge()
         self.batch_sizes: List[int] = []
-        # Serving counters live in the unified registry; ``metrics()`` reads
-        # their values into its tree.
-        self._batch_blocks = self.registry.counter("gateway_batch_blocks")
-        self._batch_consensus_rounds = self.registry.counter(
-            "gateway_batch_consensus_rounds")
-        self._writes_committed = self.registry.counter("gateway_writes_committed")
-        self._writes_rejected = self.registry.counter("gateway_writes_rejected")
-        self._shed_requests = self.registry.counter("gateway_shed_requests")
+        # Serving counters and gauges are registry instruments; ``metrics()``
+        # reads the same objects into its tree.
+        counter = self.registry.counter
+        self._batch_blocks = counter("gateway_batch_blocks")
+        self._batch_consensus_rounds = counter("gateway_batch_consensus_rounds")
+        self._writes_committed = counter("gateway_writes_committed")
+        self._writes_rejected = counter("gateway_writes_rejected")
+        self._shed_requests = counter("gateway_shed_requests")
         #: Shed decisions by cause, so overload diagnoses name the mechanism
         #: (queue capacity vs. latency target vs. fairness vs. open breaker).
         self._shed_by_reason = {
-            reason: self.registry.counter("gateway_shed_by_reason",
-                                          reason=reason)
+            reason: counter("gateway_shed_by_reason", reason=reason)
             for reason in ("capacity", "latency", "fair_share", "breaker")}
-        self._degraded_reads_served = self.registry.counter(
-            "gateway_degraded_reads")
+        self._degraded_reads_served = counter("gateway_degraded_reads")
         #: Requests (reads and writes) admitted while a batch commit's
         #: consensus rounds were in flight — the open-loop interleaving the
         #: async transport exists to produce.
-        self._admitted_during_commit = self.registry.counter(
-            "gateway_admitted_during_commit")
-        self._commits_in_flight = PeakGauge()
+        self._admitted_during_commit = counter("gateway_admitted_during_commit")
+        #: Writes accepted but not yet resolved, and batch commits running
+        #: their consensus rounds; both keep their peak.
+        self._outstanding: Gauge = self.registry.gauge("gateway_outstanding_writes")
+        self._commits_in_flight: Gauge = self.registry.gauge("gateway_commits_in_flight")
         #: Callbacks fired when a response reaches a terminal status, and
         #: when a write is enqueued.  Listeners run under the admission lock:
         #: they must be cheap, thread-safe and must not call back into the
@@ -467,12 +471,8 @@ class SharingGateway:
         reg.gauge("gateway_queue_depth", fn=lambda: self.scheduler.queue_depth)
         reg.gauge("gateway_enqueued_total",
                   fn=lambda: self.scheduler.enqueued_total)
-        reg.gauge("gateway_outstanding_writes",
-                  fn=lambda: self._outstanding.value)
         reg.gauge("gateway_outstanding_writes_peak",
                   fn=lambda: self._outstanding.peak)
-        reg.gauge("gateway_commits_in_flight",
-                  fn=lambda: self._commits_in_flight.value)
         reg.gauge("gateway_commits_in_flight_peak",
                   fn=lambda: self._commits_in_flight.peak)
         reg.gauge("gateway_sessions_open", fn=lambda: len(self._sessions))
@@ -589,14 +589,12 @@ class SharingGateway:
             if session is not None:
                 session.count(status)
             if status in (STATUS_OK, STATUS_REJECTED, STATUS_ERROR):
-                collector = self._latency_by_tenant.get(response.tenant)
-                if collector is None:
-                    collector = LatencyCollector()
-                    self._latency_by_tenant[response.tenant] = collector
-                    self.registry.histogram("gateway_request_latency",
-                                            collector=collector,
-                                            tenant=response.tenant)
-                collector.record_value(response.latency)
+                histogram = self._latency_by_tenant.get(response.tenant)
+                if histogram is None:
+                    histogram = self._latency_by_tenant[response.tenant] = (
+                        self.registry.histogram("gateway_request_latency",
+                                                tenant=response.tenant))
+                histogram.observe(response.latency)
             listeners = tuple(self._terminal_listeners)
         # Journal happens-before the terminal listeners (matching the lock
         # order of the async transport): by the time anything a listener
@@ -685,7 +683,7 @@ class SharingGateway:
                             enqueued_at=response.enqueued_at,
                             session=session,
                         ))
-                        self._outstanding.increment()
+                        self._outstanding.add(1)
                         session.count(STATUS_QUEUED)
                         depth = self.scheduler.queue_depth
                         listeners = tuple(self._enqueue_listeners)
@@ -978,7 +976,7 @@ class SharingGateway:
                     pump["commits"] += 1
                     pump["writes"] += plan.size
                     pump["deferred"] += plan.deferred
-                    self._commits_in_flight.increment()
+                    self._commits_in_flight.add(1)
                     # Batches get their own trace id; the member request ids
                     # stitch each write's admission trace to the batch's
                     # consensus/delta/WAL spans.
@@ -995,7 +993,7 @@ class SharingGateway:
                         self._resolve_all_failed(plan, str(exc))
                     raise
                 finally:
-                    self._commits_in_flight.decrement()
+                    self._commits_in_flight.add(-1)
                 with self._lock:
                     # Feed the shedder's service-time estimator with this
                     # batch's simulated commit cost per write — the signal
@@ -1141,7 +1139,7 @@ class SharingGateway:
                 # Gauge before listeners: anything woken by the terminal
                 # hook (the async drain, join_idle) must already observe the
                 # decremented outstanding count or it can re-sleep forever.
-                self._outstanding.decrement()
+                self._outstanding.add(-1)
                 self._finalize(response, pending.session, status)
                 if status == STATUS_OK:
                     self._writes_committed.inc()
@@ -1165,7 +1163,7 @@ class SharingGateway:
             for pending in members:
                 response = self._responses[pending.request_id]
                 response.error = error
-                self._outstanding.decrement()  # gauge before terminal listeners
+                self._outstanding.add(-1)  # gauge before terminal listeners
                 self._finalize(response, pending.session, STATUS_ERROR)
                 self._writes_rejected.inc()
         for group in plan.groups:
@@ -1178,13 +1176,10 @@ class SharingGateway:
         with self._lock:
             batches = len(self.batch_sizes)
             tenants = {
-                tenant: {
-                    "count": collector.count,
-                    "mean": collector.mean,
-                    "p95": collector.p95,
-                    "p99": collector.p99,
-                }
-                for tenant, collector in sorted(self._latency_by_tenant.items())
+                tenant: {"count": histogram.count, "mean": histogram.mean,
+                         "p95": histogram.percentile(95.0),
+                         "p99": histogram.percentile(99.0)}
+                for tenant, histogram in sorted(self._latency_by_tenant.items())
             }
             return {
                 "requests": {
@@ -1194,7 +1189,7 @@ class SharingGateway:
                 },
                 "queue": {
                     "depth": self.scheduler.queue_depth,
-                    "max_depth": self.scheduler.max_queue_depth,
+                    "max_depth": self.scheduler.peak_queue_depth,
                     "enqueued_total": self.scheduler.enqueued_total,
                     "outstanding_writes": self._outstanding.value,
                     "capacity": self.scheduler.queue_capacity,
@@ -1240,15 +1235,12 @@ class SharingGateway:
 
     def _replication_metrics(self) -> Dict[str, object]:
         """Replica-fleet health: shipments, per-replica lag, routed reads."""
-        if self.replica_router is None:
-            return {"enabled": False,
-                    "prewarm_cache": self.prewarm_cache,
-                    "cache_prewarms": self.cache.prewarms}
-        metrics = {"enabled": True,
+        metrics = {"enabled": self.replica_router is not None,
                    "prewarm_cache": self.prewarm_cache,
-                   "cache_prewarms": self.cache.prewarms,
-                   "reads_served": self._replica_reads_served.value}
-        metrics.update(self.replica_router.statistics())
+                   "cache_prewarms": self.cache.prewarms}
+        if self.replica_router is not None:
+            metrics["reads_served"] = self._replica_reads_served.value
+            metrics.update(self.replica_router.statistics())
         return metrics
 
     def _durability_metrics(self) -> Dict[str, object]:

@@ -143,7 +143,8 @@ class WriteScheduler:
         #: Live queued-write count per tenant, for fair-queueing admission.
         self._tenant_counts: Dict[str, int] = {}
         self.enqueued_total = 0
-        self.max_queue_depth = 0
+        #: The deepest the queue has been (its capacity is ``queue_capacity``).
+        self.peak_queue_depth = 0
         #: Cross-peer folds over this scheduler's lifetime.
         self.folded_writes_total = 0
         #: Estimated consensus rounds saved by folding: every time a peer's
@@ -160,7 +161,7 @@ class WriteScheduler:
             self._tenant_counts[pending.tenant] = (
                 self._tenant_counts.get(pending.tenant, 0) + 1)
             self.enqueued_total += 1
-            self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
+            self.peak_queue_depth = max(self.peak_queue_depth, len(self._queue))
 
     def _count_down(self, pending: PendingWrite) -> None:
         remaining = self._tenant_counts.get(pending.tenant, 0) - 1

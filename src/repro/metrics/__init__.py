@@ -1,10 +1,7 @@
-"""Metric collection and reporting for the benchmark harness."""
+"""The paper's measures and the benchmark harness's table printers."""
 
-from repro.metrics.collectors import (
-    HISTOGRAM_BUCKET_BOUNDS,
+from repro.metrics.paper import (
     ExposureReport,
-    LatencyCollector,
-    PeakGauge,
     StorageComparison,
     ThroughputResult,
     exposure_report,
@@ -13,9 +10,6 @@ from repro.metrics.collectors import (
 from repro.metrics.reporting import format_table, format_series
 
 __all__ = [
-    "HISTOGRAM_BUCKET_BOUNDS",
-    "LatencyCollector",
-    "PeakGauge",
     "ThroughputResult",
     "ExposureReport",
     "StorageComparison",

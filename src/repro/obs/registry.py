@@ -1,23 +1,52 @@
-"""A unified metrics registry: named counters, gauges and histograms.
+"""The metrics system: named counters, gauges and histograms.
 
 Subsystems register instruments under a name plus optional labels
 (``registry.counter("gateway_writes_committed")``,
 ``registry.histogram("gateway_request_latency", tenant="doctor")``); one
 :meth:`MetricsRegistry.snapshot` then renders every instrument in a single
-deterministic tree.  Existing collectors plug in rather than being replaced:
-a :class:`Histogram` wraps the familiar
-:class:`~repro.metrics.collectors.LatencyCollector`, and a :class:`Gauge`
-can read its value from a callback (e.g. ``lambda: queue_depth``), so the
-hand-assembled ``metrics()`` trees keep working as compatibility views over
-the same state.
+deterministic tree.  The instruments *are* the serving numbers: a
+:class:`Histogram` holds its samples and computes their percentiles, a
+:class:`Gauge` is moved with :meth:`Gauge.add` (keeping its high-water mark)
+or reads a callback (e.g. ``lambda: queue_depth``), and the gateway's
+``metrics()`` tree reads the same objects the snapshot renders.
 """
 
 from __future__ import annotations
 
+import bisect
+import statistics
 import threading
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: Fixed log-scale histogram bucket upper bounds (simulated seconds):
+#: 1 ms doubling up to ~37 h.  Fixed bounds keep distributions from
+#: different runs (and different histograms in one registry) comparable.
+HISTOGRAM_BUCKET_BOUNDS: Tuple[float, ...] = tuple(
+    0.001 * (2 ** i) for i in range(28))
+
+
+def percentile(samples: Sequence[float], q: float,
+               default: Optional[float] = 0.0) -> Optional[float]:
+    """The ``q``-th percentile of ``samples``, interpolating between ranks
+    (the p95 of ``[1, 2, ..., 10]`` is 9.55, not a raw sample).
+
+    With no samples, returns ``default`` (0.0 for report-friendly
+    summaries).  A caller *deciding* on the value — admission control
+    comparing it against a target — passes ``default=None``: an empty window
+    is no evidence, and reading it as 0.0 latency would wave every write
+    through exactly when nothing has been measured yet.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("percentile q must be in [0, 100]")
+    if not samples:
+        return default
+    ordered = sorted(samples)
+    rank = (q / 100.0) * (len(ordered) - 1)
+    lower = int(rank)
+    upper = min(lower + 1, len(ordered) - 1)
+    return ordered[lower] + (ordered[upper] - ordered[lower]) * (rank - lower)
 
 
 def render_key(name: str, labels: LabelKey) -> str:
@@ -50,13 +79,18 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value: either set directly or read from a callback."""
+    """A point-in-time value: set outright, moved by :meth:`add`, or read
+    from a callback.  A set or moved gauge keeps its high-water mark,
+    :attr:`peak` — for outstanding writes and commits in flight, the peak is
+    what proves admission actually interleaved with commits.
+    """
 
-    __slots__ = ("_fn", "_value", "_lock")
+    __slots__ = ("_fn", "_value", "_peak", "_lock")
 
     def __init__(self, fn: Optional[Callable[[], Any]] = None) -> None:
         self._fn = fn
         self._value: Any = 0
+        self._peak: Any = 0
         self._lock = threading.Lock()
 
     def set(self, value: Any) -> None:
@@ -64,6 +98,17 @@ class Gauge:
             raise ValueError("cannot set a callback-backed gauge")
         with self._lock:
             self._value = value
+            self._peak = max(self._peak, value)
+
+    def add(self, delta: int = 1) -> int:
+        """Move the value by ``delta`` (negative to lower it); returns it."""
+        if self._fn is not None:
+            raise ValueError("cannot move a callback-backed gauge")
+        with self._lock:
+            self._value += delta
+            if self._value > self._peak:
+                self._peak = self._value
+            return self._value
 
     @property
     def value(self) -> Any:
@@ -71,36 +116,65 @@ class Gauge:
             return self._fn()
         return self._value
 
+    @property
+    def peak(self) -> Any:
+        return self._peak
+
 
 class Histogram:
-    """A latency distribution backed by a ``LatencyCollector``.
+    """A distribution of samples (latencies, in simulated seconds):
+    :meth:`observe` is one list append, every statistic is computed on read."""
 
-    An existing collector may be passed in so code that already records into
-    one (the gateway's per-tenant latencies) shows up in the registry without
-    double-recording.
-    """
+    __slots__ = ("samples",)
 
-    __slots__ = ("collector",)
-
-    def __init__(self, collector: Optional[Any] = None) -> None:
-        if collector is None:
-            # Imported lazily: collectors.py imports core.system, which pulls
-            # in the ledger (and thus this package) during package init.
-            from repro.metrics.collectors import LatencyCollector
-            collector = LatencyCollector()
-        self.collector = collector
+    def __init__(self) -> None:
+        self.samples: List[float] = []
 
     def observe(self, value: float) -> None:
-        self.collector.record_value(value)
+        self.samples.append(value)
 
-    def to_dict(self) -> Dict[str, Any]:
+    @property
+    def count(self) -> int:
+        return len(self.samples)
+
+    @property
+    def mean(self) -> float:
+        return statistics.fmean(self.samples) if self.samples else 0.0
+
+    def percentile(self, q: float,
+                   default: Optional[float] = 0.0) -> Optional[float]:
+        """See :func:`percentile`."""
+        return percentile(self.samples, q, default)
+
+    def buckets(self) -> Dict[str, int]:
+        """Sample counts per fixed log-scale bucket (upper-bound keyed).
+
+        A sample lands in the first bucket whose bound is >= its value;
+        samples beyond the last bound count under ``"+inf"``.  Empty buckets
+        are omitted, so the dict stays small however wide the bounds range.
+        """
+        counts: Dict[str, int] = {}
+        for value in self.samples:
+            index = bisect.bisect_left(HISTOGRAM_BUCKET_BOUNDS, value)
+            key = (repr(HISTOGRAM_BUCKET_BOUNDS[index])
+                   if index < len(HISTOGRAM_BUCKET_BOUNDS) else "+inf")
+            counts[key] = counts.get(key, 0) + 1
+        return {key: counts[key] for key in sorted(counts, key=float)}
+
+    def summary(self) -> Dict[str, float]:
+        samples = self.samples
         return {
-            "summary": self.collector.summary(),
-            "buckets": self.collector.histogram_buckets(),
+            "count": float(len(samples)),
+            "mean": self.mean,
+            "median": statistics.median(samples) if samples else 0.0,
+            "p50": self.percentile(50.0),
+            "p95": self.percentile(95.0),
+            "p99": self.percentile(99.0),
+            "max": max(samples) if samples else 0.0,
         }
 
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+    def to_dict(self) -> Dict[str, Any]:
+        return {"summary": self.summary(), "buckets": self.buckets()}
 
 
 class MetricsRegistry:
@@ -142,14 +216,17 @@ class MetricsRegistry:
               **labels: Any) -> Gauge:
         return self._get_or_create("gauge", name, labels, lambda: Gauge(fn))
 
-    def histogram(self, name: str, collector: Optional[Any] = None,
-                  **labels: Any) -> Histogram:
-        return self._get_or_create("histogram", name, labels,
-                                   lambda: Histogram(collector))
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        return self._get_or_create("histogram", name, labels, Histogram)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._instruments)
+
+    def names(self) -> set:
+        """The distinct instrument names registered so far."""
+        with self._lock:
+            return {name for name, _labels in self._instruments}
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Every instrument's current value, deterministically ordered."""

@@ -311,11 +311,11 @@ class TestColdStartShedding:
     evidence sheds instead of waving writes through until min_samples."""
 
     def test_empty_window_is_no_evidence(self):
-        from repro.metrics.collectors import LatencyCollector
+        from repro.obs import Histogram
 
-        collector = LatencyCollector()
-        assert collector.percentile(99.0) == 0.0  # report-friendly default
-        assert collector.percentile(99.0, default=None) is None  # decisions
+        histogram = Histogram()
+        assert histogram.percentile(99.0) == 0.0  # report-friendly default
+        assert histogram.percentile(99.0, default=None) is None  # decisions
         shedder = LatencyShedder(SimClock(), 2.0, min_samples=5)
         assert shedder.p99 is None
         assert shedder.decision(0) is None  # nothing measured: admit

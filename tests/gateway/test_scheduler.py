@@ -312,7 +312,7 @@ class TestLimits:
         for index in range(4):
             scheduler.enqueue(_write(f"r{index}", "p", _update("T1", (index,))))
         assert scheduler.enqueued_total == 4
-        assert scheduler.max_queue_depth == 4
+        assert scheduler.peak_queue_depth == 4
         scheduler.plan()
         assert scheduler.queue_depth == 0
-        assert scheduler.max_queue_depth == 4
+        assert scheduler.peak_queue_depth == 4

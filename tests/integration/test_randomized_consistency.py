@@ -20,7 +20,7 @@ pytestmark = [pytest.mark.integration, pytest.mark.slow]
 
 from repro.config import SystemConfig
 from repro.core.scenario import build_extended_scenario, build_paper_scenario
-from repro.metrics.collectors import measure_throughput
+from repro.metrics.paper import measure_throughput
 from repro.workloads.topology import TopologySpec, build_topology_system
 from repro.workloads.updates import UpdateStreamGenerator
 

@@ -1,12 +1,7 @@
-"""Tests for metric collectors and reporting."""
+"""Tests for the paper's measures and the report printers."""
 
-import pytest
-
-from repro.core.scenario import DOCTOR_RESEARCHER_TABLE
-from repro.metrics.collectors import (
-    HISTOGRAM_BUCKET_BOUNDS,
+from repro.metrics.paper import (
     ExposureReport,
-    LatencyCollector,
     StorageComparison,
     ThroughputResult,
     exposure_report,
@@ -14,93 +9,6 @@ from repro.metrics.collectors import (
 )
 from repro.metrics.reporting import format_series, format_table
 from repro.workloads.updates import UpdateStreamGenerator
-
-
-class TestLatencyCollector:
-    def test_empty_collector(self):
-        collector = LatencyCollector()
-        assert collector.count == 0
-        assert collector.mean == 0.0
-        assert collector.p95 == 0.0
-        assert collector.maximum == 0.0
-
-    def test_statistics(self):
-        collector = LatencyCollector()
-        for value in (1.0, 2.0, 3.0, 4.0, 10.0):
-            collector.record_value(value)
-        assert collector.count == 5
-        assert collector.mean == pytest.approx(4.0)
-        assert collector.median == pytest.approx(3.0)
-        assert collector.maximum == 10.0
-        # p95 interpolates between ranks: rank 0.95*4 = 3.8 → 4 + 0.8*(10-4).
-        assert collector.p95 == pytest.approx(8.8)
-        summary = collector.summary()
-        assert summary["count"] == 5.0
-        assert summary["p99"] == pytest.approx(collector.p99)
-
-    def test_percentile_interpolates_small_samples(self):
-        collector = LatencyCollector()
-        for value in range(1, 11):  # 1..10
-            collector.record_value(float(value))
-        assert collector.percentile(50.0) == pytest.approx(5.5)
-        assert collector.p95 == pytest.approx(9.55)
-        assert collector.p99 == pytest.approx(9.91)
-        assert collector.percentile(0.0) == 1.0
-        assert collector.percentile(100.0) == 10.0
-
-    def test_percentile_edge_cases(self):
-        collector = LatencyCollector()
-        assert collector.p99 == 0.0
-        collector.record_value(7.0)
-        assert collector.p95 == 7.0  # a single sample is every percentile
-        assert collector.p99 == 7.0
-        with pytest.raises(ValueError):
-            collector.percentile(101.0)
-
-    def test_p50_matches_median_and_appears_in_summary(self):
-        collector = LatencyCollector()
-        for value in (1.0, 2.0, 3.0, 4.0, 10.0):
-            collector.record_value(value)
-        assert collector.p50 == pytest.approx(collector.median)
-        summary = collector.summary()
-        assert summary["p50"] == pytest.approx(3.0)
-
-    def test_histogram_buckets_are_fixed_log_scale(self):
-        # Bounds double from 1 ms; fixed across collectors and runs.
-        assert HISTOGRAM_BUCKET_BOUNDS[0] == pytest.approx(0.001)
-        ratios = [b / a for a, b in zip(HISTOGRAM_BUCKET_BOUNDS,
-                                        HISTOGRAM_BUCKET_BOUNDS[1:])]
-        assert all(ratio == pytest.approx(2.0) for ratio in ratios)
-
-    def test_histogram_buckets_count_samples_by_upper_bound(self):
-        collector = LatencyCollector()
-        # 0.001 lands exactly on the first bound; 0.0015 needs the second.
-        for value in (0.001, 0.0015, 0.0015, 1e9):
-            collector.record_value(value)
-        buckets = collector.histogram_buckets()
-        assert buckets[repr(0.001)] == 1
-        assert buckets[repr(0.002)] == 2
-        # Samples beyond the last bound overflow into "+inf", listed last.
-        assert buckets["+inf"] == 1
-        assert list(buckets)[-1] == "+inf"
-        assert sum(buckets.values()) == collector.count
-
-    def test_histogram_buckets_omit_empty_buckets(self):
-        collector = LatencyCollector()
-        collector.record_value(0.5)
-        buckets = collector.histogram_buckets()
-        assert len(buckets) == 1
-        assert collector.histogram_buckets() == buckets  # stable
-        assert LatencyCollector().histogram_buckets() == {}
-
-    def test_record_workflow_trace(self, fresh_paper_system):
-        collector = LatencyCollector()
-        trace = fresh_paper_system.coordinator.update_shared_entry(
-            "researcher", DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
-            {"mechanism_of_action": "MeA1-v2"})
-        collector.record(trace)
-        assert collector.count == 1
-        assert collector.mean > 0
 
 
 class TestThroughput:
@@ -168,54 +76,3 @@ class TestReporting:
         text = format_series({1: 10.0, 12: 2.5}, x_label="interval", y_label="throughput")
         assert "interval" in text
         assert "12" in text and "2.500" in text
-
-
-class TestPeakGauge:
-    def test_tracks_value_and_peak(self):
-        from repro.metrics.collectors import PeakGauge
-
-        gauge = PeakGauge()
-        assert gauge.value == 0 and gauge.peak == 0
-        gauge.increment()
-        gauge.increment(2)
-        assert gauge.value == 3 and gauge.peak == 3
-        gauge.decrement()
-        assert gauge.value == 2 and gauge.peak == 3
-
-    def test_record_sets_value_outright(self):
-        from repro.metrics.collectors import PeakGauge
-
-        gauge = PeakGauge(5)
-        gauge.record(2)
-        assert gauge.value == 2 and gauge.peak == 5
-        gauge.record(9)
-        assert gauge.peak == 9
-
-    def test_to_dict(self):
-        from repro.metrics.collectors import PeakGauge
-
-        gauge = PeakGauge()
-        gauge.increment()
-        assert gauge.to_dict() == {"current": 1, "peak": 1}
-
-    def test_thread_safe_under_contention(self):
-        import threading
-
-        from repro.metrics.collectors import PeakGauge
-
-        gauge = PeakGauge()
-        barrier = threading.Barrier(4)
-
-        def hammer():
-            barrier.wait(timeout=10)
-            for _ in range(2_000):
-                gauge.increment()
-                gauge.decrement()
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert gauge.value == 0
-        assert 1 <= gauge.peak <= 4
