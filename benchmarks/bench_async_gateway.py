@@ -21,11 +21,8 @@ This experiment replays the *identical* open-loop multi-tenant arrival trace
   :class:`~repro.gateway.aio.AsyncSharingGateway` with a real event loop,
   commit pump and executor-threaded commits,
 
-and reports committed writes per simulated second for both.  Correctness
-oracles: the two transports must leave **byte-identical**
-``Table.fingerprint()``s on every table of every peer, the async run must
-actually interleave (requests admitted while a commit was in flight), and
-every response must be terminal.
+and reports committed writes per simulated second for both, plus each
+arm's state fingerprints and how much the async run interleaved.
 
 A third, threaded run drives the real ``GatewayWorkerPool`` under the same
 trace — its wall-clock batching is scheduling-dependent so it is reported,
@@ -39,20 +36,16 @@ the threaded pool happened to batch: batch counts, simulated seconds,
 ``speedup``, ``admitted_during_commit``, ``sealed_by``) races an executor
 thread by construction and is gated by inequalities only.
 
-Runnable two ways::
-
-    python -m pytest benchmarks/bench_async_gateway.py           # asserts ≥2×
-    python -m pytest benchmarks/bench_async_gateway.py --quick   # CI smoke
-    python benchmarks/bench_async_gateway.py --json              # prints JSON
+Run it with ``python benchmarks/gate.py async_gateway [--quick]``.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import hashlib
 import json
-from typing import Dict, List, Sequence
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.gateway import AsyncSharingGateway, GatewayWorkerPool, SharingGateway
@@ -60,7 +53,7 @@ from repro.workloads.topology import TopologySpec, build_topology_system
 from repro.workloads.traffic import (TrafficGenerator, default_tenant_profiles,
                                      replay_open_loop)
 
-DEFAULT_TENANTS = 8
+TENANTS = 8
 FULL_DURATION = 12.0
 QUICK_DURATION = 6.0
 BLOCK_INTERVAL = 2.0
@@ -76,11 +69,11 @@ MAX_DELAY = BLOCK_INTERVAL
 TARGET_SPEEDUP = 2.0
 
 
-def _setup(tenants: int, duration: float, interval: float):
+def _setup(duration: float):
     """One arm's system, gateway, arrival trace and sessions (same seed)."""
     system = build_topology_system(
-        TopologySpec(patients=tenants, researchers=0, seed=SEED),
-        SystemConfig.private_chain(interval))
+        TopologySpec(patients=TENANTS, researchers=0, seed=SEED),
+        SystemConfig.private_chain(BLOCK_INTERVAL))
     gateway = SharingGateway(system, max_batch_size=BATCH_SIZE)
     profiles = default_tenant_profiles(system, request_rate=REQUEST_RATE,
                                        read_fraction=READ_FRACTION)
@@ -114,8 +107,7 @@ def _summarise(system, gateway: SharingGateway, responses: Sequence[object],
     }
 
 
-def _run_sync_baseline(tenants: int, duration: float,
-                       interval: float) -> Dict[str, object]:
+def _run_sync_baseline(duration: float) -> Dict[str, object]:
     """The worker pool's eager-drain semantics, deterministically interleaved.
 
     A pool worker with a free slot commits the moment the queue is non-empty;
@@ -124,7 +116,7 @@ def _run_sync_baseline(tenants: int, duration: float,
     result machine-independent — which the thread-scheduled pool itself is
     not (see the ``threaded_pool`` arm for the real pool).
     """
-    system, gateway, arrivals, sessions = _setup(tenants, duration, interval)
+    system, gateway, arrivals, sessions = _setup(duration)
     clock = system.simulator.clock
     start = clock.now()
     responses = []
@@ -137,10 +129,9 @@ def _run_sync_baseline(tenants: int, duration: float,
     return _summarise(system, gateway, responses, clock.now() - start)
 
 
-def _run_threaded_pool(tenants: int, duration: float,
-                       interval: float, workers: int = 2) -> Dict[str, object]:
+def _run_threaded_pool(duration: float, workers: int = 2) -> Dict[str, object]:
     """The real threaded worker pool under the same trace (not gated)."""
-    system, gateway, arrivals, sessions = _setup(tenants, duration, interval)
+    system, gateway, arrivals, sessions = _setup(duration)
     clock = system.simulator.clock
     start = clock.now()
     responses = []
@@ -153,13 +144,13 @@ def _run_threaded_pool(tenants: int, duration: float,
     return _summarise(system, gateway, responses, clock.now() - start)
 
 
-def _run_async(tenants: int, duration: float, interval: float) -> Dict[str, object]:
-    system, gateway, arrivals, sessions = _setup(tenants, duration, interval)
+def _run_async(duration: float) -> Dict[str, object]:
+    system, gateway, arrivals, sessions = _setup(duration)
     clock = system.simulator.clock
 
     async def drive():
         start = clock.now()
-        async with AsyncSharingGateway(gateway, seal_depth=tenants,
+        async with AsyncSharingGateway(gateway, seal_depth=TENANTS,
                                        max_delay=MAX_DELAY) as front:
             futures = await replay_open_loop(
                 arrivals,
@@ -175,24 +166,23 @@ def _run_async(tenants: int, duration: float, interval: float) -> Dict[str, obje
     return result
 
 
-def run_async_gateway_comparison(tenants: int = DEFAULT_TENANTS,
-                                 duration: float = FULL_DURATION,
-                                 interval: float = BLOCK_INTERVAL) -> Dict[str, object]:
+def run(quick: bool, out: Optional[Path] = None) -> Dict[str, object]:
     """Run all three transports over one trace; returns the JSON-able result."""
-    arms = {"sync_worker_pool": _run_sync_baseline(tenants, duration, interval),
-            "async": _run_async(tenants, duration, interval),
-            "threaded_pool": _run_threaded_pool(tenants, duration, interval)}
+    duration = QUICK_DURATION if quick else FULL_DURATION
+    arms = {"sync_worker_pool": _run_sync_baseline(duration),
+            "async": _run_async(duration),
+            "threaded_pool": _run_threaded_pool(duration)}
     digests = {name: arm.pop("state_digest") for name, arm in arms.items()}
     writes = {name: arm["writes_committed"] for name, arm in arms.items()}
     sync_result, async_result = arms["sync_worker_pool"], arms["async"]
     return {
         "experiment": "E14_async_gateway",
-        "workload": (f"{tenants} tenants, Poisson open loop at "
+        "workload": (f"{TENANTS} tenants, Poisson open loop at "
                      f"{REQUEST_RATE}/s/tenant for {duration}s, "
                      f"{int(READ_FRACTION * 100)}% reads"),
-        "tenants": tenants,
+        "tenants": TENANTS,
         "duration": duration,
-        "block_interval": interval,
+        "block_interval": BLOCK_INTERVAL,
         "deterministic": {
             "sync_worker_pool": sync_result,
             "writes_committed": writes,
@@ -209,8 +199,8 @@ def run_async_gateway_comparison(tenants: int = DEFAULT_TENANTS,
     }
 
 
-def gate_failures(result: Dict[str, object]) -> List[str]:
-    """The E14 gates, one message per failed one (``main`` and the test agree)."""
+def gate(result: Dict[str, object]) -> List[str]:
+    """The E14 acceptance conditions that ``result`` fails."""
     measured = result["scheduling_dependent"]
     sealed = measured["async"]["transport"]["sealed_by"]
     gates = {
@@ -227,34 +217,3 @@ def gate_failures(result: Dict[str, object]) -> List[str]:
         "rounds cut": measured["rounds_cut"] > 0,
     }
     return [name for name, passed in gates.items() if not passed]
-
-
-def test_async_transport_throughput_and_fingerprints(emit, quick):
-    """The async transport must commit ≥2× the sync worker-pool baseline's
-    writes per simulated second at 8 tenants, leave byte-identical tables on
-    every peer, and demonstrably admit arrivals while commits are in flight."""
-    duration = QUICK_DURATION if quick else FULL_DURATION
-    result = run_async_gateway_comparison(duration=duration)
-    emit("E14_async_gateway", json.dumps(result, indent=2, sort_keys=True))
-    assert not gate_failures(result)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tenants", type=int, default=DEFAULT_TENANTS)
-    parser.add_argument("--duration", type=float, default=FULL_DURATION)
-    parser.add_argument("--interval", type=float, default=BLOCK_INTERVAL)
-    parser.add_argument("--quick", action="store_true",
-                        help="use the reduced CI smoke duration")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full JSON result (default)")
-    args = parser.parse_args()
-    duration = QUICK_DURATION if args.quick else args.duration
-    result = run_async_gateway_comparison(tenants=args.tenants, duration=duration,
-                                          interval=args.interval)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 1 if gate_failures(result) else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

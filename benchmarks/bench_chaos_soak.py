@@ -23,18 +23,13 @@ p99 + predicted queueing delay) sheds at admission instead.  The gate: the
 latency-driven run keeps committed-write p99 within ``P99_BOUND_FACTOR`` ×
 target while the depth-only run blows through it.
 
-Runnable two ways::
-
-    python -m pytest benchmarks/bench_chaos_soak.py           # full gates
-    python -m pytest benchmarks/bench_chaos_soak.py --quick   # CI smoke
-    python benchmarks/bench_chaos_soak.py --json              # prints JSON
+Run it with ``python benchmarks/gate.py chaos_soak [--quick] [--out DIR]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional
 
 from repro.cli import run_chaos_soak
 from repro.config import SystemConfig
@@ -65,15 +60,7 @@ LATENCY_TARGET = 8.0
 P99_BOUND_FACTOR = 3.0
 
 
-def _max_committed_p99(metrics: Dict[str, Any]) -> float:
-    """Worst per-tenant p99 over committed writes (the workload is
-    write-only, so tenant latency collectors see no read samples)."""
-    return max((stats["p99"] for stats in metrics["tenants"].values()
-                if stats["count"]), default=0.0)
-
-
-def _overload_run(latency_target: Optional[float], arrivals: int,
-                  seed: int = SOAK_SEED) -> Dict[str, Any]:
+def _overload_run(latency_target: Optional[float], arrivals: int) -> Dict[str, Any]:
     """One overload run; ``latency_target=None`` is the depth-only baseline.
 
     Arrival pacing uses relative ``clock.advance`` (not ``advance_to`` over a
@@ -82,12 +69,12 @@ def _overload_run(latency_target: Optional[float], arrivals: int,
     would vanish from the measurement.
     """
     system = build_topology_system(
-        TopologySpec(patients=OVERLOAD_TENANTS, researchers=0, seed=seed),
+        TopologySpec(patients=OVERLOAD_TENANTS, researchers=0, seed=SOAK_SEED),
         SystemConfig.private_chain(1.0))
     gateway = SharingGateway(system, max_batch_size=BATCH_SIZE,
                              max_queue_depth=QUEUE_CAPACITY,
                              latency_target=latency_target)
-    updates = UpdateStreamGenerator(system, seed=seed)
+    updates = UpdateStreamGenerator(system, seed=SOAK_SEED)
     names = sorted(peer.name for peer in system.peers if peer.role == "Patient")
     sessions = {name: gateway.open_session(name) for name in names}
     clock = system.simulator.clock
@@ -107,7 +94,10 @@ def _overload_run(latency_target: Optional[float], arrivals: int,
     return {
         "latency_target": latency_target,
         "arrivals": arrivals,
-        "committed_p99": _max_committed_p99(metrics),
+        # Worst per-tenant p99: the workload is write-only, so every tenant
+        # latency sample is a committed write.
+        "committed_p99": max((stats["p99"] for stats in metrics["tenants"].values()
+                              if stats["count"]), default=0.0),
         "writes_committed": metrics["batches"]["writes_committed"],
         "shed_by_reason": metrics["resilience"]["shed_by_reason"],
         "statuses": statuses,
@@ -115,17 +105,18 @@ def _overload_run(latency_target: Optional[float], arrivals: int,
     }
 
 
-def run_chaos_bench(rounds: int = FULL_ROUNDS, arrivals: int = FULL_ARRIVALS,
-                    events_out: Optional[str] = None) -> Dict[str, Any]:
-    """Both gates; returns a JSON-able result with an overall ``ok``."""
+def run(quick: bool, out: Optional[Path] = None) -> Dict[str, Any]:
+    """Both experiments; the faulted run's fault events go to
+    ``out/chaos_soak-events.jsonl`` when ``out`` is given."""
+    rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
+    arrivals = QUICK_ARRIVALS if quick else FULL_ARRIVALS
+    events_out = out / "chaos_soak-events.jsonl" if out is not None else None
     oracle = run_chaos_soak(tenants=SOAK_TENANTS, rounds=rounds,
                             seed=SOAK_SEED, inject=False)
     faulted = run_chaos_soak(tenants=SOAK_TENANTS, rounds=rounds,
                              seed=SOAK_SEED, inject=True,
                              events_out=events_out)
-    fingerprints_identical = (
-        json.dumps(oracle["fingerprints"], sort_keys=True).encode()
-        == json.dumps(faulted["fingerprints"], sort_keys=True).encode())
+    fingerprints_identical = oracle["fingerprints"] == faulted["fingerprints"]
     chains_converged = (
         len(set(faulted["chain_lengths"].values())) == 1
         and faulted["chain_lengths"] == oracle["chain_lengths"])
@@ -142,10 +133,6 @@ def run_chaos_bench(rounds: int = FULL_ROUNDS, arrivals: int = FULL_ARRIVALS,
         "oracle_statuses": oracle["statuses"],
         "faulted_statuses": faulted["statuses"],
     }
-    convergence["ok"] = (fingerprints_identical and chains_converged
-                         and convergence["all_terminal"]
-                         and convergence["shared_tables_consistent"]
-                         and faulted["fault_events"] > 0)
 
     depth_only = _overload_run(None, arrivals)
     latency_aware = _overload_run(LATENCY_TARGET, arrivals)
@@ -156,70 +143,37 @@ def run_chaos_bench(rounds: int = FULL_ROUNDS, arrivals: int = FULL_ARRIVALS,
         "p99_bound": bound,
         "depth_only": depth_only,
         "latency_aware": latency_aware,
-        "ok": (latency_aware["committed_p99"] <= bound
-               and depth_only["committed_p99"] > bound
-               and latency_aware["writes_committed"] > 0
-               and depth_only["all_terminal"]
-               and latency_aware["all_terminal"]),
     }
     result: Dict[str, Any] = {
         "experiment": "E16_chaos_soak",
         "convergence": convergence,
         "overload": overload,
-        "ok": convergence["ok"] and overload["ok"],
     }
     if events_out is not None:
-        result["events_path"] = str(events_out)
-        result["events_written"] = faulted.get("events_written")
+        result["events_path"] = faulted["events_path"]
+        result["events_written"] = faulted["events_written"]
     return result
 
 
-def test_chaos_soak_convergence_and_shedding(emit, quick):
-    """Faulted soak must converge byte-identically to the fault-free oracle,
-    and the latency-driven shedder must hold committed-write p99 within the
-    bound under an overload that blows past it with depth-only shedding."""
-    rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
-    arrivals = QUICK_ARRIVALS if quick else FULL_ARRIVALS
-    result = run_chaos_bench(rounds=rounds, arrivals=arrivals)
-    emit("E16_chaos_soak", json.dumps(result, indent=2, sort_keys=True))
-    convergence = result["convergence"]
-    assert convergence["fingerprints_identical"], (
-        "faulted run's relational state diverged from the fault-free oracle")
-    assert convergence["chains_converged"], "chain lengths diverged"
-    assert convergence["all_terminal"], "a submitted request never turned terminal"
-    assert convergence["shared_tables_consistent"]
-    assert convergence["fault_events"] > 0, "no fault ever fired"
-    assert convergence["messages_lost"] == 0, (
-        "a dropped message was never retransmitted (silent loss)")
-    overload = result["overload"]
+def gate(result: Dict[str, Any]) -> List[str]:
+    """The E16 acceptance conditions that ``result`` fails."""
+    convergence, overload = result["convergence"], result["overload"]
+    depth_only, latency_aware = overload["depth_only"], overload["latency_aware"]
     bound = overload["p99_bound"]
-    assert overload["latency_aware"]["committed_p99"] <= bound, (
-        f"latency-aware p99 {overload['latency_aware']['committed_p99']:.1f}s "
-        f"exceeds the {bound:.0f}s bound")
-    assert overload["depth_only"]["committed_p99"] > bound, (
-        "depth-only shedding unexpectedly held the bound — the workload is "
-        "not an overload; raise the arrival pressure")
-    assert overload["latency_aware"]["writes_committed"] > 0
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=FULL_ROUNDS)
-    parser.add_argument("--arrivals", type=int, default=FULL_ARRIVALS)
-    parser.add_argument("--quick", action="store_true",
-                        help="use the reduced CI smoke workload")
-    parser.add_argument("--events-out", default=None,
-                        help="write the faulted run's fault events as JSONL")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full JSON result (default)")
-    args = parser.parse_args()
-    rounds = QUICK_ROUNDS if args.quick else args.rounds
-    arrivals = QUICK_ARRIVALS if args.quick else args.arrivals
-    result = run_chaos_bench(rounds=rounds, arrivals=arrivals,
-                             events_out=args.events_out)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if result["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    gates = {
+        # The faulted run's relational state equals the fault-free oracle's.
+        "fingerprints identical": convergence["fingerprints_identical"],
+        "chains converged": convergence["chains_converged"],
+        "every soak request terminal": convergence["all_terminal"],
+        "shared tables consistent": convergence["shared_tables_consistent"],
+        "faults fired": convergence["fault_events"] > 0,
+        # A dropped message that is never retransmitted is silent loss.
+        "messages_lost == 0": convergence["messages_lost"] == 0,
+        f"latency-aware p99 <= {bound:g}s": latency_aware["committed_p99"] <= bound,
+        # Otherwise the workload is not an overload: raise the pressure.
+        f"depth-only p99 > {bound:g}s": depth_only["committed_p99"] > bound,
+        "latency-aware run committed writes": latency_aware["writes_committed"] > 0,
+        "every overload request terminal":
+            depth_only["all_terminal"] and latency_aware["all_terminal"],
+    }
+    return [name for name, passed in gates.items() if not passed]

@@ -16,25 +16,17 @@ durable run then proves itself: ``recover(state_dir)`` must rebuild a
 database whose table fingerprints are byte-identical to the live one, once
 from the raw WAL and once after a mid-workload ``Database.checkpoint``.
 
-Acceptance gate: the **batch** policy's overhead is ≤2× the in-memory
-baseline (the ISSUE's bound for making durability the default posture).
-
-Runnable two ways::
-
-    python -m pytest benchmarks/bench_durability.py           # asserts ≤2×
-    python -m pytest benchmarks/bench_durability.py --quick   # CI smoke
-    python benchmarks/bench_durability.py --json              # prints JSON
+Run it with ``python benchmarks/gate.py durability [--quick]``.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import shutil
 import tempfile
 import time
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional
 
 from repro.relational import Column, DataType, Database, Schema
 from repro.relational.durability import (
@@ -55,7 +47,10 @@ TABLE_ROWS = 2_000
 #: apart in operation count — the crash-recovery tests exercise tight
 #: boundaries separately).
 SYNC_INTERVAL = 1_000
-#: Acceptance gate: batched-fsync durability costs at most 2× in-memory.
+#: Interleaved best-of-N timing rounds of the gated policies.
+TIMING_ROUNDS = 3
+#: Acceptance gate: batched-fsync durability costs at most 2× in-memory (the
+#: bound for making durability the default posture).
 MAX_BATCH_OVERHEAD = 2.0
 
 #: A representative medical-record schema (the paper's D3-style table: a
@@ -164,16 +159,16 @@ def _policy_run_once(policy: Optional[str], operations: int,
             shutil.rmtree(state_dir, ignore_errors=True)
 
 
-def run_durability_comparison(operations: int = FULL_OPS,
-                              rounds: int = 3) -> Dict[str, Any]:
+def run(quick: bool, out: Optional[Path] = None) -> Dict[str, Any]:
     """All four policies over the identical workload; returns JSON-able rows.
 
-    The gated policies are timed in ``rounds`` *interleaved* best-of-N
+    The gated policies are timed in ``TIMING_ROUNDS`` *interleaved* best-of-N
     rounds: wall-clock on a shared runner has slow windows (CPU steal,
     storage-latency spikes), and interleaving makes a bad window hit every
     policy rather than just one, while the per-policy minimum discards it.
     The ungated ``always`` run is timed once.
     """
+    operations = QUICK_OPS if quick else FULL_OPS
     gated = (("memory", None, False),
              # Durable runs alternate raw-WAL replay and checkpoint + tail
              # recovery.
@@ -181,13 +176,14 @@ def run_durability_comparison(operations: int = FULL_OPS,
              ("batch", FSYNC_BATCH, True))
     policies: Dict[str, Dict[str, Any]] = {}
     ratios: Dict[str, list] = {"never": [], "batch": []}
-    for _ in range(max(1, rounds)):
+    for _ in range(TIMING_ROUNDS):
         round_seconds: Dict[str, float] = {}
         for name, policy, with_checkpoint in gated:
-            run = _policy_run_once(policy, operations, with_checkpoint)
-            round_seconds[name] = run["seconds"]
-            if name not in policies or run["seconds"] < policies[name]["seconds"]:
-                policies[name] = run
+            measured = _policy_run_once(policy, operations, with_checkpoint)
+            round_seconds[name] = measured["seconds"]
+            if (name not in policies
+                    or measured["seconds"] < policies[name]["seconds"]):
+                policies[name] = measured
         # Overhead is judged per round, against the baseline timed adjacent
         # to it: machine-speed drift (CPU steal on shared runners) hits both
         # sides of a pair, so the paired ratio measures the policy, not the
@@ -217,41 +213,21 @@ def run_durability_comparison(operations: int = FULL_OPS,
     }
 
 
-def test_durability_overhead_and_recovery(emit, quick):
-    """The batched fsync policy must stay within 2× of the in-memory WAL,
-    and every durable run must recover byte-identical table fingerprints
-    (including the checkpoint + WAL-tail path)."""
-    operations = QUICK_OPS if quick else FULL_OPS
-    result = run_durability_comparison(operations)
-    emit("E15_durability", json.dumps(result, indent=2, sort_keys=True))
-    assert result["recovery_identical"], "recovered fingerprints diverged"
-    assert result["batch_overhead"] <= MAX_BATCH_OVERHEAD, (
-        f"batched fsync overhead {result['batch_overhead']:.2f}x exceeds "
-        f"{MAX_BATCH_OVERHEAD}x")
-    # The checkpointed run replays only the WAL tail past the checkpoint
-    # (the update stream), not the seeded table.
+def gate(result: Dict[str, Any]) -> List[str]:
+    """The E15 acceptance conditions that ``result`` fails."""
     batch = result["policies"]["batch"]
-    assert batch["checkpoint_sequence"] >= TABLE_ROWS
-    assert batch["entries_replayed"] <= result["operations"]
-    # The raw-WAL runs replay everything from empty.
-    assert result["policies"]["never"]["entries_replayed"] > result["operations"]
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--operations", type=int, default=FULL_OPS)
-    parser.add_argument("--quick", action="store_true",
-                        help="use the reduced CI smoke workload")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full JSON result (default)")
-    args = parser.parse_args()
-    operations = QUICK_OPS if args.quick else args.operations
-    result = run_durability_comparison(operations)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    ok = (result["recovery_identical"]
-          and result["batch_overhead"] <= MAX_BATCH_OVERHEAD)
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    gates = {
+        "recovered fingerprints identical": result["recovery_identical"],
+        f"batch overhead <= {MAX_BATCH_OVERHEAD}x":
+            result["batch_overhead"] <= MAX_BATCH_OVERHEAD,
+        # The checkpointed run replays only the WAL tail past the checkpoint
+        # (the update stream), not the seeded table ...
+        "batch checkpoint covers the seeded rows":
+            batch["checkpoint_sequence"] >= TABLE_ROWS,
+        "batch replays only the tail":
+            batch["entries_replayed"] <= result["operations"],
+        # ... while the raw-WAL runs replay everything from empty.
+        "never replays from empty":
+            result["policies"]["never"]["entries_replayed"] > result["operations"],
+    }
+    return [name for name, passed in gates.items() if not passed]

@@ -5,41 +5,28 @@ slices talk to the coordinator through :mod:`repro.runtime` envelopes
 instead of an in-process call graph, does placing them in separate OS
 processes actually buy parallel commit throughput — without changing what
 any slice computes?  The experiment partitions one tenant population into
-worker slices and runs the same specs under both placements.  Reported,
-not gated (it is committed writes per *wall* second, so it depends on the
-machine's cores and on how cheap a single-process commit is):
+worker slices and runs the same specs under both placements.
 
-* **process scaling** — aggregate committed-writes throughput (total
-  committed writes over coordinator wall-clock) from 1 to 4 worker
-  processes, as ``speedup``.
+The 1 → 4 process ``speedup`` (total committed writes over coordinator
+wall-clock) is reported, not gated: it depends on the machine's cores and on
+how cheap a single-process commit is.  The gates are behaviour, identical on
+every machine: a one-worker loopback fleet matches the direct engine call
+byte for byte (the message boundary is a placement change, not a semantic
+one), loopback and multiprocess placements of the 4 slices agree, merged
+clocks equal the max of the worker reports, and every multiprocess link
+counts run+shutdown out and clock+result in.
 
-Gated — behaviour, identical on every machine:
-
-* **loopback parity** — a one-worker loopback fleet produces state
-  fingerprints byte-identical to calling the single-process engine
-  directly: the message boundary is a placement change, not a semantic
-  one;
-* **placement parity** — the 4-worker loopback and 4-worker multiprocess
-  fleets (same specs) produce byte-identical per-worker fingerprints and
-  identical committed-write counts;
-* **clock merge** — the coordinator's merged simulated clock equals the
-  max of the workers' reported clocks under both placements;
-* **framing accounting** — every multiprocess worker link reports the
-  expected envelope counts (run+shutdown out, clock+result in) and
-  non-zero wire bytes both ways.
+Run it with ``python benchmarks/gate.py gateway_fleet [--quick]``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import pathlib
-import sys
+from pathlib import Path
+from typing import List, Optional
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.cli import run_gateway_fleet, run_gateway_loadtest  # noqa: E402
-from repro.crypto.hashing import canonical_json  # noqa: E402
+from repro.cli import run_gateway_fleet, run_gateway_loadtest
+from repro.crypto.hashing import canonical_json
 
 TENANTS = 8
 FULL_DURATION = 20.0
@@ -64,7 +51,9 @@ def _worker_fingerprints(fleet_result: dict) -> dict:
             for name, worker in sorted(fleet_result["workers"].items())}
 
 
-def run_fleet_scaling(duration: float) -> dict:
+def run(quick: bool, out: Optional[Path] = None) -> dict:
+    """The scaling pair and the parity trio; the JSON-able result."""
+    duration = QUICK_DURATION if quick else FULL_DURATION
     # Scaling pair: same tenant population, 1 vs 4 forked worker processes.
     single = _fleet(1, duration, "multiprocess")
     fleet = _fleet(4, duration, "multiprocess", include_fingerprints=True)
@@ -126,44 +115,13 @@ def run_fleet_scaling(duration: float) -> dict:
     }
 
 
-def _gates_pass(result: dict) -> bool:
-    return (result["loopback_matches_direct"]
-            and result["placements_match"]
-            and result["clock_merge_exact"]
-            and result["framing_ok"])
-
-
-def test_gateway_fleet(emit, quick):
-    """Loopback fingerprints byte-identical to the direct engine, both
-    placements byte-identical to each other, exact clock merges, and sane
-    frame accounting on every worker link; the 1 → 4 process wall-clock
-    speedup is emitted, not asserted."""
-    duration = QUICK_DURATION if quick else FULL_DURATION
-    result = run_fleet_scaling(duration)
-    emit("E19_gateway_fleet", json.dumps(result, indent=2, sort_keys=True))
-    assert result["loopback_matches_direct"], (
-        "loopback worker fingerprints diverged from the direct "
-        "single-process run")
-    assert result["placements_match"], (
-        "loopback and multiprocess placements of the same specs diverged")
-    assert result["clock_merge_exact"]
-    assert result["framing_ok"]
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--duration", type=float, default=FULL_DURATION,
-                        help="simulated seconds of traffic per worker slice")
-    parser.add_argument("--quick", action="store_true",
-                        help="use the reduced CI smoke workload")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full JSON result (default)")
-    args = parser.parse_args()
-    duration = QUICK_DURATION if args.quick else args.duration
-    result = run_fleet_scaling(duration)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if _gates_pass(result) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def gate(result: dict) -> List[str]:
+    """The E19 acceptance conditions that ``result`` fails (``speedup`` is
+    reported, not gated)."""
+    gates = {
+        "loopback matches direct": result["loopback_matches_direct"],
+        "placements match": result["placements_match"],
+        "clock merge exact": result["clock_merge_exact"],
+        "framing ok": result["framing_ok"],
+    }
+    return [name for name, passed in gates.items() if not passed]

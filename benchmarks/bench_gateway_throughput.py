@@ -17,19 +17,15 @@ read cache hit rate and each tenant's latency p95.  It also gates the
 observability layer: the same batched workload with a pipeline tracer
 attached must keep ≥95% of the tracer-off simulated throughput (tracing
 never advances the simulated clock, so the ratio should be exactly 1.0 —
-wall-clock overhead is reported but informational).  Runnable two ways::
-
-    python -m pytest benchmarks/bench_gateway_throughput.py   # asserts ≥3×
-    python benchmarks/bench_gateway_throughput.py             # prints JSON
-    python benchmarks/bench_gateway_throughput.py --quick     # CI smoke + gates
+wall-clock overhead is reported but informational).  Run it with
+``python benchmarks/gate.py gateway_throughput [--quick]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from typing import Dict, List
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.system import MedicalDataSharingSystem
@@ -40,22 +36,26 @@ from repro.obs import Tracer
 from repro.workloads.topology import TopologySpec, build_topology_system
 
 DEFAULT_TENANTS = 8
-DEFAULT_ROUNDS = 2
-DEFAULT_INTERVAL = 2.0
+FULL_ROUNDS = 2
+QUICK_ROUNDS = 1
+BLOCK_INTERVAL = 2.0
+SCALING_TENANTS = (2, 4, 8)
+#: Acceptance gates: batched commits >= 3x the sequential baseline, reads
+#: between commits mostly served by the cache, tracing within 5%.
+TARGET_SPEEDUP = 3.0
+MIN_CACHE_HIT_RATE = 0.3
+MIN_TRACED_RATIO = 0.95
 
 
-def _build(tenants: int, interval: float) -> MedicalDataSharingSystem:
+def _build(tenants: int) -> MedicalDataSharingSystem:
     return build_topology_system(TopologySpec(patients=tenants, researchers=0),
-                                 SystemConfig.private_chain(interval))
+                                 SystemConfig.private_chain(BLOCK_INTERVAL))
 
 
 def _tenant_tables(system: MedicalDataSharingSystem) -> Dict[str, str]:
     """peer name → the metadata id of its patient↔doctor shared table."""
-    tables = {}
-    for metadata_id in system.agreement_ids:
-        patient_id = metadata_id.split(":")[1]
-        tables[f"patient-{patient_id}"] = metadata_id
-    return tables
+    return {f"patient-{metadata_id.split(':')[1]}": metadata_id
+            for metadata_id in system.agreement_ids}
 
 
 def _write_events(tables: Dict[str, str], rounds: int) -> List[Dict[str, object]]:
@@ -74,13 +74,48 @@ def _write_events(tables: Dict[str, str], rounds: int) -> List[Dict[str, object]
     return events
 
 
+def _run_batched(tenants: int, rounds: int, reads_per_write: int = 0,
+                 trace: bool = False) -> Tuple[SharingGateway, float, float]:
+    """The write workload through one gateway, drained once per round, with
+    ``reads_per_write`` passes of reads over every table before each round's
+    writes (they exercise the view cache); ``trace`` attaches a pipeline
+    tracer.  Returns the gateway and the simulated and wall seconds taken."""
+    # Arms replay the same seeded transactions in one process: without this a
+    # later arm finds every decode and signature check already done by an
+    # earlier one, and ``wall_overhead`` measures that instead of the tracer.
+    _decode_shared.cache_clear()
+    _equation_holds.cache_clear()
+    system = _build(tenants)
+    tracer = Tracer(system.simulator.clock) if trace else None
+    gateway = SharingGateway(system, max_batch_size=tenants, tracer=tracer)
+    tables = _tenant_tables(system)
+    sessions = {peer: gateway.open_session(peer) for peer in tables}
+    events = _write_events(tables, rounds)
+    start_sim, start_wall = system.simulator.clock.now(), time.perf_counter()
+    responses = []
+    for round_index in range(rounds):
+        for _ in range(reads_per_write):
+            for peer, metadata_id in sorted(tables.items()):
+                gateway.submit(sessions[peer], ReadViewRequest(metadata_id))
+        for event in events:
+            if event["round"] == round_index:
+                responses.append(gateway.submit(
+                    sessions[event["peer"]],
+                    UpdateEntryRequest(metadata_id=event["metadata_id"],
+                                       key=event["key"], updates=event["updates"])))
+        gateway.drain()
+    wall_seconds = time.perf_counter() - start_wall
+    sim_seconds = system.simulator.clock.now() - start_sim
+    assert all(response.ok for response in responses)
+    assert system.all_shared_tables_consistent()
+    return gateway, sim_seconds, wall_seconds
+
+
 def run_gateway_throughput_comparison(tenants: int = DEFAULT_TENANTS,
-                                      rounds: int = DEFAULT_ROUNDS,
-                                      interval: float = DEFAULT_INTERVAL,
-                                      reads_per_write: int = 2) -> Dict[str, object]:
+                                      rounds: int = FULL_ROUNDS) -> Dict[str, object]:
     """Run both systems over the same workload; returns the JSON-able result."""
     # --- sequential baseline: one protocol run (two consensus rounds) per update.
-    sequential = _build(tenants, interval)
+    sequential = _build(tenants)
     events = _write_events(_tenant_tables(sequential), rounds)
     start = sequential.simulator.clock.now()
     for event in events:
@@ -90,37 +125,15 @@ def run_gateway_throughput_comparison(tenants: int = DEFAULT_TENANTS,
     sequential_seconds = sequential.simulator.clock.now() - start
     sequential_throughput = len(events) / sequential_seconds
 
-    # --- gateway: same writes batched per round, plus read traffic that
-    # exercises the view cache between commits.
-    batched = _build(tenants, interval)
-    gateway = SharingGateway(batched, max_batch_size=tenants)
-    tables = _tenant_tables(batched)
-    sessions = {peer: gateway.open_session(peer) for peer in tables}
-    start = batched.simulator.clock.now()
-    responses = []
-    for round_index in range(rounds):
-        for _ in range(reads_per_write):
-            for peer, metadata_id in sorted(tables.items()):
-                gateway.submit(sessions[peer], ReadViewRequest(metadata_id))
-        for event in events:
-            if event["round"] != round_index:
-                continue
-            responses.append(gateway.submit(
-                sessions[event["peer"]],
-                UpdateEntryRequest(metadata_id=event["metadata_id"],
-                                   key=event["key"], updates=event["updates"])))
-        gateway.drain()
-    batched_seconds = batched.simulator.clock.now() - start
-    assert all(response.ok for response in responses)
-    assert batched.all_shared_tables_consistent()
+    # --- gateway: same writes batched per round, plus read traffic.
+    gateway, batched_seconds, _ = _run_batched(tenants, rounds, reads_per_write=2)
     batched_throughput = len(events) / batched_seconds
-
     metrics = gateway.metrics()
     return {
         "tenants": tenants,
         "rounds": rounds,
         "writes": len(events),
-        "block_interval": interval,
+        "block_interval": BLOCK_INTERVAL,
         "sequential": {
             "simulated_seconds": sequential_seconds,
             "throughput": sequential_throughput,
@@ -140,142 +153,70 @@ def run_gateway_throughput_comparison(tenants: int = DEFAULT_TENANTS,
     }
 
 
-def _run_batched_workload(tenants: int, rounds: int, interval: float,
-                          trace: bool) -> Dict[str, object]:
-    """One batched-gateway run of the shared write workload, timed both on
-    the simulated clock and the wall clock; ``trace`` attaches a pipeline
-    tracer (the thing whose cost is being measured)."""
-    # Both arms replay the same seeded transactions in one process: without
-    # this the second arm finds every decode and signature check already done
-    # by the first, and ``wall_overhead`` measures that instead of the tracer.
-    _decode_shared.cache_clear()
-    _equation_holds.cache_clear()
-    system = _build(tenants, interval)
-    tracer = Tracer(system.simulator.clock) if trace else None
-    gateway = SharingGateway(system, max_batch_size=tenants, tracer=tracer)
-    tables = _tenant_tables(system)
-    sessions = {peer: gateway.open_session(peer) for peer in tables}
-    events = _write_events(tables, rounds)
-    start_sim = system.simulator.clock.now()
-    start_wall = time.perf_counter()
-    for round_index in range(rounds):
-        for event in events:
-            if event["round"] != round_index:
-                continue
-            response = gateway.submit(
-                sessions[event["peer"]],
-                UpdateEntryRequest(metadata_id=event["metadata_id"],
-                                   key=event["key"], updates=event["updates"]))
-            assert response.status is not None
-        gateway.drain()
-    wall_seconds = time.perf_counter() - start_wall
-    sim_seconds = system.simulator.clock.now() - start_sim
-    assert system.all_shared_tables_consistent()
-    return {
-        "writes": len(events),
-        "sim_seconds": sim_seconds,
-        "wall_seconds": wall_seconds,
-        "spans_recorded": len(tracer) if tracer is not None else 0,
-    }
-
-
 def run_tracing_overhead_check(tenants: int = DEFAULT_TENANTS,
-                               rounds: int = DEFAULT_ROUNDS,
-                               interval: float = DEFAULT_INTERVAL) -> Dict[str, object]:
-    """Identical workload, tracer off vs on; gate on simulated throughput.
+                               rounds: int = 1) -> Dict[str, object]:
+    """Identical write workload, tracer off vs on.
 
     The tracer must be zero-cost on the simulated timeline (it only reads
-    the clock), so ``sim_ratio`` — traced throughput over untraced — is the
-    ≤5% overhead gate (``>= 0.95``).  Wall-clock numbers are included for
-    the curious but host-dependent, so nothing asserts on them.
+    the clock), so ``sim_ratio`` — traced throughput over untraced — is what
+    the ≤5% overhead gate checks.  Wall-clock numbers are included for the
+    curious but host-dependent, so nothing gates on them.
     """
-    off = _run_batched_workload(tenants, rounds, interval, trace=False)
-    on = _run_batched_workload(tenants, rounds, interval, trace=True)
-    throughput_off = off["writes"] / off["sim_seconds"]
-    throughput_on = on["writes"] / on["sim_seconds"]
-    sim_ratio = throughput_on / throughput_off
-    wall_overhead = ((on["wall_seconds"] - off["wall_seconds"])
-                     / off["wall_seconds"]) if off["wall_seconds"] > 0 else 0.0
+    _, sim_off, wall_off = _run_batched(tenants, rounds)
+    traced, sim_on, wall_on = _run_batched(tenants, rounds, trace=True)
+    writes = tenants * rounds
+    throughput_off, throughput_on = writes / sim_off, writes / sim_on
     return {
         "tenants": tenants,
         "rounds": rounds,
-        "writes": off["writes"],
+        "writes": writes,
         "sim_throughput_off": throughput_off,
         "sim_throughput_on": throughput_on,
-        "sim_ratio": sim_ratio,
-        "wall_seconds_off": off["wall_seconds"],
-        "wall_seconds_on": on["wall_seconds"],
-        "wall_overhead": wall_overhead,
-        "spans_recorded": on["spans_recorded"],
-        "within_bound": sim_ratio >= 0.95,
+        "sim_ratio": throughput_on / throughput_off,
+        "wall_seconds_off": wall_off,
+        "wall_seconds_on": wall_on,
+        "wall_overhead": (wall_on - wall_off) / wall_off if wall_off > 0 else 0.0,
+        "spans_recorded": len(traced.tracer),
     }
 
 
-def test_gateway_batched_throughput_vs_sequential(emit):
-    """Batched commits must be ≥3× the sequential baseline at 8 tenants."""
-    result = run_gateway_throughput_comparison()
-    emit("E11_gateway_throughput", json.dumps(result, indent=2, sort_keys=True))
-    assert result["writes"] == DEFAULT_TENANTS * DEFAULT_ROUNDS
-    assert result["speedup"] >= 3.0
-    # The read traffic between commits must actually hit the cache ...
-    assert result["cache_hit_rate"] > 0.3
-    # ... and every tenant's latency distribution is reported.
-    assert len(result["per_tenant_p95"]) == DEFAULT_TENANTS
-    assert all(p95 > 0 for p95 in result["per_tenant_p95"].values())
-
-
-def test_gateway_batch_size_scaling(emit):
-    """Larger batches amortise consensus rounds: fewer rounds, more throughput."""
-    rows = []
-    throughputs = []
-    for tenants in (2, 4, 8):
-        result = run_gateway_throughput_comparison(tenants=tenants, rounds=1)
-        throughputs.append(result["batched"]["throughput"])
-        rows.append((tenants, result["writes"],
-                     round(result["batched"]["throughput"], 4),
-                     round(result["speedup"], 2)))
-    emit("E11_gateway_batch_scaling", json.dumps(
-        [{"tenants": row[0], "writes": row[1], "throughput": row[2],
-          "speedup": row[3]} for row in rows], indent=2))
-    # Throughput grows with the number of batchable tenants.
-    assert throughputs[-1] > throughputs[0]
-
-
-def test_tracing_overhead_within_bound(emit):
-    """Tracing the whole pipeline must keep ≥95% of simulated throughput."""
-    result = run_tracing_overhead_check(rounds=1)
-    emit("E12_tracing_overhead", json.dumps(result, indent=2, sort_keys=True))
-    # The traced run actually traced something ...
-    assert result["spans_recorded"] > 0
-    # ... and cost (at most) 5% of simulated throughput.  The tracer never
-    # advances the simulated clock, so the ratio should be exactly 1.0.
-    assert result["sim_ratio"] >= 0.95
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tenants", type=int, default=DEFAULT_TENANTS)
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    parser.add_argument("--interval", type=float, default=DEFAULT_INTERVAL)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: one-round comparison plus the "
-                             "tracing-overhead gate, combined JSON")
-    args = parser.parse_args()
-    if args.quick:
-        comparison = run_gateway_throughput_comparison(
-            tenants=args.tenants, rounds=1, interval=args.interval)
-        overhead = run_tracing_overhead_check(
-            tenants=args.tenants, rounds=1, interval=args.interval)
-        print(json.dumps({"throughput": comparison,
-                          "tracing_overhead": overhead},
-                         indent=2, sort_keys=True))
-        return 0 if (comparison["speedup"] >= 3.0
-                     and overhead["within_bound"]) else 1
+def run(quick: bool, out: Optional[Path] = None) -> Dict[str, object]:
+    """The 8-tenant comparison, the 2/4/8-tenant batch-size scaling and the
+    tracing-overhead check, in one JSON-able result."""
     result = run_gateway_throughput_comparison(
-        tenants=args.tenants, rounds=args.rounds, interval=args.interval)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if result["speedup"] >= 3.0 else 1
+        rounds=QUICK_ROUNDS if quick else FULL_ROUNDS)
+    result["batch_scaling"] = []
+    for tenants in SCALING_TENANTS:
+        scaled = run_gateway_throughput_comparison(tenants=tenants, rounds=1)
+        result["batch_scaling"].append({
+            "tenants": tenants, "throughput": scaled["batched"]["throughput"],
+            "speedup": scaled["speedup"]})
+    result["tracing_overhead"] = run_tracing_overhead_check()
+    return result
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def gate(result: Dict[str, object]) -> List[str]:
+    """The E11/E12 acceptance conditions that ``result`` fails."""
+    scaling = [point["throughput"] for point in result["batch_scaling"]]
+    overhead = result["tracing_overhead"]
+    gates = {
+        "writes == tenants x rounds":
+            result["writes"] == result["tenants"] * result["rounds"],
+        f"speedup >= {TARGET_SPEEDUP}": result["speedup"] >= TARGET_SPEEDUP,
+        # The read traffic between commits must actually hit the cache ...
+        f"cache_hit_rate > {MIN_CACHE_HIT_RATE}":
+            result["cache_hit_rate"] > MIN_CACHE_HIT_RATE,
+        # ... and every tenant's latency distribution is reported.
+        "p95 > 0 for every tenant":
+            len(result["per_tenant_p95"]) == result["tenants"]
+            and all(p95 > 0 for p95 in result["per_tenant_p95"].values()),
+        # Larger batches amortise consensus rounds: more batchable tenants,
+        # more throughput.
+        "throughput grows with tenants": scaling[-1] > scaling[0],
+        # The traced run traced something and cost (at most) 5% of simulated
+        # throughput; the tracer never advances the clock, so it is 1.0.
+        "spans recorded": overhead["spans_recorded"] > 0,
+        f"tracing sim_ratio >= {MIN_TRACED_RATIO}":
+            overhead["sim_ratio"] >= MIN_TRACED_RATIO,
+    }
+    return [name for name, passed in gates.items() if not passed]

@@ -29,24 +29,14 @@ Three configurations run the identical workload:
   by full get/put (the delta-vs-full A/B: same fingerprints, zero delta
   translations).
 
-Gates: ≥2× simulated-time speedup of parallel over sequential, byte-identical
-``Table.fingerprint()`` for every peer table across all three runs, and zero
-``DeltaUnsupported`` fallbacks in the delta runs (the keyed-join steady state
-never falls back to full recomputation).
-
-Runnable two ways::
-
-    python -m pytest benchmarks/bench_parallel_cascade.py           # asserts ≥2×
-    python -m pytest benchmarks/bench_parallel_cascade.py --quick   # CI smoke
-    python benchmarks/bench_parallel_cascade.py --json              # prints JSON
+Run it with ``python benchmarks/gate.py parallel_cascade [--quick]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from typing import Dict
+from pathlib import Path
+from typing import Dict, List, Optional
 
 from repro.config import ConsensusConfig, LedgerConfig, NetworkConfig, SystemConfig
 from repro.core.system import MedicalDataSharingSystem
@@ -60,11 +50,11 @@ from repro.workloads.topology import (
     patients_by_medication,
 )
 
-DEFAULT_PATIENTS = 12
-DEFAULT_MEDICATIONS = 3
+PATIENTS = 12
+MEDICATIONS = 3
 #: 5 shards = 4 *data* lanes + the reserved control lane 0; the per-patient
 #: metadata ids spread the cascade legs over the data lanes.
-DEFAULT_SHARDS = 5
+SHARDS = 5
 FULL_ROUNDS = 2
 QUICK_ROUNDS = 1
 BLOCK_INTERVAL = 2.0
@@ -76,12 +66,12 @@ FIRST_PATIENT_ID = 1_008
 TARGET_SPEEDUP = 2.0
 
 
-def _config(shards: int, parallel: bool, delta: bool) -> SystemConfig:
-    return SystemConfig(
+def _build(parallel: bool, delta: bool) -> MedicalDataSharingSystem:
+    config = SystemConfig(
         ledger=LedgerConfig(
             consensus=ConsensusConfig(kind="poa", block_interval=BLOCK_INTERVAL),
             max_transactions_per_block=16,
-            consensus_shards=shards,
+            consensus_shards=SHARDS,
         ),
         # Near-zero transport latency isolates consensus rounds: the simulated
         # clock then measures block intervals, not gossip hops.
@@ -89,24 +79,11 @@ def _config(shards: int, parallel: bool, delta: bool) -> SystemConfig:
         parallel_cascades=parallel,
         delta_propagation=delta,
     )
-
-
-def _build(patients: int, medications: int, shards: int,
-           parallel: bool, delta: bool) -> MedicalDataSharingSystem:
     return build_join_topology_system(
-        TopologySpec(patients=patients, researchers=0,
-                     distinct_medications=medications,
+        TopologySpec(patients=PATIENTS, researchers=0,
+                     distinct_medications=MEDICATIONS,
                      first_patient_id=FIRST_PATIENT_ID),
-        _config(shards, parallel, delta),
-    )
-
-
-def _fingerprints(system: MedicalDataSharingSystem) -> Dict[str, str]:
-    return {
-        f"{peer.name}:{table_name}": peer.database.table(table_name).fingerprint()
-        for peer in system.peers
-        for table_name in sorted(peer.database.table_names)
-    }
+        config)
 
 
 def _manager_totals(system: MedicalDataSharingSystem) -> Dict[str, int]:
@@ -178,38 +155,26 @@ def _run_workload(system: MedicalDataSharingSystem, rounds: int) -> Dict[str, ob
     }
 
 
-def run_parallel_cascade_comparison(patients: int = DEFAULT_PATIENTS,
-                                    medications: int = DEFAULT_MEDICATIONS,
-                                    shards: int = DEFAULT_SHARDS,
-                                    rounds: int = FULL_ROUNDS) -> Dict[str, object]:
+def run(quick: bool, out: Optional[Path] = None) -> Dict[str, object]:
     """Parallel vs sequential cascades and delta vs full recompute over the
     identical fan-out workload; returns a JSON-able result."""
-    parallel_system = _build(patients, medications, shards, parallel=True, delta=True)
+    rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
+    parallel_system = _build(parallel=True, delta=True)
     parallel = _run_workload(parallel_system, rounds)
-    parallel_prints = _fingerprints(parallel_system)
-
-    sequential_system = _build(patients, medications, shards, parallel=False, delta=True)
+    sequential_system = _build(parallel=False, delta=True)
     sequential = _run_workload(sequential_system, rounds)
-    sequential_prints = _fingerprints(sequential_system)
-    assert parallel_prints == sequential_prints, (
-        "parallel cascades diverged from the sequential oracle: "
-        f"{[k for k in sequential_prints if sequential_prints[k] != parallel_prints.get(k)]}"
-    )
-
-    full_system = _build(patients, medications, shards, parallel=True, delta=False)
+    full_system = _build(parallel=True, delta=False)
     full = _run_workload(full_system, rounds)
-    assert _fingerprints(full_system) == parallel_prints, (
-        "delta propagation diverged from the full-recompute oracle")
 
     groups = patients_by_medication(parallel_system)
     return {
         "experiment": "E17_parallel_cascade",
-        "workload": (f"{patients} patients / {medications} medications x "
+        "workload": (f"{PATIENTS} patients / {MEDICATIONS} medications x "
                      f"{rounds} round(s): per-medication hospital fan-out "
                      "batches + patient write-backs over join-backed views"),
-        "patients": patients,
+        "patients": PATIENTS,
         "medications": {m: len(ids) for m, ids in groups.items()},
-        "shards": shards,
+        "shards": SHARDS,
         "rounds": rounds,
         "block_interval": BLOCK_INTERVAL,
         "parallel": parallel,
@@ -218,53 +183,31 @@ def run_parallel_cascade_comparison(patients: int = DEFAULT_PATIENTS,
         "speedup": sequential["simulated_seconds"] / parallel["simulated_seconds"],
         "intervals_cut": (sequential["shards"]["lanes"]["intervals"]
                           - parallel["shards"]["lanes"]["intervals"]),
-        "fingerprints_identical": True,
+        # The sequential oracle and the full-recompute run agree with the
+        # measured pipeline, table for table on every peer.
+        "fingerprints_identical": (parallel_system.state_fingerprints()
+                                   == sequential_system.state_fingerprints()
+                                   == full_system.state_fingerprints()),
         "delta_fallbacks": parallel["delta_fallbacks"] + sequential["delta_fallbacks"],
     }
 
 
-def test_parallel_cascade_speedup_and_fingerprints(emit, quick):
-    """Parallel cascades must commit the fan-out workload ≥2× faster (in
-    simulated seconds) than the sequential oracle with byte-identical
-    post-state fingerprints on every peer, zero ``DeltaUnsupported``
-    fallbacks in the keyed-join steady state, and the full-recompute run
-    (delta off) must agree too."""
-    rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
-    result = run_parallel_cascade_comparison(rounds=rounds)
-    emit("E17_parallel_cascade", json.dumps(result, indent=2, sort_keys=True))
-    assert result["fingerprints_identical"]
-    assert result["speedup"] >= TARGET_SPEEDUP
-    # The keyed-join steady state never falls back to full recomputation.
-    assert result["delta_fallbacks"] == 0
-    # The deltas did the propagation work in the delta runs ...
-    assert result["parallel"]["delta_get_invocations"] > 0
-    assert result["parallel"]["delta_put_invocations"] > 0
-    # ... and the full-recompute run did none (it full-put every leg).
-    assert result["full_recompute"]["delta_put_invocations"] == 0
-    assert result["full_recompute"]["full_put_invocations"] > 0
-    # Fewer mining intervals is *where* the simulated time went: the legs'
-    # request/ack rounds collapsed into shared intervals across lanes.
-    assert result["intervals_cut"] > 0
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--patients", type=int, default=DEFAULT_PATIENTS)
-    parser.add_argument("--medications", type=int, default=DEFAULT_MEDICATIONS)
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    parser.add_argument("--rounds", type=int, default=FULL_ROUNDS)
-    parser.add_argument("--quick", action="store_true",
-                        help="use the reduced CI smoke round count")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full JSON result (default)")
-    args = parser.parse_args()
-    rounds = QUICK_ROUNDS if args.quick else args.rounds
-    result = run_parallel_cascade_comparison(
-        patients=args.patients, medications=args.medications,
-        shards=args.shards, rounds=rounds)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if result["speedup"] >= TARGET_SPEEDUP else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def gate(result: Dict[str, object]) -> List[str]:
+    """The E17 acceptance conditions that ``result`` fails."""
+    parallel, full = result["parallel"], result["full_recompute"]
+    gates = {
+        "fingerprints identical": result["fingerprints_identical"],
+        f"speedup >= {TARGET_SPEEDUP}": result["speedup"] >= TARGET_SPEEDUP,
+        # The keyed-join steady state never falls back to full recomputation.
+        "delta_fallbacks == 0": result["delta_fallbacks"] == 0,
+        # The deltas did the propagation work in the delta runs ...
+        "delta gets > 0": parallel["delta_get_invocations"] > 0,
+        "delta puts > 0": parallel["delta_put_invocations"] > 0,
+        # ... and the full-recompute run did none (it full-put every leg).
+        "full recompute made no delta puts": full["delta_put_invocations"] == 0,
+        "full recompute made full puts": full["full_put_invocations"] > 0,
+        # Fewer mining intervals is *where* the simulated time went: the legs'
+        # request/ack rounds collapsed into shared intervals across lanes.
+        "intervals cut": result["intervals_cut"] > 0,
+    }
+    return [name for name, passed in gates.items() if not passed]

@@ -4,45 +4,33 @@ The serving question behind the ROADMAP's "millions of readers" item: does
 fanning ``ReadViewRequest``\\ s across N WAL-replaying followers scale read
 throughput while the writer's commit path stays untouched?  The experiment
 runs the *same* deterministic write-plus-read-burst workload against fleets
-of 1 and 4 replicas and gates:
+of 1 and 4 replicas and measures read throughput (burst size over burst
+makespan on the replicas' deterministic service lanes), the writers' mean
+committed latency, every replica-served answer's staleness against the
+simulated-time oracle ``(primary's last commit time − replica's
+replayed-through time)``, replica fingerprints at quiesce (drain force-ships
+the tail) and replica cache misses.  A replica-less control gateway checks
+that diff-driven pre-warming serves post-commit reads for both agreement
+peers without a read-through miss.
 
-* **read scaling** — simulated read throughput (burst size over burst
-  makespan on the replicas' deterministic service lanes) improves ≥2× from
-  1 to 4 replicas;
-* **flat primary** — the writers' mean committed latency (simulated
-  seconds) moves less than ±10% between the two fleets: replication work
-  rides the commit boundary, it never sits on the commit path;
-* **bounded measured staleness** — every replica-served answer carries a
-  staleness that matches the simulated-time oracle
-  ``(primary's last commit time − replica's replayed-through time)`` and
-  never exceeds the configured bound;
-* **byte-identical convergence** — at quiesce (drain force-ships the tail)
-  every replica's per-peer table fingerprints equal the primary's;
-* **pre-warm** — after the first commit ships, replica caches never take a
-  read-through miss for the tables the commits touch, and a replica-less
-  control gateway serves post-commit reads for both agreement peers
-  entirely from pre-warmed entries (zero misses).
+Run it with ``python benchmarks/gate.py read_replicas [--quick]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
 import tempfile
+from pathlib import Path
+from typing import List, Optional
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.config import (  # noqa: E402
+from repro.config import (
     ConsensusConfig,
     DurabilityConfig,
     LedgerConfig,
     ReplicationConfig,
     SystemConfig,
 )
-from repro.gateway import ReadViewRequest, SharingGateway, UpdateEntryRequest  # noqa: E402
-from repro.workloads.topology import TopologySpec, build_topology_system  # noqa: E402
+from repro.gateway import ReadViewRequest, SharingGateway, UpdateEntryRequest
+from repro.workloads.topology import TopologySpec, build_topology_system
 
 FULL_ROUNDS = 40
 QUICK_ROUNDS = 8
@@ -52,6 +40,9 @@ BLOCK_INTERVAL = 1.0
 SHIP_INTERVAL = 2.0
 MAX_LAG = 30.0
 READ_SERVICE_TIME = 0.002
+#: Acceptance gates: ≥2× read throughput from 1 to 4 replicas with the
+#: writers' mean commit latency within ±10% (replication rides the commit
+#: boundary, it never sits on the commit path).
 MIN_READ_SCALING = 2.0
 MAX_COMMIT_DRIFT = 0.10
 
@@ -72,17 +63,33 @@ def _build(state_dir: str, replicas: int) -> SharingGateway:
     return SharingGateway(system)
 
 
+def _sessions(gateway: SharingGateway):
+    """Sorted patient names, their sessions, the doctor's session, and each
+    patient's shared table."""
+    system = gateway.system
+    patients = sorted(n for n in system.peer_names if n.startswith("patient"))
+    sessions = {name: gateway.open_session(name) for name in patients}
+    doctor = gateway.open_session("doctor")
+    mids = {name: system.peer(name).agreement_ids[0] for name in patients}
+    return patients, sessions, doctor, mids
+
+
+def _submit_writes(gateway: SharingGateway, sessions, mids, tag: str) -> None:
+    """One ``clinical_data`` write per patient, to its own shared table."""
+    for name, metadata_id in mids.items():
+        patient_id = int(metadata_id.split(":")[1])
+        gateway.submit(sessions[name], UpdateEntryRequest(
+            metadata_id=metadata_id, key=(patient_id,),
+            updates={"clinical_data": f"{tag}-{name}"}))
+
+
 def _run_fleet(replicas: int, rounds: int) -> dict:
     """One deterministic write+read workload against a fleet of ``replicas``."""
     with tempfile.TemporaryDirectory(prefix=f"e18-{replicas}r-") as state_dir:
         gateway = _build(state_dir, replicas)
         system = gateway.system
         clock = system.simulator.clock
-        patients = sorted(n for n in system.peer_names
-                          if n.startswith("patient"))
-        sessions = {name: gateway.open_session(name) for name in patients}
-        doctor = gateway.open_session("doctor")
-        mids = {name: system.peer(name).agreement_ids[0] for name in patients}
+        patients, sessions, doctor, mids = _sessions(gateway)
 
         staleness_violations = 0
         oracle_mismatches = 0
@@ -92,12 +99,7 @@ def _run_fleet(replicas: int, rounds: int) -> dict:
         last_commit_at = 0.0
 
         for round_number in range(rounds):
-            for name in patients:
-                metadata_id = mids[name]
-                patient_id = int(metadata_id.split(":")[1])
-                gateway.submit(sessions[name], UpdateEntryRequest(
-                    metadata_id=metadata_id, key=(patient_id,),
-                    updates={"clinical_data": f"r{round_number}-{name}"}))
+            _submit_writes(gateway, sessions, mids, f"r{round_number}")
             gateway.commit_once()
             last_commit_at = clock.now()  # the staleness oracle's reference
 
@@ -174,19 +176,9 @@ def _run_prewarm_control(rounds: int) -> dict:
     reads for both peers of every touched agreement with zero misses."""
     with tempfile.TemporaryDirectory(prefix="e18-prewarm-") as state_dir:
         gateway = _build(state_dir, replicas=0)
-        system = gateway.system
-        patients = sorted(n for n in system.peer_names
-                          if n.startswith("patient"))
-        sessions = {name: gateway.open_session(name) for name in patients}
-        doctor = gateway.open_session("doctor")
-        mids = {name: system.peer(name).agreement_ids[0] for name in patients}
+        patients, sessions, doctor, mids = _sessions(gateway)
         for round_number in range(max(2, rounds // 4)):
-            for name in patients:
-                metadata_id = mids[name]
-                patient_id = int(metadata_id.split(":")[1])
-                gateway.submit(sessions[name], UpdateEntryRequest(
-                    metadata_id=metadata_id, key=(patient_id,),
-                    updates={"clinical_data": f"p{round_number}-{name}"}))
+            _submit_writes(gateway, sessions, mids, f"p{round_number}")
             gateway.drain()
             misses_before = gateway.cache.misses
             for name in patients:  # both peers of every touched agreement
@@ -202,7 +194,9 @@ def _run_prewarm_control(rounds: int) -> dict:
         }
 
 
-def run_replica_scaling(rounds: int) -> dict:
+def run(quick: bool, out: Optional[Path] = None) -> dict:
+    """1 vs 4 replicas plus the pre-warm control; the JSON-able result."""
+    rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
     single = _run_fleet(1, rounds)
     fleet = _run_fleet(4, rounds)
     prewarm = _run_prewarm_control(rounds)
@@ -222,67 +216,26 @@ def run_replica_scaling(rounds: int) -> dict:
         "prewarm_control": prewarm,
         "read_scaling": scaling,
         "commit_latency_drift": drift,
-        "gates": {
-            "read_scaling_min": MIN_READ_SCALING,
-            "commit_latency_drift_max": MAX_COMMIT_DRIFT,
-        },
     }
 
 
-def _gates_pass(result: dict) -> bool:
-    single, fleet = result["single"], result["fleet"]
-    return (result["read_scaling"] >= MIN_READ_SCALING
-            and result["commit_latency_drift"] <= MAX_COMMIT_DRIFT
-            and single["staleness_violations"] == 0
-            and fleet["staleness_violations"] == 0
-            and single["oracle_mismatches"] == 0
-            and fleet["oracle_mismatches"] == 0
-            and single["fingerprints_identical"]
-            and fleet["fingerprints_identical"]
-            and fleet["replica_cache_misses"] == 0
-            and result["prewarm_control"]["post_commit_read_through_misses"] == 0)
-
-
-def test_read_replicas(emit, quick):
-    """Read throughput must scale ≥2× from 1 to 4 replicas with the primary
-    commit latency flat (±10%), every replica answer's measured staleness
-    within the bound (sim-time oracle), replica fingerprints byte-identical
-    at quiesce, and pre-warm eliminating read-through misses."""
-    rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
-    result = run_replica_scaling(rounds)
-    emit("E18_read_replicas", json.dumps(result, indent=2, sort_keys=True))
-    assert result["read_scaling"] >= MIN_READ_SCALING, (
-        f"read throughput scaled {result['read_scaling']:.2f}x < "
-        f"{MIN_READ_SCALING}x from 1 to 4 replicas")
-    assert result["commit_latency_drift"] <= MAX_COMMIT_DRIFT, (
-        f"primary commit latency drifted "
-        f"{result['commit_latency_drift'] * 100:.1f}% > "
-        f"{MAX_COMMIT_DRIFT * 100:.0f}%")
+def gate(result: dict) -> List[str]:
+    """The E18 acceptance conditions that ``result`` fails."""
+    gates = {
+        f"read scaling >= {MIN_READ_SCALING}x":
+            result["read_scaling"] >= MIN_READ_SCALING,
+        f"commit latency drift <= {MAX_COMMIT_DRIFT:.0%}":
+            result["commit_latency_drift"] <= MAX_COMMIT_DRIFT,
+    }
     for label in ("single", "fleet"):
-        run = result[label]
-        assert run["staleness_violations"] == 0, label
-        assert run["oracle_mismatches"] == 0, label
-        assert run["fingerprints_identical"], label
-        assert run["replica_answers"] > 0, label
-    assert result["fleet"]["replica_cache_misses"] == 0, (
-        "replica caches took read-through misses despite pre-warm")
-    assert result["prewarm_control"]["post_commit_read_through_misses"] == 0, (
-        "primary cache took read-through misses for freshly committed tables")
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=FULL_ROUNDS)
-    parser.add_argument("--quick", action="store_true",
-                        help="use the reduced CI smoke workload")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full JSON result (default)")
-    args = parser.parse_args()
-    rounds = QUICK_ROUNDS if args.quick else args.rounds
-    result = run_replica_scaling(rounds)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if _gates_pass(result) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        arm = result[label]
+        gates[f"{label}: staleness within bound"] = arm["staleness_violations"] == 0
+        gates[f"{label}: staleness matches oracle"] = arm["oracle_mismatches"] == 0
+        gates[f"{label}: fingerprints identical"] = arm["fingerprints_identical"]
+        gates[f"{label}: replicas answered"] = arm["replica_answers"] > 0
+    # Diff-driven pre-warming leaves no read-through miss, on the replicas ...
+    gates["fleet: no replica cache misses"] = result["fleet"]["replica_cache_misses"] == 0
+    # ... nor on a replica-less primary's freshly committed tables.
+    gates["prewarm: no read-through misses"] = (
+        result["prewarm_control"]["post_commit_read_through_misses"] == 0)
+    return [name for name, passed in gates.items() if not passed]

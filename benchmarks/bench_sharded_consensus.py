@@ -16,29 +16,22 @@ per-block budget of 2 transactions so block space is the bottleneck) through
 * the **5-shard lanes** — the same workload, tables spread over the 4 data
   lanes (lane 0 is reserved for control traffic),
 
-and reports commit throughput in writes per simulated second.  Correctness
-oracles: every peer's every table must have a byte-identical
-``Table.fingerprint()`` across the two runs, and the explicit 1-shard
-configuration must reproduce the default (unsharded) configuration's block
-hash sequence exactly.
+and reports commit throughput in writes per simulated second, each run's
+state fingerprints, and whether the explicit 1-shard configuration
+reproduces the default (unsharded) block hash sequence.
 
 A second section measures **cross-peer batch folding** on the paper's CARE
 table: doctor (dosage) and patient (clinical_data) writes on disjoint
 attribute sets commit through one ``request_folded_update`` round pair
 instead of one pair per peer.
 
-Runnable two ways::
-
-    python -m pytest benchmarks/bench_sharded_consensus.py           # asserts ≥2×
-    python -m pytest benchmarks/bench_sharded_consensus.py --quick   # CI smoke
-    python benchmarks/bench_sharded_consensus.py --json              # prints JSON
+Run it with ``python benchmarks/gate.py sharded_consensus [--quick]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from typing import Dict, List
+from pathlib import Path
+from typing import Dict, List, Optional
 
 from repro.config import ConsensusConfig, LedgerConfig, NetworkConfig, SystemConfig
 from repro.core.scenario import CARE_TABLE, build_extended_scenario
@@ -46,9 +39,9 @@ from repro.core.system import MedicalDataSharingSystem
 from repro.gateway import SharingGateway, UpdateEntryRequest
 from repro.workloads.topology import TopologySpec, build_topology_system
 
-DEFAULT_TENANTS = 8
+TENANTS = 8
 #: 5 shards = 4 *data* lanes + the reserved control lane 0.
-DEFAULT_SHARDS = 5
+SHARDS = 5
 FULL_ROUNDS = 3
 QUICK_ROUNDS = 1
 BLOCK_INTERVAL = 2.0
@@ -63,38 +56,27 @@ FIRST_PATIENT_ID = 1_008
 TARGET_SPEEDUP = 2.0
 
 
-def _config(shards: int) -> SystemConfig:
-    return SystemConfig(
+def _build(**ledger) -> MedicalDataSharingSystem:
+    """The 8-tenant topology; ``ledger`` adds ``LedgerConfig`` fields."""
+    config = SystemConfig(
         ledger=LedgerConfig(
             consensus=ConsensusConfig(kind="poa", block_interval=BLOCK_INTERVAL),
             max_transactions_per_block=MAX_TXS_PER_BLOCK,
-            consensus_shards=shards,
+            **ledger,
         ),
         # Near-zero transport latency isolates the consensus pipeline: the
         # simulated clock then measures block intervals, not gossip hops.
         network=NetworkConfig(base_latency=0.002, latency_jitter=0.001),
     )
-
-
-def _build(shards: int, tenants: int) -> MedicalDataSharingSystem:
     return build_topology_system(
-        TopologySpec(patients=tenants, researchers=0,
+        TopologySpec(patients=TENANTS, researchers=0,
                      first_patient_id=FIRST_PATIENT_ID),
-        _config(shards),
-    )
-
-
-def _fingerprints(system: MedicalDataSharingSystem) -> Dict[str, str]:
-    return {
-        f"{peer.name}:{table_name}": peer.database.table(table_name).fingerprint()
-        for peer in system.peers
-        for table_name in sorted(peer.database.table_names)
-    }
+        config)
 
 
 def _run_workload(system: MedicalDataSharingSystem, rounds: int) -> Dict[str, object]:
     """Per-tenant updates through the gateway, drained once per round."""
-    gateway = SharingGateway(system, max_batch_size=DEFAULT_TENANTS)
+    gateway = SharingGateway(system, max_batch_size=TENANTS)
     tables = {f"patient-{mid.split(':')[1]}": mid for mid in system.agreement_ids}
     sessions = {peer: gateway.open_session(peer) for peer in tables}
     responses = []
@@ -149,116 +131,76 @@ def _run_fold_comparison(rounds: int) -> Dict[str, object]:
             "consensus_rounds": metrics["batches"]["consensus_rounds"],
             "folded_writes": metrics["batches"]["folded_writes"],
             "fold_rounds_saved": metrics["batches"]["fold_rounds_saved"],
-            "fingerprints": _fingerprints(system),
+            "fingerprints": system.state_fingerprints(),
         }
 
     folded = drive(True)
     serialised = drive(False)
-    assert folded["fingerprints"] == serialised["fingerprints"], (
-        "cross-peer folding changed the post-state tables")
-    result = {
+    return {
         "rounds": rounds,
-        "folded": {k: v for k, v in folded.items() if k != "fingerprints"},
-        "serialised": {k: v for k, v in serialised.items() if k != "fingerprints"},
+        "fingerprints_identical": (folded.pop("fingerprints")
+                                   == serialised.pop("fingerprints")),
+        "folded": folded,
+        "serialised": serialised,
         "rounds_cut": serialised["consensus_rounds"] - folded["consensus_rounds"],
-        "fingerprints_identical": True,
     }
-    return result
 
 
-def run_sharded_consensus_comparison(tenants: int = DEFAULT_TENANTS,
-                                     shards: int = DEFAULT_SHARDS,
-                                     rounds: int = FULL_ROUNDS) -> Dict[str, object]:
-    """Run 1-shard vs N-shard over the same workload; returns JSON-able result."""
+def run(quick: bool, out: Optional[Path] = None) -> Dict[str, object]:
+    """1-shard vs N-shard over the same workload, then cross-peer folding;
+    returns the JSON-able result."""
+    rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
     # --- seed-equivalence oracle: the explicit 1-shard configuration must
     # reproduce the default configuration's block sequence exactly.
-    default_system = build_topology_system(
-        TopologySpec(patients=tenants, researchers=0,
-                     first_patient_id=FIRST_PATIENT_ID),
-        SystemConfig(
-            ledger=LedgerConfig(
-                consensus=ConsensusConfig(kind="poa", block_interval=BLOCK_INTERVAL),
-                max_transactions_per_block=MAX_TXS_PER_BLOCK,
-            ),
-            network=NetworkConfig(base_latency=0.002, latency_jitter=0.001),
-        ))
-    default_result = _run_workload(default_system, rounds)
-
-    baseline_system = _build(1, tenants)
+    default_system = _build()
+    _run_workload(default_system, rounds)
+    baseline_system = _build(consensus_shards=1)
     baseline = _run_workload(baseline_system, rounds)
-    baseline_prints = _fingerprints(baseline_system)
-    assert _block_hashes(baseline_system) == _block_hashes(default_system), (
-        "consensus_shards=1 diverged from the default (unsharded) pipeline")
-
-    sharded_system = _build(shards, tenants)
+    sharded_system = _build(consensus_shards=SHARDS)
     sharded = _run_workload(sharded_system, rounds)
-    sharded_prints = _fingerprints(sharded_system)
-    assert baseline_prints == sharded_prints, (
-        "sharded pipeline diverged from the 1-shard baseline: "
-        f"{[k for k in baseline_prints if baseline_prints[k] != sharded_prints.get(k)]}"
-    )
 
     gossip = sharded_system.simulator.gossip
     return {
         "experiment": "E13_sharded_consensus",
-        "workload": (f"{tenants} tenants x {rounds} round(s) of single-row updates, "
+        "workload": (f"{TENANTS} tenants x {rounds} round(s) of single-row updates, "
                      f"{MAX_TXS_PER_BLOCK} txs/block budget"),
-        "tenants": tenants,
-        "shards": shards,
+        "tenants": TENANTS,
+        "shards": SHARDS,
         "rounds": rounds,
         "block_interval": BLOCK_INTERVAL,
         "baseline_1_shard": baseline,
         "sharded": sharded,
         "speedup": sharded["throughput"] / baseline["throughput"],
-        "fingerprints_identical": True,
-        "single_shard_block_sequence_identical": True,
+        "fingerprints_identical": (baseline_system.state_fingerprints()
+                                   == sharded_system.state_fingerprints()),
+        "single_shard_block_sequence_identical": (
+            _block_hashes(baseline_system) == _block_hashes(default_system)),
         "tx_batch_topics": dict(sorted(gossip.topic_messages.items())),
-        "cross_peer_folding": _run_fold_comparison(rounds),
+        "fold": _run_fold_comparison(rounds),
     }
 
 
-def test_sharded_consensus_throughput_and_fingerprints(emit, quick):
-    """4 data lanes must give ≥2× commit throughput over the 1-shard
-    baseline at 8 tenants, with identical post-state fingerprints on every
-    peer and an unchanged 1-shard block sequence; cross-peer folding must cut
-    consensus rounds without changing the post-state."""
-    rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
-    result = run_sharded_consensus_comparison(rounds=rounds)
-    emit("E13_sharded_consensus", json.dumps(result, indent=2, sort_keys=True))
-    assert result["fingerprints_identical"]
-    assert result["single_shard_block_sequence_identical"]
-    assert result["speedup"] >= TARGET_SPEEDUP
-    # Lanes actually ran in parallel: several lanes produced blocks ...
+def gate(result: Dict[str, object]) -> List[str]:
+    """The E13 acceptance conditions that ``result`` fails."""
     lanes = result["sharded"]["shards"]["lanes"]
-    assert sum(1 for count in lanes["blocks_per_lane"] if count) >= 2
-    # ... inside fewer intervals than blocks.
-    assert lanes["intervals"] < sum(lanes["blocks_per_lane"])
-    # The tx-batch gossip ran on per-shard topics.
-    assert any(topic.startswith("tx-batch/shard-")
-               for topic in result["tx_batch_topics"])
-    # Folding cut the cross-peer hot path's rounds (2 per folded batch).
-    fold = result["cross_peer_folding"]
-    assert fold["fingerprints_identical"]
-    assert fold["rounds_cut"] >= 2 * rounds
-    assert fold["folded"]["folded_writes"] == rounds
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tenants", type=int, default=DEFAULT_TENANTS)
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    parser.add_argument("--rounds", type=int, default=FULL_ROUNDS)
-    parser.add_argument("--quick", action="store_true",
-                        help="use the reduced CI smoke round count")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full JSON result (default)")
-    args = parser.parse_args()
-    rounds = QUICK_ROUNDS if args.quick else args.rounds
-    result = run_sharded_consensus_comparison(
-        tenants=args.tenants, shards=args.shards, rounds=rounds)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if result["speedup"] >= TARGET_SPEEDUP else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    fold = result["fold"]
+    gates = {
+        "fingerprints identical": result["fingerprints_identical"],
+        "1-shard block sequence identical":
+            result["single_shard_block_sequence_identical"],
+        f"speedup >= {TARGET_SPEEDUP}": result["speedup"] >= TARGET_SPEEDUP,
+        # Lanes actually ran in parallel: several lanes produced blocks ...
+        ">= 2 lanes produced blocks":
+            sum(1 for count in lanes["blocks_per_lane"] if count) >= 2,
+        # ... inside fewer intervals than blocks.
+        "intervals < blocks": lanes["intervals"] < sum(lanes["blocks_per_lane"]),
+        "tx-batch gossip on per-shard topics": any(
+            topic.startswith("tx-batch/shard-") for topic in result["tx_batch_topics"]),
+        # Folding cut the cross-peer hot path's rounds (2 per folded batch)
+        # without changing the post-state.
+        "fold fingerprints identical": fold["fingerprints_identical"],
+        "fold rounds_cut >= 2 x rounds": fold["rounds_cut"] >= 2 * result["rounds"],
+        "fold folded_writes == rounds":
+            fold["folded"]["folded_writes"] == result["rounds"],
+    }
+    return [name for name, passed in gates.items() if not passed]

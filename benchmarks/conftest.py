@@ -1,9 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-reproduction benchmarks.
 
-Every benchmark regenerates one experiment of DESIGN.md §5 (E1..E10).  Each
-prints the rows/series the corresponding paper artifact describes and also
-writes them to ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can
-quote them verbatim.
+Each pytest benchmark here (Fig. 1/3/4/5, §4, §5, the ablations, bx scaling)
+regenerates one artifact of the paper: it prints the rows/series that
+artifact describes and also writes them to
+``benchmarks/results/<experiment>.txt``.  The extension gates (E11–E19) are
+not pytest tests; ``benchmarks/gate.py`` runs them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def pytest_addoption(parser):
     """``--quick``: run benchmarks on a reduced size grid.
 
-    CI's bench smoke job passes this so the delta-propagation benchmark (and
-    any future grid-based bench) finishes in seconds while still exercising
-    the full code path and its correctness oracles.
+    The serialization ablation's wire-codec leg repeats fewer times with it,
+    still exercising the full code path and its correctness oracles.
     """
     parser.addoption("--quick", action="store_true", default=False,
                      help="run benchmarks on a reduced size grid (CI smoke mode)")

@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper's figures would
 carry; these helpers keep that output aligned and readable both in pytest
-output and in EXPERIMENTS.md.
+output and in the ``benchmarks/results/*.txt`` copies the harness writes.
 """
 
 from __future__ import annotations
