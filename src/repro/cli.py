@@ -203,10 +203,9 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
     ``chaos`` a ``chaos`` section (and ``chaos_events_out`` its event
     JSONL), ``include_fingerprints`` the state fingerprints.
     """
-    import asyncio
     import tempfile
 
-    from repro.gateway import AsyncSharingGateway, SharingGateway
+    from repro.gateway import SharingGateway
     from repro.obs import MetricsRegistry, Tracer, TraceAnalyzer, write_trace_jsonl
     from repro.workloads.topology import TopologySpec, build_topology_system
     from repro.workloads.traffic import (TrafficGenerator, default_tenant_profiles,
@@ -263,6 +262,9 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
     start = clock.now()
     front = None
     if spec.transport == "async":
+        import asyncio
+
+        from repro.gateway import AsyncSharingGateway
         front = AsyncSharingGateway(gateway, max_delay=spec.max_delay)
 
         async def drive() -> None:
@@ -295,6 +297,7 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
         "simulated_seconds": elapsed,
         "write_throughput": (writes / elapsed) if elapsed > 0 else 0.0,
         "metrics": metrics,
+        "light_peers": system.simulator.light_statistics(),
     }
     if spec.include_fingerprints:
         result["fingerprints"] = system.state_fingerprints()

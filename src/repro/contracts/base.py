@@ -1,9 +1,9 @@
 """The contract programming model.
 
 Contracts are plain Python classes whose public methods are invoked by
-``call`` transactions.  Execution is deterministic: every node re-runs the
-same calls in block order and must reach the same storage, which the state
-root check in tests verifies.
+``call`` transactions.  Execution is deterministic: every validator re-runs
+the same calls in block order and must reach the same storage, which the
+state root check in tests verifies.
 
 A contract method can:
 

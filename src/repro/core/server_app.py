@@ -3,26 +3,33 @@
 The server app mediates between one peer's client side, its database manager,
 its trusted blockchain node and the pairwise data channels:
 
-* it signs and submits contract-call transactions through the trusted node;
-* it listens to contract events on that node and turns the ones addressed to
-  its peer into :class:`Notification` objects ("the smart contract notifies
-  sharing peers of the modification");
+* it signs and submits contract-call transactions through the trusted node —
+  the peer's own validator node, or, for a *light* peer, a validator's;
+* it turns the contract events addressed to its peer into
+  :class:`Notification` objects ("the smart contract notifies sharing peers
+  of the modification").  A validator's app listens to its own replica's
+  events; a light peer's app queues one only after its
+  :class:`~repro.network.light.LightNode` has checked the operation's
+  inclusion proof against the headers it holds and the app has checked the
+  sender is the agreement's counterparty (or the peer itself);
 * it serves data requests from sharing peers and fetches updated shared data
-  from them over the pairwise channel.
+  from them over the pairwise channel, installing a diff only if it hashes
+  to the ``diff_hash`` the notification committed on-chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.contracts.runtime import ContractRuntime
 from repro.core.manager import DatabaseManager
 from repro.core.peer import Peer
-from repro.errors import SharingError
+from repro.crypto.hashing import hash_payload
+from repro.errors import SharingError, WorkflowError
 from repro.ledger.events import LogEntry
 from repro.ledger.transaction import Transaction
 from repro.network.channels import ChannelRegistry, ChannelTransfer
+from repro.network.light import LightNode
 from repro.network.node import BlockchainNode
 from repro.relational.diff import TableDiff
 from repro.relational.table import Table
@@ -60,9 +67,12 @@ class ServerApp:
     """Mediator between one peer and the rest of the system."""
 
     def __init__(self, peer: Peer, node: BlockchainNode, channels: ChannelRegistry,
-                 check_lens_laws: bool = True, delta_verify_interval: int = 16):
+                 check_lens_laws: bool = True, delta_verify_interval: int = 16,
+                 light: Optional[LightNode] = None):
         self.peer = peer
+        #: The trusted node: the peer's own, or (light peer) its validator's.
         self.node = node
+        self.light = light
         self.channels = channels
         self.manager = DatabaseManager(peer, check_laws=check_lens_laws,
                                        delta_verify_interval=delta_verify_interval)
@@ -71,7 +81,14 @@ class ServerApp:
         self._notifications: List[Notification] = []
         #: metadata_id → most recent outgoing diff, served to requesting peers.
         self.outgoing_diffs: Dict[str, TableDiff] = {}
-        node.subscribe_events(self._on_event)
+        #: metadata_id → chain address of the agreement's other peer.
+        self.counterparty_addresses: Dict[str, str] = {}
+        if light is None:
+            node.subscribe_events(self._on_event)
+        else:
+            light.wants = self._names_me
+            light.accept_operation = self._accept_operation
+            light.on_reattach = self._reattach
 
     # -------------------------------------------------------------------- events
 
@@ -82,6 +99,38 @@ class ServerApp:
         if self.peer.address not in notify_peers:
             return
         self._notifications.append(Notification.from_event(entry))
+
+    def _names_me(self, entry: LogEntry) -> bool:
+        """A shared-data operation this peer takes part in: one on a table it
+        shares, which notifies it or which it requested."""
+        data = entry.data
+        return (entry.name == "SharedDataChanged"
+                and data.get("metadata_id") in self.counterparty_addresses
+                and (self.peer.address in data.get("notify_peers", ())
+                     or data.get("requester") == self.peer.address))
+
+    def _accept_operation(self, transaction: Transaction, entry: LogEntry) -> bool:
+        """A light peer's last check of an operation its light node verified:
+        the sender is the agreement's counterparty or this peer, and the
+        event names that sender.  Queues the notification when it is one."""
+        counterparty = self.counterparty_addresses.get(entry.data.get("metadata_id"))
+        sender = transaction.sender
+        if (counterparty is None or sender not in (counterparty, self.peer.address)
+                or entry.data.get("requester") != sender):
+            return False
+        self._on_event(entry)
+        return True
+
+    def _reattach(self, node: BlockchainNode) -> None:
+        self.node = node
+
+    def confirm_own_request(self, transaction: Transaction) -> None:
+        """Before a light peer installs its own accepted change: its light
+        node must hold a verified inclusion proof of the request."""
+        if self.light is not None and not self.light.verified(transaction.tx_hash):
+            raise WorkflowError(
+                f"light peer {self.peer.name!r} holds no verified inclusion proof "
+                f"of its request {transaction.tx_hash[:12]}")
 
     @property
     def notifications(self) -> Tuple[Notification, ...]:
@@ -184,10 +233,21 @@ class ServerApp:
         snapshot = self.peer.shared_table(metadata_id)
         return channel.send_snapshot(self.peer.name, requester_peer_name, snapshot)
 
-    def receive_shared_data(self, metadata_id: str, transfer: ChannelTransfer) -> None:
-        """Install shared data received over a channel into the local database."""
+    def receive_shared_data(self, metadata_id: str, transfer: ChannelTransfer,
+                            notification: Optional[Notification] = None) -> None:
+        """Install shared data received over a channel into the local database.
+
+        With the ``notification`` the transfer answers, a diff is installed
+        only if it hashes to the notification's on-chain ``diff_hash``.
+        """
         if transfer.kind == "diff":
-            self.manager.apply_incoming_diff(metadata_id, TableDiff.from_dict(transfer.payload))
+            diff = TableDiff.from_dict(transfer.payload)
+            if (notification is not None
+                    and hash_payload(diff.to_dict()) != notification.diff_hash):
+                raise WorkflowError(
+                    f"channel diff for {metadata_id!r} update #{notification.update_id} "
+                    f"does not match the diff hash committed on-chain")
+            self.manager.apply_incoming_diff(metadata_id, diff)
         elif transfer.kind == "snapshot":
             self.manager.replace_shared_table(metadata_id, Table.from_dict(transfer.payload))
         else:

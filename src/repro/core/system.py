@@ -2,8 +2,12 @@
 
 :class:`MedicalDataSharingSystem` wires everything together:
 
-* one simulated network with a blockchain node per peer (the first node added
-  is the block producer);
+* one simulated network.  A peer is a *validator* — it runs a blockchain
+  node, executes every contract call and keeps its own chain replica (the
+  first one added is the block producer) — or a *light peer*
+  (``add_peer(..., light=True)``), which keeps only block headers and checks
+  an inclusion proof for each operation it takes part in, with a validator's
+  node as its trusted node;
 * one :class:`~repro.contracts.sharing_contract.SharedDataContract` and one
   :class:`~repro.contracts.registry_contract.SharingRegistryContract`
   deployed on-chain;
@@ -144,8 +148,14 @@ class MedicalDataSharingSystem:
             backend.tracer = self.tracer
         return database
 
-    def add_peer(self, name: str, role: str, is_miner: Optional[bool] = None) -> Peer:
-        """Create a peer, its blockchain node and its server app.
+    def add_peer(self, name: str, role: str, is_miner: Optional[bool] = None,
+                 light: bool = False) -> Peer:
+        """Create a peer, its node and its server app.
+
+        A validator gets a blockchain node of its own.  A ``light`` peer gets
+        a :class:`~repro.network.light.LightNode` at the same transport
+        address (``node-<name>``) and the block producer's node as its
+        trusted node; it needs a validator added before it.
 
         With ``config.durability.state_dir`` set, the peer's database is
         durable automatically: created under ``<state_dir>/peers/<name>`` on
@@ -154,14 +164,23 @@ class MedicalDataSharingSystem:
         if name in self._peers:
             raise SharingError(f"peer {name!r} already exists")
         if is_miner is None:
-            is_miner = not self._peers  # the first peer's node produces blocks
+            # The first validator's node produces blocks.
+            is_miner = not self._peers and not light
+        if light and is_miner:
+            raise SharingError(f"light peer {name!r} cannot produce blocks")
         peer = Peer(name=name, role=role, database=self._open_peer_database(name))
-        node = self.simulator.add_node(f"node-{name}", is_miner=is_miner)
-        if node.miner is not None:
-            node.miner.tracer = self.tracer
+        light_node = None
+        if light:
+            light_node = self.simulator.add_light_node(f"node-{name}")
+            node = light_node.validator
+        else:
+            node = self.simulator.add_node(f"node-{name}", is_miner=is_miner)
+            if node.miner is not None:
+                node.miner.tracer = self.tracer
         app = ServerApp(peer, node, self.simulator.channels,
                         check_lens_laws=self.config.check_lens_laws,
-                        delta_verify_interval=self.config.delta_verify_interval)
+                        delta_verify_interval=self.config.delta_verify_interval,
+                        light=light_node)
         if self.contract_address is not None:
             app.contract_address = self.contract_address
             app.registry_address = self.registry_address
@@ -260,6 +279,8 @@ class MedicalDataSharingSystem:
 
         for peer_name in agreement.peers:
             self.peer(peer_name).join_agreement(agreement)
+            self.server_app(peer_name).counterparty_addresses[agreement.metadata_id] = \
+                self.peer(agreement.counterparty_of(peer_name)).address
 
         initiator_app = self.server_app(agreement.initiator)
         sharing_peers = {

@@ -657,6 +657,7 @@ class UpdateCoordinator:
                              f"{leg.initiator} rejected: {receipt.error}")
             return False
         leg.update_id = int(receipt.return_value["update_id"])
+        app.confirm_own_request(leg.request_tx)
         self._install_initiator_view(leg)
         leg.installed = True
         app.outgoing_diffs[leg.metadata_id] = leg.diff
@@ -708,8 +709,9 @@ class UpdateCoordinator:
         metadata_id, update_id = leg.metadata_id, leg.update_id
 
         # Step 3: the sharing peer is notified through the contract event.
-        notifications = counterpart_app.pop_notifications(metadata_id)
-        if not any(n.update_id == update_id for n in notifications):
+        notification = next((n for n in counterpart_app.pop_notifications(metadata_id)
+                             if n.update_id == update_id), None)
+        if notification is None:
             raise WorkflowError(
                 f"peer {leg.counterpart!r} did not receive the contract notification "
                 f"for update {update_id} on {metadata_id!r}"
@@ -722,7 +724,7 @@ class UpdateCoordinator:
         counterpart_app.request_shared_data(metadata_id, leg.initiator,
                                             since_update=update_id)
         transfer = app.serve_shared_data(metadata_id, leg.counterpart, mode="diff")
-        counterpart_app.receive_shared_data(metadata_id, transfer)
+        counterpart_app.receive_shared_data(metadata_id, transfer, notification)
         emit(leg.counterpart, "fetch_data",
              f"fetched updated shared data ({transfer.kind}, "
              f"{transfer.size_bytes} bytes)",

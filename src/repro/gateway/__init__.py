@@ -21,7 +21,6 @@ so many tenants can read and write shared data concurrently:
 """
 
 from repro.gateway.admission import LatencyShedder, fair_share_exceeded
-from repro.gateway.aio import AsyncSharingGateway
 from repro.gateway.cache import ViewCache
 from repro.gateway.gateway import ResponseJournal, SharingGateway
 from repro.gateway.requests import (
@@ -43,6 +42,16 @@ from repro.gateway.requests import (
 from repro.gateway.scheduler import BatchPlan, PendingWrite, WriteScheduler
 from repro.gateway.session import GatewaySession, TokenBucket
 from repro.gateway.worker import GatewayWorkerPool
+
+
+def __getattr__(name: str):
+    # The asyncio transport loads on first use: importing ``asyncio`` is a
+    # noticeable share of start-up for a run that never drives it.
+    if name == "AsyncSharingGateway":
+        from repro.gateway.aio import AsyncSharingGateway
+        return AsyncSharingGateway
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsyncSharingGateway",

@@ -66,6 +66,19 @@ class BlockHeader:
             "state_root": self.state_root,
         }
 
+    @staticmethod
+    def from_dict(payload: dict) -> "BlockHeader":
+        return BlockHeader(
+            number=payload["number"],
+            parent_hash=payload["parent_hash"],
+            merkle_root=payload["merkle_root"],
+            timestamp=payload["timestamp"],
+            proposer=payload["proposer"],
+            nonce=payload.get("nonce", 0),
+            seal=payload.get("seal", ""),
+            state_root=payload.get("state_root", ""),
+        )
+
     def digest(self, sealed: bool = True, memoise: bool = True) -> str:
         """The block hash (``sealed``) or the PoA seal commitment (not).
 
@@ -143,17 +156,7 @@ class Block:
 
     @staticmethod
     def from_dict(payload: dict) -> "Block":
-        header_payload = payload["header"]
-        header = BlockHeader(
-            number=header_payload["number"],
-            parent_hash=header_payload["parent_hash"],
-            merkle_root=header_payload["merkle_root"],
-            timestamp=header_payload["timestamp"],
-            proposer=header_payload["proposer"],
-            nonce=header_payload.get("nonce", 0),
-            seal=header_payload.get("seal", ""),
-            state_root=header_payload.get("state_root", ""),
-        )
+        header = BlockHeader.from_dict(payload["header"])
         transactions = tuple(Transaction.from_dict(tx) for tx in payload.get("transactions", ()))
         return Block(header=header, transactions=transactions)
 

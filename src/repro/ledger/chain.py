@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import LedgerConfig
+from repro.crypto.merkle import MerkleTree
 from repro.errors import ForkError, InvalidBlockError, InvalidTransactionError
 from repro.ledger.block import Block, make_genesis_block, validate_block_linkage
 from repro.ledger.consensus import ConsensusEngine, make_consensus
@@ -67,6 +68,13 @@ class Blockchain:
         self._blocks: List[Block] = [make_genesis_block(config.chain_id)]
         self._blocks_by_hash: Dict[str, Block] = {self._blocks[0].block_hash: self._blocks[0]}
         self._receipts: Dict[str, TransactionReceipt] = {}
+        #: tx hash → (block number, position in the block), kept as blocks append.
+        self._tx_locations: Dict[str, Tuple[int, int]] = {}
+        #: Per block number, the index of its first event in ``events``.
+        self._event_starts: List[int] = [0]
+        #: ``(block number, Merkle tree)`` of the last block a proof was cut
+        #: from: proofs are asked of the newest block, several at a time.
+        self._merkle_tree: Optional[Tuple[int, MerkleTree]] = None
         self._total_gas_used = 0
 
     # ----------------------------------------------------------------- queries
@@ -113,6 +121,27 @@ class Blockchain:
     def has_receipt(self, tx_hash: str) -> bool:
         return tx_hash in self._receipts
 
+    def location_of(self, tx_hash: str) -> Optional[Tuple[int, int]]:
+        """``(block number, position in the block)`` of a transaction on the
+        chain, or None."""
+        return self._tx_locations.get(tx_hash)
+
+    def events_of(self, number: int) -> Tuple[LogEntry, ...]:
+        """The events block ``number``'s transactions emitted, in order."""
+        starts = self._event_starts
+        if not 0 <= number < len(starts):
+            raise InvalidBlockError(f"no block with number {number}")
+        stop = starts[number + 1] if number + 1 < len(starts) else len(self.events)
+        return self.events.slice(starts[number], stop)
+
+    def merkle_tree(self, number: int) -> MerkleTree:
+        """The Merkle tree over block ``number``'s transaction hashes — built
+        once for all the inclusion proofs cut from one block in a row."""
+        if self._merkle_tree is None or self._merkle_tree[0] != number:
+            tree = MerkleTree(self.block_by_number(number).transaction_hashes())
+            self._merkle_tree = (number, tree)
+        return self._merkle_tree[1]
+
     def transactions(self) -> Iterable[Transaction]:
         """All transactions in chain order."""
         for block in self._blocks:
@@ -144,11 +173,13 @@ class Blockchain:
     def append_block(self, block: Block) -> Tuple[TransactionReceipt, ...]:
         """Validate, execute and append ``block``; returns its receipts."""
         self.validate_block(block)
+        first_event = len(self.events)
         receipts = []
-        for tx in block.transactions:
+        for position, tx in enumerate(block.transactions):
             receipt = self.executor.execute(tx, self.state, block.number, block.timestamp)
             receipts.append(receipt)
             self._receipts[tx.tx_hash] = receipt
+            self._tx_locations[tx.tx_hash] = (block.number, position)
             self._total_gas_used += receipt.gas_used
             for event in receipt.events:
                 self.events.append(
@@ -162,6 +193,7 @@ class Blockchain:
                 )
         self._blocks.append(block)
         self._blocks_by_hash[block.block_hash] = block
+        self._event_starts.append(first_event)
         return tuple(receipts)
 
     def verify_chain(self) -> bool:
@@ -200,8 +232,6 @@ class Blockchain:
         candidate = retained + list(fork_blocks)
         if len(candidate) <= len(self._blocks):
             raise ForkError("fork is not longer than the current chain")
-        rebuilt = Blockchain(self.config, executor=self.executor, consensus=self.consensus)
-        rebuilt.state = WorldState()
         # Reuse this instance's containers after successful replay.
         replay = Blockchain(self.config, executor=self.executor, consensus=self.consensus)
         for block in candidate[1:]:
@@ -209,6 +239,9 @@ class Blockchain:
         self._blocks = replay._blocks
         self._blocks_by_hash = replay._blocks_by_hash
         self._receipts = replay._receipts
+        self._tx_locations = replay._tx_locations
+        self._event_starts = replay._event_starts
+        self._merkle_tree = None
         self.state = replay.state
         self.events = replay.events
         self._total_gas_used = replay._total_gas_used

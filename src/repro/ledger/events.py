@@ -74,5 +74,9 @@ class EventLog:
             result.append(entry)
         return tuple(result)
 
+    def slice(self, start: int, stop: int) -> Tuple[LogEntry, ...]:
+        """The entries at positions ``start`` to ``stop - 1``."""
+        return tuple(self._entries[start:stop])
+
     def __len__(self) -> int:
         return len(self._entries)

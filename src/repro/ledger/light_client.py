@@ -9,16 +9,21 @@ verifies:
 * transaction inclusion, via Merkle proofs produced by any full node;
 * that an audit record's diff hash matches a transaction committed on-chain.
 
-This complements the audit trail: the trail reads a full replica, the light
-client checks a single record against headers it can fetch from anyone.
+The hub topology's patients run exactly this
+(:class:`repro.network.light.LightNode`): they hold a header chain fed by a
+validator and check one inclusion proof per operation they take part in,
+instead of replaying every block.  The trust limit is the seal: a PoA seal
+is an unkeyed digest of the header, so anyone can compute one, and a light
+client trusts a header because it links to the headers it already holds —
+not because a known proposer signed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleProof
 from repro.errors import InvalidBlockError, LedgerError
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.chain import Blockchain
@@ -57,17 +62,15 @@ class InclusionProof:
 
 
 def build_inclusion_proof(chain: Blockchain, tx_hash: str) -> InclusionProof:
-    """Have a full node build the inclusion proof for one transaction."""
-    for block in chain.blocks:
-        hashes = list(block.transaction_hashes())
-        if tx_hash in hashes:
-            tree = MerkleTree(hashes)
-            return InclusionProof(
-                tx_hash=tx_hash,
-                block_number=block.number,
-                merkle_proof=tree.proof(hashes.index(tx_hash)),
-            )
-    raise LedgerError(f"transaction {tx_hash[:12]} is not on the chain")
+    """Have a full node build the inclusion proof for one transaction: one
+    lookup in the chain's transaction index and a path cut from the block's
+    Merkle tree (built once per block, however many proofs it serves)."""
+    location = chain.location_of(tx_hash)
+    if location is None:
+        raise LedgerError(f"transaction {tx_hash[:12]} is not on the chain")
+    number, position = location
+    return InclusionProof(tx_hash=tx_hash, block_number=number,
+                          merkle_proof=chain.merkle_tree(number).proof(position))
 
 
 class LightClient:
@@ -103,11 +106,26 @@ class LightClient:
         self.consensus.validate_seal(Block(header=header))
         self._headers.append(header)
 
-    def sync_from(self, chain: Blockchain) -> int:
-        """Fetch headers the client is missing from a full node; returns how many."""
+    def offer_header(self, header: BlockHeader) -> bool:
+        """:meth:`accept_header`, tolerant of a header the client already
+        holds: an identical copy is ignored (False), one that differs from
+        the accepted header of its number raises :class:`InvalidBlockError`."""
+        if header.number <= self.height:
+            if header.block_hash != self.header(header.number).block_hash:
+                raise InvalidBlockError(
+                    f"header #{header.number} conflicts with the one already accepted"
+                )
+            return False
+        self.accept_header(header)
+        return True
+
+    def sync_from(self, chain: Blockchain, up_to: Optional[int] = None) -> int:
+        """Fetch headers the client is missing from a full node (up to
+        ``up_to``, default the node's head); returns how many."""
+        last = chain.height if up_to is None else min(up_to, chain.height)
         added = 0
-        for block in chain.blocks[self.height + 1:]:
-            self.accept_header(block.header)
+        for number in range(self.height + 1, last + 1):
+            self.accept_header(chain.block_by_number(number).header)
             added += 1
         return added
 

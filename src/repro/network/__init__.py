@@ -2,7 +2,8 @@
 
 The paper's architecture (Fig. 2) needs three kinds of communication:
 
-1. blockchain gossip — transactions and blocks propagate to every node;
+1. blockchain gossip — transactions and blocks propagate to every validator,
+   and each light peer gets the headers plus proofs of its own operations;
 2. contract notifications — peers learn that shared data they participate in
    was changed;
 3. pairwise data channels — the actual shared data ("send updated data" /
@@ -15,7 +16,8 @@ exposure benchmark (§V claim) can audit exactly which peer saw which data.
 
 * :mod:`repro.network.message` — message envelopes.
 * :mod:`repro.network.transport` — the seeded, logged transport.
-* :mod:`repro.network.node` — blockchain nodes holding chain replicas.
+* :mod:`repro.network.node` — blockchain nodes (validators) holding chain replicas.
+* :mod:`repro.network.light` — light peers: a header chain and inclusion proofs.
 * :mod:`repro.network.gossip` — transaction/block propagation.
 * :mod:`repro.network.channels` — pairwise shared-data channels.
 * :mod:`repro.network.simulator` — assembles clock, transport and nodes.
@@ -24,6 +26,7 @@ exposure benchmark (§V claim) can audit exactly which peer saw which data.
 from repro.network.message import Message
 from repro.network.transport import SimTransport
 from repro.network.node import BlockchainNode
+from repro.network.light import LightNode
 from repro.network.gossip import GossipProtocol
 from repro.network.channels import DataChannel, ChannelRegistry
 from repro.network.simulator import NetworkSimulator
@@ -32,6 +35,7 @@ __all__ = [
     "Message",
     "SimTransport",
     "BlockchainNode",
+    "LightNode",
     "GossipProtocol",
     "DataChannel",
     "ChannelRegistry",

@@ -1,18 +1,22 @@
 """Transaction and block gossip.
 
 A minimal flooding protocol: when a client submits a transaction it is
-broadcast to every node; when the miner seals a block it is broadcast to
-every node.  Nodes deduplicate by hash, so the simulation tolerates redundant
-delivery the way a real gossip mesh does.
+broadcast to every validator; when the miner seals a block it is broadcast to
+every validator.  Nodes deduplicate by hash, so the simulation tolerates
+redundant delivery the way a real gossip mesh does.  Light peers
+(:mod:`repro.network.light`) are outside the flood: once a block is out, each
+one's trusted validator sends it the header and the proofs of its own
+operations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.ledger.block import Block
 from repro.ledger.sharding import ShardRouter
 from repro.ledger.transaction import Transaction
+from repro.network.light import LightNode
 from repro.network.node import BlockchainNode
 from repro.network.transport import SimTransport
 
@@ -31,6 +35,9 @@ class GossipProtocol:
         self.transport = transport
         self.router = router
         self._nodes: Dict[str, BlockchainNode] = {}
+        self._light: Dict[str, LightNode] = {}
+        #: Transport names the floods skip: the light peers'.
+        self._flood_exclude: FrozenSet[str] = frozenset()
         #: topic name -> gossip messages sent on it (``tx-batch`` when
         #: unsharded, ``tx-batch/shard-<n>`` per lane when sharded).
         self.topic_messages: Dict[str, int] = {}
@@ -40,9 +47,19 @@ class GossipProtocol:
         self._nodes[node.name] = node
         self.transport.register(node.name, node.handle_message)
 
+    def register_light_peer(self, light: LightNode) -> None:
+        """Attach a light peer: on the transport, but outside the floods."""
+        self._light[light.name] = light
+        self._flood_exclude = frozenset(self._light)
+        self.transport.register(light.name, light.handle_message)
+
     @property
     def nodes(self) -> Tuple[BlockchainNode, ...]:
         return tuple(self._nodes.values())
+
+    @property
+    def light_peers(self) -> Tuple[LightNode, ...]:
+        return tuple(self._light.values())
 
     def node(self, name: str) -> BlockchainNode:
         return self._nodes[name]
@@ -58,7 +75,7 @@ class GossipProtocol:
         if origin in self._nodes:
             self._nodes[origin].receive_transaction(transaction)
         messages = self.transport.broadcast(
-            origin, "tx", transaction.to_dict(), exclude=()
+            origin, "tx", transaction.to_dict(), exclude=self._flood_exclude
         )
         self.transport.flush()
         return len(messages)
@@ -83,6 +100,7 @@ class GossipProtocol:
         messages = self.transport.broadcast(
             origin, "tx-batch",
             {"transactions": [tx.to_dict() for tx in transactions]},
+            exclude=self._flood_exclude,
         )
         self.topic_messages["tx-batch"] = (
             self.topic_messages.get("tx-batch", 0) + len(messages))
@@ -106,6 +124,7 @@ class GossipProtocol:
                 origin, "tx-batch",
                 {"shard": shard,
                  "transactions": [tx.to_dict() for tx in by_shard[shard]]},
+                exclude=self._flood_exclude,
             )
             topic = f"tx-batch/shard-{shard}"
             self.topic_messages[topic] = self.topic_messages.get(topic, 0) + len(messages)
@@ -114,10 +133,49 @@ class GossipProtocol:
         return total
 
     def broadcast_block(self, origin: str, block: Block) -> int:
-        """Gossip a sealed block from ``origin`` to every other node."""
-        messages = self.transport.broadcast(origin, "block", block.to_dict())
+        """Gossip a sealed block from ``origin`` to every other validator,
+        then have each light peer's validator serve it (:meth:`serve_block`)."""
+        messages = self.transport.broadcast(origin, "block", block.to_dict(),
+                                            exclude=self._flood_exclude)
         self.transport.flush()
-        return len(messages)
+        return len(messages) + self.serve_block(block.number)
+
+    def serve_block(self, number: int) -> int:
+        """Each light peer's trusted validator sends it block ``number``'s
+        header (one body for all the peers a validator serves) and the
+        operations there that name it, from the validator's own replica.  A
+        validator that has not applied the block sends nothing; its peers
+        pull the header when the next one arrives.  Returns the messages sent."""
+        by_validator: Dict[str, List[LightNode]] = {}
+        for light in self._light.values():
+            if light.validator.chain.height >= number:
+                by_validator.setdefault(light.validator.name, []).append(light)
+        sent = 0
+        for name, lights in by_validator.items():
+            validator = self._nodes[name]
+            sent += len(self.transport.multicast(
+                name, [light.name for light in lights], "header",
+                validator.light_header(number)))
+            for light in lights:
+                for payload in validator.light_operations(number, light.wants):
+                    self.transport.send(name, light.name, "operation", payload)
+                    sent += 1
+        if sent:
+            self.transport.flush()
+        return sent
+
+    def serve_operation(self, light: LightNode, tx_hash: str) -> int:
+        """Have ``light``'s trusted validator (re-)send the operations of
+        ``tx_hash``; the flush in progress delivers them."""
+        validator = light.validator
+        location = validator.chain.location_of(tx_hash)
+        if location is None:
+            return 0
+        payloads = validator.light_operations(
+            location[0], lambda entry: entry.tx_hash == tx_hash and light.wants(entry))
+        for payload in payloads:
+            self.transport.send(validator.name, light.name, "operation", payload)
+        return len(payloads)
 
     # ------------------------------------------------------------------ mining
 

@@ -1,10 +1,15 @@
-"""Blockchain nodes.
+"""Blockchain nodes: the validators.
 
-Each node keeps its own chain replica, mempool and contract runtime.  Nodes
-receive gossiped transactions and blocks over the transport; applying a block
-re-executes its transactions locally, so every honest node reaches the same
-world state — the consensus property the paper relies on ("each node will
-conduct the smart contract locally").
+A validator keeps its own chain replica, mempool and contract runtime.  It
+receives gossiped transactions and blocks over the transport; applying a
+block re-executes its transactions locally, so every honest validator reaches
+the same world state — the consensus property the paper relies on ("each
+node will conduct the smart contract locally").  Not every peer runs one: a
+*light* peer (:mod:`repro.network.light`) holds only a header chain, and a
+validator serves it what it needs to check its own operations —
+:meth:`BlockchainNode.light_header` per block plus, from
+:meth:`BlockchainNode.light_operations`, the raw transaction and inclusion
+proof of each operation that names it.
 
 Per node: mempool, chain (its ``Block``/``BlockHeader`` objects included),
 contract execution, receipts, events, and *asking* — whether each signature is
@@ -33,6 +38,7 @@ from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.clock import SimClock
 from repro.ledger.events import LogEntry
+from repro.ledger.light_client import build_inclusion_proof
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import Miner
 from repro.ledger.sharding import ShardedMempool, ShardRouter
@@ -140,6 +146,28 @@ class BlockchainNode:
             self.mempool.remove(block.transaction_hashes())
             applied += 1
         return applied
+
+    # ------------------------------------------------------------ light peers
+
+    def light_header(self, number: int) -> dict:
+        """The header of block ``number`` of this replica, as sent to light peers."""
+        return self.chain.block_by_number(number).header.to_dict()
+
+    def light_operations(self, number: int, wants: Callable[[LogEntry], bool]
+                         ) -> List[dict]:
+        """The ``operation`` payloads of block ``number`` for one light peer:
+        one per contract event ``wants`` selects, carrying the raw
+        transaction, its inclusion proof and the event — everything the peer
+        needs to check the operation against the headers it holds."""
+        return [self._operation_payload(entry)
+                for entry in self.chain.events_of(number) if wants(entry)]
+
+    def _operation_payload(self, entry: LogEntry) -> dict:
+        number, position = self.chain.location_of(entry.tx_hash)
+        transaction = self.chain.block_by_number(number).transactions[position]
+        return {"transaction": transaction.to_dict(),
+                "proof": build_inclusion_proof(self.chain, entry.tx_hash).to_dict(),
+                "event": entry.to_dict()}
 
     # ------------------------------------------------------------------- events
 

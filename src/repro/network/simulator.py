@@ -1,7 +1,8 @@
 """Assembly of the simulated network.
 
 A :class:`NetworkSimulator` owns the simulated clock, the transport, the
-gossip mesh of blockchain nodes, and the registry of pairwise data channels.
+gossip mesh of validators (blockchain nodes), the light peers they serve, and
+the registry of pairwise data channels.
 The core system (:mod:`repro.core.system`) builds one simulator and attaches
 the application-level peers (doctor, patient, researcher, ...) to it.
 """
@@ -12,12 +13,14 @@ from typing import Dict, List, Optional, Tuple, Type
 
 from repro.config import LedgerConfig, NetworkConfig
 from repro.contracts.base import Contract
+from repro.errors import UnknownPeerError
 from repro.ledger.block import Block
 from repro.ledger.clock import SimClock
 from repro.ledger.sharding import ShardRouter
 from repro.ledger.transaction import Transaction
 from repro.network.channels import ChannelRegistry
 from repro.network.gossip import GossipProtocol
+from repro.network.light import LightNode
 from repro.network.node import BlockchainNode
 from repro.network.transport import SimTransport
 
@@ -62,6 +65,16 @@ class NetworkSimulator:
             node.sync_with(existing[0])
         self.gossip.register_node(node)
         return node
+
+    def add_light_node(self, name: str) -> LightNode:
+        """Attach a light peer, served by the block producer's node (the
+        first validator when none produces)."""
+        validators = self.gossip.miner_nodes or self.gossip.nodes
+        if not validators:
+            raise UnknownPeerError(f"light peer {name!r} needs a validator to attach to")
+        light = LightNode(name, self.gossip, validators[0])
+        self.gossip.register_light_peer(light)
+        return light
 
     def node(self, name: str) -> BlockchainNode:
         return self.gossip.node(name)
@@ -108,6 +121,14 @@ class NetworkSimulator:
 
     def in_consensus(self) -> bool:
         return self.gossip.in_consensus()
+
+    def light_statistics(self) -> Dict[str, int]:
+        """Light peers' verification counters, summed over the peers."""
+        lights = self.gossip.light_peers
+        return {"peers": len(lights),
+                "proofs_verified": sum(light.proofs_verified for light in lights),
+                "refusals": sum(light.refusals for light in lights),
+                "failovers": sum(light.failovers for light in lights)}
 
     def statistics(self) -> Dict[str, object]:
         """A summary of network and chain activity, used by benchmarks."""

@@ -33,7 +33,9 @@ class TopologySpec:
 
     ``first_patient_id`` sets the base of the sequential patient-id range;
     benchmarks that exercise consensus sharding pick a base whose metadata
-    ids spread evenly over the shard hash.
+    ids spread evenly over the shard hash.  ``light_patients`` makes the hub
+    topology's patients light peers (a header chain and one inclusion proof
+    per own operation) instead of validators replaying every block.
     """
 
     patients: int = 5
@@ -41,6 +43,7 @@ class TopologySpec:
     distinct_medications: int = 8
     seed: int = 42
     first_patient_id: int = 188
+    light_patients: bool = True
 
     def __post_init__(self) -> None:
         if self.patients < 1:
@@ -254,7 +257,13 @@ def patients_by_medication(system: MedicalDataSharingSystem) -> Dict[str, List[i
 def build_topology_system(spec: TopologySpec = TopologySpec(),
                           config: Optional[SystemConfig] = None) -> MedicalDataSharingSystem:
     """Build a doctor-centred topology with ``spec.patients`` patients and
-    ``spec.researchers`` researchers, sharing established and contracts live."""
+    ``spec.researchers`` researchers, sharing established and contracts live.
+
+    The doctor and the researchers are validators; the patients are light
+    peers attached to the doctor's node unless ``spec.light_patients`` is
+    off.  So a write costs one contract execution per validator, not one per
+    peer.
+    """
     generator = MedicalRecordGenerator(seed=spec.seed,
                                        first_patient_id=spec.first_patient_id)
     # One full record per patient peer (patient_id keys D1/D3), with the
@@ -284,7 +293,7 @@ def build_topology_system(spec: TopologySpec = TopologySpec(),
     for patient_id in patient_ids:
         name = f"patient-{patient_id}"
         patient_names.append(name)
-        system.add_peer(name, "Patient")
+        system.add_peer(name, "Patient", light=spec.light_patients)
         rows = [{c: record[c] for c in patient_columns}
                 for record in records_by_patient[patient_id]]
         system.peer(name).database.create_table("D1", patient_schema(), rows)

@@ -15,7 +15,6 @@ the open-loop behaviour a synchronous driver cannot produce.
 
 from __future__ import annotations
 
-import asyncio
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -123,6 +122,8 @@ async def replay_open_loop(arrivals: Sequence[TimedRequest],
     between arrivals.  Returns the response futures in arrival order; gather
     them (typically after ``await gateway.drain()``) for the responses.
     """
+    import asyncio  # only async runs pay for the import
+
     futures: List["asyncio.Future"] = []
     for timed in arrivals:
         clock.advance_to(timed.arrival_time)

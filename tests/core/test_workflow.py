@@ -101,6 +101,31 @@ class TestFig5UpdateWorkflow:
         assert system.peer("doctor").local_table("D3").get(188)[
             "dosage"] == "two tablets every 6h"
 
+    def test_a_tampered_channel_diff_is_refused_against_the_on_chain_hash(
+            self, fresh_paper_system, monkeypatch):
+        """The channel is not trusted: the counterpart installs a diff only if
+        it hashes to the ``diff_hash`` the contract recorded."""
+        from repro.network.channels import DataChannel
+
+        system = fresh_paper_system
+        honest_send = DataChannel.send_diff
+
+        def tampering_send(channel, sender, recipient, diff):
+            transfer = honest_send(channel, sender, recipient, diff)
+            transfer.payload = dict(transfer.payload, changes=[
+                dict(change, after={**change["after"], "dosage": "ten tablets every hour"})
+                for change in transfer.payload["changes"]])
+            return transfer
+
+        monkeypatch.setattr(DataChannel, "send_diff", tampering_send)
+        with pytest.raises(WorkflowError) as raised:
+            system.coordinator.update_shared_entry(
+                "doctor", PATIENT_DOCTOR_TABLE, (188,), {"dosage": "two tablets every 6h"})
+        assert repr(PATIENT_DOCTOR_TABLE) in str(raised.value)
+        assert "update #" in str(raised.value)
+        assert system.peer("patient").local_table("D1").get(188)[
+            "dosage"] == "one tablet every 4h"
+
 
 class TestPermissionEnforcement:
     def test_patient_cannot_update_dosage(self, fresh_paper_system):

@@ -1,9 +1,14 @@
 """Golden state root, block hashes and receipts of a small seeded run.
 
-The hex values were captured on the commit *before* contract storage became
-undo-journaled (PR 11, per-call ``deepcopy``): tracked containers, positional
-ack lookup, rollback by journal and copied receipts must not move a single
-byte of what a replica commits to.
+The hex values were first captured before contract storage became
+undo-journaled: tracked containers, positional ack lookup, rollback by
+journal and copied receipts must not move a single byte of what a replica
+commits to.  They were re-captured once, deliberately, when the hub
+topology's patients became light peers: a light peer takes a header and one
+proof per own operation instead of every block and transaction flood, so
+fewer deliveries advance the simulated clock, and block and transaction
+timestamps — hence the state root, block hashes and receipts — moved.  The
+receipt count, the reverts and every table fingerprint did not.
 """
 
 from repro.config import SystemConfig
@@ -11,10 +16,10 @@ from repro.crypto.hashing import hash_payload
 from repro.gateway import SharingGateway, UpdateEntryRequest
 from repro.workloads.topology import TopologySpec, build_topology_system
 
-GOLDEN_STATE_ROOT = "9e4d8847249125779d31feb934a1c0209c402f038d273442635cd2c61740af23"
+GOLDEN_STATE_ROOT = "7c58a1d1ddacf776610d84b62a65c41057abaa6af8dc31ee5fdb968a1c767cf6"
 GOLDEN_BLOCKS = 23
-GOLDEN_HEAD_HASH = "f799de7fedec7d3e7b382383b59ee27390002c4ec70b9b3caaffe701abc8e182"
-GOLDEN_RECEIPTS = (34, 6, "96d15c820bd97967a9bb63b691b4773f3355d6c907b0b5bbb1d3a60f38e40fa5")
+GOLDEN_HEAD_HASH = "790ef608af91457d5e283e10722d3710e6bbc4282a9557c9f93993fbc587b007"
+GOLDEN_RECEIPTS = (34, 6, "a5eeff85fa102994f4e2552484fbed6dd9b3b262285cdcbca809afb9ce571a22")
 
 
 def _run(prepare=None):

@@ -140,3 +140,25 @@ class TestAsyncReplay:
         assert all(response.terminal for response in responses)
         assert all(response.ok for response in responses)
         assert system.all_shared_tables_consistent()
+
+
+def test_synchronous_entry_points_do_not_import_asyncio():
+    """The asyncio transport loads on first use, not with the packages a
+    synchronous run imports."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    code = ("import sys, repro.gateway, repro.workloads.topology, "
+            "repro.workloads.traffic; print('asyncio' in sys.modules)")
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"
+    from repro.gateway import AsyncSharingGateway
+    from repro.gateway.aio import AsyncSharingGateway as defined
+    assert AsyncSharingGateway is defined
