@@ -11,9 +11,10 @@ operations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.ledger.block import Block
+from repro.ledger.events import LogEntry
 from repro.ledger.sharding import ShardRouter
 from repro.ledger.transaction import Transaction
 from repro.network.light import LightNode
@@ -145,7 +146,8 @@ class GossipProtocol:
         header (one body for all the peers a validator serves) and the
         operations there that name it, from the validator's own replica.  A
         validator that has not applied the block sends nothing; its peers
-        pull the header when the next one arrives.  Returns the messages sent."""
+        pull the header, and ask for their operations there, when the next
+        one arrives.  Returns the messages sent."""
         by_validator: Dict[str, List[LightNode]] = {}
         for light in self._light.values():
             if light.validator.chain.height >= number:
@@ -157,25 +159,31 @@ class GossipProtocol:
                 name, [light.name for light in lights], "header",
                 validator.light_header(number)))
             for light in lights:
-                for payload in validator.light_operations(number, light.wants):
-                    self.transport.send(name, light.name, "operation", payload)
-                    sent += 1
+                sent += self.serve_operations(light, number)
         if sent:
             self.transport.flush()
         return sent
 
-    def serve_operation(self, light: LightNode, tx_hash: str) -> int:
-        """Have ``light``'s trusted validator (re-)send the operations of
-        ``tx_hash``; the flush in progress delivers them."""
+    def serve_operations(self, light: LightNode, number: int,
+                         wants: Optional[Callable[[LogEntry], bool]] = None) -> int:
+        """Have ``light``'s trusted validator send its operations of block
+        ``number`` — those ``wants`` selects, by default ``light.wants`` —
+        for the flush in progress to deliver; returns how many."""
         validator = light.validator
-        location = validator.chain.location_of(tx_hash)
-        if location is None:
-            return 0
-        payloads = validator.light_operations(
-            location[0], lambda entry: entry.tx_hash == tx_hash and light.wants(entry))
+        payloads = validator.light_operations(number, wants or light.wants)
         for payload in payloads:
             self.transport.send(validator.name, light.name, "operation", payload)
         return len(payloads)
+
+    def serve_operation(self, light: LightNode, tx_hash: str) -> int:
+        """Have ``light``'s trusted validator (re-)send the operations of
+        ``tx_hash``; the flush in progress delivers them."""
+        location = light.validator.chain.location_of(tx_hash)
+        if location is None:
+            return 0
+        return self.serve_operations(
+            light, location[0],
+            lambda entry: entry.tx_hash == tx_hash and light.wants(entry))
 
     # ------------------------------------------------------------------ mining
 

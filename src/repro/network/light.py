@@ -17,7 +17,15 @@ server app) accepts the sender.  Anything else is a *refusal*: counted, and
 the peer re-attaches to another validator, which re-serves the refused
 operation (once).  A proof for a block the peer has no header of yet, or a header
 past a gap, first pulls the missing headers from the trusted node; they are
-checked like any other.
+checked like any other, and the trusted node serves the peer's operations of
+the blocks it skipped.
+
+The checks tie a transaction to a header; they do not authenticate the event
+sent with it.  A header carries no receipts or state root, so nothing here
+shows that the transaction succeeded, or that the event's ``update_id`` and
+``notify_peers`` are the ones it emitted.  A lying validator can pair a
+forged ``SharedDataChanged`` with an included but reverted transaction whose
+sender and arguments pass the checks, and the peer queues the notification.
 """
 
 from __future__ import annotations
@@ -77,13 +85,21 @@ class LightNode:
         if not accepted:
             self._refuse(message)
 
-    def _catch_up(self, number: int) -> None:
-        """Pull (and check) the headers up to ``number`` from the trusted node."""
-        self.client.sync_from(self.validator.chain, up_to=number)
+    def _fill_gap_below(self, number: int) -> None:
+        """Pull (and check) the missing headers below ``number`` from the
+        trusted node, and have it serve this peer's operations of those
+        blocks: their :meth:`~repro.network.gossip.GossipProtocol.serve_block`
+        passed this peer over (its trusted node had not applied them yet) or
+        was lost, so nothing else will.  Operations already verified are
+        ignored on arrival."""
+        first = self.client.height + 1
+        self.client.sync_from(self.validator.chain, up_to=number - 1)
+        for skipped in range(first, self.client.height + 1):
+            self.gossip.serve_operations(self, skipped)
 
     def _take_header(self, header: BlockHeader) -> bool:
         if header.number > self.client.height + 1:
-            self._catch_up(header.number - 1)
+            self._fill_gap_below(header.number)
         self.client.offer_header(header)
         return True
 
@@ -94,7 +110,8 @@ class LightNode:
         transaction = Transaction.from_dict(payload["transaction"])
         proof = InclusionProof.from_dict(payload["proof"])
         if proof.block_number > self.client.height:
-            self._catch_up(proof.block_number)
+            self._fill_gap_below(proof.block_number)
+            self.client.sync_from(self.validator.chain, up_to=proof.block_number)
         data = entry.data
         if not (entry.tx_hash == proof.tx_hash
                 and entry.block_number == proof.block_number

@@ -32,9 +32,6 @@ class Message:
     wire_bytes:
         Encoded length of the payload when the transport has a wire codec
         attached (0 without one); counted once per delivery.
-    payload_bytes:
-        :meth:`size_bytes`, measured once per body when the transport sends
-        it; the transport's ``bytes_transferred()`` sums it at delivery.
     """
 
     sender: str
@@ -47,7 +44,6 @@ class Message:
     attempt: int = 1
     message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
     wire_bytes: int = 0
-    payload_bytes: int = 0
 
     @property
     def latency(self) -> Optional[float]:

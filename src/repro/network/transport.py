@@ -16,7 +16,6 @@ from typing import (Any, Callable, Collection, Deque, Dict, List, Mapping, Optio
 
 from repro.chaos import NULL_INJECTOR, RetryPolicy
 from repro.config import NetworkConfig
-from repro.crypto.hashing import canonical_json
 from repro.errors import UnknownPeerError
 from repro.ledger.clock import SimClock
 from repro.network.message import Message
@@ -49,7 +48,6 @@ class SimTransport:
         self._queue: Deque[Message] = deque()
         self._log: List[Message] = []
         self._delivered_count = 0
-        self._delivered_bytes = 0
         self._dropped_count = 0
         self.injector = NULL_INJECTOR
         self.retry_policy: Optional[RetryPolicy] = None
@@ -105,7 +103,9 @@ class SimTransport:
     def send(self, sender: str, recipient: str, kind: str,
              payload: Optional[Mapping[str, Any]] = None) -> Message:
         """Queue a message for delivery; returns the envelope."""
-        return self.multicast(sender, (recipient,), kind, payload)[0]
+        if recipient not in self._handlers:
+            raise UnknownPeerError(f"unknown recipient {recipient!r}")
+        return self._enqueue(sender, recipient, kind, *self._wire_body(payload))
 
     def multicast(self, sender: str, recipients: Sequence[str], kind: str,
                   payload: Optional[Mapping[str, Any]] = None) -> List[Message]:
@@ -119,8 +119,8 @@ class SimTransport:
                 raise UnknownPeerError(f"unknown recipient {recipient!r}")
         if not recipients:
             return []
-        body, wire_bytes, payload_bytes = self._wire_body(payload)
-        return [self._enqueue(sender, name, kind, body, wire_bytes, payload_bytes)
+        body, wire_bytes = self._wire_body(payload)
+        return [self._enqueue(sender, name, kind, body, wire_bytes)
                 for name in recipients]
 
     def broadcast(self, sender: str, kind: str, payload: Optional[Mapping[str, Any]] = None,
@@ -130,22 +130,20 @@ class SimTransport:
                       if name != sender and name not in exclude]
         return self.multicast(sender, recipients, kind, payload)
 
-    def _wire_body(self, payload: Optional[Mapping[str, Any]]) -> Tuple[Dict[str, Any], int, int]:
-        """The body the recipients' handlers will see, its encoded length and
-        its :meth:`~repro.network.message.Message.size_bytes`.
+    def _wire_body(self, payload: Optional[Mapping[str, Any]]) -> Tuple[Dict[str, Any], int]:
+        """The body the recipients' handlers will see, and its encoded length.
 
         With a wire codec that is one round trip — the in-process rehearsal
-        of a real wire; without, a shallow copy and no encoded length.
+        of a real wire; without, a shallow copy and no length.
         """
         body = dict(payload or {})
-        wire_bytes = 0
-        if self._wire_codec is not None:
-            data = self._wire_codec.encode(body)
-            body, wire_bytes = self._wire_codec.decode(data), len(data)
-        return body, wire_bytes, len(canonical_json(body).encode("utf-8"))
+        if self._wire_codec is None:
+            return body, 0
+        data = self._wire_codec.encode(body)
+        return self._wire_codec.decode(data), len(data)
 
     def _enqueue(self, sender: str, recipient: str, kind: str, body: Dict[str, Any],
-                 wire_bytes: int, payload_bytes: int, attempt: int = 1) -> Message:
+                 wire_bytes: int, attempt: int = 1) -> Message:
         """The one place an envelope is made, queued and logged."""
         message = Message(
             sender=sender,
@@ -155,7 +153,6 @@ class SimTransport:
             sent_at=self.clock.now(),
             attempt=attempt,
             wire_bytes=wire_bytes,
-            payload_bytes=payload_bytes,
         )
         self._queue.append(message)
         self._log.append(message)
@@ -210,7 +207,6 @@ class SimTransport:
                 handler(message)
                 delivered += 1
                 self._delivered_count += 1
-                self._delivered_bytes += message.payload_bytes
         return delivered
 
     def _should_drop(self, message: Message) -> bool:
@@ -235,7 +231,7 @@ class SimTransport:
         if advance_clock:
             self.clock.advance(backoff)
         self._enqueue(message.sender, message.recipient, message.kind,
-                      message.payload, message.wire_bytes, message.payload_bytes,
+                      message.payload, message.wire_bytes,
                       attempt=message.attempt + 1)
         self._retransmit_count += 1
 
@@ -293,6 +289,5 @@ class SimTransport:
         return tuple(m for m in self._log if m.kind == kind)
 
     def bytes_transferred(self) -> int:
-        """Total payload bytes of delivered messages (a running sum kept at
-        delivery; each body is measured once, when it is sent)."""
-        return self._delivered_bytes
+        """Total payload bytes of delivered messages."""
+        return sum(m.size_bytes() for m in self._log if m.delivered_at is not None)

@@ -33,9 +33,7 @@ class TopologySpec:
 
     ``first_patient_id`` sets the base of the sequential patient-id range;
     benchmarks that exercise consensus sharding pick a base whose metadata
-    ids spread evenly over the shard hash.  ``light_patients`` makes the hub
-    topology's patients light peers (a header chain and one inclusion proof
-    per own operation) instead of validators replaying every block.
+    ids spread evenly over the shard hash.
     """
 
     patients: int = 5
@@ -43,7 +41,6 @@ class TopologySpec:
     distinct_medications: int = 8
     seed: int = 42
     first_patient_id: int = 188
-    light_patients: bool = True
 
     def __post_init__(self) -> None:
         if self.patients < 1:
@@ -260,9 +257,9 @@ def build_topology_system(spec: TopologySpec = TopologySpec(),
     ``spec.researchers`` researchers, sharing established and contracts live.
 
     The doctor and the researchers are validators; the patients are light
-    peers attached to the doctor's node unless ``spec.light_patients`` is
-    off.  So a write costs one contract execution per validator, not one per
-    peer.
+    peers (a header chain and one inclusion proof per own operation)
+    attached to the doctor's node.  So a write costs one contract execution
+    per validator, not one per peer.
     """
     generator = MedicalRecordGenerator(seed=spec.seed,
                                        first_patient_id=spec.first_patient_id)
@@ -293,7 +290,7 @@ def build_topology_system(spec: TopologySpec = TopologySpec(),
     for patient_id in patient_ids:
         name = f"patient-{patient_id}"
         patient_names.append(name)
-        system.add_peer(name, "Patient", light=spec.light_patients)
+        system.add_peer(name, "Patient", light=True)
         rows = [{c: record[c] for c in patient_columns}
                 for record in records_by_patient[patient_id]]
         system.peer(name).database.create_table("D1", patient_schema(), rows)

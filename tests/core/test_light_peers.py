@@ -4,7 +4,8 @@ A light peer keeps a header chain and checks one inclusion proof per
 operation it takes part in, instead of replaying every block.  These tests
 hold it to three things: the relational outcome is exactly the all-validator
 one, a validator that lies to it is refused and replaced, and every leg with
-a light side is backed by exactly one verified proof.
+a light side is backed by exactly one verified proof.  One test pins what it
+does not check: the event sent with a proof.
 """
 
 from __future__ import annotations
@@ -12,16 +13,28 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.system import MedicalDataSharingSystem
 from repro.gateway import SharingGateway, UpdateEntryRequest
+from repro.ledger.events import LogEntry
+from repro.ledger.light_client import build_inclusion_proof
 from repro.network.light import LightNode
 from repro.workloads.topology import TopologySpec, build_topology_system
 
 
-def _build(seed: int, light: bool, researchers: int = 1):
+def _build(seed: int, researchers: int = 1):
     return build_topology_system(
-        TopologySpec(patients=3, researchers=researchers, seed=seed,
-                     light_patients=light),
+        TopologySpec(patients=3, researchers=researchers, seed=seed),
         SystemConfig.private_chain(1.0))
+
+
+def _build_all_validators(seed: int, monkeypatch):
+    """The same hub with every patient a validator of its own."""
+    add_peer = MedicalDataSharingSystem.add_peer
+    with monkeypatch.context() as patch:
+        patch.setattr(MedicalDataSharingSystem, "add_peer",
+                      lambda self, name, role, is_miner=None, light=False:
+                      add_peer(self, name, role, is_miner))
+        return _build(seed)
 
 
 def _drive(system, rounds: int = 3):
@@ -71,8 +84,8 @@ def _lights(system):
 
 
 @pytest.mark.parametrize("seed", [23, 300])
-def test_light_patients_reach_the_all_validator_outcome(seed):
-    full, light = _build(seed, light=False), _build(seed, light=True)
+def test_light_patients_reach_the_all_validator_outcome(seed, monkeypatch):
+    full, light = _build_all_validators(seed, monkeypatch), _build(seed)
     _drive(full)
     _drive(light)
     assert [node.name for node in light.simulator.nodes] == ["node-doctor",
@@ -89,7 +102,7 @@ def test_light_patients_reach_the_all_validator_outcome(seed):
 
 
 def test_every_leg_with_a_light_side_is_backed_by_one_verified_proof():
-    system = _build(23, light=True)
+    system = _build(23)
     _drive(system)
     legs = [record for record in _history(system)
             if record["metadata_id"].startswith("D13&D31:")]
@@ -147,9 +160,9 @@ def _conflicting_header(honest, args, header):
     ("light_header", _conflicting_header),
 ])
 def test_a_lying_validator_is_refused_and_replaced(method, tamper):
-    oracle = _build(23, light=True)
+    oracle = _build(23)
     _drive(oracle)
-    system = _build(23, light=True)
+    system = _build(23)
     doctor_node = system.simulator.node("node-doctor")
     researcher_node = system.simulator.node("node-researcher-1")
     state = _tamper_once(doctor_node, method, tamper)
@@ -175,7 +188,7 @@ def test_a_lying_validator_is_refused_and_replaced(method, tamper):
 
 
 def test_a_refusal_without_another_validator_is_counted_and_fails_the_leg():
-    system = _build(23, light=True, researchers=0)
+    system = _build(23, researchers=0)
     doctor_node = system.simulator.node("node-doctor")
     _tamper_once(doctor_node, "light_operations", _tampered_transaction)
     gateway = SharingGateway(system)
@@ -203,3 +216,78 @@ def test_a_light_peer_needs_a_validator_first():
     system.add_peer("patient", "Patient", light=True)
     assert isinstance(system.server_app("patient").light, LightNode)
     assert [node.name for node in system.simulator.nodes] == ["node-doctor"]
+
+
+def test_a_light_peer_behind_a_lagging_validator_still_gets_its_operation():
+    system = _build(23)
+    researcher_node = system.simulator.node("node-researcher-1")
+    metadata_id = sorted(system.agreement_ids)[0]
+    patient = f"patient-{metadata_id.split(':')[1]}"
+    light = _lights(system)[f"node-{patient}"]
+    # The patient has failed over to the researcher, whose replica is about
+    # to miss a block: serve_block passes the patient over for it.
+    light.validator = researcher_node
+    light.on_reattach(researcher_node)
+    honest_receive = researcher_node.receive_block
+    missed = []
+    researcher_node.receive_block = missed.append
+    gateway = SharingGateway(system)
+    doctor = gateway.open_session("doctor")
+    lagged = gateway.submit(doctor, UpdateEntryRequest(
+        metadata_id=metadata_id, key=(int(metadata_id.split(":")[1]),),
+        updates={"dosage": "while-lagging"}))
+    gateway.drain()
+    assert lagged.status != "ok" and len(missed) == 1
+    (block,) = missed
+    operation_tx = next(tx.tx_hash for tx in block.transactions
+                        if tx.args.get("metadata_id") == metadata_id)
+    assert not light.verified(operation_tx)
+    # The replica catches up; the next block's header reaches the patient
+    # past a gap, and the operation of the missed block is served with it.
+    del researcher_node.receive_block
+    assert honest_receive(block)
+    other = sorted(system.agreement_ids)[1]
+    gateway.submit(doctor, UpdateEntryRequest(
+        metadata_id=other, key=(int(other.split(":")[1]),), updates={"dosage": "later"}))
+    gateway.drain()
+    gateway.close()
+    assert light.verified(operation_tx)
+    assert (light.refusals, light.proofs_verified) == (0, 1)
+    assert light.client.height == researcher_node.chain.height
+    assert [n.block_number for n in system.server_app(patient).notifications] == [block.number]
+
+
+def test_the_event_sent_with_a_proof_is_not_authenticated():
+    """Pins a known gap: a header commits to transactions, not to receipts
+    or events, so a validator can pair a forged ``SharedDataChanged`` with a
+    transaction that was included but reverted, and the light peer accepts
+    it.  Closing it needs a receipts root in the header."""
+    system = _build(23)
+    metadata_id = sorted(system.agreement_ids)[0]
+    patient = f"patient-{metadata_id.split(':')[1]}"
+    app = system.server_app(patient)
+    light = _lights(system)[f"node-{patient}"]
+    doctor_node = system.simulator.node("node-doctor")
+    # The contract refuses a patient's write of ``dosage``: included, reverted,
+    # no event, so the doctor's node serves the patient nothing for it.
+    reverted = app.build_contract_call("request_update", {
+        "metadata_id": metadata_id, "changed_attributes": ("dosage",),
+        "diff_hash": "ab" * 32})
+    system.simulator.submit_and_mine(doctor_node.name, reverted)
+    assert not doctor_node.chain.receipt(reverted.tx_hash).success
+    assert (light.proofs_verified, app.notifications) == (0, ())
+    # A lying validator sends the reverted transaction with a forged event.
+    number, _position = doctor_node.chain.location_of(reverted.tx_hash)
+    forged = LogEntry(contract=reverted.contract, name="SharedDataChanged",
+                      data={"metadata_id": metadata_id, "diff_hash": "ab" * 32,
+                            "requester": reverted.sender, "notify_peers": [reverted.sender],
+                            "update_id": 999, "operation": "update"},
+                      block_number=number, tx_hash=reverted.tx_hash)
+    transport = system.simulator.transport
+    transport.send(doctor_node.name, light.name, "operation", {
+        "transaction": reverted.to_dict(),
+        "proof": build_inclusion_proof(doctor_node.chain, reverted.tx_hash).to_dict(),
+        "event": forged.to_dict()})
+    transport.flush()
+    assert (light.refusals, light.proofs_verified) == (0, 1)
+    assert [n.update_id for n in app.notifications] == [999]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.chaos import RetryPolicy
 from repro.config import NetworkConfig
 from repro.errors import ChannelClosedError, UnknownPeerError
 from repro.ledger.clock import SimClock
@@ -93,25 +92,6 @@ class TestTransport:
         assert len(transport.messages_seen_by("a")) == 0
         assert len(transport.messages_of_kind("data")) == 1
         assert transport.bytes_transferred() > 0
-
-    def test_bytes_transferred_is_the_log_resum_after_drops_and_retransmits(self, clock):
-        transport = SimTransport(clock, NetworkConfig(drop_rate=0.4, seed=5))
-        transport.configure_chaos(retry_policy=RetryPolicy(max_attempts=3))
-        for name in "abcd":
-            transport.register(name, lambda m: None)
-
-        def resum():
-            return sum(m.size_bytes() for m in transport.log if m.delivered_at is not None)
-
-        for index in range(20):
-            transport.send("a", "b", "data", {"n": index, "pad": "x" * index})
-            transport.broadcast("b", "note", {"n": index, "pair": (index, 2)})
-            if index % 5 == 4:
-                transport.flush()
-                assert transport.bytes_transferred() == resum()
-        stats = transport.statistics
-        assert stats["dropped"] > 0 and stats["retransmits"] > 0 and stats["lost"] > 0
-        assert transport.bytes_transferred() == resum() > 0
 
 
 class TestDataChannel:
