@@ -12,13 +12,13 @@ This experiment drives the identical multi-tenant write workload (8 patient
 tenants, each committing to its own shared table through the gateway, with a
 per-block budget of 2 transactions so block space is the bottleneck) through
 
-* the **1-shard baseline** — exactly the seed pipeline; and
+* the **1-shard baseline** — the same pipeline with one lane; and
 * the **5-shard lanes** — the same workload, tables spread over the 4 data
   lanes (lane 0 is reserved for control traffic),
 
 and reports commit throughput in writes per simulated second, each run's
-state fingerprints, and whether the explicit 1-shard configuration
-reproduces the default (unsharded) block hash sequence.
+state fingerprints and lane counters, and whether the explicit 1-shard
+configuration reproduces the default configuration's block hash sequence.
 
 A second section measures **cross-peer batch folding** on the paper's CARE
 table: doctor (dosage) and patient (clinical_data) writes on disjoint
@@ -150,8 +150,8 @@ def run(quick: bool, out: Optional[Path] = None) -> Dict[str, object]:
     """1-shard vs N-shard over the same workload, then cross-peer folding;
     returns the JSON-able result."""
     rounds = QUICK_ROUNDS if quick else FULL_ROUNDS
-    # --- seed-equivalence oracle: the explicit 1-shard configuration must
-    # reproduce the default configuration's block sequence exactly.
+    # --- the explicit 1-shard configuration must reproduce the default
+    # configuration's block sequence exactly.
     default_system = _build()
     _run_workload(default_system, rounds)
     baseline_system = _build(consensus_shards=1)

@@ -123,10 +123,10 @@ class LedgerConfig:
     consensus_shards:
         Number of independent consensus *lanes* the ledger pipeline is
         sharded into.  Shared tables are routed to lanes by a stable hash of
-        their metadata id; every lane has its own mempool shard and block
+        their metadata id; every lane has its own mempool lane and block
         budget, and lanes with pending work each seal a block in the same
-        simulated block interval.  ``1`` (the default) keeps the single
-        unsharded pipeline — byte-identical to the pre-sharding behaviour.
+        simulated block interval.  ``1`` (the default) is the one-lane case
+        of the same pipeline: one block per interval, on one chain.
     """
 
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)

@@ -1282,11 +1282,7 @@ class SharingGateway:
         for node in self.system.simulator.nodes:
             if node.miner is None:
                 continue
-            depths = getattr(node.mempool, "shard_depths", None)
-            metrics["mempool_depth"] = (list(depths()) if depths is not None
-                                        else [len(node.mempool)])
-            lanes = node.miner.lane_statistics()
-            if lanes is not None:
-                metrics["lanes"] = lanes
+            metrics["mempool_depth"] = list(node.mempool.shard_depths())
+            metrics["lanes"] = node.miner.lane_statistics()
             break
         return metrics

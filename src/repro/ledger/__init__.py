@@ -15,7 +15,8 @@ external Ethereum/Fabric dependency:
   of §IV.1) are modelled without real waiting.
 * :mod:`repro.ledger.transaction` / :mod:`repro.ledger.block` — signed
   transactions, Merkle-committed blocks, receipts.
-* :mod:`repro.ledger.mempool` — the pending-transaction pool.
+* :mod:`repro.ledger.mempool` — the pending-transaction pool, one
+  arrival-ordered lane per consensus shard.
 * :mod:`repro.ledger.gas` — a simple gas model (storage pressure benchmark).
 * :mod:`repro.ledger.consensus` — proof-of-work and proof-of-authority seals.
 * :mod:`repro.ledger.chain` — chain storage, validation and fork choice.
@@ -23,9 +24,10 @@ external Ethereum/Fabric dependency:
 * :mod:`repro.ledger.events` — event logs emitted by contracts.
 * :mod:`repro.ledger.miner` — the block producer enforcing the paper's
   one-update-per-shared-table-per-block rule.
-* :mod:`repro.ledger.sharding` / :mod:`repro.ledger.lanes` — per-shard
-  mempools and the lane scheduler that seals one block per shard inside one
-  simulated block interval (``LedgerConfig.consensus_shards``).
+* :mod:`repro.ledger.sharding` / :mod:`repro.ledger.lanes` — the router
+  that assigns shared tables to consensus lanes and the lane scheduler that
+  seals one block per lane inside one simulated block interval
+  (``LedgerConfig.consensus_shards``; an unsharded ledger has one lane).
 """
 
 from repro.ledger.clock import SimClock
@@ -39,7 +41,7 @@ from repro.ledger.events import EventLog, LogEntry
 from repro.ledger.chain import Blockchain
 from repro.ledger.lanes import HeldClock, LaneScheduler
 from repro.ledger.miner import Miner
-from repro.ledger.sharding import ShardedMempool, ShardRouter
+from repro.ledger.sharding import ShardRouter
 from repro.ledger.light_client import InclusionProof, LightClient, build_inclusion_proof
 from repro.ledger.archive import export_chain, import_chain, verify_archive
 
@@ -65,7 +67,6 @@ __all__ = [
     "LaneScheduler",
     "Miner",
     "ShardRouter",
-    "ShardedMempool",
     "InclusionProof",
     "LightClient",
     "build_inclusion_proof",

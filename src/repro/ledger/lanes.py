@@ -7,8 +7,8 @@ clock advances **once per interval**, not once per block — so independent
 shared tables no longer queue behind each other for block space.  Sealing
 work (PoW hash attempts) and produced blocks are accounted per lane.
 
-With a single shard the scheduler is never constructed and the miner's
-classic one-block-per-interval loop runs unchanged.
+Every miner has one: an unsharded ledger is the one-lane case, which seals at
+most one block per interval.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class LaneScheduler:
     """Round-robin interleaving of per-shard mining lanes."""
 
     def __init__(self, miner: "Miner", num_lanes: int):
-        if num_lanes < 2:
-            raise ValueError("a lane scheduler needs at least two lanes")
+        if num_lanes < 1:
+            raise ValueError("a lane scheduler needs at least one lane")
         self.miner = miner
         self.num_lanes = num_lanes
         self._next_lane = 0

@@ -8,16 +8,16 @@ The miner drains the mempool into new blocks, honouring:
   requests on the same shared table are deferred to later blocks;
 * the consensus engine's sealing procedure and block interval.
 
-Selection is cursor-based: each lane (the whole pool when unsharded, one
-shard otherwise) remembers how far into the arrival order it has scanned and
-which transactions it had to defer (gas budget, serialisation conflicts), so
-mining N blocks from a large pool touches each pending transaction once plus
-once per deferral instead of rescanning the full pool every block.
-
-When the mempool is sharded (:class:`~repro.ledger.sharding.ShardedMempool`)
-the miner runs one lane per shard through a
+The miner runs one lane per mempool lane (consensus shard) through a
 :class:`~repro.ledger.lanes.LaneScheduler`: every lane with pending work
-seals a block in the *same* simulated block interval.
+seals a block in the *same* simulated block interval.  An unsharded ledger
+is the one-lane case.
+
+Selection is cursor-based: each lane remembers how far into its arrival
+order it has scanned and which transactions it had to defer (gas budget,
+serialisation conflicts), so mining N blocks from a large pool touches each
+pending transaction once plus once per deferral instead of rescanning the
+full pool every block.
 """
 
 from __future__ import annotations
@@ -76,24 +76,21 @@ class Miner:
         #: `_select_transactions` call has looked at in total.  The linearity
         #: regression test asserts this stays O(pool + deferrals).
         self.txs_scanned = 0
-        #: Per-lane scan state.  The key is the shard index (None for the
-        #: unsharded single lane): the cursor is the highest arrival sequence
-        #: number already scanned, the deferred list keeps transactions that
-        #: were reached but had to wait (gas budget or serialisation rule).
-        self._scan_cursor: Dict[Optional[int], int] = {}
-        self._deferred: Dict[Optional[int], List[str]] = {}
-        num_shards = getattr(mempool, "num_shards", 1)
-        #: One lane per mempool shard; None when the pipeline is unsharded.
-        self.lanes: Optional[LaneScheduler] = (
-            LaneScheduler(self, num_shards) if num_shards > 1 else None
-        )
+        #: Per-lane scan state, keyed by lane: the cursor is the highest
+        #: arrival sequence number already scanned, the deferred list keeps
+        #: transactions that were reached but had to wait (gas budget or
+        #: serialisation rule).
+        self._scan_cursor: Dict[int, int] = {}
+        self._deferred: Dict[int, List[str]] = {}
+        #: One lane per mempool lane.
+        self.lanes = LaneScheduler(self, mempool.num_shards)
         #: Set by :meth:`MedicalDataSharingSystem.attach_tracer`; every lane's
         #: block production is wrapped in a ``lane.mine`` span.
         self.tracer = NULL_TRACER
 
     # ------------------------------------------------------------ block packing
 
-    def _select_transactions(self, shard: Optional[int] = None) -> List[Transaction]:
+    def _select_transactions(self, shard: int) -> List[Transaction]:
         """Choose the transactions for the next block, oldest first.
 
         Resumes from the lane's cursor: transactions this lane deferred in
@@ -152,11 +149,11 @@ class Miner:
         self._scan_cursor[shard] = cursor
         return selected
 
-    def mine_block(self, shard: Optional[int] = None,
+    def mine_block(self, shard: int = 0,
                    seal_clock: Optional[object] = None) -> Optional[Block]:
-        """Mine one block from the current mempool (one shard of it, if given).
+        """Mine one block from one lane of the mempool (lane 0 by default).
 
-        Returns None when the (lane's) mempool is empty — the simulated chain
+        Returns None when the lane is empty — the simulated chain
         does not produce empty blocks (nothing in the paper requires them and
         the benchmarks only care about blocks carrying requests).
         ``seal_clock`` lets a lane scheduler seal against a held clock so
@@ -182,19 +179,9 @@ class Miner:
         return sealed
 
     def mine_interval(self) -> List[Block]:
-        """Produce the blocks of one simulated block interval.
-
-        Unsharded, that is the classic single block (the clock advances once
-        per block, exactly the seed behaviour).  Sharded, every lane with
-        pending work seals a block and the clock still advances only once.
-        """
-        if self.lanes is not None:
-            return self.lanes.mine_interval()
-        with self.tracer.span("lane.mine", shard=0) as span:
-            block = self.mine_block()
-            span.annotate(
-                transactions=len(block.transactions) if block is not None else 0)
-        return [block] if block is not None else []
+        """Produce the blocks of one simulated block interval: every lane
+        with pending work seals a block and the clock advances once."""
+        return self.lanes.mine_interval()
 
     def mine_until_empty(self, max_blocks: int = 1_000) -> List[Block]:
         """Mine blocks until the mempool is drained (or ``max_blocks`` reached)."""
@@ -208,9 +195,9 @@ class Miner:
 
     # ----------------------------------------------------------------- metrics
 
-    def lane_statistics(self) -> Optional[dict]:
-        """Per-lane production counters, or None when unsharded."""
-        return self.lanes.statistics() if self.lanes is not None else None
+    def lane_statistics(self) -> dict:
+        """Per-lane production counters."""
+        return self.lanes.statistics()
 
     def receipts_of(self, block: Block) -> Tuple[TransactionReceipt, ...]:
         """Receipts of every transaction in ``block``."""

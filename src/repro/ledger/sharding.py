@@ -10,23 +10,18 @@ pipeline can be sharded by metadata id:
   registry calls) ride shard 0, the *control lane*; with more than one shard
   that lane is reserved for them and shared tables hash over lanes
   ``1..N-1``, so control traffic never queues behind table commits.
-* :class:`ShardedMempool` — one ordered pool per shard behind the existing
-  :class:`~repro.ledger.mempool.Mempool` API.  Arrival order stays globally
-  consistent (a shared sequence counter), so ``peek()`` still returns the
-  chronological view the contracts expect, while a miner lane can drain its
-  own shard without touching the others.
 
-The per-shard *lanes* that turn this into parallel block production live in
-:mod:`repro.ledger.lanes`; with ``consensus_shards=1`` nothing in this module
-is instantiated and the pipeline is byte-identical to the unsharded seed.
+Everything downstream keys on the router's lane index:
+:class:`~repro.ledger.mempool.Mempool` keeps one arrival-ordered dict per
+lane, the miner's :class:`~repro.ledger.lanes.LaneScheduler` seals one block
+per lane with pending work inside one simulated block interval, and the
+gossip layer floods one ``tx-batch`` per lane.  ``consensus_shards=1`` is the
+one-lane case of that same pipeline: everything routes to lane 0.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
 from repro.crypto.hashing import hash_payload
-from repro.ledger.mempool import Mempool
 from repro.ledger.transaction import Transaction
 
 
@@ -46,9 +41,8 @@ class ShardRouter:
         processes and runs.  With more than one shard, lane 0 is *reserved*
         for control traffic (deploys, transfers, registry calls): shared
         tables hash over lanes ``1..N-1`` only, so a burst of table commits
-        can never queue behind — or delay — control transactions.  The
-        single-shard pipeline keeps everything on lane 0, byte-identical to
-        the unsharded seed.
+        can never queue behind — or delay — control transactions.  A single
+        shard keeps everything on lane 0.
         """
         if self.num_shards == 1:
             return 0
@@ -71,106 +65,3 @@ class ShardRouter:
 
     def __repr__(self) -> str:
         return f"ShardRouter(num_shards={self.num_shards})"
-
-
-class ShardedMempool(Mempool):
-    """One ordered transaction pool per consensus shard.
-
-    Implements the full :class:`Mempool` interface — global ``peek`` order,
-    duplicate detection and O(removed) removal all behave exactly as the
-    single pool — and additionally lets a miner lane iterate one shard in
-    isolation (:meth:`iter_entries` with ``shard=``) and report per-shard
-    queue depths for the gateway metrics.
-    """
-
-    def __init__(self, router: ShardRouter, require_signatures: bool = True):
-        super().__init__(require_signatures)
-        self.router = router
-        # The inner pools share this pool's sequence counter so arrival
-        # order is globally consistent across shards.
-        self._shards: Tuple[Mempool, ...] = tuple(
-            Mempool(require_signatures, sequence=self._sequence)
-            for _ in range(router.num_shards)
-        )
-        self._shard_of_hash: Dict[str, int] = {}
-
-    @property
-    def num_shards(self) -> int:  # type: ignore[override]
-        return self.router.num_shards
-
-    def __len__(self) -> int:
-        return sum(len(pool) for pool in self._shards)
-
-    def __contains__(self, tx_hash: object) -> bool:
-        return tx_hash in self._shard_of_hash
-
-    @property
-    def rejected_count(self) -> int:
-        return self._rejected_count + sum(pool.rejected_count for pool in self._shards)
-
-    def shard_depths(self) -> Tuple[int, ...]:
-        """Pending-transaction count per shard (gateway metrics)."""
-        return tuple(len(pool) for pool in self._shards)
-
-    def get(self, tx_hash: str) -> Optional[Transaction]:
-        shard = self._shard_of_hash.get(tx_hash)
-        if shard is None:
-            return None
-        return self._shards[shard].get(tx_hash)
-
-    def sequence_of(self, tx_hash: str) -> Optional[int]:
-        shard = self._shard_of_hash.get(tx_hash)
-        if shard is None:
-            return None
-        return self._shards[shard].sequence_of(tx_hash)
-
-    def submit(self, tx: Transaction) -> str:
-        shard = self.router.shard_of_transaction(tx)
-        tx_hash = self._shards[shard].submit(tx)
-        self._shard_of_hash[tx_hash] = shard
-        return tx_hash
-
-    def peek(self, limit: Optional[int] = None) -> Tuple[Transaction, ...]:
-        merged = self._merged_entries()
-        if limit is None:
-            return tuple(tx for _seq, tx in merged)
-        return tuple(tx for _seq, tx in merged[:limit])
-
-    def _merged_entries(self) -> List[Tuple[int, Transaction]]:
-        entries: List[Tuple[int, Transaction]] = []
-        for pool in self._shards:
-            entries.extend(pool.iter_entries())
-        entries.sort(key=lambda entry: entry[0])
-        return entries
-
-    def iter_entries(self, after: int = -1,
-                     shard: Optional[int] = None) -> Iterator[Tuple[int, Transaction]]:
-        """Arrival-ordered ``(seq, tx)`` pairs; one shard or the merged view."""
-        if shard is not None:
-            return self._shards[shard].iter_entries(after)
-        return iter([entry for entry in self._merged_entries() if entry[0] > after])
-
-    def remove(self, tx_hashes: Iterable[str]) -> int:
-        removed = 0
-        for tx_hash in tx_hashes:
-            shard = self._shard_of_hash.pop(tx_hash, None)
-            if shard is None:
-                continue
-            removed += self._shards[shard].remove((tx_hash,))
-        return removed
-
-    def clear(self) -> None:
-        for pool in self._shards:
-            pool.clear()
-        self._shard_of_hash = {}
-
-    def pending_for_sender(self, sender: str) -> Tuple[Transaction, ...]:
-        return tuple(tx for _seq, tx in self._merged_entries() if tx.sender == sender)
-
-    def next_nonce(self, sender: str, confirmed_nonce: int) -> int:
-        """Arrival order is irrelevant to the max-nonce computation, so this
-        skips the merged sort the ordered ``pending_for_sender`` view pays —
-        every ``build_contract_call`` runs through here."""
-        pending = [tx.nonce for pool in self._shards
-                   for tx in pool.pending_for_sender(sender)]
-        return max([confirmed_nonce - 1] + pending) + 1

@@ -25,22 +25,21 @@ from repro.network.transport import SimTransport
 class GossipProtocol:
     """Floods transactions and blocks to all registered nodes.
 
-    With a sharded ledger pipeline (``router.num_shards > 1``) transaction
-    batches are flooded on per-shard *topics*: one ``tx-batch`` message per
-    shard per link, so a node (or, in a real deployment, a lane worker) can
-    subscribe to just the shards it produces blocks for.  Message counts per
-    topic are tracked in :attr:`topic_messages`.
+    Transaction batches are flooded on per-shard *topics*: one ``tx-batch``
+    message per shard with transactions in the batch, per link, so a node
+    (or, in a real deployment, a lane worker) can subscribe to just the
+    shards it produces blocks for.  Message counts per topic are tracked in
+    :attr:`topic_messages`.
     """
 
-    def __init__(self, transport: SimTransport, router: Optional[ShardRouter] = None):
+    def __init__(self, transport: SimTransport, router: ShardRouter):
         self.transport = transport
         self.router = router
         self._nodes: Dict[str, BlockchainNode] = {}
         self._light: Dict[str, LightNode] = {}
         #: Transport names the floods skip: the light peers'.
         self._flood_exclude: FrozenSet[str] = frozenset()
-        #: topic name -> gossip messages sent on it (``tx-batch`` when
-        #: unsharded, ``tx-batch/shard-<n>`` per lane when sharded).
+        #: topic name -> gossip messages sent on it (``tx-batch/shard-<n>``).
         self.topic_messages: Dict[str, int] = {}
 
     def register_node(self, node: BlockchainNode) -> None:
@@ -83,39 +82,22 @@ class GossipProtocol:
 
     def broadcast_transaction_batch(self, origin: str,
                                     transactions: Sequence[Transaction]) -> int:
-        """Gossip a whole batch as one ``tx-batch`` message per peer link.
+        """Gossip a whole batch as one ``tx-batch`` message per shard per
+        peer link.
 
         The gateway's batched commit hands all of a batch's transactions over
-        together: one message per link (instead of one per transaction) means
-        one latency charge per link, and the receiving node ingests the batch
-        through :meth:`BlockchainNode.receive_transactions` /
-        :meth:`~repro.ledger.mempool.Mempool.submit_batch`.
+        together: one message per shard and link (instead of one per
+        transaction) means one latency charge per link, and the receiving
+        node ingests each message through
+        :meth:`BlockchainNode.receive_transactions` /
+        :meth:`~repro.ledger.mempool.Mempool.submit_batch`.  The payload
+        names no shard: every receiver routes each transaction through its
+        own (identical) :class:`~repro.ledger.sharding.ShardRouter`.
         """
-        transactions = list(transactions)
         if not transactions:
             return 0
         if origin in self._nodes:
             self._nodes[origin].receive_transactions(transactions)
-        if self.router is not None and self.router.num_shards > 1:
-            return self._broadcast_sharded_batch(origin, transactions)
-        messages = self.transport.broadcast(
-            origin, "tx-batch",
-            {"transactions": [tx.to_dict() for tx in transactions]},
-            exclude=self._flood_exclude,
-        )
-        self.topic_messages["tx-batch"] = (
-            self.topic_messages.get("tx-batch", 0) + len(messages))
-        self.transport.flush()
-        return len(messages)
-
-    def _broadcast_sharded_batch(self, origin: str,
-                                 transactions: Sequence[Transaction]) -> int:
-        """Flood a batch split into per-shard topic messages.
-
-        Receivers route each transaction through their own (identical)
-        :class:`~repro.ledger.sharding.ShardRouter`; the ``shard`` field in
-        the payload is the topic marker a selective subscriber keys on.
-        """
         by_shard: Dict[int, List[Transaction]] = {}
         for tx in transactions:
             by_shard.setdefault(self.router.shard_of_transaction(tx), []).append(tx)
@@ -123,8 +105,7 @@ class GossipProtocol:
         for shard in sorted(by_shard):
             messages = self.transport.broadcast(
                 origin, "tx-batch",
-                {"shard": shard,
-                 "transactions": [tx.to_dict() for tx in by_shard[shard]]},
+                {"transactions": [tx.to_dict() for tx in by_shard[shard]]},
                 exclude=self._flood_exclude,
             )
             topic = f"tx-batch/shard-{shard}"
@@ -190,9 +171,9 @@ class GossipProtocol:
     def mine_and_propagate(self, miner_name: Optional[str] = None) -> List[Block]:
         """Have a miner drain its mempool and gossip every block it seals.
 
-        Draining proceeds interval by interval: a sharded miner seals one
-        block per lane with pending work inside each simulated block
-        interval, an unsharded miner exactly one (the seed behaviour).
+        Draining proceeds interval by interval: the miner seals one block per
+        lane with pending work inside each simulated block interval (one
+        block when unsharded).
         """
         miners = [self._nodes[miner_name]] if miner_name else list(self.miner_nodes)
         mined: List[Block] = []

@@ -14,11 +14,11 @@ The light node accepts a header only if it links to the headers it holds
 transaction — hash recomputed, signature checked, metadata id and diff hash
 equal to the event's — to a header it holds, and its owner (the peer's
 server app) accepts the sender.  Anything else is a *refusal*: counted, and
-the peer re-attaches to another validator, which re-serves the refused
-operation (once).  A proof for a block the peer has no header of yet, or a header
-past a gap, first pulls the missing headers from the trusted node; they are
-checked like any other, and the trusted node serves the peer's operations of
-the blocks it skipped.
+the peer re-attaches to the next validator in mesh order, which re-serves
+the refused operation (once).  A proof for a block the peer has no header of
+yet, or a header past a gap, first pulls the missing headers from the trusted
+node; they are checked like any other, and the trusted node serves the peer's
+operations of the blocks it skipped.
 
 The checks tie a transaction to a header; they do not authenticate the event
 sent with it.  A header carries no receipts or state root, so nothing here
@@ -129,14 +129,14 @@ class LightNode:
     # --------------------------------------------------------------- failover
 
     def _refuse(self, message: Message) -> None:
-        """Count the refusal and re-attach to another validator, if there is
-        one; a refused operation is asked of the new trusted node again,
-        once."""
+        """Count the refusal and re-attach to the next validator after the
+        trusted node, in mesh order and wrapping round, if there is another;
+        a refused operation is asked of the new trusted node again, once."""
         self.refusals += 1
-        others = [node for node in self.gossip.nodes if node is not self.validator]
-        if not others:
+        nodes = self.gossip.nodes
+        if len(nodes) < 2:
             return
-        self.validator = others[0]
+        self.validator = nodes[(nodes.index(self.validator) + 1) % len(nodes)]
         self.failovers += 1
         self.on_reattach(self.validator)
         if message.kind == "operation":

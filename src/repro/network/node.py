@@ -1,6 +1,8 @@
 """Blockchain nodes: the validators.
 
-A validator keeps its own chain replica, mempool and contract runtime.  It
+A validator keeps its own chain replica, mempool (one lane per consensus
+shard, routed by the simulator's shared
+:class:`~repro.ledger.sharding.ShardRouter`) and contract runtime.  It
 receives gossiped transactions and blocks over the transport; applying a
 block re-executes its transactions locally, so every honest validator reaches
 the same world state — the consensus property the paper relies on ("each
@@ -41,7 +43,7 @@ from repro.ledger.events import LogEntry
 from repro.ledger.light_client import build_inclusion_proof
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import Miner
-from repro.ledger.sharding import ShardedMempool, ShardRouter
+from repro.ledger.sharding import ShardRouter
 from repro.ledger.transaction import Transaction
 from repro.network.message import Message
 
@@ -58,14 +60,10 @@ class BlockchainNode:
         for contract_class in contract_classes:
             self.runtime.register_contract_class(contract_class)
         self.chain = Blockchain(config, executor=self.runtime)
-        # consensus_shards == 1 keeps the plain single pool: the unsharded
-        # pipeline stays byte-identical to the pre-sharding behaviour.  The
-        # router is normally the simulator's shared instance so every node,
-        # the gossip topics and the gateway metrics agree on lane routing.
-        self.mempool = (
-            ShardedMempool(router or ShardRouter(config.consensus_shards))
-            if config.consensus_shards > 1 else Mempool()
-        )
+        # One mempool lane per consensus shard.  The router is normally the
+        # simulator's shared instance so every node, the gossip topics and
+        # the gateway metrics agree on lane routing.
+        self.mempool = Mempool(router or ShardRouter(config.consensus_shards))
         self.is_miner = is_miner
         self.miner: Optional[Miner] = (
             Miner(self.chain, self.mempool, clock, proposer=name) if is_miner else None

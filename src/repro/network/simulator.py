@@ -95,8 +95,8 @@ class NetworkSimulator:
 
         Each transaction is first ingested at its submitting peer's own node
         (keeping that peer's nonce accounting exact), then the whole batch is
-        flooded as a single ``tx-batch`` message per link — one latency charge
-        per link instead of one per transaction.  Used by the gateway's
+        flooded as one ``tx-batch`` message per shard per link — one latency
+        charge per link instead of one per transaction.  Used by the gateway's
         batched ledger commits.
         """
         if not submissions:

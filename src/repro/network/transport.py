@@ -3,8 +3,8 @@
 Handlers are registered per peer name; :meth:`SimTransport.send` enqueues a
 message and :meth:`SimTransport.flush` delivers pending messages in timestamp
 order, applying latency and (optionally) message drops from a seeded RNG.
-Every message — delivered or dropped — is kept in the transport log, which
-the exposure benchmark audits.
+Every message — delivered or dropped — is kept in the transport log; tests
+read it, and :meth:`SimTransport.bytes_transferred` sums it.
 """
 
 from __future__ import annotations

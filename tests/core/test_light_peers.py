@@ -203,6 +203,30 @@ def test_a_refusal_without_another_validator_is_counted_and_fails_the_leg():
     assert light.validator is doctor_node
 
 
+def test_failover_moves_on_to_the_next_validator():
+    """Refused by the doctor and then by ``researcher-1``, a peer moves on to
+    ``researcher-2``; it does not fall back to the doctor it already refused."""
+    system = _build(23, researchers=2)
+    doctor_node, first, second = (system.simulator.node(f"node-{name}") for name in
+                                  ("doctor", "researcher-1", "researcher-2"))
+    assert system.simulator.nodes == (doctor_node, first, second)
+    for node in (doctor_node, first):
+        _tamper_once(node, "light_operations", _tampered_transaction)
+    gateway = SharingGateway(system)
+    doctor = gateway.open_session("doctor")
+    metadata_id = sorted(mid for mid in system.agreement_ids
+                         if mid.startswith("D13&D31:"))[0]
+    patient_id = int(metadata_id.split(":")[1])
+    gateway.submit(doctor, UpdateEntryRequest(
+        metadata_id=metadata_id, key=(patient_id,), updates={"dosage": "refused twice"}))
+    gateway.drain()
+    gateway.close()
+    light = _lights(system)[f"node-patient-{patient_id}"]
+    assert (light.refusals, light.failovers, light.proofs_verified) == (2, 2, 0)
+    assert light.validator is second
+    assert system.server_app(f"patient-{patient_id}").node is second
+
+
 def test_a_light_peer_needs_a_validator_first():
     from repro.core.system import MedicalDataSharingSystem
     from repro.errors import SharingError, UnknownPeerError

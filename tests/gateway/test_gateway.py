@@ -142,7 +142,10 @@ class TestCrossPeerFoldEndToEnd:
         assert metrics["shards"]["count"] == 1
         assert metrics["shards"]["queue_depth"] == {0: 0}
         assert metrics["shards"]["mempool_depth"] == [0]
-        assert "lanes" not in metrics["shards"]
+        # One lane: it seals the one block of every interval.
+        lanes = metrics["shards"]["lanes"]
+        assert lanes["lanes"] == 1
+        assert lanes["blocks_per_lane"] == [lanes["intervals"]]
 
 
 class TestContention:

@@ -2,8 +2,8 @@
 
 Each case generates a random—but valid, permission-respecting—multi-tenant
 write workload, pushes it through the full gateway stack (``WriteScheduler``
-planning, batched ledger commits, and for the sharded cases a
-``ShardedMempool`` behind the miner) under a *randomised commit cadence*
+planning, batched ledger commits, and for the sharded cases a two-lane
+mempool and lane scheduler behind the miner) under a *randomised commit cadence*
 (commits fire at seeded-random points between submissions, so batch
 boundaries land everywhere), and checks three invariants the concurrency
 design promises:
@@ -233,9 +233,9 @@ def test_fuzzed_interleavings_match_sequential_oracle(seed):
 
 @pytest.mark.parametrize("seed", SHARDED_SEEDS)
 def test_fuzzed_interleavings_through_sharded_mempool(seed):
-    """The same invariants with consensus lanes + ShardedMempool behind the
-    miner; the final state must still match the (unsharded) sequential
-    oracle."""
+    """The same invariants with two consensus lanes (a two-lane mempool and
+    lane scheduler) behind the miner; the final state must still match the
+    (one-lane) sequential oracle."""
     spec = TopologySpec(patients=3, researchers=1, seed=seed,
                         first_patient_id=1_008)
     gateway_system = build_topology_system(spec, _topology_config(shards=2))

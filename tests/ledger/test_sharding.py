@@ -1,5 +1,5 @@
-"""Sharded consensus lanes: router, sharded mempool, lane scheduler and the
-single-shard equivalence guarantee."""
+"""Sharded consensus lanes: router, the mempool's lanes, the lane scheduler
+and the single-shard configuration."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.ledger.clock import SimClock
 from repro.ledger.lanes import HeldClock, LaneScheduler
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import Miner
-from repro.ledger.sharding import ShardedMempool, ShardRouter
+from repro.ledger.sharding import ShardRouter
 from repro.ledger.transaction import Transaction
 
 KEY = generate_keypair(seed=51)
@@ -111,26 +111,28 @@ def _spread_ids(router):
     return ids
 
 
-class TestShardedMempool:
-    def test_behaves_like_one_pool(self):
-        router = ShardRouter(4)
-        pool = ShardedMempool(router)
+class TestMempoolLanes:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_behaves_like_one_pool(self, shards):
+        pool = Mempool(ShardRouter(shards))
         txs = [_tx(i, metadata_id=f"T{i}") for i in range(6)]
         hashes = pool.submit_many(txs)
         assert len(pool) == 6
         assert all(h in pool for h in hashes)
-        # Global peek order is arrival order, across shards.
+        # Global peek order is arrival order, across lanes.
         assert [t.nonce for t in pool.peek()] == [0, 1, 2, 3, 4, 5]
         assert len(pool.peek(limit=3)) == 3
         assert pool.get(hashes[2]) is txs[2]
         removed = pool.remove([hashes[0], hashes[5]])
         assert removed == 2
         assert [t.nonce for t in pool.peek()] == [1, 2, 3, 4]
+        assert [t.nonce for _s, t in pool.iter_entries()] == [1, 2, 3, 4]
         pool.clear()
         assert len(pool) == 0
 
-    def test_duplicates_and_bad_signatures_rejected(self):
-        pool = ShardedMempool(ShardRouter(2))
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_duplicates_and_bad_signatures_rejected(self, shards):
+        pool = Mempool(ShardRouter(shards))
         tx = _tx(0)
         pool.submit(tx)
         with pytest.raises(InvalidTransactionError):
@@ -141,7 +143,7 @@ class TestShardedMempool:
 
     def test_per_shard_iteration_and_depths(self):
         router = ShardRouter(4)
-        pool = ShardedMempool(router)
+        pool = Mempool(router)
         ids = _spread_ids(router)
         for nonce, metadata_id in enumerate(ids):
             pool.submit(_tx(nonce, metadata_id=metadata_id))
@@ -153,13 +155,16 @@ class TestShardedMempool:
             for _seq, tx in pool.iter_entries(shard=shard):
                 assert router.shard_of_transaction(tx) == shard
 
-    def test_next_nonce_sees_all_shards(self):
-        router = ShardRouter(4)
-        pool = ShardedMempool(router)
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_next_nonce_sees_all_shards(self, shards):
+        router = ShardRouter(shards)
+        pool = Mempool(router)
         ids = _spread_ids(router)
-        for nonce, metadata_id in enumerate(ids[:3]):
-            pool.submit(_tx(nonce, metadata_id=metadata_id))
+        for nonce in range(3):
+            pool.submit(_tx(nonce, metadata_id=ids[nonce % len(ids)]))
+        pool.submit(_transfer(0, keypair=OTHER))
         assert pool.next_nonce(KEY.address, confirmed_nonce=0) == 3
+        assert pool.next_nonce(OTHER.address, confirmed_nonce=0) == 1
 
 
 def _sharded_setup(shards, block_interval=2.0, max_txs=64):
@@ -170,7 +175,7 @@ def _sharded_setup(shards, block_interval=2.0, max_txs=64):
     )
     chain = Blockchain(config)
     router = ShardRouter(shards)
-    mempool = ShardedMempool(router) if shards > 1 else Mempool()
+    mempool = Mempool(router)
     clock = SimClock()
     miner = Miner(chain, mempool, clock)
     return chain, mempool, clock, miner, router
@@ -215,10 +220,13 @@ class TestLaneScheduler:
         assert sum(stats["blocks_per_lane"]) == len(ids)
         assert sum(stats["transactions_per_lane"]) == len(ids)
 
-    def test_unsharded_miner_reports_no_lanes(self):
-        _chain, _pool, _clock, miner, _router = _sharded_setup(1)
-        assert miner.lanes is None
-        assert miner.lane_statistics() is None
+    def test_unsharded_miner_runs_one_lane(self):
+        _chain, pool, _clock, miner, _router = _sharded_setup(1)
+        pool.submit(_tx(0))
+        miner.mine_until_empty()
+        stats = miner.lane_statistics()
+        assert stats["lanes"] == 1
+        assert stats["blocks_per_lane"] == [1] and stats["intervals"] == 1
 
     def test_held_clock_never_advances(self):
         clock = SimClock()
@@ -227,19 +235,19 @@ class TestLaneScheduler:
         held.advance_to(99.0)
         assert clock.now() == 0.0 and held.now() == 0.0
 
-    def test_scheduler_requires_two_lanes(self):
+    def test_scheduler_requires_a_lane(self):
         _chain, _pool, _clock, miner, _router = _sharded_setup(2)
         with pytest.raises(ValueError):
-            LaneScheduler(miner, 1)
+            LaneScheduler(miner, 0)
 
 
 class TestSingleShardEquivalence:
-    """consensus_shards=1 must reproduce the unsharded pipeline exactly."""
+    """consensus_shards=1 is the default configuration, block for block."""
 
     def test_block_sequence_identical_to_default_config(self):
         def run(config):
             chain = Blockchain(config)
-            mempool = Mempool()
+            mempool = Mempool(ShardRouter(config.consensus_shards))
             miner = Miner(chain, mempool, SimClock())
             mempool.submit_many(
                 [_tx(i, metadata_id=f"T{i % 3}") for i in range(8)])
