@@ -123,8 +123,6 @@ class Mempool:
 
     def _arrival_order(self) -> Iterator[Tuple[int, Transaction]]:
         """Every ``(seq, tx)`` of the pool: the lanes merged by sequence."""
-        if len(self._lanes) == 1:
-            return iter(self._lanes[0].values())
         # Sequences are unique, so the tuples compare by them alone.
         return heapq.merge(*(lane.values() for lane in self._lanes))
 
