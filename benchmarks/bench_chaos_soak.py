@@ -28,11 +28,12 @@ Run it with ``python benchmarks/gate.py chaos_soak [--quick] [--out DIR]``.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.cli import run_chaos_soak
-from repro.config import SystemConfig
+from repro.config import ResilienceConfig, SystemConfig
 from repro.gateway import SharingGateway, UpdateEntryRequest
 from repro.workloads.topology import TopologySpec, build_topology_system
 from repro.workloads.updates import UpdateStreamGenerator
@@ -70,10 +71,11 @@ def _overload_run(latency_target: Optional[float], arrivals: int) -> Dict[str, A
     """
     system = build_topology_system(
         TopologySpec(patients=OVERLOAD_TENANTS, researchers=0, seed=SOAK_SEED),
-        SystemConfig.private_chain(1.0))
+        dataclasses.replace(
+            SystemConfig.private_chain(1.0),
+            resilience=ResilienceConfig(latency_target_p99=latency_target)))
     gateway = SharingGateway(system, max_batch_size=BATCH_SIZE,
-                             max_queue_depth=QUEUE_CAPACITY,
-                             latency_target=latency_target)
+                             max_queue_depth=QUEUE_CAPACITY)
     updates = UpdateStreamGenerator(system, seed=SOAK_SEED)
     names = sorted(peer.name for peer in system.peers if peer.role == "Patient")
     sessions = {name: gateway.open_session(name) for name in names}

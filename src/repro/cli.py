@@ -30,7 +30,7 @@ from typing import (Any, Container, Dict, List, Optional, get_args,
 
 from repro.baselines.full_record import FullRecordSharingBaseline
 from repro.config import (DurabilityConfig, LoadtestSpec, ReplicationConfig,
-                          SystemConfig)
+                          ResilienceConfig, SystemConfig)
 from repro.core.scenario import (
     CARE_TABLE,
     DOCTOR_RESEARCHER_TABLE,
@@ -218,7 +218,9 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
         # Replicas bootstrap from durable peers' checkpoints and WALs.
         with tempfile.TemporaryDirectory(prefix="repro-replicas-") as tmp:
             return run_gateway_loadtest(dataclasses.replace(spec, state_dir=tmp))
-    config = SystemConfig.private_chain(spec.interval)
+    config = dataclasses.replace(
+        SystemConfig.private_chain(spec.interval),
+        resilience=ResilienceConfig(latency_target_p99=spec.latency_target))
     if spec.replicas > 0:
         config = dataclasses.replace(
             config,
@@ -251,8 +253,7 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
                              state_dir=spec.state_dir,
                              fsync_policy=spec.fsync_policy,
                              max_responses=spec.max_responses,
-                             tracer=tracer, registry=registry,
-                             latency_target=spec.latency_target)
+                             tracer=tracer, registry=registry)
     profiles = default_tenant_profiles(system, request_rate=spec.rate,
                                        read_fraction=spec.read_fraction)
     clock = system.simulator.clock

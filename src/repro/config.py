@@ -248,17 +248,16 @@ class ReplicationConfig:
         Simulated seconds a replica spends serving one read (its service
         lane models a single-threaded follower), used to spread read load
         deterministically across the fleet.
-    prewarm_cache:
-        When true (the default), each commit's ``TableDiff`` pre-warms the
-        replicas' view caches during replay, so a freshly replayed commit
-        is immediately servable without a read-through miss.
+
+    Each commit's ``TableDiff`` always pre-warms the replicas' view caches
+    during replay, so a freshly replayed commit is servable without a
+    read-through miss.
     """
 
     replicas: int = 0
     ship_interval: float = 0.0
     max_lag: float = 30.0
     read_service_time: float = 0.002
-    prewarm_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.replicas < 0:
@@ -294,6 +293,9 @@ class SystemConfig:
         concurrently on executor threads, merged deterministically.  Only
         takes effect with ``consensus_shards > 1`` — single-lane systems
         keep the sequential path byte-identical to the seed.
+
+    Lens laws are not configurable: every full ``put`` is checked against
+    PutGet on the concrete data before the new source is installed.
     """
 
     ledger: LedgerConfig = field(default_factory=LedgerConfig)
@@ -301,7 +303,6 @@ class SystemConfig:
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     replication: ReplicationConfig = field(default_factory=ReplicationConfig)
-    check_lens_laws: bool = True
     delta_propagation: bool = True
     delta_verify_interval: int = 16
     parallel_cascades: bool = True

@@ -10,7 +10,7 @@ implemented by executing BX programs".  Concretely it can:
   direction, e.g. step 5 / step 11 of Fig. 5);
 * compute the **diff** a refresh would cause, so the workflow knows whether a
   dependent view actually changed (step 6);
-* optionally check the lens laws on the concrete data before installing an
+* check the PutGet law on the concrete data before installing an
   updated source, failing loudly instead of silently corrupting local data.
 """
 
@@ -42,10 +42,8 @@ class DatabaseManager:
     disables the check.
     """
 
-    def __init__(self, peer: Peer, check_laws: bool = True,
-                 delta_verify_interval: int = 16):
+    def __init__(self, peer: Peer, delta_verify_interval: int = 16):
         self.peer = peer
-        self.check_laws = check_laws
         self.delta_verify_interval = delta_verify_interval
         self._get_invocations = 0
         self._put_invocations = 0
@@ -137,10 +135,10 @@ class DatabaseManager:
     def reflect_shared_table(self, metadata_id: str) -> TableDiff:
         """Run ``put``: embed the stored shared table back into the local base table.
 
-        Returns the diff applied to the base table.  When law checking is
-        enabled, PutGet is verified on the concrete data before the new source
-        is installed; a violation raises :class:`SynchronizationError` and the
-        local base table is left untouched.
+        Returns the diff applied to the base table.  PutGet is verified on
+        the concrete data before the new source is installed; a violation
+        raises :class:`SynchronizationError` and the local base table is left
+        untouched.
         """
         program = self.peer.bx_program(metadata_id)
         agreement = self.peer.agreement(metadata_id)
@@ -154,7 +152,7 @@ class DatabaseManager:
             raise SynchronizationError(
                 f"cannot reflect shared table {view_name!r} into {program.source_table!r}: {exc}"
             ) from exc
-        if self.check_laws and not check_put_get(program.lens, source, view.snapshot()):
+        if not check_put_get(program.lens, source, view.snapshot()):
             raise SynchronizationError(
                 f"PutGet law violated while reflecting {view_name!r} into "
                 f"{program.source_table!r}; refusing to install an inconsistent source"

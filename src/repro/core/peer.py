@@ -78,10 +78,9 @@ class Peer:
     def agreement_ids(self) -> Tuple[str, ...]:
         return tuple(sorted(self.agreements))
 
-    def join_agreement(self, agreement: SharingAgreement,
-                       materialize: bool = True) -> BXProgram:
-        """Adopt a sharing agreement: register its BX program and, optionally,
-        materialise the shared table from the local base table.
+    def join_agreement(self, agreement: SharingAgreement) -> BXProgram:
+        """Adopt a sharing agreement: register its BX program and materialise
+        the shared table from the local base table.
 
         The BX program is named ``BX-<view name>`` (e.g. ``BX-D31``), matching
         the paper's convention of one named program per source/view pair.
@@ -105,8 +104,7 @@ class Peer:
                                         resolve_table=self.database.table)
         self.agreements[agreement.metadata_id] = agreement
         self._bx_name_by_agreement[agreement.metadata_id] = bx_name
-        if materialize:
-            self._materialize_shared_table(program)
+        self._materialize_shared_table(program)
         return program
 
     def _materialize_shared_table(self, program: BXProgram) -> None:

@@ -246,8 +246,7 @@ def build_scaled_scenario(records=PAPER_RECORDS, patient_ids: Optional[Tuple[int
         Which patient ids belong to the "patient" peer (and hence appear in
         D1 and the D13/D31 shared table).  Defaults to the first record's id.
     config:
-        Optional :class:`~repro.config.SystemConfig` (consensus, latencies,
-        law checking).
+        Optional :class:`~repro.config.SystemConfig` (consensus, latencies).
     """
     records = tuple(records)
     if not records:

@@ -67,15 +67,14 @@ class ServerApp:
     """Mediator between one peer and the rest of the system."""
 
     def __init__(self, peer: Peer, node: BlockchainNode, channels: ChannelRegistry,
-                 check_lens_laws: bool = True, delta_verify_interval: int = 16,
+                 delta_verify_interval: int = 16,
                  light: Optional[LightNode] = None):
         self.peer = peer
         #: The trusted node: the peer's own, or (light peer) its validator's.
         self.node = node
         self.light = light
         self.channels = channels
-        self.manager = DatabaseManager(peer, check_laws=check_lens_laws,
-                                       delta_verify_interval=delta_verify_interval)
+        self.manager = DatabaseManager(peer, delta_verify_interval=delta_verify_interval)
         self.contract_address: Optional[str] = None
         self.registry_address: Optional[str] = None
         self._notifications: List[Notification] = []

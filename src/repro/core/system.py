@@ -178,7 +178,6 @@ class MedicalDataSharingSystem:
             if node.miner is not None:
                 node.miner.tracer = self.tracer
         app = ServerApp(peer, node, self.simulator.channels,
-                        check_lens_laws=self.config.check_lens_laws,
                         delta_verify_interval=self.config.delta_verify_interval,
                         light=light_node)
         if self.contract_address is not None:

@@ -904,6 +904,9 @@ class UpdateCoordinator:
             try:
                 self._confirm(leg, suffix=BATCHED_ROUND)
             except ReproError as exc:
+                # A nested cascade leg's confirmation may already have set
+                # ``succeeded`` on this shared trace before a later leg failed.
+                trace.succeeded = False
                 trace.error = str(exc)
             finally:
                 trace.finished_at = self._clock.now()

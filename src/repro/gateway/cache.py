@@ -25,8 +25,7 @@ from repro.relational.table import Table
 class ViewCache:
     """Caches ``(peer, metadata_id) → materialised shared view`` snapshots."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.tracer = NULL_TRACER
         #: Set by the gateway so entries carry install timestamps (simulated
         #: seconds).  Without a clock, install times — and therefore entry
@@ -78,8 +77,6 @@ class ViewCache:
         is still returned to the caller (it is fresh — it was materialised
         after the intervening commit finished) but not cached.
         """
-        if not self.enabled:
-            return loader()
         key = (peer, metadata_id)
         with self.tracer.span("cache.get", peer=peer,
                               metadata_id=metadata_id) as span:
@@ -201,7 +198,7 @@ class ViewCache:
 
     # -------------------------------------------------------------- pre-warming
 
-    def prewarm(self, peer: str, metadata_id: str, view: Table) -> bool:
+    def prewarm(self, peer: str, metadata_id: str, view: Table) -> None:
         """Install a freshly materialised view ahead of any read.
 
         The diff-driven pre-warm path: at a commit boundary the gateway (or
@@ -209,17 +206,13 @@ class ViewCache:
         installs them here, so the next read is a hit instead of a
         read-through miss.  Bumps the table's generation — an in-flight
         read-through load of the same table raced the commit and must not
-        overwrite the fresher pre-warmed copy.  Returns whether the entry
-        was installed (a disabled cache ignores pre-warms).
+        overwrite the fresher pre-warmed copy.
         """
-        if not self.enabled:
-            return False
         with self._lock:
             self._bump(metadata_id)
             self._entries[(peer, metadata_id)] = view
             self._installed_at[(peer, metadata_id)] = self._now()
             self.prewarms += 1
-            return True
 
     # -------------------------------------------------------------- change hook
 
@@ -248,7 +241,6 @@ class ViewCache:
 
     def statistics(self) -> Dict[str, object]:
         return {
-            "enabled": self.enabled,
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,

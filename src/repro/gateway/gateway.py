@@ -256,7 +256,7 @@ class SharingGateway:
     """Concurrent multi-tenant request-serving layer over one sharing system."""
 
     def __init__(self, system: MedicalDataSharingSystem,
-                 max_batch_size: int = 16, max_edits_per_group: int = 8,
+                 max_batch_size: int = 16,
                  default_rate: float = 0.0,
                  fold_cross_peer: bool = True,
                  max_queue_depth: Optional[int] = None,
@@ -264,9 +264,7 @@ class SharingGateway:
                  fsync_policy: Optional[str] = None,
                  max_responses: Optional[int] = None,
                  tracer: Optional[Tracer] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 latency_target: Optional[float] = None,
-                 degraded_reads: Optional[bool] = None):
+                 registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
         if any(name.startswith("gateway_") for name in self.registry.names()):
             # Shared counters beside unshared batch and latency state would
@@ -281,25 +279,20 @@ class SharingGateway:
         if tracer is not None:
             system.attach_tracer(tracer)
         self.scheduler = WriteScheduler(max_batch_size=max_batch_size,
-                                        max_edits_per_group=max_edits_per_group,
                                         fold_cross_peer=fold_cross_peer,
                                         max_queue_depth=max_queue_depth)
         self.cache = ViewCache()
         self.cache.tracer = self.tracer
-        #: Diff-driven cache pre-warming: when a commit's TableDiff names a
-        #: view no reader has pulled yet, materialise and install it at the
-        #: commit boundary instead of waiting for the next read-through miss.
-        self.prewarm_cache = system.config.replication.prewarm_cache
         # The diff-aware hook patches cached views row by row when the
-        # coordinator hands over the change's TableDiff (and pre-warms the
-        # untouched ones), dropping views only when it cannot patch them
-        # (half-installed failures).
+        # coordinator hands over the change's TableDiff and pre-warms the
+        # views no reader has pulled yet (materialised at the commit boundary
+        # instead of on the next read-through miss), dropping views only when
+        # it cannot patch them (half-installed failures).
         system.coordinator.subscribe_shared_diff(self._on_shared_diff)
         # Resilience: commit-latency-driven admission shedding, per-tenant /
         # per-lane / commit-path circuit breakers, fair queueing and (opt-in)
-        # bounded-staleness degraded reads.  Defaults come from
-        # ``SystemConfig.resilience``; ``latency_target`` / ``degraded_reads``
-        # are per-gateway overrides.
+        # bounded-staleness degraded reads, all set in
+        # ``SystemConfig.resilience``.
         resilience = system.config.resilience
         self.resilience = resilience
         clock = system.simulator.clock
@@ -312,15 +305,11 @@ class SharingGateway:
                 "the system's simulator carries no clock; the gateway's "
                 "cache cannot measure view staleness without one")
         self.cache.clock = clock
-        self.latency_target = (resilience.latency_target_p99
-                               if latency_target is None else latency_target)
-        self.shedder = LatencyShedder(clock, self.latency_target)
+        self.shedder = LatencyShedder(clock, resilience.latency_target_p99)
         self.breakers = BreakerBoard(
             clock, failure_threshold=resilience.breaker_failure_threshold,
             reset_timeout=resilience.breaker_reset_timeout,
             tracer=self.tracer, registry=self.registry)
-        self.degraded_reads = (resilience.degraded_reads
-                               if degraded_reads is None else degraded_reads)
         self.max_staleness = resilience.max_staleness
         self.default_rate = default_rate
         self._sessions: Dict[str, GatewaySession] = {}
@@ -442,7 +431,7 @@ class SharingGateway:
                     f"replica-{index}", clock, _view_name_for,
                     read_service_time=replication.read_service_time,
                     tracer=self.tracer,
-                    cache=replica_cache if replication.prewarm_cache else None))
+                    cache=replica_cache))
             self.replica_router = ReplicaRouter(
                 self.shipper, clock, max_lag=replication.max_lag,
                 registry=self.registry)
@@ -753,8 +742,7 @@ class SharingGateway:
         no diff; nothing half-installed is ever pre-warmed.
         """
         self.cache.on_shared_diff(metadata_id, operation, peers, diff)
-        if (not self.prewarm_cache or not self.cache.enabled
-                or diff is None or diff.is_empty):
+        if diff is None or diff.is_empty:
             return
         for peer in peers:
             if self.cache.peek(peer, metadata_id) is not None:
@@ -843,7 +831,7 @@ class SharingGateway:
         with its bounded staleness.  A missing or over-age entry falls back
         to the normal path rather than failing the read.
         """
-        if not self.degraded_reads or not self.commit_path_unhealthy():
+        if not self.resilience.degraded_reads or not self.commit_path_unhealthy():
             return None
         entry = self.cache.peek_entry(peer, metadata_id)
         if entry is None:
@@ -1215,14 +1203,14 @@ class SharingGateway:
                 },
                 "shards": self._shard_metrics(),
                 "resilience": {
-                    "latency_target": self.latency_target,
+                    "latency_target": self.resilience.latency_target_p99,
                     "shedder": self.shedder.statistics(),
                     "breakers": self.breakers.statistics(),
                     "queued_by_tenant": self.scheduler.queued_by_tenant(),
                     "shed_by_reason": {
                         reason: counter.value
                         for reason, counter in sorted(self._shed_by_reason.items())},
-                    "degraded_reads_enabled": self.degraded_reads,
+                    "degraded_reads_enabled": self.resilience.degraded_reads,
                     "degraded_reads_served": self._degraded_reads_served.value,
                     "chaos_events": len(self.system.injector.events),
                 },
@@ -1236,7 +1224,6 @@ class SharingGateway:
     def _replication_metrics(self) -> Dict[str, object]:
         """Replica-fleet health: shipments, per-replica lag, routed reads."""
         metrics = {"enabled": self.replica_router is not None,
-                   "prewarm_cache": self.prewarm_cache,
                    "cache_prewarms": self.cache.prewarms}
         if self.replica_router is not None:
             metrics["reads_served"] = self._replica_reads_served.value

@@ -33,8 +33,7 @@ _Lane = Dict[str, Tuple[int, Transaction]]
 class Mempool:
     """An ordered pool of pending transactions, one lane per consensus shard."""
 
-    def __init__(self, router: Optional[ShardRouter] = None,
-                 require_signatures: bool = True):
+    def __init__(self, router: Optional[ShardRouter] = None):
         self.router = router or ShardRouter(1)
         #: One arrival-ordered dict per lane (dicts preserve insertion).
         self._lanes: Tuple[_Lane, ...] = tuple(
@@ -42,7 +41,6 @@ class Mempool:
         #: hash -> the lane holding it.
         self._lane_of: Dict[str, int] = {}
         self._sequence = itertools.count()
-        self.require_signatures = require_signatures
         self._rejected_count = 0
 
     @property
@@ -86,7 +84,7 @@ class Mempool:
         transactions rather than silently dropping them — errors should never
         pass silently.
         """
-        if self.require_signatures and not tx.verify_signature():
+        if not tx.verify_signature():
             self._rejected_count += 1
             raise InvalidTransactionError(
                 f"transaction from {tx.sender} has a missing or invalid signature"

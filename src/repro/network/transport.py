@@ -164,7 +164,7 @@ class SimTransport:
         jitter = self._rng.uniform(0, self.config.latency_jitter)
         return self.config.base_latency + jitter
 
-    def flush(self, advance_clock: bool = True) -> int:
+    def flush(self) -> int:
         """Deliver every queued message in order; returns how many were delivered.
 
         Delivery of one message may enqueue new ones (a handler replying);
@@ -189,14 +189,13 @@ class SimTransport:
                 if message.attempt > 0 and self._should_drop(message):
                     message.dropped = True
                     self._dropped_count += 1
-                    self._retransmit(message, advance_clock)
+                    self._retransmit(message)
                     continue
                 latency = self._latency_for(message)
                 if message.attempt > 0:
                     latency += self.injector.delay("transport.delay",
                                                    message.recipient)
-                if advance_clock:
-                    self.clock.advance(latency)
+                self.clock.advance(latency)
                 message.delivered_at = self.clock.now()
                 handler = self._handlers.get(message.recipient)
                 if handler is None:
@@ -215,7 +214,7 @@ class SimTransport:
             return True
         return self.injector.should("transport.drop", message.recipient)
 
-    def _retransmit(self, message: Message, advance_clock: bool) -> None:
+    def _retransmit(self, message: Message) -> None:
         """Re-enqueue a dropped message as a fresh attempt (or give up).
 
         Without a retry policy this is the seed's silent-loss behaviour.
@@ -227,9 +226,7 @@ class SimTransport:
             if policy is not None:
                 self._lost_count += 1
             return
-        backoff = policy.backoff(message.attempt, self._retry_rng)
-        if advance_clock:
-            self.clock.advance(backoff)
+        self.clock.advance(policy.backoff(message.attempt, self._retry_rng))
         self._enqueue(message.sender, message.recipient, message.kind,
                       message.payload, message.wire_bytes,
                       attempt=message.attempt + 1)

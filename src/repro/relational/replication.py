@@ -82,22 +82,21 @@ class ReadReplica:
 
     Not a :class:`~repro.core.peer.Peer`: it holds no ledger node, signs
     nothing and accepts no writes — it replays the primary peers' WAL
-    entries into follower databases and serves view reads from them.
+    entries into follower databases and serves view reads from them
+    through ``cache``, a gateway ``ViewCache`` that every shipment pre-warms.
     """
 
     def __init__(self, name: str, clock,
                  view_name_for: Callable[[str, str], str],
                  read_service_time: float = 0.0,
-                 tracer=None, cache=None):
+                 tracer=None, *, cache):
         self.name = name
         self.clock = clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.read_service_time = read_service_time
         self._view_name_for = view_name_for
-        #: Optional ViewCache pre-warmed from shipped diff notices.
         self.cache = cache
-        if cache is not None:
-            cache.clock = clock
+        cache.clock = clock
         self._databases: Dict[str, Database] = {}
         self._applied: Dict[str, int] = {}
         #: Simulated time this replica has replayed the primary through.
@@ -164,9 +163,8 @@ class ReadReplica:
                 self.entries_replayed += replayed
                 self.bootstraps += 1
                 self.replayed_through = max(self.replayed_through, now)
-                if self.cache is not None:
-                    # Anything cached for this peer predates the re-seed.
-                    self.cache.invalidate_all()
+                # Anything cached for this peer predates the re-seed.
+                self.cache.invalidate_all()
             span.annotate(applied=applied, replayed=replayed)
         return applied
 
@@ -204,11 +202,8 @@ class ReadReplica:
                 span.annotate(applied_through=self._applied[batch.peer])
             return len(fresh)
 
-    def prewarm(self, notices: Tuple[DiffNotice, ...]) -> int:
+    def prewarm(self, notices: Tuple[DiffNotice, ...]) -> None:
         """Materialise the views a shipment touched into the replica cache."""
-        if self.cache is None or not notices:
-            return 0
-        warmed = 0
         with self._lock:
             for notice in notices:
                 for peer in notice.peers:
@@ -220,9 +215,7 @@ class ReadReplica:
                         view = database.table(view_name).snapshot()
                     except ReproError:
                         continue  # agreement or table not replayed yet
-                    if self.cache.prewarm(peer, notice.metadata_id, view):
-                        warmed += 1
-        return warmed
+                    self.cache.prewarm(peer, notice.metadata_id, view)
 
     # ------------------------------------------------------------------- reads
 
@@ -239,17 +232,15 @@ class ReadReplica:
             if database is None:
                 raise ReplicationError(
                     f"replica {self.name!r} holds no follower for peer {peer!r}")
-            if self.cache is not None:
-                cached = self.cache.peek(peer, metadata_id)
-                if cached is not None:
-                    self.cache.hits += 1
-                    self.reads_served += 1
-                    return cached
-                self.cache.misses += 1
+            cached = self.cache.peek(peer, metadata_id)
+            if cached is not None:
+                self.cache.hits += 1
+                self.reads_served += 1
+                return cached
+            self.cache.misses += 1
             view_name = self._view_name_for(peer, metadata_id)
             view = database.table(view_name).snapshot()
-            if self.cache is not None:
-                self.cache.prewarm(peer, metadata_id, view)
+            self.cache.prewarm(peer, metadata_id, view)
             self.reads_served += 1
             return view
 
@@ -283,8 +274,7 @@ class ReadReplica:
                 "entries_replayed": self.entries_replayed,
                 "reads_served": self.reads_served,
                 "bootstraps": self.bootstraps,
-                "cache": (self.cache.statistics()
-                          if self.cache is not None else None),
+                "cache": self.cache.statistics(),
             }
 
 

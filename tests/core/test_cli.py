@@ -344,3 +344,16 @@ class TestLoadtestSpec:
         assert result["metrics"]["replication"]["enabled"]
         assert [d.fsync_policy for d in seen] == ["always"]
         assert seen[0].state_dir == str(tmp_path)
+
+    def test_latency_target_reaches_every_workers_gateway(self):
+        """``--latency-target`` is carried by the system's ResilienceConfig,
+        which each fleet worker builds through the same function."""
+        from repro.cli import run_gateway_fleet, run_gateway_loadtest
+
+        fleet = run_gateway_fleet(processes=2, tenants=4, duration=4.0,
+                                  interval=1.0, latency_target=2.0,
+                                  mode="loopback")
+        assert [worker["metrics"]["resilience"]["latency_target"]
+                for worker in fleet["workers"].values()] == [2.0, 2.0]
+        default = run_gateway_loadtest(tenants=2, duration=4.0, interval=1.0)
+        assert default["metrics"]["resilience"]["latency_target"] is None

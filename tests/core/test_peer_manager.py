@@ -132,7 +132,7 @@ class TestDatabaseManager:
 
     def test_reflect_detects_law_violation(self, doctor_peer):
         doctor_peer.join_agreement(_researcher_agreement())
-        manager = DatabaseManager(doctor_peer, check_laws=True)
+        manager = DatabaseManager(doctor_peer)
         # Swap the registered BX program for an ill-behaved lens whose put
         # ignores the view: PutGet cannot hold, so the manager must refuse to
         # install the new source.

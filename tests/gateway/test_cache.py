@@ -52,14 +52,6 @@ class TestViewCacheUnit:
         assert cache.peek("doctor", "T2") is not None
         assert cache.invalidations == 2
 
-    def test_disabled_cache_always_loads(self):
-        cache = ViewCache(enabled=False)
-        loads = []
-        for _ in range(3):
-            cache.get("doctor", "T1", lambda: loads.append(1) or _table())
-        assert len(loads) == 3
-        assert len(cache) == 0
-
     def test_patch_rewrites_only_touched_rows(self):
         from repro.relational.diff import RowChange, TableDiff
 
@@ -271,7 +263,7 @@ class TestStalenessSemantics:
 class TestPrewarm:
     def test_prewarm_installs_and_counts(self):
         cache = ViewCache()
-        assert cache.prewarm("p", "m", _table())
+        cache.prewarm("p", "m", _table())
         assert cache.peek("p", "m") is not None
         assert cache.prewarms == 1
         assert cache.statistics()["prewarms"] == 1
@@ -290,8 +282,3 @@ class TestPrewarm:
         cache.get("p", "m", loader)
         assert cache.peek("p", "m").get((1,))["v"] == "fresh"
         assert cache.stale_loads_discarded == 1
-
-    def test_disabled_cache_ignores_prewarm(self):
-        cache = ViewCache(enabled=False)
-        assert not cache.prewarm("p", "m", _table())
-        assert cache.prewarms == 0

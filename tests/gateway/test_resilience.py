@@ -1,10 +1,12 @@
 """Gateway resilience: the latency shedder, fair queueing, breaker-driven
 admission, outcome recording semantics, and degraded reads."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import STATE_CLOSED, STATE_OPEN
-from repro.config import SystemConfig
+from repro.config import ResilienceConfig, SystemConfig
 from repro.gateway import (
     LatencyShedder,
     ReadViewRequest,
@@ -21,9 +23,14 @@ from repro.ledger.clock import SimClock
 from repro.workloads.topology import TopologySpec, build_topology_system
 
 
-def build_gateway(patients=2, **kwargs):
+def build_gateway(patients=2, latency_target=None, degraded_reads=False,
+                  **kwargs):
+    config = dataclasses.replace(
+        SystemConfig.private_chain(1.0),
+        resilience=ResilienceConfig(latency_target_p99=latency_target,
+                                    degraded_reads=degraded_reads))
     system = build_topology_system(TopologySpec(patients=patients, researchers=0),
-                                   SystemConfig.private_chain(1.0))
+                                   config)
     return SharingGateway(system, **kwargs), system
 
 

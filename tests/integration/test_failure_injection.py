@@ -16,7 +16,13 @@ from repro.core.scenario import (
     build_paper_scenario,
 )
 from repro.core.workflow import BatchGroup, EntryEdit
-from repro.errors import InvalidTransactionError, UpdateRejected, WorkflowError
+from repro.errors import (
+    InvalidTransactionError,
+    SynchronizationError,
+    UpdateRejected,
+    WorkflowError,
+)
+from repro.gateway import ReadViewRequest, SharingGateway, UpdateEntryRequest
 from repro.workloads.topology import (
     HOSPITAL_TABLE_ID,
     TopologySpec,
@@ -261,6 +267,11 @@ class TestWorkflowRobustness:
             assert actors("acknowledge") == legs[:2]
             assert [mid for mid, _diff in notified] == [
                 f"D13&D31:{patient_ids[0]}", HOSPITAL_TABLE_ID]
+            # The first leg's confirmation must not leave the group marked
+            # successful: listeners drop the hospital views instead of
+            # patching them.
+            assert not trace.succeeded
+            assert notified[-1] == (HOSPITAL_TABLE_ID, None)
 
     def test_missing_notification_is_an_explicit_error(self, fresh_paper_system):
         """If the contract event never reaches the sharing peer (e.g. its node
@@ -289,13 +300,70 @@ class TestWorkflowRobustness:
         assert trace.succeeded
         assert system.simulator.in_consensus()
 
+    def test_gateway_rejects_a_batch_whose_nested_cascade_fails(self):
+        """A hospital batch fans out into one cascade leg per patient; when a
+        later leg's acknowledgement fails, every member of the batch is
+        rejected and a reader of the failed leg's view gets the installed
+        data, not the copy it cached before the write."""
+        system = build_join_topology_system(
+            TopologySpec(patients=12, researchers=0, distinct_medications=3,
+                         first_patient_id=1008),
+            SystemConfig(
+                ledger=LedgerConfig(
+                    consensus=ConsensusConfig(kind="poa", block_interval=1.0),
+                    max_transactions_per_block=16, consensus_shards=5),
+                network=NetworkConfig(base_latency=0.002, latency_jitter=0.001)))
+        gateway = SharingGateway(system)
+        _medication, patient_ids = max(patients_by_medication(system).items(),
+                                       key=lambda item: len(item[1]))
+        victim = f"patient-{patient_ids[1]}"
+        victim_view = f"D13&D31:{patient_ids[1]}"
+        reader = gateway.open_session(victim)
+        assert gateway.submit(reader, ReadViewRequest(
+            metadata_id=victim_view)).status == "ok"
+        assert gateway.cache.peek(victim, victim_view) is not None
+        _break_acknowledgement(system.server_app(victim))
+        hospital = gateway.open_session("hospital")
+        responses = [gateway.submit(hospital, UpdateEntryRequest(
+            metadata_id=HOSPITAL_TABLE_ID, key=(patient_id,),
+            updates={"mechanism_of_action": "MeA-fanout"}))
+            for patient_id in patient_ids]
+        gateway.drain()
+        assert {response.status for response in responses} == {"rejected"}
+        assert all("acknowledgement by" in response.error
+                   for response in responses)
+        assert gateway.cache.peek(victim, victim_view) is None
+        stored = system.peer(victim).shared_table(victim_view)
+        read = gateway.submit(reader, ReadViewRequest(metadata_id=victim_view))
+        assert ({row["mechanism_of_action"] for row in read.payload["table"]["rows"]}
+                == {row["mechanism_of_action"] for row in stored.rows}
+                == {"MeA-fanout"})
 
-class TestLawCheckingToggle:
-    def test_system_can_disable_law_checking(self):
-        config = SystemConfig(check_lens_laws=False)
-        system = build_paper_scenario(config=config)
-        trace = system.coordinator.update_shared_entry(
-            "researcher", DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
-            {"mechanism_of_action": "MeA1-v2"})
-        assert trace.succeeded
-        assert not system.server_app("doctor").manager.check_laws
+
+class TestLawChecking:
+    def test_system_refuses_an_unlawful_put(self):
+        """PutGet is always checked when a peer reflects a shared table into
+        its base table: a BX program whose put ignores the view fails the
+        update and leaves the base table untouched."""
+        system = build_paper_scenario(
+            config=SystemConfig(delta_propagation=False))
+        doctor = system.peer("doctor")
+        honest = doctor.bx_program(DOCTOR_RESEARCHER_TABLE)
+
+        class _BrokenLens:
+            name = "broken"
+
+            def get(self, source):
+                return honest.lens.get(source)
+
+            def put(self, source, view):
+                return source.snapshot()
+
+        doctor.bx.register("BX-D32", source_table="D3", view_name="D32",
+                           lens=_BrokenLens())
+        before = doctor.local_table("D3").snapshot()
+        with pytest.raises(SynchronizationError, match="PutGet law violated"):
+            system.coordinator.update_shared_entry(
+                "researcher", DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
+                {"mechanism_of_action": "MeA1-v2"})
+        assert doctor.local_table("D3") == before

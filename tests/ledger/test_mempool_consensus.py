@@ -81,11 +81,6 @@ class TestMempool:
         with pytest.raises(InvalidTransactionError):
             pool.submit(tx)
 
-    def test_signature_check_can_be_disabled(self):
-        pool = Mempool(require_signatures=False)
-        pool.submit(Transaction(sender=KEY.address, kind="call", nonce=0))
-        assert len(pool) == 1
-
     def test_peek_preserves_order(self):
         pool = Mempool()
         txs = [_tx(nonce=i) for i in range(5)]

@@ -13,7 +13,8 @@ from repro.config import (
     ReplicationConfig,
     SystemConfig,
 )
-from repro.gateway import ReadViewRequest, SharingGateway, UpdateEntryRequest
+from repro.gateway import (ReadViewRequest, SharingGateway, UpdateEntryRequest,
+                           ViewCache)
 from repro.relational.durability import JsonlWalBackend
 from repro.relational.replication import ReadReplica, ReplicationError
 from repro.relational.wal import WalEntry
@@ -273,7 +274,8 @@ class TestReplicaRestart:
         gateway.shipper.detach(crashed)
         replacement = ReadReplica(
             crashed.name, system.simulator.clock,
-            lambda p, mid: system.peer(p).agreement(mid).view_name_for(p))
+            lambda p, mid: system.peer(p).agreement(mid).view_name_for(p),
+            cache=ViewCache())
         gateway.shipper.attach(replacement)
         assert replacement.bootstraps >= 1
         for round_number in range(3):
@@ -295,14 +297,19 @@ class TestReplicaRestart:
         gateway.shipper.detach(old)
         replacement = ReadReplica(
             "replica-0", system.simulator.clock,
-            lambda p, mid: system.peer(p).agreement(mid).view_name_for(p))
+            lambda p, mid: system.peer(p).agreement(mid).view_name_for(p),
+            cache=ViewCache())
         gateway.shipper.attach(replacement)
         gateway.drain()
         assert replacement.fingerprints() == system.state_fingerprints()
         assert replacement.fingerprints() == old.fingerprints()
 
+    def test_replica_requires_a_cache(self):
+        with pytest.raises(TypeError, match="cache"):
+            ReadReplica("r", None, lambda p, mid: "v")
+
     def test_apply_unknown_peer_raises(self, tmp_path):
-        replica = ReadReplica("r", None, lambda p, mid: "v")
+        replica = ReadReplica("r", None, lambda p, mid: "v", cache=ViewCache())
         from repro.relational.replication import ShippedBatch
         with pytest.raises(ReplicationError):
             replica.apply(ShippedBatch(peer="ghost", entries=(),
@@ -369,21 +376,19 @@ class TestCachePrewarm:
         assert replica.cache.misses == misses_before
         assert replica.cache.hits >= 1
 
-    def test_prewarm_disabled_keeps_read_through(self, tmp_path):
-        config = SystemConfig(
-            ledger=LedgerConfig(
-                consensus=ConsensusConfig(kind="poa", block_interval=1.0)),
-            durability=DurabilityConfig(state_dir=str(tmp_path)),
-            replication=ReplicationConfig(replicas=0, prewarm_cache=False),
-        )
-        system = build_topology_system(TopologySpec(patients=2, researchers=0),
-                                       config)
-        gateway = SharingGateway(system)
+    def test_every_replica_read_goes_through_its_cache(self, tmp_path):
+        gateway, system = build_replicated_gateway(tmp_path, replicas=2)
         peer, metadata_id = patient_and_mid(system)
         session = gateway.open_session(peer)
-        gateway.submit(session, update_for(metadata_id, "cold"))
-        gateway.drain()
-        assert gateway.cache.prewarms == 0
-        assert gateway.cache.peek(peer, metadata_id) is None
-        gateway.submit(session, ReadViewRequest(metadata_id=metadata_id))
-        assert gateway.cache.misses >= 1
+        for round_number in range(3):
+            gateway.submit(session, update_for(metadata_id, f"r{round_number}"))
+            gateway.drain()
+            for _ in range(2):
+                gateway.submit(session, ReadViewRequest(metadata_id=metadata_id))
+        replicas = gateway.metrics()["replication"]["replicas"]
+        assert len(replicas) == 2
+        assert sum(stats["reads_served"] for stats in replicas) == 6
+        for stats in replicas:
+            cache = stats["cache"]
+            assert cache["hits"] + cache["misses"] == stats["reads_served"]
+            assert cache["prewarms"] > 0
