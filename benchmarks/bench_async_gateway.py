@@ -1,40 +1,30 @@
-"""E14 — async gateway transport: open-loop interleaving vs sync worker pool.
+"""E14 — async gateway transport: open-loop interleaving vs eager sync drain.
 
 The synchronous gateway front end couples admission to commit progress: a
-driver (or worker-pool thread) that calls ``commit_once`` holds the serving
-path, so open-loop traffic drains between arrivals and every queued write is
-committed nearly as soon as it lands — one two-round consensus pair per
-arrival burst, with the consensus pipeline idle while the driver admits the
-next arrival.  The asyncio transport (:mod:`repro.gateway.aio`) decouples
-the two: arrivals are admitted while a commit round is in flight and a
+driver that calls ``commit_once`` holds the serving path, so open-loop
+traffic drains between arrivals and every queued write is committed nearly
+as soon as it lands — one two-round consensus pair per arrival burst, with
+the consensus pipeline idle while the driver admits the next arrival.  The
+asyncio transport (:mod:`repro.gateway.aio`) decouples the two: a commit
+admits the arrivals due at each of its consensus-round boundaries and a
 commit pump seals batches on queue-depth/deadline triggers, so each
 consensus round pair carries a whole batch of interleaved writes.
 
 This experiment replays the *identical* open-loop multi-tenant arrival trace
 (8 patient tenants, Poisson arrivals, mixed reads and writes) through
 
-* the **sync worker-pool baseline** — the eager-drain semantics of
-  :class:`~repro.gateway.worker.GatewayWorkerPool` (commit as soon as any
-  write is queued), interleaved deterministically with the arrival replay so
-  the simulated-time gate is runner-noise-free; and
+* the **sync eager-drain baseline** — commit as soon as any write is queued,
+  interleaved with the arrival replay; and
 * the **async transport** — the same gateway facade behind
-  :class:`~repro.gateway.aio.AsyncSharingGateway` with a real event loop,
-  commit pump and executor-threaded commits,
+  :class:`~repro.gateway.aio.AsyncSharingGateway` with a real event loop
+  and commit pump, replaying the trace with
+  :meth:`~repro.gateway.aio.AsyncSharingGateway.replay`,
 
 and reports committed writes per simulated second for both, plus each
 arm's state fingerprints and how much the async run interleaved.
 
-A third, threaded run drives the real ``GatewayWorkerPool`` under the same
-trace — its wall-clock batching is scheduling-dependent so it is reported,
-fingerprint-checked, but not gated.
-
-The JSON result separates what two runs can be compared on from what they
-cannot: ``deterministic`` (the inline sync baseline's numbers, each arm's
-committed writes, the one state digest all three arms must share) is
-byte-identical run to run; ``scheduling_dependent`` (how the async pump and
-the threaded pool happened to batch: batch counts, simulated seconds,
-``speedup``, ``admitted_during_commit``, ``sealed_by``) races an executor
-thread by construction and is gated by inequalities only.
+Everything runs on one thread in simulated time, so the whole result is
+byte-identical run to run; only the runner's ``seconds`` differ.
 
 Run it with ``python benchmarks/gate.py async_gateway [--quick]``.
 """
@@ -48,10 +38,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.gateway import AsyncSharingGateway, GatewayWorkerPool, SharingGateway
+from repro.gateway import AsyncSharingGateway, SharingGateway
 from repro.workloads.topology import TopologySpec, build_topology_system
-from repro.workloads.traffic import (TrafficGenerator, default_tenant_profiles,
-                                     replay_open_loop)
+from repro.workloads.traffic import TrafficGenerator, default_tenant_profiles
 
 TENANTS = 8
 FULL_DURATION = 12.0
@@ -65,7 +54,7 @@ SEED = 23
 #: interval — the natural batching horizon of the chain.
 MAX_DELAY = BLOCK_INTERVAL
 #: The acceptance gate: ≥2× committed-write throughput for the async
-#: transport over the sync worker-pool baseline at 8 tenants.
+#: transport over the sync eager-drain baseline at 8 tenants.
 TARGET_SPEEDUP = 2.0
 
 
@@ -108,14 +97,7 @@ def _summarise(system, gateway: SharingGateway, responses: Sequence[object],
 
 
 def _run_sync_baseline(duration: float) -> Dict[str, object]:
-    """The worker pool's eager-drain semantics, deterministically interleaved.
-
-    A pool worker with a free slot commits the moment the queue is non-empty;
-    replaying that behaviour inline (submit an arrival, then drain whatever
-    is queued) reproduces its simulated-time cost exactly while keeping the
-    result machine-independent — which the thread-scheduled pool itself is
-    not (see the ``threaded_pool`` arm for the real pool).
-    """
+    """Eager drain: submit an arrival, then commit whatever is queued."""
     system, gateway, arrivals, sessions = _setup(duration)
     clock = system.simulator.clock
     start = clock.now()
@@ -129,21 +111,6 @@ def _run_sync_baseline(duration: float) -> Dict[str, object]:
     return _summarise(system, gateway, responses, clock.now() - start)
 
 
-def _run_threaded_pool(duration: float, workers: int = 2) -> Dict[str, object]:
-    """The real threaded worker pool under the same trace (not gated)."""
-    system, gateway, arrivals, sessions = _setup(duration)
-    clock = system.simulator.clock
-    start = clock.now()
-    responses = []
-    with GatewayWorkerPool(gateway, workers=workers) as pool:
-        for timed in arrivals:
-            clock.advance_to(timed.arrival_time)
-            responses.append(gateway.submit(sessions[timed.tenant], timed.request))
-        assert pool.join_idle(timeout=60.0), "worker pool did not drain"
-        assert not pool.errors, pool.errors
-    return _summarise(system, gateway, responses, clock.now() - start)
-
-
 def _run_async(duration: float) -> Dict[str, object]:
     system, gateway, arrivals, sessions = _setup(duration)
     clock = system.simulator.clock
@@ -152,10 +119,7 @@ def _run_async(duration: float) -> Dict[str, object]:
         start = clock.now()
         async with AsyncSharingGateway(gateway, seal_depth=TENANTS,
                                        max_delay=MAX_DELAY) as front:
-            futures = await replay_open_loop(
-                arrivals,
-                lambda timed: front.submit_nowait(sessions[timed.tenant], timed.request),
-                clock)
+            futures = await front.replay(arrivals, sessions)
             await front.drain()
             responses = await asyncio.gather(*futures)
             return responses, clock.now() - start, front.statistics()
@@ -167,14 +131,11 @@ def _run_async(duration: float) -> Dict[str, object]:
 
 
 def run(quick: bool, out: Optional[Path] = None) -> Dict[str, object]:
-    """Run all three transports over one trace; returns the JSON-able result."""
+    """Run both transports over one trace; returns the JSON-able result."""
     duration = QUICK_DURATION if quick else FULL_DURATION
-    arms = {"sync_worker_pool": _run_sync_baseline(duration),
-            "async": _run_async(duration),
-            "threaded_pool": _run_threaded_pool(duration)}
-    digests = {name: arm.pop("state_digest") for name, arm in arms.items()}
-    writes = {name: arm["writes_committed"] for name, arm in arms.items()}
-    sync_result, async_result = arms["sync_worker_pool"], arms["async"]
+    sync_result, async_result = _run_sync_baseline(duration), _run_async(duration)
+    sync_digest = sync_result.pop("state_digest")
+    async_digest = async_result.pop("state_digest")
     return {
         "experiment": "E14_async_gateway",
         "workload": (f"{TENANTS} tenants, Poisson open loop at "
@@ -184,14 +145,10 @@ def run(quick: bool, out: Optional[Path] = None) -> Dict[str, object]:
         "duration": duration,
         "block_interval": BLOCK_INTERVAL,
         "deterministic": {
-            "sync_worker_pool": sync_result,
-            "writes_committed": writes,
-            "state_digest": digests["sync_worker_pool"],
-            "fingerprints_identical": len(set(digests.values())) == 1,
-        },
-        "scheduling_dependent": {
+            "sync_eager_drain": sync_result,
             "async": async_result,
-            "threaded_pool": arms["threaded_pool"],
+            "state_digest": sync_digest,
+            "fingerprints_identical": sync_digest == async_digest,
             "speedup": async_result["throughput"] / sync_result["throughput"],
             "rounds_cut": (sync_result["consensus_rounds"]
                            - async_result["consensus_rounds"]),
@@ -201,11 +158,11 @@ def run(quick: bool, out: Optional[Path] = None) -> Dict[str, object]:
 
 def gate(result: Dict[str, object]) -> List[str]:
     """The E14 acceptance conditions that ``result`` fails."""
-    measured = result["scheduling_dependent"]
+    measured = result["deterministic"]
     sealed = measured["async"]["transport"]["sealed_by"]
     gates = {
-        # Byte-identical tables on every peer across all three arms.
-        "fingerprints identical": result["deterministic"]["fingerprints_identical"],
+        # Byte-identical tables on every peer across both arms.
+        "fingerprints identical": measured["fingerprints_identical"],
         f"speedup >= {TARGET_SPEEDUP}": measured["speedup"] >= TARGET_SPEEDUP,
         # Open-loop interleaving actually happened: arrivals were admitted
         # while a commit round was mining, and batches carried > 1 write.

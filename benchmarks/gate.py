@@ -30,7 +30,7 @@ GATES = (
     "gateway_throughput",   # E11/E12 batched commits, cache, tracing overhead
     "delta_propagation",    # E12 delta vs full recompute
     "sharded_consensus",    # E13 consensus lanes + cross-peer folding
-    "async_gateway",        # E14 asyncio pump vs sync worker pool
+    "async_gateway",        # E14 asyncio pump vs sync eager drain
     "durability",           # E15 fsync policies + recovery
     "chaos_soak",           # E16 fault convergence + latency shedding
     "parallel_cascade",     # E17 parallel cascades + join deltas

@@ -14,7 +14,6 @@ A :class:`BreakerBoard` lazily creates breakers by name (``tenant:<peer>``,
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CircuitOpenError
@@ -30,7 +29,7 @@ STATE_CODES = {STATE_CLOSED: 0, STATE_OPEN: 1, STATE_HALF_OPEN: 2}
 
 class CircuitBreaker:
     """One breaker protecting one dependency (a peer, a lane, the commit
-    path).  Thread-safe; time comes from the shared sim clock."""
+    path).  Time comes from the shared sim clock."""
 
     def __init__(self, name: str, clock, failure_threshold: int = 3,
                  reset_timeout: float = 10.0, half_open_probes: int = 1,
@@ -51,13 +50,12 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probes_left = 0
-        self._lock = threading.RLock()
         self.rejections = 0
         self.transitions: List[Tuple[float, str, str]] = []
 
     # ------------------------------------------------------------- internals
 
-    def _transition_locked(self, new_state: str) -> None:
+    def _transition(self, new_state: str) -> None:
         old_state = self._state
         if old_state == new_state:
             return
@@ -79,20 +77,19 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """May a call proceed?  In half-open, each ``True`` consumes one
         probe slot; further calls are rejected until a probe reports back."""
-        with self._lock:
-            if self._state == STATE_OPEN:
-                if self.clock.now() - self._opened_at >= self.reset_timeout:
-                    self._transition_locked(STATE_HALF_OPEN)
-                else:
-                    self.rejections += 1
-                    return False
-            if self._state == STATE_HALF_OPEN:
-                if self._probes_left <= 0:
-                    self.rejections += 1
-                    return False
-                self._probes_left -= 1
-                return True
+        if self._state == STATE_OPEN:
+            if self.clock.now() - self._opened_at >= self.reset_timeout:
+                self._transition(STATE_HALF_OPEN)
+            else:
+                self.rejections += 1
+                return False
+        if self._state == STATE_HALF_OPEN:
+            if self._probes_left <= 0:
+                self.rejections += 1
+                return False
+            self._probes_left -= 1
             return True
+        return True
 
     def guard(self) -> None:
         """:meth:`allow`, but rejections raise the typed
@@ -104,20 +101,18 @@ class CircuitBreaker:
                 f"circuit breaker {self.name!r} is {self.state}; call rejected")
 
     def record_success(self) -> None:
-        with self._lock:
-            if self._state == STATE_HALF_OPEN:
-                self._transition_locked(STATE_CLOSED)
-            self._consecutive_failures = 0
+        if self._state == STATE_HALF_OPEN:
+            self._transition(STATE_CLOSED)
+        self._consecutive_failures = 0
 
     def record_failure(self) -> None:
-        with self._lock:
-            if self._state == STATE_HALF_OPEN:
-                self._transition_locked(STATE_OPEN)
-                return
-            self._consecutive_failures += 1
-            if (self._state == STATE_CLOSED
-                    and self._consecutive_failures >= self.failure_threshold):
-                self._transition_locked(STATE_OPEN)
+        if self._state == STATE_HALF_OPEN:
+            self._transition(STATE_OPEN)
+            return
+        self._consecutive_failures += 1
+        if (self._state == STATE_CLOSED
+                and self._consecutive_failures >= self.failure_threshold):
+            self._transition(STATE_OPEN)
 
     def record(self, ok: bool) -> None:
         if ok:
@@ -127,26 +122,24 @@ class CircuitBreaker:
 
     @property
     def state(self) -> str:
-        with self._lock:
-            # An expired open window reads as half-open: the next allow()
-            # would admit a probe, and gauges should say so.
-            if (self._state == STATE_OPEN
-                    and self.clock.now() - self._opened_at >= self.reset_timeout):
-                return STATE_HALF_OPEN
-            return self._state
+        # An expired open window reads as half-open: the next allow()
+        # would admit a probe, and gauges should say so.
+        if (self._state == STATE_OPEN
+                and self.clock.now() - self._opened_at >= self.reset_timeout):
+            return STATE_HALF_OPEN
+        return self._state
 
     @property
     def state_code(self) -> int:
         return STATE_CODES[self.state]
 
     def statistics(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "state": self.state,
-                "consecutive_failures": self._consecutive_failures,
-                "rejections": self.rejections,
-                "transitions": len(self.transitions),
-            }
+        return {
+            "state": self.state,
+            "consecutive_failures": self._consecutive_failures,
+            "rejections": self.rejections,
+            "transitions": len(self.transitions),
+        }
 
 
 class BreakerBoard:
@@ -162,28 +155,25 @@ class BreakerBoard:
         self.tracer = tracer
         self.registry = registry
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._lock = threading.Lock()
 
     def get(self, name: str) -> CircuitBreaker:
-        with self._lock:
-            breaker = self._breakers.get(name)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    name, self.clock,
-                    failure_threshold=self.failure_threshold,
-                    reset_timeout=self.reset_timeout,
-                    half_open_probes=self.half_open_probes,
-                    tracer=self.tracer)
-                self._breakers[name] = breaker
-                if self.registry is not None:
-                    self.registry.gauge("circuit_breaker_state",
-                                        fn=lambda b=breaker: b.state_code,
-                                        breaker=name)
-            return breaker
+        breaker = self._breakers.get(name)
+        if breaker is None:
+            breaker = CircuitBreaker(
+                name, self.clock,
+                failure_threshold=self.failure_threshold,
+                reset_timeout=self.reset_timeout,
+                half_open_probes=self.half_open_probes,
+                tracer=self.tracer)
+            self._breakers[name] = breaker
+            if self.registry is not None:
+                self.registry.gauge("circuit_breaker_state",
+                                    fn=lambda b=breaker: b.state_code,
+                                    breaker=name)
+        return breaker
 
     def peek(self, name: str) -> Optional[CircuitBreaker]:
-        with self._lock:
-            return self._breakers.get(name)
+        return self._breakers.get(name)
 
     def allow(self, name: str) -> bool:
         return self.get(name).allow()
@@ -192,11 +182,9 @@ class BreakerBoard:
         self.get(name).record(ok)
 
     def states(self) -> Dict[str, str]:
-        with self._lock:
-            items = sorted(self._breakers.items())
+        items = sorted(self._breakers.items())
         return {name: breaker.state for name, breaker in items}
 
     def statistics(self) -> Dict[str, Any]:
-        with self._lock:
-            items = sorted(self._breakers.items())
+        items = sorted(self._breakers.items())
         return {name: breaker.statistics() for name, breaker in items}

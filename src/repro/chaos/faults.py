@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -196,9 +195,7 @@ class FaultPlan:
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` against the sim clock and a seeded RNG.
 
-    Probes are thread-safe (the async gateway commits from executor
-    threads); under one thread of probes the injected schedule is fully
-    deterministic in (plan, seed, workload).
+    The injected schedule is fully deterministic in (plan, seed, workload).
     """
 
     def __init__(self, plan: FaultPlan, clock, tracer=NULL_TRACER,
@@ -212,14 +209,13 @@ class FaultInjector:
         self._fires = [0] * len(plan.specs)
         self._windows_open: set = set()
         self.events: List[Dict[str, Any]] = []
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- matching
 
-    def _match_locked(self, kind: str, target: Optional[str]):
+    def _match(self, kind: str, target: Optional[str]):
         """First armed spec for ``kind``/``target`` that fires, or None.
 
-        Caller holds the lock.  A probabilistic spec consumes exactly one
+        A probabilistic spec consumes exactly one
         RNG draw per probe whether or not it fires, keeping the stream
         deterministic in the probe sequence.
         """
@@ -234,7 +230,7 @@ class FaultInjector:
             return index, spec
         return None, None
 
-    def _record_locked(self, index: Optional[int], spec: FaultSpec,
+    def _record(self, index: Optional[int], spec: FaultSpec,
                        target: Optional[str], outcome: str) -> None:
         if index is not None:
             self._fires[index] += 1
@@ -259,29 +255,26 @@ class FaultInjector:
 
     def should(self, kind: str, target: Optional[str] = None) -> bool:
         """Boolean probe: does a ``kind`` fault fire here and now?"""
-        with self._lock:
-            index, spec = self._match_locked(kind, target)
-            if spec is None:
-                return False
-            self._record_locked(index, spec, target, "fired")
-            return True
+        index, spec = self._match(kind, target)
+        if spec is None:
+            return False
+        self._record(index, spec, target, "fired")
+        return True
 
     def delay(self, kind: str, target: Optional[str] = None) -> float:
         """Latency probe: extra simulated seconds to add (0.0 = no fault)."""
-        with self._lock:
-            index, spec = self._match_locked(kind, target)
-            if spec is None:
-                return 0.0
-            self._record_locked(index, spec, target, "delayed")
-            return spec.param
+        index, spec = self._match(kind, target)
+        if spec is None:
+            return 0.0
+        self._record(index, spec, target, "delayed")
+        return spec.param
 
     def maybe_fail(self, kind: str, target: Optional[str] = None) -> None:
         """Raise the fault kind's typed exception if a spec fires."""
-        with self._lock:
-            index, spec = self._match_locked(kind, target)
-            if spec is None:
-                return
-            self._record_locked(index, spec, target, "raised")
+        index, spec = self._match(kind, target)
+        if spec is None:
+            return
+        self._record(index, spec, target, "raised")
         exc_type = _RAISE_AS.get(kind, InjectedFault)
         suffix = f" on {target}" if target else ""
         raise exc_type(f"injected: {kind} fault{suffix}")
@@ -294,13 +287,12 @@ class FaultInjector:
         times they are polled.  The window-open edge is logged once.
         """
         now = self.clock.now()
-        with self._lock:
-            for index, spec in enumerate(self.plan.specs):
-                if spec.matches(kind, target, now):
-                    if index not in self._windows_open:
-                        self._windows_open.add(index)
-                        self._record_locked(None, spec, target, "window-open")
-                    return True
+        for index, spec in enumerate(self.plan.specs):
+            if spec.matches(kind, target, now):
+                if index not in self._windows_open:
+                    self._windows_open.add(index)
+                    self._record(None, spec, target, "window-open")
+                return True
         return False
 
     # --------------------------------------------------------------- export

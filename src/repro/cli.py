@@ -208,8 +208,7 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
     from repro.gateway import SharingGateway
     from repro.obs import MetricsRegistry, Tracer, TraceAnalyzer, write_trace_jsonl
     from repro.workloads.topology import TopologySpec, build_topology_system
-    from repro.workloads.traffic import (TrafficGenerator, default_tenant_profiles,
-                                         replay_open_loop)
+    from repro.workloads.traffic import TrafficGenerator, default_tenant_profiles
 
     spec = dataclasses.replace(spec or LoadtestSpec(), **overrides)
     if spec.processes > 1:
@@ -270,11 +269,7 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
 
         async def drive() -> None:
             async with front:  # leaving it drains
-                futures = await replay_open_loop(
-                    arrivals,
-                    lambda timed: front.submit_nowait(sessions[timed.tenant],
-                                                      timed.request),
-                    clock)
+                futures = await front.replay(arrivals, sessions)
             await asyncio.gather(*futures)
 
         asyncio.run(drive())

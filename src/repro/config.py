@@ -188,7 +188,7 @@ class ResilienceConfig:
     degraded_reads / max_staleness:
         When degraded reads are enabled and the commit path is unhealthy
         (commit breaker open, or p99 over target), ``ReadViewRequest``s are
-        answered from the ``ViewCache`` without touching the commit lock,
+        answered from the ``ViewCache`` without materialising a view,
         marked ``degraded`` with their staleness; entries older than
         ``max_staleness`` simulated seconds are never served degraded.
     """
@@ -290,7 +290,7 @@ class SystemConfig:
         When true (the default) Fig. 5 cascade legs targeting *different*
         consensus lanes inside one propagation are batched into shared
         request/acknowledgement rounds and their counterpart-side work runs
-        concurrently on executor threads, merged deterministically.  Only
+        lane group by lane group, its trace steps merged in leg order.  Only
         takes effect with ``consensus_shards > 1`` — single-lane systems
         keep the sequential path byte-identical to the seed.
 
@@ -439,8 +439,9 @@ class LoadtestSpec:
            "(1 = classic single-process run)")
     fleet_mode: str = _option(
         "multiprocess", "fleet placement: forked worker processes (parallel "
-                        "commits) or in-process loopback threads "
-                        "(deterministic rehearsal of the same protocol)",
+                        "commits) or in-process loopback, one worker after "
+                        "another (deterministic rehearsal of the same "
+                        "protocol)",
         choices=("multiprocess", "loopback"))
     wire_codec: Optional[str] = _option(
         None, "wire codec for the runtime boundary: fleet framing and the "

@@ -88,8 +88,8 @@ class Contract(storage.StorageRecord):
         return events
 
     def storage_view(self) -> Dict[str, Any]:
-        """The live storage (everything except call state) — read it, under the
-        world state's ``execution_lock``, and do not keep or mutate it."""
+        """The live storage (everything except call state) — read it, and do
+        not keep or mutate it."""
         return {key: value for key, value in self.__dict__.items()
                 if key not in _CALL_STATE}
 

@@ -62,22 +62,16 @@ class ContractRuntime(TransactionExecutor):
 
     def execute(self, tx: Transaction, state: WorldState, block_number: int,
                 timestamp: float) -> TransactionReceipt:
-        # Contract execution mutates shared replica state in place (and a
-        # reverted call undoes its mutations in place), so every execution on
-        # one world state is serialised with that state's other executions
-        # and static calls — an admission-time permission probe must never
-        # observe a half-applied or half-rolled-back call.
-        with state.execution_lock:
-            gas = self.gas_schedule.intrinsic_gas(tx)
-            if tx.kind == "deploy":
-                return self._execute_deploy(tx, state, block_number, gas)
-            if tx.kind == "call":
-                return self._execute_call(tx, state, block_number, timestamp, gas)
-            # Plain transfers carry no contract semantics.
-            state.increment_nonce(tx.sender)
-            return TransactionReceipt(
-                tx_hash=tx.tx_hash, block_number=block_number, success=True, gas_used=gas
-            )
+        gas = self.gas_schedule.intrinsic_gas(tx)
+        if tx.kind == "deploy":
+            return self._execute_deploy(tx, state, block_number, gas)
+        if tx.kind == "call":
+            return self._execute_call(tx, state, block_number, timestamp, gas)
+        # Plain transfers carry no contract semantics.
+        state.increment_nonce(tx.sender)
+        return TransactionReceipt(
+            tx_hash=tx.tx_hash, block_number=block_number, success=True, gas_used=gas
+        )
 
     def _execute_deploy(self, tx: Transaction, state: WorldState, block_number: int,
                         gas: int) -> TransactionReceipt:
@@ -163,16 +157,15 @@ class ContractRuntime(TransactionExecutor):
         Any storage mutation performed by the method is rolled back, so this
         is safe to use for queries such as ``get_metadata``.
         """
-        with state.execution_lock:
-            contract = state.contract_at(contract_address)
-            if contract is None:
-                raise ContractNotFoundError(f"no contract at address {contract_address!r}")
-            bound = getattr(contract, method, None)
-            if bound is None or not callable(bound):
-                raise ContractError(f"contract has no method {method!r}")
-            contract._begin_call(CallContext(caller=caller, block_number=-1, timestamp=0.0,
-                                             contract_address=contract_address))
-            try:
-                return bound(**args)
-            finally:
-                contract._end_call(revert=True)
+        contract = state.contract_at(contract_address)
+        if contract is None:
+            raise ContractNotFoundError(f"no contract at address {contract_address!r}")
+        bound = getattr(contract, method, None)
+        if bound is None or not callable(bound):
+            raise ContractError(f"contract has no method {method!r}")
+        contract._begin_call(CallContext(caller=caller, block_number=-1, timestamp=0.0,
+                                         contract_address=contract_address))
+        try:
+            return bound(**args)
+        finally:
+            contract._end_call(revert=True)

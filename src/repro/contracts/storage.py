@@ -15,20 +15,19 @@ from :class:`StorageRecord`, and any other type is rejected with a
 ``TypeError`` — a mutable value the journal cannot see would silently survive
 a revert.
 
-The journal belongs to the call, and a call runs on one thread under its
-world state's ``execution_lock``, so the armed journal is thread-local: the
-containers carry no back-reference to their contract.
+The journal belongs to the call, and one call runs at a time, so the armed
+journal is one module-level slot: the containers carry no back-reference to
+their contract.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, List, Optional
 
 from repro.ledger.transaction import FrozenDict
 
 
-class _Call(threading.local):
+class _Call:
     journal: Optional[List[tuple]] = None  # armed only between begin() and end()
 
 
@@ -37,7 +36,7 @@ _MISSING = object()
 
 
 def begin() -> None:
-    """Arm a fresh journal for the call starting on this thread."""
+    """Arm a fresh journal for the call starting now."""
     _call.journal = []
 
 

@@ -34,19 +34,20 @@ Three drivers run the stages: ``_run_protocol`` (one leg, two mining rounds
 of its own), :meth:`UpdateCoordinator.commit_entry_batch` (the gateway's
 groups share one request round and one acknowledgement round) and
 ``_cascade_parallel`` (one cascade's legs share two rounds, their middles run
-on executor threads).  Drivers may differ only in how transactions reach the
-mempool (a single gossip, or local ingestion then one ``tx-batch`` flood), in
-error policy (raise :class:`UpdateRejected` / :class:`WorkflowError`; record
-the error on the group's trace, carry on and notify listeners without a diff;
-or raise the first error after the ordered merge of buffered steps) and in
-where the middle runs and where its steps go.  Those differences reach the
+lane group by lane group with buffered steps).  Drivers may differ only in
+how transactions reach the mempool (a single gossip, or local ingestion then
+one ``tx-batch`` flood), in error policy (raise :class:`UpdateRejected` /
+:class:`WorkflowError`; record the error on the group's trace, carry on and
+notify listeners without a diff; or raise the first error after the ordered
+merge of buffered steps) and in where the middle's steps go.  Whatever the
+driver, a leg whose view was installed is announced to the change listeners
+— without a diff when the leg did not finish.  Those differences reach the
 stages as data — a step-text suffix, a step sink — never as a mode a stage
 branches on.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -334,9 +335,9 @@ class UpdateCoordinator:
         self.delta_enabled = bool(getattr(system.config, "delta_propagation", True))
         #: When true and the ledger has more than one consensus lane, the
         #: legs of one cascade commit through *shared* request/ack rounds and
-        #: their ledger-free middles run on executor threads grouped by lane
-        #: (see :meth:`_cascade_parallel`).  Single-lane systems always take
-        #: the sequential path, byte-identical to the seed.
+        #: their ledger-free middles run grouped by lane (see
+        #: :meth:`_cascade_parallel`).  Single-lane systems always take the
+        #: sequential path, byte-identical to the seed.
         self.parallel_enabled = bool(getattr(system.config, "parallel_cascades", True))
         #: Set by :meth:`MedicalDataSharingSystem.attach_tracer`; spans cover
         #: consensus rounds and every delta-propagation leg.
@@ -348,6 +349,11 @@ class UpdateCoordinator:
         #: re-runs failed mining rounds with deterministic backoff.
         self.injector = NULL_INJECTOR
         self.retrier = None
+        #: Called before every consensus round mines.  The async gateway
+        #: front end sets it while it replays a trace, to admit the arrivals
+        #: the simulated clock has reached — admission overlapping a commit
+        #: at its round boundaries, in simulated time.
+        self.before_round: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------ change hooks
 
@@ -405,6 +411,8 @@ class UpdateCoordinator:
         transactions to the network — the simulator's single gossip or its
         one ``tx-batch`` flood, the driver's choice — then everything pending
         is mined.  Returns the number of blocks produced."""
+        if self.before_round is not None:
+            self.before_round()
         with self.tracer.span("consensus.round", phase=phase, **attrs) as span:
             submit(*submission)
             blocks = self._mine()
@@ -703,7 +711,7 @@ class UpdateCoordinator:
     def _middle(self, leg: _Leg, emit: StepSink) -> None:
         """Steps 3–5 and the acknowledgement transaction.  Touches no ledger
         state and no trace — only the two peers' apps, ``leg`` and ``emit`` —
-        so the parallel driver may run it on an executor thread."""
+        so the parallel driver may buffer its steps."""
         app = self._app(leg.initiator)
         counterpart_app = self._app(leg.counterpart)
         metadata_id, update_id = leg.metadata_id, leg.update_id
@@ -772,12 +780,19 @@ class UpdateCoordinator:
         self._build_request(leg)
         trace.blocks_created += self._gossip_and_mine(self._app(leg.initiator),
                                                       leg.request_tx)
-        if not self._accept(leg):
-            raise UpdateRejected(leg.rejection)
-        self._middle(leg, self._sink(trace))
-        trace.blocks_created += self._gossip_and_mine(self._app(leg.counterpart),
-                                                      leg.ack_tx)
-        self._confirm(leg)
+        try:
+            if not self._accept(leg):
+                raise UpdateRejected(leg.rejection)
+            self._middle(leg, self._sink(trace))
+            trace.blocks_created += self._gossip_and_mine(self._app(leg.counterpart),
+                                                          leg.ack_tx)
+            self._confirm(leg)
+        except Exception:
+            if leg.installed:
+                # Listeners must hear of an installed view even though the
+                # protocol did not complete — without a diff.
+                self._notify_change(leg)
+            raise
         self._notify_change(leg, leg.diff)
 
     # ---------------------------------------------- driver 2: batched commit
@@ -986,36 +1001,33 @@ class UpdateCoordinator:
     # --------------------------------------------- driver 3: parallel cascade
 
     def _cascade_parallel(self, legs: Sequence[_Leg]) -> None:
-        """Propagate one peer's cascade legs through *shared* consensus rounds,
-        running different-lane counterpart work on executor threads.
+        """Propagate one peer's cascade legs through *shared* consensus rounds.
 
         The sequential loop above costs two mining rounds per leg; here every
         leg's request transaction mines in one shared round and every
-        acknowledgement in a second (the :meth:`commit_entry_batch` shape),
-        and the ledger-free middle of each leg — notification, data transfer,
-        counterpart ``put`` — runs concurrently, one executor task per
-        consensus lane.  Legs sharing a counterpart peer coalesce into one
-        task: a peer's database manager is single-threaded by design.
+        acknowledgement in a second (the :meth:`commit_entry_batch` shape).
+        The ledger-free middle of each leg — notification, data transfer,
+        counterpart ``put`` — runs grouped by consensus lane, the groups in
+        sorted order; legs sharing a counterpart peer join one group.  A
+        group stops at its first failing leg and the others still run.
 
-        All cross-leg mutable state — the trace, view installs, receipts,
-        nested cascades, change listeners — is touched only in the serial
-        phases, in sorted leg order; worker threads buffer their trace steps
-        for a deterministic ordered merge.  Simulated-clock advances are
-        additive and commutative, so resulting table states and fingerprints
-        are byte-identical to the sequential path.  A rejected leg leaves
-        exactly the sequential bookkeeping (failed trace fields, an
-        unhealed-view mark, a ``cascade_rejected`` step) without aborting the
-        batch.
+        The middles' trace steps are buffered per leg and merged in sorted
+        leg order, stamped at the post-middle simulated time.  Simulated-clock
+        advances are additive and commutative, so resulting table states and
+        fingerprints are byte-identical to the sequential path.  A rejected
+        leg leaves exactly the sequential bookkeeping (failed trace fields,
+        an unhealed-view mark, a ``cascade_rejected`` step) without aborting
+        the batch.  When a leg fails, every installed leg not yet announced
+        is announced without a diff before the error is re-raised.
         """
         peer_name, trace, depth = legs[0].initiator, legs[0].trace, legs[0].depth - 1
         app = self._app(peer_name)
         router = self.system.simulator.router
 
-        # Phase A (serial, sorted): record each leg, build + locally ingest
-        # its request transaction (keeping the initiator's nonces sequential)
-        # and pre-resolve the pairwise data channel — registry creation is
-        # not thread-safe, transfers on existing channels are.  Then one
-        # shared consensus round mines every request.
+        # Phase A (sorted): record each leg, build + locally ingest its
+        # request transaction (keeping the initiator's nonces sequential)
+        # and resolve the pairwise data channel, so channels are created in
+        # leg order.  Then one shared consensus round mines every request.
         request_submissions: List[Tuple[str, Any]] = []
         for leg in legs:
             self._announce_cascade_leg(leg)
@@ -1031,72 +1043,67 @@ class UpdateCoordinator:
             "cascade_requests", self.system.simulator.submit_transaction_batch,
             request_submissions, legs=len(legs), depth=depth)
 
-        # Phase B (serial, sorted): read each receipt; install accepted legs
-        # on the initiator side, leave rejected ones with the sequential
-        # path's bookkeeping.
-        active: List[_Leg] = []
-        for leg in legs:
-            if self._accept(leg):
-                active.append(leg)
-                continue
-            with self._cascade_leg_span(leg) as span:
-                self._cascade_leg_rejected(span, leg)
-        if not active:
-            return
+        finished = set()
+        try:
+            # Phase B (sorted): read each receipt; install accepted legs on
+            # the initiator side, leave rejected ones with the sequential
+            # path's bookkeeping.
+            active: List[_Leg] = []
+            for leg in legs:
+                if self._accept(leg):
+                    active.append(leg)
+                    continue
+                with self._cascade_leg_span(leg) as span:
+                    self._cascade_leg_rejected(span, leg)
+            if not active:
+                return
 
-        # Phase B2 (concurrent): the ledger-free middle of each accepted leg,
-        # its steps buffered per leg.  Only a leg whose middle ran to the end
-        # hands its buffer over.
-        buffered: Dict[str, List[Tuple[tuple, dict]]] = {}
+            # Phase B2: the ledger-free middle of each accepted leg, its
+            # steps buffered per leg.  Only a leg whose middle ran to the
+            # end hands its buffer over.
+            buffered: Dict[str, List[Tuple[tuple, dict]]] = {}
+            groups: Dict[Any, List[_Leg]] = {}
+            group_of_counterpart: Dict[str, Any] = {}
+            for leg in active:
+                key = group_of_counterpart.setdefault(
+                    leg.counterpart, ("lane", router.shard_of(leg.metadata_id)))
+                groups.setdefault(key, []).append(leg)
+            errors: List[Exception] = []
+            for key in sorted(groups):
+                try:
+                    for leg in groups[key]:
+                        steps: List[Tuple[tuple, dict]] = []
+                        with self._cascade_leg_span(leg):
+                            self._middle(leg, lambda *step, **data: steps.append((step, data)))
+                            self._app(leg.counterpart).node.receive_transaction(leg.ack_tx)
+                        buffered[leg.metadata_id] = steps
+                except Exception as exc:  # noqa: BLE001 — re-raised after the merge
+                    errors.append(exc)
+            # The ordered merge: buffered steps land on the trace in sorted
+            # leg order, stamped at the post-middle simulated time.
+            merged_at = self._clock.now()
+            for leg in active:
+                for step, data in buffered.get(leg.metadata_id, ()):
+                    trace.add_step(*step, merged_at, **data)
+            if errors:
+                raise errors[0]
 
-        def run_legs(group: Sequence[_Leg]) -> None:
-            for leg in group:
-                steps: List[Tuple[tuple, dict]] = []
-                with self._cascade_leg_span(leg):
-                    self._middle(leg, lambda *step, **data: steps.append((step, data)))
-                    self._app(leg.counterpart).node.receive_transaction(leg.ack_tx)
-                buffered[leg.metadata_id] = steps
+            # Phase B3: one shared consensus round for every acknowledgement.
+            trace.blocks_created += self._mine_round(
+                "cascade_acks", self.system.simulator.submit_transaction_batch,
+                [(self._app(leg.counterpart).node.name, leg.ack_tx) for leg in active],
+                legs=len(active), depth=depth)
 
-        groups: Dict[Any, List[_Leg]] = {}
-        group_of_counterpart: Dict[str, Any] = {}
-        for leg in active:
-            key = group_of_counterpart.setdefault(
-                leg.counterpart, ("lane", router.shard_of(leg.metadata_id)))
-            groups.setdefault(key, []).append(leg)
-        errors: List[BaseException] = []
-        if len(groups) == 1:
-            try:
-                run_legs(active)
-            except Exception as exc:  # noqa: BLE001 — re-raised after the merge
-                errors.append(exc)
-        else:
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                futures = [pool.submit(run_legs, group)
-                           for group in groups.values()]
-                for future in futures:
-                    exc = future.exception()
-                    if exc is not None:
-                        errors.append(exc)
-        # The ordered merge: buffered steps land on the trace in sorted leg
-        # order, stamped at the post-barrier simulated time.
-        merged_at = self._clock.now()
-        for leg in active:
-            for step, data in buffered.get(leg.metadata_id, ()):
-                trace.add_step(*step, merged_at, **data)
-        if errors:
-            raise errors[0]
-
-        # Phase B3 (serial): one shared consensus round for every
-        # acknowledgement.
-        trace.blocks_created += self._mine_round(
-            "cascade_acks", self.system.simulator.submit_transaction_batch,
-            [(self._app(leg.counterpart).node.name, leg.ack_tx) for leg in active],
-            legs=len(active), depth=depth)
-
-        # Phase C (serial, sorted): confirm acknowledgements, recurse into
-        # each counterpart's own cascade (which may batch again), fire the
-        # change listeners and heal the view bookkeeping.
-        for leg in active:
-            self._confirm(leg)
-            self._notify_change(leg, leg.diff)
-            app.manager.clear_view_unhealed(leg.metadata_id)
+            # Phase C (sorted): confirm acknowledgements, recurse into each
+            # counterpart's own cascade (which may batch again), fire the
+            # change listeners and heal the view bookkeeping.
+            for leg in active:
+                self._confirm(leg)
+                self._notify_change(leg, leg.diff)
+                finished.add(leg.metadata_id)
+                app.manager.clear_view_unhealed(leg.metadata_id)
+        except Exception:
+            for leg in legs:
+                if leg.installed and leg.metadata_id not in finished:
+                    self._notify_change(leg)
+            raise

@@ -13,10 +13,10 @@ so many tenants can read and write shared data concurrently:
 * :mod:`repro.gateway.admission` — latency-aware admission control: the
   sliding-window p99 / predicted-delay :class:`LatencyShedder` and the
   per-tenant fair-queueing check;
-* :mod:`repro.gateway.worker` — a thread pool draining the write queue;
 * :mod:`repro.gateway.aio` — the asyncio transport: awaitable responses and
   a commit pump sealing batches on queue-depth/deadline triggers, so
-  open-loop arrivals interleave with in-flight consensus rounds;
+  open-loop arrivals are admitted at the consensus-round boundaries of an
+  in-flight commit;
 * :mod:`repro.gateway.gateway` — the facade wiring it all together.
 """
 
@@ -41,7 +41,6 @@ from repro.gateway.requests import (
 )
 from repro.gateway.scheduler import BatchPlan, PendingWrite, WriteScheduler
 from repro.gateway.session import GatewaySession, TokenBucket
-from repro.gateway.worker import GatewayWorkerPool
 
 
 def __getattr__(name: str):
@@ -61,7 +60,6 @@ __all__ = [
     "GatewayRequest",
     "GatewayResponse",
     "GatewaySession",
-    "GatewayWorkerPool",
     "InsertEntryRequest",
     "LatencyShedder",
     "PendingWrite",

@@ -23,7 +23,6 @@ done against the scheduler's live per-tenant counts (see
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
@@ -54,7 +53,6 @@ class LatencyShedder:
         self._latencies: Deque[Tuple[float, float]] = deque()
         #: (recorded_at, per-write service seconds) of each batch commit.
         self._services: Deque[Tuple[float, float]] = deque()
-        self._lock = threading.Lock()
         self.shed_p99 = 0
         self.shed_predicted = 0
         self.shed_cold_start = 0
@@ -65,19 +63,17 @@ class LatencyShedder:
         """One committed write's end-to-end latency."""
         if self.target is None:
             return
-        with self._lock:
-            self._latencies.append((self.clock.now(), latency))
-            self._trim_locked()
+        self._latencies.append((self.clock.now(), latency))
+        self._trim()
 
     def record_service(self, seconds: float, writes: int) -> None:
         """One batch commit's duration, amortised over its writes."""
         if self.target is None or writes <= 0:
             return
-        with self._lock:
-            self._services.append((self.clock.now(), seconds / writes))
-            self._trim_locked()
+        self._services.append((self.clock.now(), seconds / writes))
+        self._trim()
 
-    def _trim_locked(self) -> None:
+    def _trim(self) -> None:
         horizon = self.clock.now() - self.window
         while self._latencies and self._latencies[0][0] < horizon:
             self._latencies.popleft()
@@ -89,21 +85,19 @@ class LatencyShedder:
     @property
     def p99(self) -> Optional[float]:
         """Windowed p99 of committed-write latency (None below min samples)."""
-        with self._lock:
-            self._trim_locked()
-            values = [latency for _, latency in self._latencies]
+        self._trim()
+        values = [latency for _, latency in self._latencies]
         if len(values) < self.min_samples:
             return None
         return percentile(values, 99.0)
 
     @property
     def mean_service(self) -> Optional[float]:
-        with self._lock:
-            self._trim_locked()
-            if not self._services:
-                return None
-            return (sum(seconds for _, seconds in self._services)
-                    / len(self._services))
+        self._trim()
+        if not self._services:
+            return None
+        return (sum(seconds for _, seconds in self._services)
+                / len(self._services))
 
     def predicted_delay(self, queue_depth: int) -> Optional[float]:
         """Expected queueing delay of a write admitted at this depth."""
@@ -129,9 +123,8 @@ class LatencyShedder:
             # But unanimous early evidence still counts: if *every* latency
             # observed so far blows the target, shed now instead of waving
             # writes through until the estimator warms up.
-            with self._lock:
-                self._trim_locked()
-                observed = [latency for _, latency in self._latencies]
+            self._trim()
+            observed = [latency for _, latency in self._latencies]
             if observed and min(observed) > self.target:
                 self.shed_cold_start += 1
                 return (f"cold start: all {len(observed)} committed writes "

@@ -12,25 +12,32 @@ an event loop in front of the same gateway:
 * a **commit pump** task asks the gateway's seal rule
   (:meth:`~repro.gateway.gateway.SharingGateway.seal_trigger`) after every
   admission and when arrivals go quiet — no explicit ``drain()`` calls;
-* the batch itself runs in an executor thread while the event loop keeps
-  admitting arrivals, so admission genuinely overlaps the consensus rounds
-  (the gateway's commit lock, not its admission lock, covers the mining).
+* :meth:`AsyncSharingGateway.replay` replays a timed arrival trace, and
+  admission overlaps a commit in *simulated* time: before each consensus
+  round of a commit mines, the coordinator's ``before_round`` hook admits
+  every replayed arrival whose arrival time the clock has reached.  What is
+  admitted during a commit is therefore a function of the seed alone.
 
-Everything else — planner, cache, response store, pump record, end-of-run
-quiesce — is the gateway's own, so what the sync path guarantees (per-tenant
-same-table order, fold rules, conflict serialisation) holds unchanged.
+Everything runs on the event loop's thread.  Everything else — planner,
+cache, response store, pump record, end-of-run quiesce — is the gateway's
+own, so what the sync path guarantees (per-tenant same-table order, fold
+rules, conflict serialisation) holds unchanged.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Union
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.system import MedicalDataSharingSystem
 from repro.gateway.gateway import SharingGateway
 from repro.gateway.requests import STATUS_QUEUED, GatewayRequest, GatewayResponse
 from repro.gateway.session import GatewaySession
 from repro.obs.registry import Gauge
+
+if TYPE_CHECKING:
+    from repro.workloads.traffic import TimedRequest
 
 
 class AsyncSharingGateway:
@@ -40,7 +47,9 @@ class AsyncSharingGateway:
     ``max_delay`` (simulated seconds, 0 disables) bounds how long a queued
     write waits for its batch to fill; ``idle_timeout`` (real seconds) seals
     pending work when the arrival stream goes quiet, so no write ever hangs
-    waiting for traffic that never comes.  ``sealed_by`` / ``commits`` /
+    waiting for traffic that never comes.  A replay never goes quiet — it
+    wakes the pump at every arrival and flushes at its end — so the idle
+    timer decides no replayed seal.  ``sealed_by`` / ``commits`` /
     ``commit_errors`` read the gateway's pump record.
     """
 
@@ -63,17 +72,18 @@ class AsyncSharingGateway:
         self.seal_depth = seal_depth or self.gateway.scheduler.max_batch_size
         self.max_delay = max_delay
         self.idle_timeout = idle_timeout
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pump_task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
-        self._terminal_event: Optional[asyncio.Event] = None
         self._stopping = False
         #: request_id → future of a queued write awaiting its batch commit.
         self._pending: Dict[str, asyncio.Future] = {}
+        #: Replayed arrivals not yet admitted, oldest first.
+        self._arrivals: Deque["TimedRequest"] = deque()
+        #: Reads admitted inside a commit, served once it has finished.
+        self._deferred_reads: List[Tuple] = []
         self._in_flight = Gauge()
         self._reads_in_flight = Gauge()
-        # The hook outlives the pump; it is a no-op while no loop is attached.
-        self.gateway.subscribe_terminal(self._on_terminal)
+        self.gateway.subscribe_terminal(self._resolve_future)
 
     @property
     def sealed_by(self) -> Dict[str, int]:
@@ -96,12 +106,10 @@ class AsyncSharingGateway:
     async def start(self) -> "AsyncSharingGateway":
         if self.running:
             raise RuntimeError("async gateway is already running")
-        self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        self._terminal_event = asyncio.Event()
         self._stopping = False
-        self._pump_task = self._loop.create_task(self._commit_pump(),
-                                                 name="gateway-commit-pump")
+        self._pump_task = asyncio.get_running_loop().create_task(
+            self._commit_pump(), name="gateway-commit-pump")
         return self
 
     async def stop(self) -> None:
@@ -136,12 +144,10 @@ class AsyncSharingGateway:
                       request: GatewayRequest) -> "asyncio.Future[GatewayResponse]":
         """Admit a request now; return a future for its terminal response.
 
-        Admission (rate limit, authorisation, load shedding, enqueue) runs
-        inline on the event loop under the gateway's admission lock only, so
-        it never blocks behind an in-flight commit.  Writes resolve when the
-        batch containing them commits; reads are served on an executor
-        thread (a cache miss waits for any in-flight commit there, not
-        here); throttled/shed/rejected requests resolve immediately.
+        Writes resolve when the batch containing them commits; reads are
+        served at once, except a read admitted inside a commit (at a round
+        boundary), which is served when that commit has finished installing;
+        throttled/shed/rejected requests resolve immediately.
 
         Every admission wakes the pump, whatever its outcome: the caller
         advanced the simulated clock to get here, so a shed write or a read
@@ -152,14 +158,15 @@ class AsyncSharingGateway:
                                "or await start() first")
         response, read_pending = self.gateway._admit(session, request)
         self._wake.set()
+        future: "asyncio.Future[GatewayResponse]" = (
+            asyncio.get_running_loop().create_future())
         if read_pending:
-            self._reads_in_flight.add(1)
-            served = self._loop.run_in_executor(
-                None, self.gateway._serve_read, session, request, response)
-            served.add_done_callback(self._read_done)
-            return served
-        future: "asyncio.Future[GatewayResponse]" = self._loop.create_future()
-        if response.status == STATUS_QUEUED:
+            if self.gateway.commits_in_flight:
+                self._reads_in_flight.add(1)
+                self._deferred_reads.append((future, session, request, response))
+            else:
+                self._serve_read(future, session, request, response)
+        elif response.status == STATUS_QUEUED:
             self._pending[response.request_id] = future
             self._in_flight.add(1)
         else:
@@ -171,20 +178,52 @@ class AsyncSharingGateway:
         """Admit a request and await its terminal response."""
         return await self.submit_nowait(session, request)
 
-    def _read_done(self, _served: "asyncio.Future") -> None:
-        self._reads_in_flight.add(-1)
-        self._terminal_event.set()
+    async def replay(self, arrivals: "List[TimedRequest]",
+                     sessions: Mapping[str, GatewaySession]) -> List[asyncio.Future]:
+        """Replay a timed trace open-loop, then flush what is still queued.
 
-    # The gateway calls this on whichever thread finalised the response
-    # (event loop for admission-time terminals, executor for batch commits);
-    # the future itself is always resolved on the event loop.
-    def _on_terminal(self, response: GatewayResponse) -> None:
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._resolve_future, response)
+        For each arrival the simulated clock is advanced to its arrival time
+        and the request is admitted (through ``sessions[tenant]``) *without
+        awaiting its future* — an open-loop tenant sends on schedule whether
+        or not earlier requests have finished — and the pump gets one turn.
+        A commit that mines meanwhile admits, before each of its consensus
+        rounds, every arrival the clock has reached.  Returns the response
+        futures in arrival order.
+        """
+        clock = self.gateway.system.simulator.clock
+        coordinator = self.gateway.system.coordinator
+        self._arrivals = deque(arrivals)
+        futures: List[asyncio.Future] = []
 
+        def admit(timed: "TimedRequest") -> None:
+            futures.append(self.submit_nowait(sessions[timed.tenant], timed.request))
+
+        def admit_due() -> None:
+            while self._arrivals and self._arrivals[0].arrival_time <= clock.now():
+                admit(self._arrivals.popleft())
+
+        coordinator.before_round = admit_due
+        try:
+            while self._arrivals:
+                timed = self._arrivals.popleft()
+                clock.advance_to(timed.arrival_time)
+                admit(timed)
+                await asyncio.sleep(0)
+        finally:
+            coordinator.before_round = None
+            self._arrivals.clear()
+        self._flush()
+        return futures
+
+    def _serve_read(self, future: asyncio.Future, session: GatewaySession,
+                    request: GatewayRequest, response: GatewayResponse) -> None:
+        try:
+            future.set_result(self.gateway._serve_read(session, request, response))
+        except Exception as exc:  # noqa: BLE001 - the reader gets the failure
+            future.set_exception(exc)
+
+    # The gateway calls this whenever a response turns terminal.
     def _resolve_future(self, response: GatewayResponse) -> None:
-        self._terminal_event.set()
         future = self._pending.pop(response.request_id, None)
         if future is None:
             return
@@ -194,8 +233,16 @@ class AsyncSharingGateway:
 
     # --------------------------------------------------------------- commit pump
 
+    def _pump(self, trigger: str) -> None:
+        """Commit the batch ``trigger`` sealed, then serve the reads
+        admitted inside that commit."""
+        self.gateway.pump_once(trigger)
+        reads, self._deferred_reads = self._deferred_reads, []
+        for read in reads:
+            self._reads_in_flight.add(-1)
+            self._serve_read(*read)
+
     async def _commit_pump(self) -> None:
-        loop = asyncio.get_running_loop()
         idle = False
         while not self._stopping:
             # Clear-then-check-then-wait: a wake after the check is kept.
@@ -203,34 +250,28 @@ class AsyncSharingGateway:
             trigger = self.gateway.seal_trigger(self.seal_depth, self.max_delay, idle)
             idle = False
             if trigger is not None:
-                # Off-loop, so admission overlaps the consensus rounds.
-                await loop.run_in_executor(None, self.gateway.pump_once, trigger)
+                self._pump(trigger)
                 continue
-            timeout = self.idle_timeout if self.gateway.queue_depth else None
+            # A replay never goes quiet: no real-time timer may seal it.
+            timeout = (self.idle_timeout
+                       if self.gateway.queue_depth and not self._arrivals else None)
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout)
             except asyncio.TimeoutError:
                 idle = True
 
-    async def drain(self) -> None:
-        """Flush until no write is queued or awaiting its terminal response
-        and no read is in flight, then finish through
-        :meth:`SharingGateway.drain` like every front end."""
-        loop = asyncio.get_running_loop()
-
-        def quiet() -> bool:
-            return (self.gateway.outstanding_writes == 0
-                    and self._reads_in_flight.value == 0)
-
-        while not quiet():  # a queued write is an outstanding one
+    def _flush(self) -> None:
+        while True:
             trigger = self.gateway.seal_trigger(flushing=True)
-            if trigger is not None:
-                await loop.run_in_executor(None, self.gateway.pump_once, trigger)
-                continue
-            self._terminal_event.clear()
-            if not quiet():
-                await self._terminal_event.wait()
-        await loop.run_in_executor(None, self.gateway.drain)
+            if trigger is None:
+                return
+            self._pump(trigger)
+
+    async def drain(self) -> None:
+        """Flush until no write is queued, then finish through
+        :meth:`SharingGateway.drain` like every front end."""
+        self._flush()
+        self.gateway.drain()
 
     # ------------------------------------------------------------------- metrics
 

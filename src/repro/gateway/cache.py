@@ -13,7 +13,6 @@ available (a failed, half-installed commit) are the views dropped wholesale.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError
@@ -43,13 +42,11 @@ class ViewCache:
         self.patches = 0
         self.prewarms = 0
         #: Per shared table, a counter bumped by every patch/invalidation.
-        #: A miss loads *outside* the cache lock (so loading never nests the
-        #: cache lock inside the gateway's commit lock); the loaded view is
-        #: only installed if no change landed in between — otherwise it could
-        #: be stale and caching it would serve stale reads forever.
+        #: A loaded view is only installed if no change landed while it
+        #: loaded — otherwise it could be stale and caching it would serve
+        #: stale reads forever.
         self._generations: Dict[str, int] = {}
         self.stale_loads_discarded = 0
-        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -68,39 +65,32 @@ class ViewCache:
             loader: Callable[[], Table]) -> Table:
         """Return the cached view, loading (and caching) it on a miss.
 
-        The loader runs *without* the cache lock held: the gateway's loader
-        acquires the commit lock (a read-through load must not observe a
-        half-installed batch), and an in-flight commit's diff hook takes the
-        cache lock — holding the cache lock across the load would deadlock.
         The load is installed only if no patch/invalidation of the same
-        shared table happened meanwhile (generation guard); a superseded load
-        is still returned to the caller (it is fresh — it was materialised
-        after the intervening commit finished) but not cached.
+        shared table happened while the loader ran (generation guard); a
+        superseded load is still returned to the caller but not cached.
         """
         key = (peer, metadata_id)
         with self.tracer.span("cache.get", peer=peer,
                               metadata_id=metadata_id) as span:
-            with self._lock:
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self.hits += 1
-                    span.annotate(hit=True)
-                    return cached
-                self.misses += 1
-                # setdefault (not get): the table must be known to the
-                # generation map while the load is in flight, so a concurrent
-                # invalidate_all() bumps it and the superseded load is
-                # discarded even if the table had no cached entry yet.
-                generation = self._generations.setdefault(metadata_id, 0)
+            cached = self._entries.get(key)
+            if cached is not None:
+                self.hits += 1
+                span.annotate(hit=True)
+                return cached
+            self.misses += 1
+            # setdefault (not get): the table must be known to the
+            # generation map while the load is in flight, so an
+            # invalidate_all() during the load bumps it and the superseded
+            # load is discarded even if the table had no cached entry yet.
+            generation = self._generations.setdefault(metadata_id, 0)
             span.annotate(hit=False)
             view = loader()
-            with self._lock:
-                if self._generations.get(metadata_id, 0) == generation:
-                    self._entries[key] = view
-                    self._installed_at[key] = self._now()
-                else:
-                    self.stale_loads_discarded += 1
-                return view
+            if self._generations.get(metadata_id, 0) == generation:
+                self._entries[key] = view
+                self._installed_at[key] = self._now()
+            else:
+                self.stale_loads_discarded += 1
+            return view
 
     def _now(self) -> Optional[float]:
         return self.clock.now() if self.clock is not None else None
@@ -118,45 +108,42 @@ class ViewCache:
         Callers enforcing a staleness bound must treat ``None`` as *over*
         the bound (unknown age is not fresh age).
         """
-        with self._lock:
-            key = (peer, metadata_id)
-            view = self._entries.get(key)
-            if view is None:
-                return None
-            now = self._now()
-            installed = self._installed_at.get(key)
-            if now is None or installed is None:
-                return view, None
-            return view, now - installed
+        key = (peer, metadata_id)
+        view = self._entries.get(key)
+        if view is None:
+            return None
+        now = self._now()
+        installed = self._installed_at.get(key)
+        if now is None or installed is None:
+            return view, None
+        return view, now - installed
 
     # ------------------------------------------------------------ invalidation
 
     def invalidate(self, metadata_id: str) -> int:
         """Drop every peer's cached view of ``metadata_id``; returns how many."""
-        with self._lock:
-            self._bump(metadata_id)
-            stale = [key for key in self._entries if key[1] == metadata_id]
-            for key in stale:
-                del self._entries[key]
-                self._installed_at.pop(key, None)
-            self.invalidations += len(stale)
-            return len(stale)
+        self._bump(metadata_id)
+        stale = [key for key in self._entries if key[1] == metadata_id]
+        for key in stale:
+            del self._entries[key]
+            self._installed_at.pop(key, None)
+        self.invalidations += len(stale)
+        return len(stale)
 
     def invalidate_all(self) -> int:
-        with self._lock:
-            # Every *known* table, not just those with live entries: a miss
-            # registers its table before loading, so in-flight loads are
-            # superseded by this flush too.
-            for metadata_id in list(self._generations):
-                self._bump(metadata_id)
-            count = len(self._entries)
-            self._entries.clear()
-            self._installed_at.clear()
-            self.invalidations += count
-            return count
+        # Every *known* table, not just those with live entries: a miss
+        # registers its table before loading, so in-flight loads are
+        # superseded by this flush too.
+        for metadata_id in list(self._generations):
+            self._bump(metadata_id)
+        count = len(self._entries)
+        self._entries.clear()
+        self._installed_at.clear()
+        self.invalidations += count
+        return count
 
     def _bump(self, metadata_id: str) -> None:
-        """Advance ``metadata_id``'s generation (caller holds the lock)."""
+        """Advance ``metadata_id``'s generation."""
         self._generations[metadata_id] = self._generations.get(metadata_id, 0) + 1
 
     # ---------------------------------------------------------------- patching
@@ -171,30 +158,29 @@ class ViewCache:
         entries patched.
 
         Patching is copy-on-write: a reader that already fetched the entry
-        keeps serialising a consistent pre-commit snapshot while the swapped
-        copy serves later reads — commits run while reads are in flight, so
-        mutating the shared ``Table`` in place would tear those reads.
+        keeps a consistent pre-commit snapshot while the swapped copy serves
+        later reads — mutating the shared ``Table`` in place would change a
+        view a caller still holds.
         """
         with self.tracer.span("cache.patch", metadata_id=metadata_id) as span:
-            with self._lock:
-                self._bump(metadata_id)
-                patched = 0
-                for key in [key for key in self._entries
-                            if key[1] == metadata_id]:
-                    try:
-                        patched_view = self._entries[key].snapshot()
-                        patched_view.apply_diff(diff)
-                    except ReproError:
-                        del self._entries[key]
-                        self._installed_at.pop(key, None)
-                        self.invalidations += 1
-                    else:
-                        self._entries[key] = patched_view
-                        self._installed_at[key] = self._now()
-                        patched += 1
-                self.patches += patched
-                span.annotate(patched=patched)
-                return patched
+            self._bump(metadata_id)
+            patched = 0
+            for key in [key for key in self._entries
+                        if key[1] == metadata_id]:
+                try:
+                    patched_view = self._entries[key].snapshot()
+                    patched_view.apply_diff(diff)
+                except ReproError:
+                    del self._entries[key]
+                    self._installed_at.pop(key, None)
+                    self.invalidations += 1
+                else:
+                    self._entries[key] = patched_view
+                    self._installed_at[key] = self._now()
+                    patched += 1
+            self.patches += patched
+            span.annotate(patched=patched)
+            return patched
 
     # -------------------------------------------------------------- pre-warming
 
@@ -204,15 +190,14 @@ class ViewCache:
         The diff-driven pre-warm path: at a commit boundary the gateway (or
         a replica's replayer) materialises the just-changed shared views and
         installs them here, so the next read is a hit instead of a
-        read-through miss.  Bumps the table's generation — an in-flight
-        read-through load of the same table raced the commit and must not
-        overwrite the fresher pre-warmed copy.
+        read-through miss.  Bumps the table's generation — a read-through
+        load of the same table still in flight must not overwrite the
+        fresher pre-warmed copy.
         """
-        with self._lock:
-            self._bump(metadata_id)
-            self._entries[(peer, metadata_id)] = view
-            self._installed_at[(peer, metadata_id)] = self._now()
-            self.prewarms += 1
+        self._bump(metadata_id)
+        self._entries[(peer, metadata_id)] = view
+        self._installed_at[(peer, metadata_id)] = self._now()
+        self.prewarms += 1
 
     # -------------------------------------------------------------- change hook
 

@@ -26,31 +26,13 @@ facade the gateway
   interleaving (requests admitted while a commit round was in flight) and
   per-tenant latency percentiles.
 
-All methods are thread-safe.  Two locks split the serving path so admission
-can overlap a commit round:
-
-* ``_lock`` guards admission state (sessions, responses, counters, the write
-  queue) and is only held for quick bookkeeping;
-* ``_commit_lock`` serialises batch commits and read-through view loads; it
-  is held across the consensus rounds, during which ``_lock`` is *released*
-  — so new arrivals are admitted (and reads served from cache) while a batch
-  is mining.
-
-The full lock order is ``_commit_lock`` → {``_lock``, the cache lock}, and
-``_lock`` → the cache lock where both are taken: a commit takes the admission
-lock for its bookkeeping and the :class:`ViewCache` lock when the diff hook
-patches entries or a failed group's views are dropped (the latter under
-``_lock``), never the reverse — the cache lock is not
-held while acquiring either gateway lock (:meth:`ViewCache.get` runs the
-read-through loader, which takes ``_commit_lock``, outside it).  The
-:class:`WriteScheduler`'s internal lock and the :class:`ResponseJournal`'s
-lock (with its WAL backend's lock beneath it) are leaves: they guard only
-their own structure, and no gateway, cache or scheduler lock is ever acquired
-under them.  Every ``commit_once`` caller — :meth:`drain`, the load test's
-sync loop, the worker pool in :mod:`repro.gateway.worker`, the asyncio pump in
-:mod:`repro.gateway.aio` — drains the same queue and serialises on
-``_commit_lock``; the pumps ask :meth:`SharingGateway.seal_trigger` *when* to
-commit, commit through ``pump_once`` and quiesce through :meth:`drain`.
+Everything runs on the caller's thread.  Every ``commit_once`` caller —
+:meth:`drain`, the load test's sync loop, the asyncio pump in
+:mod:`repro.gateway.aio` — drains the same queue; the pumps ask
+:meth:`SharingGateway.seal_trigger` *when* to commit, commit through
+``pump_once`` and quiesce through :meth:`drain`.  Admission overlaps a commit
+only in simulated time: the async front end admits the arrivals due at each
+consensus-round boundary (the coordinator's ``before_round`` hook).
 """
 
 from __future__ import annotations
@@ -58,7 +40,6 @@ from __future__ import annotations
 import itertools
 import json
 import pathlib
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -107,10 +88,6 @@ class ResponseJournal:
     gateway can answer ``get_response(request_id)`` for requests that were
     terminal before the crash — and so in-memory responses can be evicted
     under a retention cap without losing answerability.
-
-    Appends are ordered under one lock (the backend refuses out-of-order
-    sequences on read), so concurrent finalisations from the event loop and
-    executor threads interleave safely.
     """
 
     TABLE = "responses"
@@ -119,7 +96,6 @@ class ResponseJournal:
                  fsync_policy: str = "batch", segment_max_bytes: int = 1_000_000):
         self.backend = JsonlWalBackend(directory, fsync_policy=fsync_policy,
                                        segment_max_bytes=segment_max_bytes)
-        self._lock = threading.Lock()
         #: request_id → (segment_path, offset, length) of its latest
         #: journaled response — lookups seek straight to the line instead of
         #: rescanning the whole journal (which only ever grows).  ~100 bytes
@@ -161,11 +137,10 @@ class ResponseJournal:
 
     def record(self, response: GatewayResponse) -> None:
         """Append one terminal response (ordered, crash-safe, indexed)."""
-        with self._lock:
-            entry = WalEntry(self._next_sequence, "response", self.TABLE,
-                             response.to_dict())
-            self._next_sequence += 1
-            self._locations[response.request_id] = self.backend.append(entry)
+        entry = WalEntry(self._next_sequence, "response", self.TABLE,
+                         response.to_dict())
+        self._next_sequence += 1
+        self._locations[response.request_id] = self.backend.append(entry)
 
     def sync(self) -> None:
         self.backend.sync()
@@ -184,43 +159,42 @@ class ResponseJournal:
         and drops everything else; the location index is rebuilt so lookups
         keep seeking.  Crash-safe via the backend's atomic segment swap.
         """
-        with self._lock:
-            self.backend.flush()
-            bytes_before = self.backend.wal_bytes()
-            segment_order = {path: index for index, path
-                             in enumerate(self.backend.segment_paths())}
-            ordered = sorted(
-                self._locations.items(),
-                key=lambda item: (segment_order.get(item[1][0], -1), item[1][1]))
-            if keep is not None:
-                ordered = ordered[-keep:]
-            payloads = []
-            for request_id, (path, offset, length) in ordered:
-                try:
-                    with open(path, "rb") as handle:
-                        handle.seek(offset)
-                        record = json.loads(handle.read(length).decode("utf-8"))
-                    payloads.append((request_id, record["payload"]))
-                except (OSError, ValueError, KeyError):
-                    continue  # segment vanished or line torn; drop the id
-            first_sequence = self._next_sequence
-            lines = []
-            for index, (_request_id, payload) in enumerate(payloads):
-                lines.append(json.dumps(
-                    {"sequence": first_sequence + index, "operation": "response",
-                     "table": self.TABLE, "payload": payload},
-                    separators=(",", ":"), default=str).encode("utf-8") + b"\n")
-            self._next_sequence = first_sequence + len(payloads)
-            target = self.backend.replace_segments(lines, first_sequence)
-            self._locations = {}
-            offset = 0
-            for (request_id, _payload), line in zip(payloads, lines):
-                self._locations[request_id] = (target, offset, len(line) - 1)
-                offset += len(line)
-            return {
-                "responses_kept": len(payloads),
-                "bytes_reclaimed": max(0, bytes_before - self.backend.wal_bytes()),
-            }
+        self.backend.flush()
+        bytes_before = self.backend.wal_bytes()
+        segment_order = {path: index for index, path
+                         in enumerate(self.backend.segment_paths())}
+        ordered = sorted(
+            self._locations.items(),
+            key=lambda item: (segment_order.get(item[1][0], -1), item[1][1]))
+        if keep is not None:
+            ordered = ordered[-keep:]
+        payloads = []
+        for request_id, (path, offset, length) in ordered:
+            try:
+                with open(path, "rb") as handle:
+                    handle.seek(offset)
+                    record = json.loads(handle.read(length).decode("utf-8"))
+                payloads.append((request_id, record["payload"]))
+            except (OSError, ValueError, KeyError):
+                continue  # segment vanished or line torn; drop the id
+        first_sequence = self._next_sequence
+        lines = []
+        for index, (_request_id, payload) in enumerate(payloads):
+            lines.append(json.dumps(
+                {"sequence": first_sequence + index, "operation": "response",
+                 "table": self.TABLE, "payload": payload},
+                separators=(",", ":"), default=str).encode("utf-8") + b"\n")
+        self._next_sequence = first_sequence + len(payloads)
+        target = self.backend.replace_segments(lines, first_sequence)
+        self._locations = {}
+        offset = 0
+        for (request_id, _payload), line in zip(payloads, lines):
+            self._locations[request_id] = (target, offset, len(line) - 1)
+            offset += len(line)
+        return {
+            "responses_kept": len(payloads),
+            "bytes_reclaimed": max(0, bytes_before - self.backend.wal_bytes()),
+        }
 
     def lookup(self, request_id: str) -> Optional[GatewayResponse]:
         """The journaled terminal response for ``request_id``, by seek."""
@@ -344,17 +318,13 @@ class SharingGateway:
         self._outstanding: Gauge = self.registry.gauge("gateway_outstanding_writes")
         self._commits_in_flight: Gauge = self.registry.gauge("gateway_commits_in_flight")
         #: Callbacks fired when a response reaches a terminal status, and
-        #: when a write is enqueued.  Listeners run under the admission lock:
-        #: they must be cheap, thread-safe and must not call back into the
-        #: gateway (the async transport resolves futures, the worker pool
-        #: wakes idle workers).
+        #: when a write is enqueued.  They must be cheap and must not call
+        #: back into the gateway (the async transport resolves futures).
         self._terminal_listeners: List[Callable[[GatewayResponse], None]] = []
         self._enqueue_listeners: List[Callable[[int], None]] = []
-        self._lock = threading.RLock()
-        self._commit_lock = threading.RLock()
         #: The commit pump's one record (every ``commit_once`` call, whichever
-        #: driver made it; updated under ``_lock``): the front ends' counters
-        #: are views of it, ``metrics()["transport"]["pump"]`` renders it.
+        #: driver made it): the front ends' counters are views of it,
+        #: ``metrics()["transport"]["pump"]`` renders it.
         self._pump_stats: Dict[str, Any] = {
             "commits": 0, "writes": 0, "empty_plans": 0, "deferred": 0, "errors": [],
             "triggers": dict.fromkeys(("flush", "depth", "deadline", "idle"), 0)}
@@ -386,8 +356,8 @@ class SharingGateway:
             self._request_ids = itertools.count(
                 self.journal.highest_request_number + 1)
             self._wire_journal_chaos()
-        #: Background durability maintenance (run inline at commit
-        #: boundaries — deterministic, no real background threads): WAL-size
+        #: Durability maintenance (run inline at commit boundaries, so
+        #: deterministic): WAL-size
         #: and sim-time triggered peer-database checkpoints, and response-
         #: journal compaction past a byte threshold.
         self.checkpoint_wal_bytes = durability.checkpoint_wal_bytes
@@ -482,19 +452,17 @@ class SharingGateway:
     def open_session(self, peer_name: str, rate: Optional[float] = None,
                      burst: Optional[float] = None) -> GatewaySession:
         """Authenticate ``peer_name`` and open a rate-limited session."""
-        with self._lock:
-            session = GatewaySession(
-                self.system, peer_name,
-                rate=self.default_rate if rate is None else rate,
-                burst=DEFAULT_BURST if burst is None else burst,
-            )
-            self._sessions[session.session_id] = session
-            return session
+        session = GatewaySession(
+            self.system, peer_name,
+            rate=self.default_rate if rate is None else rate,
+            burst=DEFAULT_BURST if burst is None else burst,
+        )
+        self._sessions[session.session_id] = session
+        return session
 
     def close_session(self, session: GatewaySession) -> None:
-        with self._lock:
-            session.close()
-            self._sessions.pop(session.session_id, None)
+        session.close()
+        self._sessions.pop(session.session_id, None)
 
     @property
     def session_count(self) -> int:
@@ -505,21 +473,17 @@ class SharingGateway:
     def subscribe_terminal(self, listener: Callable[[GatewayResponse], None]) -> None:
         """Register a callback fired whenever a response turns terminal.
 
-        Listeners may run under the admission lock and on whichever thread
-        finalised the response (an executor thread for batch commits): they
-        must be cheap, thread-safe, and must not call back into the gateway.
-        The async transport resolves its response futures through this hook;
-        the worker pool's ``join_idle`` waits on it instead of sleeping.
+        Listeners run inside the finalisation (inside a batch commit for
+        queued writes): they must be cheap and must not call back into the
+        gateway.  The async transport resolves its response futures through
+        this hook.
         """
-        with self._lock:
-            self._terminal_listeners.append(listener)
+        self._terminal_listeners.append(listener)
 
     def subscribe_enqueue(self, listener: Callable[[int], None]) -> None:
         """Register a callback fired with the queue depth after every write
-        is enqueued (same constraints as :meth:`subscribe_terminal`).  Used
-        to wake idle drainers without sleep-polling."""
-        with self._lock:
-            self._enqueue_listeners.append(listener)
+        is enqueued (same constraints as :meth:`subscribe_terminal`)."""
+        self._enqueue_listeners.append(listener)
 
     # ------------------------------------------------------------------ submit
 
@@ -539,10 +503,10 @@ class SharingGateway:
         self._kind_counts[request.kind] = self._kind_counts.get(request.kind, 0) + 1
         if (self.max_responses is not None
                 and len(self._responses) > self.max_responses):
-            self._evict_responses_locked()
+            self._evict_responses()
         return response
 
-    def _evict_responses_locked(self) -> None:
+    def _evict_responses(self) -> None:
         """Drop the oldest evictable responses until the cap is respected.
 
         Only *terminal* responses are evictable (queued ones are still owned
@@ -571,33 +535,28 @@ class SharingGateway:
 
     def _finalize(self, response: GatewayResponse, session: Optional[GatewaySession],
                   status: str) -> GatewayResponse:
-        with self._lock:
-            response.status = status
-            response.completed_at = self.system.simulator.clock.now()
-            self._status_counts[status] = self._status_counts.get(status, 0) + 1
-            if session is not None:
-                session.count(status)
-            if status in (STATUS_OK, STATUS_REJECTED, STATUS_ERROR):
-                histogram = self._latency_by_tenant.get(response.tenant)
-                if histogram is None:
-                    histogram = self._latency_by_tenant[response.tenant] = (
-                        self.registry.histogram("gateway_request_latency",
-                                                tenant=response.tenant))
-                histogram.observe(response.latency)
-            listeners = tuple(self._terminal_listeners)
-        # Journal happens-before the terminal listeners (matching the lock
-        # order of the async transport): by the time anything a listener
-        # wakes runs, the response is appended to the WAL — durable
-        # immediately under the ``always`` policy, at the next commit
-        # boundary (``journal.sync()`` in commit_once / drain) under
-        # ``batch``.  The append is outside the admission lock so an
-        # fsync-per-append policy never stalls admission.
+        response.status = status
+        response.completed_at = self.system.simulator.clock.now()
+        self._status_counts[status] = self._status_counts.get(status, 0) + 1
+        if session is not None:
+            session.count(status)
+        if status in (STATUS_OK, STATUS_REJECTED, STATUS_ERROR):
+            histogram = self._latency_by_tenant.get(response.tenant)
+            if histogram is None:
+                histogram = self._latency_by_tenant[response.tenant] = (
+                    self.registry.histogram("gateway_request_latency",
+                                            tenant=response.tenant))
+            histogram.observe(response.latency)
+        # Journal happens-before the terminal listeners: by the time
+        # anything a listener wakes runs, the response is appended to the
+        # WAL — durable immediately under the ``always`` policy, at the next
+        # commit boundary (``journal.sync()`` in commit_once / drain) under
+        # ``batch``.
         if self.journal is not None:
             self.journal.record(response)
             self._responses_journaled.inc()
-            with self._lock:
-                self._journaled_ids.add(response.request_id)
-        for listener in listeners:
+            self._journaled_ids.add(response.request_id)
+        for listener in self._terminal_listeners:
             listener(response)
         return response
 
@@ -614,80 +573,68 @@ class SharingGateway:
 
     def _admit(self, session: GatewaySession,
                request: GatewayRequest) -> "tuple[GatewayResponse, bool]":
-        """Admission control under the state lock only (never blocks on an
-        in-flight commit): rate limit, authorisation, load shedding, then
+        """Admission control: rate limit, authorisation, load shedding, then
         either enqueue the write or hand the read back for serving.
 
         Returns ``(response, read_pending)``; when ``read_pending`` is true
-        the caller must still run :meth:`_serve_read` (outside the lock).
-        The async transport calls this directly so admission never blocks
-        the event loop behind a mining commit.
+        the caller must still run :meth:`_serve_read`.  The async transport
+        calls this directly so it decides when an admitted read is served.
         """
-        # Admission-time terminal statuses are finalized *after* the lock
-        # block: _finalize journals to the durable WAL (an fsync under the
-        # 'always' policy), which must never run inside the admission
-        # critical section — _lock is re-entrant, so calling _finalize here
-        # would hold it across the disk write.
-        terminal_status = None
         with self.tracer.span("gateway.admit", kind=request.kind,
                               tenant=session.peer_name) as span:
-            with self._lock:
-                response = self._new_response(session, request, STATUS_QUEUED)
-                # The response's request id doubles as the trace id linking
-                # every span this request produces across the pipeline.
-                request.assign_trace_id(response.request_id)
-                response.trace_id = response.request_id
-                span.set_trace_id(response.request_id)
-                span.annotate(request_id=response.request_id)
-                if self._commits_in_flight.value > 0:
-                    self._admitted_during_commit.inc()
-                if not session.try_admit():
-                    response.error = (
-                        f"tenant {session.peer_name!r} exceeded its request rate; retry later"
-                    )
-                    terminal_status = STATUS_THROTTLED
-                else:
-                    try:
-                        session.authorize(request)
-                    except SessionError as exc:
-                        response.error = str(exc)
-                        terminal_status = STATUS_REJECTED
-                if terminal_status is None:
-                    if not request.is_write:
-                        return response, True
-                    shed = self._shed_reason_locked(session.peer_name, request)
-                    if shed is not None:
-                        reason, detail = shed
-                        self._shed_requests.inc()
-                        self._shed_by_reason[reason].inc()
-                        span.annotate(shed_reason=reason)
-                        response.error = f"{detail}; request shed — retry later"
-                        terminal_status = STATUS_SHED
-                    else:
-                        self.scheduler.enqueue(PendingWrite(
-                            request_id=response.request_id,
-                            tenant=session.peer_name,
-                            peer=session.peer_name,
-                            request=request,
-                            enqueued_at=response.enqueued_at,
-                            session=session,
-                        ))
-                        self._outstanding.add(1)
-                        session.count(STATUS_QUEUED)
-                        depth = self.scheduler.queue_depth
-                        listeners = tuple(self._enqueue_listeners)
-            if terminal_status is not None:
-                span.annotate(status=terminal_status)
-                self._finalize(response, session, terminal_status)
-                return response, False
-        for listener in listeners:
-            listener(depth)
-        return response, False
+            response = self._new_response(session, request, STATUS_QUEUED)
+            # The response's request id doubles as the trace id linking
+            # every span this request produces across the pipeline.
+            request.assign_trace_id(response.request_id)
+            response.trace_id = response.request_id
+            span.set_trace_id(response.request_id)
+            span.annotate(request_id=response.request_id)
+            if self._commits_in_flight.value > 0:
+                self._admitted_during_commit.inc()
+            terminal_status = None
+            if not session.try_admit():
+                response.error = (
+                    f"tenant {session.peer_name!r} exceeded its request rate; retry later"
+                )
+                terminal_status = STATUS_THROTTLED
+            else:
+                try:
+                    session.authorize(request)
+                except SessionError as exc:
+                    response.error = str(exc)
+                    terminal_status = STATUS_REJECTED
+            if terminal_status is None:
+                if not request.is_write:
+                    return response, True
+                shed = self._shed_reason(session.peer_name, request)
+                if shed is None:
+                    self.scheduler.enqueue(PendingWrite(
+                        request_id=response.request_id,
+                        tenant=session.peer_name,
+                        peer=session.peer_name,
+                        request=request,
+                        enqueued_at=response.enqueued_at,
+                        session=session,
+                    ))
+                    self._outstanding.add(1)
+                    session.count(STATUS_QUEUED)
+                    for listener in self._enqueue_listeners:
+                        listener(self.scheduler.queue_depth)
+                    return response, False
+                reason, detail = shed
+                self._shed_requests.inc()
+                self._shed_by_reason[reason].inc()
+                span.annotate(shed_reason=reason)
+                response.error = f"{detail}; request shed — retry later"
+                terminal_status = STATUS_SHED
+            span.annotate(status=terminal_status)
+            self._finalize(response, session, terminal_status)
+            return response, False
 
-    def _shed_reason_locked(self, tenant: str,
+    def _shed_reason(self, tenant: str,
                             request: GatewayRequest) -> Optional[Tuple[str, str]]:
         """Why this write must be shed, as ``(reason, detail)`` — or None to
-        admit.  Checked under the admission lock, cheapest-first:
+        admit.  Checked cheapest-first:
 
         1. an open circuit breaker on the commit path, this tenant, or the
            write's consensus lane (a half-open breaker admits its probes);
@@ -717,17 +664,6 @@ class SharingGateway:
             return ("fair_share", fair)
         return None
 
-    def _load_view(self, peer_name: str, metadata_id: str):
-        """Materialise a shared view for the cache, serialised with commits.
-
-        A read-through load must not observe a half-installed batch, so it
-        waits for any in-flight commit; cache *hits* stay lock-free against
-        commits (the diff hook patches entries atomically under the cache
-        lock).
-        """
-        with self._commit_lock:
-            return self.system.coordinator.read_shared_data(peer_name, metadata_id)
-
     def _on_shared_diff(self, metadata_id: str, operation: str,
                         peers: Tuple[str, ...], diff=None) -> None:
         """The coordinator's diff listener: patch cached views in place,
@@ -735,11 +671,9 @@ class SharingGateway:
         yet, so a fresh commit is immediately servable without a
         read-through miss.
 
-        Fires from inside the commit (possibly on a cascade executor thread
-        under parallel cascades), so the pre-warm load reads the
-        just-committed table directly — it must NOT take ``_commit_lock``,
-        which the committing thread already holds.  A failed commit carries
-        no diff; nothing half-installed is ever pre-warmed.
+        Fires from inside the commit, so the pre-warm load reads the
+        just-committed table directly.  A failed commit carries no diff;
+        nothing half-installed is ever pre-warmed.
         """
         self.cache.on_shared_diff(metadata_id, operation, peers, diff)
         if diff is None or diff.is_empty:
@@ -760,9 +694,9 @@ class SharingGateway:
             try:
                 if isinstance(request, ReadViewRequest):
                     # Replica fan-out first: a follower within its staleness
-                    # bound serves the read without touching the primary's
-                    # locks at all; writes (and replica-ineligible reads)
-                    # stay on the primary.
+                    # bound serves the read without touching the primary;
+                    # writes (and replica-ineligible reads) stay on the
+                    # primary.
                     if self.replica_router is not None:
                         routed = self.replica_router.route(session.peer_name,
                                                            request.metadata_id)
@@ -793,15 +727,14 @@ class SharingGateway:
                         return self._finalize(response, session, STATUS_OK)
                     view = self.cache.get(
                         session.peer_name, request.metadata_id,
-                        lambda: self._load_view(session.peer_name,
-                                                request.metadata_id),
+                        lambda: self.system.coordinator.read_shared_data(
+                            session.peer_name, request.metadata_id),
                     )
                     response.payload = {"metadata_id": request.metadata_id,
                                         "rows": len(view), "table": view.to_dict()}
                 elif isinstance(request, AuditQueryRequest):
-                    with self._commit_lock:
-                        trail = self.system.audit_trail(via_peer=session.peer_name)
-                        records = trail.records(request.metadata_id)
+                    trail = self.system.audit_trail(via_peer=session.peer_name)
+                    records = trail.records(request.metadata_id)
                     response.payload = {"count": len(records),
                                         "records": [record.to_dict()
                                                     for record in records]}
@@ -826,9 +759,9 @@ class SharingGateway:
         the normal read-through path.
 
         Degraded reads (when enabled) serve straight from the cache while
-        the commit path is unhealthy — never touching the commit lock a
-        failing or crawling batch may be holding — and mark the response
-        with its bounded staleness.  A missing or over-age entry falls back
+        the commit path is unhealthy — never materialising a view from a
+        failing or crawling commit path — and mark the response with its
+        bounded staleness.  A missing or over-age entry falls back
         to the normal path rather than failing the read.
         """
         if not self.resilience.degraded_reads or not self.commit_path_unhealthy():
@@ -916,19 +849,17 @@ class SharingGateway:
         """One pump step: commit the batch ``trigger`` sealed.  A pump must
         survive a blown-up commit (every member was terminal-failed before
         the re-raise), so the failure is kept in the pump record instead of
-        dying with the driver's thread or task."""
+        ending the driver's task."""
         try:
             self.commit_once(trigger)
         except Exception as exc:  # noqa: BLE001 - the pump must survive
-            with self._lock:
-                self._pump_stats["errors"].append(f"{type(exc).__name__}: {exc}")
+            self._pump_stats["errors"].append(f"{type(exc).__name__}: {exc}")
 
     def pump_record(self) -> Dict[str, Any]:
         """A snapshot of the commit pump's record (see ``_pump_stats``)."""
         pump = self._pump_stats
-        with self._lock:
-            return {**pump, "triggers": dict(pump["triggers"]),
-                    "errors": list(pump["errors"])}
+        return {**pump, "triggers": dict(pump["triggers"]),
+                "errors": list(pump["errors"])}
 
     def commit_once(self, trigger: Optional[str] = None) -> Optional[BatchCommitResult]:
         """Plan and commit one batch; None when the queue is empty.
@@ -936,85 +867,80 @@ class SharingGateway:
         A failure inside the commit never strands queued responses: every
         member of the batch reaches a terminal status either way.
 
-        The commit lock (not the admission lock) is held across the
-        consensus rounds, so new requests keep being admitted — and queued
-        for the *next* batch — while this one is mining.
+        Requests admitted at a consensus-round boundary inside the commit
+        (the async front end's round hook) queue for the *next* batch.
 
         ``trigger`` is :meth:`seal_trigger`'s answer when a pump asked: it
         labels the trace span and is counted once per *planned* batch (not
-        for a racing pump's empty plan; a commit that blows up still counts).
+        for an empty plan; a commit that blows up still counts).
         """
-        with self._commit_lock:
-            with self.tracer.span("gateway.commit") as span:
-                if trigger is not None:
-                    span.annotate(trigger=trigger)
-                with self._lock:
-                    with self.tracer.span("scheduler.plan") as plan_span:
-                        plan = self.scheduler.plan()
-                        plan_span.annotate(groups=len(plan.groups),
-                                           size=plan.size)
-                    pump = self._pump_stats
-                    if plan.is_empty:
-                        pump["empty_plans"] += 1
-                        span.annotate(empty=True)
-                        return None
-                    if trigger is not None:
-                        pump["triggers"][trigger] = (
-                            pump["triggers"].get(trigger, 0) + 1)
-                    pump["commits"] += 1
-                    pump["writes"] += plan.size
-                    pump["deferred"] += plan.deferred
-                    self._commits_in_flight.add(1)
-                    # Batches get their own trace id; the member request ids
-                    # stitch each write's admission trace to the batch's
-                    # consensus/delta/WAL spans.
-                    batch_id = f"batch-{next(self._batch_ids)}"
-                    span.set_trace_id(batch_id)
-                    span.annotate(batch=batch_id, requests=[
-                        pending.request_id for members in plan.members
-                        for pending in members])
-                commit_started = self.system.simulator.clock.now()
-                try:
-                    result = self.system.coordinator.commit_entry_batch(plan.groups)
-                except ReproError as exc:
-                    with self._lock:
-                        self._resolve_all_failed(plan, str(exc))
-                    raise
-                finally:
-                    self._commits_in_flight.add(-1)
-                with self._lock:
-                    # Feed the shedder's service-time estimator with this
-                    # batch's simulated commit cost per write — the signal
-                    # behind its predicted-queueing-delay decision.
-                    self.shedder.record_service(
-                        self.system.simulator.clock.now() - commit_started,
-                        plan.size)
-                    self.batch_sizes.append(plan.size)
-                    self._batch_blocks.inc(result.blocks_created)
-                    self._batch_consensus_rounds.inc(result.consensus_rounds)
-                    self._resolve(plan, result)
-                # The batched fsync policy's commit boundary: one sync makes
-                # the whole batch's terminal responses durable.
-                if self.journal is not None:
-                    self.journal.sync()
-                self._run_durability_maintenance()
-                # Ship the batch's WAL tail to the replica fleet (throttled
-                # by ship_interval — skipped shipments are what replica
-                # staleness measures).  After maintenance: a checkpoint that
-                # truncated segments is visible to the shipper's covering
-                # check before it reads the tail.
-                if self.shipper is not None:
-                    self.replica_router.record_commit(
-                        self.system.simulator.clock.now())
-                    self.shipper.ship()
-                return result
+        with self.tracer.span("gateway.commit") as span:
+            if trigger is not None:
+                span.annotate(trigger=trigger)
+            with self.tracer.span("scheduler.plan") as plan_span:
+                plan = self.scheduler.plan()
+                plan_span.annotate(groups=len(plan.groups),
+                                   size=plan.size)
+            pump = self._pump_stats
+            if plan.is_empty:
+                pump["empty_plans"] += 1
+                span.annotate(empty=True)
+                return None
+            if trigger is not None:
+                pump["triggers"][trigger] = (
+                    pump["triggers"].get(trigger, 0) + 1)
+            pump["commits"] += 1
+            pump["writes"] += plan.size
+            pump["deferred"] += plan.deferred
+            self._commits_in_flight.add(1)
+            # Batches get their own trace id; the member request ids
+            # stitch each write's admission trace to the batch's
+            # consensus/delta/WAL spans.
+            batch_id = f"batch-{next(self._batch_ids)}"
+            span.set_trace_id(batch_id)
+            span.annotate(batch=batch_id, requests=[
+                pending.request_id for members in plan.members
+                for pending in members])
+            commit_started = self.system.simulator.clock.now()
+            try:
+                result = self.system.coordinator.commit_entry_batch(plan.groups)
+            except ReproError as exc:
+                self._resolve_all_failed(plan, str(exc))
+                raise
+            finally:
+                self._commits_in_flight.add(-1)
+            # Feed the shedder's service-time estimator with this
+            # batch's simulated commit cost per write — the signal
+            # behind its predicted-queueing-delay decision.
+            self.shedder.record_service(
+                self.system.simulator.clock.now() - commit_started,
+                plan.size)
+            self.batch_sizes.append(plan.size)
+            self._batch_blocks.inc(result.blocks_created)
+            self._batch_consensus_rounds.inc(result.consensus_rounds)
+            self._resolve(plan, result)
+            # The batched fsync policy's commit boundary: one sync makes
+            # the whole batch's terminal responses durable.
+            if self.journal is not None:
+                self.journal.sync()
+            self._run_durability_maintenance()
+            # Ship the batch's WAL tail to the replica fleet (throttled
+            # by ship_interval — skipped shipments are what replica
+            # staleness measures).  After maintenance: a checkpoint that
+            # truncated segments is visible to the shipper's covering
+            # check before it reads the tail.
+            if self.shipper is not None:
+                self.replica_router.record_commit(
+                    self.system.simulator.clock.now())
+                self.shipper.ship()
+            return result
 
     def _run_durability_maintenance(self) -> None:
         """Checkpoint durable peer databases and compact the response journal
         when their triggers fire (see :class:`~repro.config.DurabilityConfig`).
 
-        Runs inline at every commit boundary under the commit lock, so
-        maintenance is deterministic against the simulated clock: a peer is
+        Runs inline at every commit boundary, so maintenance is
+        deterministic against the simulated clock: a peer is
         checkpointed when its WAL outgrew ``checkpoint_wal_bytes`` or at the
         first boundary at least ``checkpoint_interval`` simulated seconds
         after its previous checkpoint; the journal is folded to the latest
@@ -1060,20 +986,18 @@ class SharingGateway:
     def drain(self, max_batches: int = 1_000) -> int:
         """Commit batches until the write queue is empty; returns batch count.
 
-        The one end-of-run quiesce — every front end's drain / stop /
-        ``join_idle`` finishes here: responses finalised outside a batch
+        The one end-of-run quiesce — every front end's drain / stop
+        finishes here: responses finalised outside a batch
         (reads, sheds) reach stable storage and a forced shipment converges
         every replica to the primary's exact state (the fingerprint oracle).
         """
         committed = 0
         while committed < max_batches and self.commit_once() is not None:
             committed += 1
-        # Under the commit lock, as every shipment: a pump may still be committing.
-        with self._commit_lock:
-            if self.journal is not None:
-                self.journal.sync()
-            if self.shipper is not None:
-                self.shipper.ship(force=True)
+        if self.journal is not None:
+            self.journal.sync()
+        if self.shipper is not None:
+            self.shipper.ship(force=True)
         return committed
 
     def close(self) -> None:
@@ -1161,65 +1085,64 @@ class SharingGateway:
 
     def metrics(self) -> Dict[str, object]:
         """Gateway-level serving metrics (all times in simulated seconds)."""
-        with self._lock:
-            batches = len(self.batch_sizes)
-            tenants = {
-                tenant: {"count": histogram.count, "mean": histogram.mean,
-                         "p95": histogram.percentile(95.0),
-                         "p99": histogram.percentile(99.0)}
-                for tenant, histogram in sorted(self._latency_by_tenant.items())
-            }
-            return {
-                "requests": {
-                    "total": sum(self._kind_counts.values()),
-                    "by_kind": dict(sorted(self._kind_counts.items())),
-                    "by_status": dict(sorted(self._status_counts.items())),
-                },
-                "queue": {
-                    "depth": self.scheduler.queue_depth,
-                    "max_depth": self.scheduler.peak_queue_depth,
-                    "enqueued_total": self.scheduler.enqueued_total,
-                    "outstanding_writes": self._outstanding.value,
-                    "capacity": self.scheduler.queue_capacity,
-                    "shed_requests": self._shed_requests.value,
-                },
-                "transport": {
-                    "commits_in_flight": self._commits_in_flight.value,
-                    "commits_in_flight_peak": self._commits_in_flight.peak,
-                    "admitted_during_commit": self._admitted_during_commit.value,
-                    "outstanding_writes_peak": self._outstanding.peak,
-                    "pump": self.pump_record(),
-                },
-                "batches": {
-                    "committed": batches,
-                    "writes_committed": self._writes_committed.value,
-                    "writes_rejected": self._writes_rejected.value,
-                    "mean_size": (sum(self.batch_sizes) / batches) if batches else 0.0,
-                    "max_size": max(self.batch_sizes) if self.batch_sizes else 0,
-                    "consensus_rounds": self._batch_consensus_rounds.value,
-                    "blocks_created": self._batch_blocks.value,
-                    "folded_writes": self.scheduler.folded_writes_total,
-                    "fold_rounds_saved": self.scheduler.fold_rounds_saved,
-                },
-                "shards": self._shard_metrics(),
-                "resilience": {
-                    "latency_target": self.resilience.latency_target_p99,
-                    "shedder": self.shedder.statistics(),
-                    "breakers": self.breakers.statistics(),
-                    "queued_by_tenant": self.scheduler.queued_by_tenant(),
-                    "shed_by_reason": {
-                        reason: counter.value
-                        for reason, counter in sorted(self._shed_by_reason.items())},
-                    "degraded_reads_enabled": self.resilience.degraded_reads,
-                    "degraded_reads_served": self._degraded_reads_served.value,
-                    "chaos_events": len(self.system.injector.events),
-                },
-                "cache": self.cache.statistics(),
-                "replication": self._replication_metrics(),
-                "durability": self._durability_metrics(),
-                "tenants": tenants,
-                "sessions_open": len(self._sessions),
-            }
+        batches = len(self.batch_sizes)
+        tenants = {
+            tenant: {"count": histogram.count, "mean": histogram.mean,
+                     "p95": histogram.percentile(95.0),
+                     "p99": histogram.percentile(99.0)}
+            for tenant, histogram in sorted(self._latency_by_tenant.items())
+        }
+        return {
+            "requests": {
+                "total": sum(self._kind_counts.values()),
+                "by_kind": dict(sorted(self._kind_counts.items())),
+                "by_status": dict(sorted(self._status_counts.items())),
+            },
+            "queue": {
+                "depth": self.scheduler.queue_depth,
+                "max_depth": self.scheduler.peak_queue_depth,
+                "enqueued_total": self.scheduler.enqueued_total,
+                "outstanding_writes": self._outstanding.value,
+                "capacity": self.scheduler.queue_capacity,
+                "shed_requests": self._shed_requests.value,
+            },
+            "transport": {
+                "commits_in_flight": self._commits_in_flight.value,
+                "commits_in_flight_peak": self._commits_in_flight.peak,
+                "admitted_during_commit": self._admitted_during_commit.value,
+                "outstanding_writes_peak": self._outstanding.peak,
+                "pump": self.pump_record(),
+            },
+            "batches": {
+                "committed": batches,
+                "writes_committed": self._writes_committed.value,
+                "writes_rejected": self._writes_rejected.value,
+                "mean_size": (sum(self.batch_sizes) / batches) if batches else 0.0,
+                "max_size": max(self.batch_sizes) if self.batch_sizes else 0,
+                "consensus_rounds": self._batch_consensus_rounds.value,
+                "blocks_created": self._batch_blocks.value,
+                "folded_writes": self.scheduler.folded_writes_total,
+                "fold_rounds_saved": self.scheduler.fold_rounds_saved,
+            },
+            "shards": self._shard_metrics(),
+            "resilience": {
+                "latency_target": self.resilience.latency_target_p99,
+                "shedder": self.shedder.statistics(),
+                "breakers": self.breakers.statistics(),
+                "queued_by_tenant": self.scheduler.queued_by_tenant(),
+                "shed_by_reason": {
+                    reason: counter.value
+                    for reason, counter in sorted(self._shed_by_reason.items())},
+                "degraded_reads_enabled": self.resilience.degraded_reads,
+                "degraded_reads_served": self._degraded_reads_served.value,
+                "chaos_events": len(self.system.injector.events),
+            },
+            "cache": self.cache.statistics(),
+            "replication": self._replication_metrics(),
+            "durability": self._durability_metrics(),
+            "tenants": tenants,
+            "sessions_open": len(self._sessions),
+        }
 
     def _replication_metrics(self) -> Dict[str, object]:
         """Replica-fleet health: shipments, per-replica lag, routed reads."""

@@ -19,7 +19,6 @@ commits, the scheduler plans a batch:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
@@ -133,13 +132,6 @@ class WriteScheduler:
         #: behaviour).
         self.queue_capacity = max_queue_depth
         self._queue: Deque[PendingWrite] = deque()
-        #: Guards queue/tenant-count *iteration* against mutation.  Single
-        #: deque operations are atomic under the GIL, but multi-item
-        #: snapshots (``queue_depth_by_shard``, ``pending``,
-        #: ``queued_by_tenant``) are read from threads that do not hold the
-        #: gateway's admission lock — iterating while ``enqueue``/``plan``
-        #: mutate raises ``RuntimeError: deque mutated during iteration``.
-        self._lock = threading.Lock()
         #: Live queued-write count per tenant, for fair-queueing admission.
         self._tenant_counts: Dict[str, int] = {}
         self.enqueued_total = 0
@@ -156,12 +148,11 @@ class WriteScheduler:
     # ---------------------------------------------------------------- queueing
 
     def enqueue(self, pending: PendingWrite) -> None:
-        with self._lock:
-            self._queue.append(pending)
-            self._tenant_counts[pending.tenant] = (
-                self._tenant_counts.get(pending.tenant, 0) + 1)
-            self.enqueued_total += 1
-            self.peak_queue_depth = max(self.peak_queue_depth, len(self._queue))
+        self._queue.append(pending)
+        self._tenant_counts[pending.tenant] = (
+            self._tenant_counts.get(pending.tenant, 0) + 1)
+        self.enqueued_total += 1
+        self.peak_queue_depth = max(self.peak_queue_depth, len(self._queue))
 
     def _count_down(self, pending: PendingWrite) -> None:
         remaining = self._tenant_counts.get(pending.tenant, 0) - 1
@@ -184,8 +175,7 @@ class WriteScheduler:
         return len(self._tenant_counts)
 
     def queued_by_tenant(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(sorted(self._tenant_counts.items()))
+        return dict(sorted(self._tenant_counts.items()))
 
     @property
     def at_capacity(self) -> bool:
@@ -199,31 +189,20 @@ class WriteScheduler:
 
         The gateway's seal rule uses this for its deadline trigger: a batch
         is sealed once the head of the queue has waited ``max_delay``
-        simulated seconds, even if the depth trigger has not fired.  A pump
-        asks the rule from its own thread while a commit plans on another,
-        so an emptied-underneath-us queue is answered with None, not an
-        IndexError.
+        simulated seconds, even if the depth trigger has not fired.
         """
-        try:
-            return self._queue[0].enqueued_at
-        except IndexError:
-            return None
+        return self._queue[0].enqueued_at if self._queue else None
 
     def pending(self) -> Tuple[PendingWrite, ...]:
-        with self._lock:
-            return tuple(self._queue)
+        return tuple(self._queue)
 
     def queue_depth_by_shard(self, router) -> Dict[int, int]:
         """Queued writes per consensus shard (``router`` maps metadata ids).
 
         Empty shards are included so dashboards see the full lane picture.
-        Safe to call from any thread: the queue is snapshotted under the
-        scheduler's lock before shard routing runs on the copy.
         """
-        with self._lock:
-            snapshot = tuple(self._queue)
         depths = {shard: 0 for shard in range(router.num_shards)}
-        for pending in snapshot:
+        for pending in self._queue:
             depths[router.shard_of(pending.request.metadata_id)] += 1
         return depths
 
@@ -237,16 +216,7 @@ class WriteScheduler:
         the same shared table, another operation kind, same row key already
         edited, or a full group) stays queued for the next batch — that
         deferral is exactly what serialises same-key writes.
-
-        The scheduler's lock is held for the whole scan (callers already
-        serialise ``plan`` against ``enqueue`` through the gateway's
-        admission lock; this additionally keeps depth snapshots from racing
-        the popleft/appendleft churn).
         """
-        with self._lock:
-            return self._plan_locked(limit)
-
-    def _plan_locked(self, limit: Optional[int]) -> BatchPlan:
         limit = self.max_batch_size if limit is None else min(limit, self.max_batch_size)
         plan = BatchPlan()
         group_of_table: Dict[str, int] = {}

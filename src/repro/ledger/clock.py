@@ -4,16 +4,9 @@ All time in the reproduction is *simulated*: the miner advances the clock by
 the configured block interval instead of sleeping, so a benchmark can model a
 12-second public-Ethereum block time (§IV.1) in microseconds of real time
 while still reporting latencies in simulated seconds.
-
-The clock is thread-safe: the gateway's async transport admits open-loop
-arrivals (``advance_to``) on the event loop while a commit round mines
-(``advance``) on an executor thread, so the read-modify-write of the
-timestamp is protected by a lock.
 """
 
 from __future__ import annotations
-
-import threading
 
 
 class SimClock:
@@ -23,27 +16,23 @@ class SimClock:
         if start < 0:
             raise ValueError("start time must be non-negative")
         self._now = float(start)
-        self._lock = threading.Lock()
 
     def now(self) -> float:
         """The current simulated time, in seconds."""
-        with self._lock:
-            return self._now
+        return self._now
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
-        with self._lock:
-            self._now += seconds
-            return self._now
+        self._now += seconds
+        return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Advance the clock to ``timestamp`` (no-op if already past it)."""
-        with self._lock:
-            if timestamp > self._now:
-                self._now = timestamp
-            return self._now
+        if timestamp > self._now:
+            self._now = timestamp
+        return self._now
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.3f})"

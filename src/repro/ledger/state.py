@@ -8,7 +8,6 @@ the post-state, and lets tests detect divergence between nodes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -39,14 +38,6 @@ class WorldState:
     def __init__(self) -> None:
         self._accounts: Dict[str, Account] = {}
         self._contracts: Dict[str, Any] = {}
-        #: Serialises contract execution (including read-only static calls,
-        #: which run the method and undo whatever it journaled) and state-root
-        #: hashing, which reads live storage without copying it, on this
-        #: replica.  The gateway admits requests while a commit mines, so a
-        #: session's permission probe can hit a node whose replica is
-        #: applying a block on another thread; each call is microseconds, so
-        #: the lock serialises access without serialising the transports.
-        self.execution_lock = threading.RLock()
 
     # ---------------------------------------------------------------- accounts
 
@@ -82,13 +73,12 @@ class WorldState:
     # ------------------------------------------------------------------- root
 
     def _canonical_bytes(self) -> bytes:
-        """Accounts and live contract storage, serialised under the lock (no copy)."""
-        with self.execution_lock:
-            return canonical_json({
-                "accounts": {a: acct.to_dict() for a, acct in self._accounts.items()},
-                "contracts": {address: contract.storage_view()
-                              for address, contract in self._contracts.items()},
-            }).encode("utf-8")
+        """Accounts and live contract storage, serialised without a copy."""
+        return canonical_json({
+            "accounts": {a: acct.to_dict() for a, acct in self._accounts.items()},
+            "contracts": {address: contract.storage_view()
+                          for address, contract in self._contracts.items()},
+        }).encode("utf-8")
 
     def state_root(self) -> str:
         """A hash committing to accounts and contract storage."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import statistics
-import threading
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -58,20 +57,18 @@ def render_key(name: str, labels: LabelKey) -> str:
 
 
 class Counter:
-    """A monotonically increasing, thread-safe count."""
+    """A monotonically increasing count."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
     def __init__(self) -> None:
         self._value = 0
-        self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> int:
         if amount < 0:
             raise ValueError("counters only increase; use a gauge instead")
-        with self._lock:
-            self._value += amount
-            return self._value
+        self._value += amount
+        return self._value
 
     @property
     def value(self) -> int:
@@ -85,30 +82,27 @@ class Gauge:
     what proves admission actually interleaved with commits.
     """
 
-    __slots__ = ("_fn", "_value", "_peak", "_lock")
+    __slots__ = ("_fn", "_value", "_peak")
 
     def __init__(self, fn: Optional[Callable[[], Any]] = None) -> None:
         self._fn = fn
         self._value: Any = 0
         self._peak: Any = 0
-        self._lock = threading.Lock()
 
     def set(self, value: Any) -> None:
         if self._fn is not None:
             raise ValueError("cannot set a callback-backed gauge")
-        with self._lock:
-            self._value = value
-            self._peak = max(self._peak, value)
+        self._value = value
+        self._peak = max(self._peak, value)
 
     def add(self, delta: int = 1) -> int:
         """Move the value by ``delta`` (negative to lower it); returns it."""
         if self._fn is not None:
             raise ValueError("cannot move a callback-backed gauge")
-        with self._lock:
-            self._value += delta
-            if self._value > self._peak:
-                self._peak = self._value
-            return self._value
+        self._value += delta
+        if self._value > self._peak:
+            self._peak = self._value
+        return self._value
 
     @property
     def value(self) -> Any:
@@ -187,7 +181,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], Tuple[str, Any]] = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def _label_key(labels: Mapping[str, Any]) -> LabelKey:
@@ -196,18 +189,17 @@ class MetricsRegistry:
     def _get_or_create(self, kind: str, name: str, labels: Mapping[str, Any],
                        factory: Callable[[], Any]) -> Any:
         key = (name, self._label_key(labels))
-        with self._lock:
-            existing = self._instruments.get(key)
-            if existing is not None:
-                existing_kind, instrument = existing
-                if existing_kind != kind:
-                    raise ValueError(
-                        f"{render_key(*key)} already registered as "
-                        f"{existing_kind}, not {kind}")
-                return instrument
-            instrument = factory()
-            self._instruments[key] = (kind, instrument)
+        existing = self._instruments.get(key)
+        if existing is not None:
+            existing_kind, instrument = existing
+            if existing_kind != kind:
+                raise ValueError(
+                    f"{render_key(*key)} already registered as "
+                    f"{existing_kind}, not {kind}")
             return instrument
+        instrument = factory()
+        self._instruments[key] = (kind, instrument)
+        return instrument
 
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get_or_create("counter", name, labels, Counter)
@@ -220,18 +212,15 @@ class MetricsRegistry:
         return self._get_or_create("histogram", name, labels, Histogram)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._instruments)
+        return len(self._instruments)
 
     def names(self) -> set:
         """The distinct instrument names registered so far."""
-        with self._lock:
-            return {name for name, _labels in self._instruments}
+        return {name for name, _labels in self._instruments}
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Every instrument's current value, deterministically ordered."""
-        with self._lock:
-            items = sorted(self._instruments.items())
+        items = sorted(self._instruments.items())
         snapshot: Dict[str, Dict[str, Any]] = {
             "counters": {}, "gauges": {}, "histograms": {},
         }

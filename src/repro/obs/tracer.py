@@ -8,12 +8,11 @@ Spans carry **two** timelines:
 * *wall-clock* elapsed/self time from :func:`time.perf_counter` — the
   host-dependent cost of each stage, excluded from deterministic exports.
 
-Parent/child links come from a per-thread span stack: entering a span pushes
-it, so any span opened on the same thread while it is active becomes its
-child and inherits its ``trace_id``.  Cross-thread work (the async transport
-runs commits in an executor) therefore starts a fresh root on the worker
-thread — the gateway stitches causality back together by stamping the batch
-``trace_id`` and member request ids onto the commit span explicitly.
+Parent/child links come from one span stack: entering a span pushes it, so
+any span opened while it is active becomes its child and inherits its
+``trace_id``.  A batch commit is a root of its own — the gateway stitches
+causality back together by stamping the batch ``trace_id`` and member
+request ids onto the commit span explicitly.
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose ``span`` returns
 a shared no-op context manager: instrumentation costs one attribute load and
@@ -23,7 +22,6 @@ one call when tracing is off.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -53,7 +51,7 @@ class Span:
     # -- context manager -------------------------------------------------
 
     def __enter__(self) -> "Span":
-        stack = self._tracer._stack()
+        stack = self._tracer._stack
         if stack:
             parent = stack[-1]
             self.parent_id = parent.span_id
@@ -69,7 +67,7 @@ class Span:
         self.sim_end = self._tracer._now()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        stack = self._tracer._stack()
+        stack = self._tracer._stack
         if stack and stack[-1] is self:
             stack.pop()
         elif self in stack:  # defensive: unwound out of order
@@ -194,8 +192,8 @@ class Tracer:
         self._max_spans = max_spans
         self._ids = itertools.count(1)
         self._spans: List[Span] = []
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        #: The open spans, innermost last.
+        self._stack: List[Span] = []
         self.spans_dropped = 0
 
     # -- internals used by Span -----------------------------------------
@@ -203,19 +201,11 @@ class Tracer:
     def _now(self) -> float:
         return self._clock.now() if self._clock is not None else 0.0
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def _finish(self, span: Span) -> None:
-        with self._lock:
-            if self._max_spans is not None and len(self._spans) >= self._max_spans:
-                self.spans_dropped += 1
-            else:
-                self._spans.append(span)
+        if self._max_spans is not None and len(self._spans) >= self._max_spans:
+            self.spans_dropped += 1
+        else:
+            self._spans.append(span)
 
     # -- public API ------------------------------------------------------
 
@@ -229,34 +219,30 @@ class Tracer:
         return Span(self, next(self._ids), name, trace_id, attrs)
 
     def current_span(self) -> Optional[Span]:
-        """The innermost open span on the calling thread, if any."""
-        stack = self._stack()
+        """The innermost open span, if any."""
+        stack = self._stack
         return stack[-1] if stack else None
 
     def spans(self) -> Tuple[Span, ...]:
         """All finished spans, in completion order."""
-        with self._lock:
-            return tuple(self._spans)
+        return tuple(self._spans)
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans())
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+        return len(self._spans)
 
     def clear(self) -> None:
         """Drop recorded spans (open spans keep their ids and still record)."""
-        with self._lock:
-            self._spans.clear()
-            self.spans_dropped = 0
+        self._spans.clear()
+        self.spans_dropped = 0
 
     def statistics(self) -> Dict[str, Any]:
-        with self._lock:
-            recorded = len(self._spans)
-            names: Dict[str, int] = {}
-            for span in self._spans:
-                names[span.name] = names.get(span.name, 0) + 1
+        recorded = len(self._spans)
+        names: Dict[str, int] = {}
+        for span in self._spans:
+            names[span.name] = names.get(span.name, 0) + 1
         return {
             "spans_recorded": recorded,
             "spans_dropped": self.spans_dropped,

@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -116,11 +115,7 @@ def _validate_policy(fsync_policy: str) -> str:
 
 
 class JsonlWalBackend:
-    """Append-only JSONL mirror of a WAL, segmented and crash-tolerant.
-
-    Thread-safe: the gateway journals terminal responses from both the event
-    loop and executor threads.
-    """
+    """Append-only JSONL mirror of a WAL, segmented and crash-tolerant."""
 
     def __init__(self, directory: PathLike, fsync_policy: str = FSYNC_BATCH,
                  segment_max_bytes: int = 1_000_000):
@@ -130,7 +125,6 @@ class JsonlWalBackend:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_policy = _validate_policy(fsync_policy)
         self.segment_max_bytes = segment_max_bytes
-        self._lock = threading.Lock()
         self._handle = None
         self._current: Optional[pathlib.Path] = None
         self._current_bytes = 0
@@ -233,14 +227,14 @@ class JsonlWalBackend:
                    _encoded_name(entry.table),
                    _ENTRY_ENCODER.encode(entry.payload).encode("utf-8"))) + tail
         with self.tracer.span("wal.append", table=entry.table,
-                              bytes=len(data)), self._lock:
+                              bytes=len(data)):
             if self.retrier is not None:
                 return self.retrier.call(
-                    lambda: self._append_locked(entry, data),
+                    lambda: self._append(entry, data),
                     label="wal.append")
-            return self._append_locked(entry, data)
+            return self._append(entry, data)
 
-    def _append_locked(self, entry: WalEntry,
+    def _append(self, entry: WalEntry,
                        data: bytes) -> Tuple[pathlib.Path, int, int]:
         # Fault probes come first: an injected disk error leaves no bytes
         # behind, so the retrier can safely re-run this whole body.
@@ -277,9 +271,8 @@ class JsonlWalBackend:
 
     def flush(self) -> None:
         """Push buffered appends to the OS (no fsync) so readers see them."""
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
+        if self._handle is not None:
+            self._handle.flush()
 
     def sync(self) -> None:
         """Flush and fsync the active segment (a commit boundary).
@@ -287,15 +280,15 @@ class JsonlWalBackend:
         Under ``never`` the buffer is still flushed to the OS (so other
         readers observe the entries) but the fsync is skipped.
         """
-        with self.tracer.span("wal.fsync", policy=self.fsync_policy), self._lock:
+        with self.tracer.span("wal.fsync", policy=self.fsync_policy):
             if self._handle is None:
                 return
             if self.retrier is not None:
-                self.retrier.call(self._sync_locked, label="wal.fsync")
+                self.retrier.call(self._sync, label="wal.fsync")
             else:
-                self._sync_locked()
+                self._sync()
 
-    def _sync_locked(self) -> None:
+    def _sync(self) -> None:
         # Probe-then-act keeps the body idempotent under retries: re-running
         # the flush/fsync pair after an injected failure is harmless.
         self.injector.maybe_fail("wal.fsync", self.fault_target)
@@ -313,8 +306,7 @@ class JsonlWalBackend:
             self._handle = None
 
     def close(self) -> None:
-        with self._lock:
-            self._close_handle()
+        self._close_handle()
 
     # ------------------------------------------------------------------- reads
 
@@ -324,9 +316,8 @@ class JsonlWalBackend:
 
     def first_sequence(self) -> Optional[int]:
         """The first sequence still retained on disk (``None`` when empty)."""
-        with self._lock:
-            return (self._segment_first_sequence(self._segments[0])
-                    if self._segments else None)
+        return (self._segment_first_sequence(self._segments[0])
+                if self._segments else None)
 
     def covers(self, since: int) -> bool:
         """Whether ``read_entries(since=since)`` would see *every* entry
@@ -348,10 +339,9 @@ class JsonlWalBackend:
         """Where a reader that holds every entry appended so far stands —
         known without touching the files once this instance has appended
         (``None`` before that)."""
-        with self._lock:
-            if self._last_appended is None:
-                return None
-            return (self._last_appended, self._current, self._current_bytes)
+        if self._last_appended is None:
+            return None
+        return (self._last_appended, self._current, self._current_bytes)
 
     def read_entries(self, since: int = 0) -> Tuple[List[WalEntry], int]:
         """All decodable entries with sequence > ``since``, in order.
@@ -380,13 +370,12 @@ class JsonlWalBackend:
         sits in front of an unterminated final line, so a torn write is seen
         again once completed.
         """
-        with self._lock:
-            # Buffered appends (batch/never policies) must be visible to the
-            # read — a journaled-then-evicted response is answerable even
-            # before the next fsync boundary.
-            if self._handle is not None:
-                self._handle.flush()
-            segments = list(self._segments)
+        # Buffered appends (batch/never policies) must be visible to the
+        # read — a journaled-then-evicted response is answerable even
+        # before the next fsync boundary.
+        if self._handle is not None:
+            self._handle.flush()
+        segments = list(self._segments)
         start = offset = 0
         if (position is not None and position[0] == since
                 and position[1] in segments):
@@ -451,34 +440,33 @@ class JsonlWalBackend:
         already-checkpointed prefix by sequence).
         """
         removed = 0
-        with self._lock:
-            self._close_handle()
-            segments = list(self._segments)
-            for index, segment in enumerate(segments):
-                if index + 1 < len(segments):
-                    # All entries here precede the next segment's first
-                    # sequence, readable from its file name.  Sequences are
-                    # contiguous, so this segment's last entry *is*
-                    # ``next_first - 1``: a checkpoint landing exactly on a
-                    # segment's last entry covers it exactly (deleted), and
-                    # the surviving successor starts at checkpoint + 1 — a
-                    # replayer resuming from ``since == checkpoint`` still
-                    # sees every later entry.  Cursors *behind* the
-                    # checkpoint lose their tail here; they must detect that
-                    # via ``covers()`` and re-bootstrap from the manifest.
-                    next_first = self._segment_first_sequence(segments[index + 1])
-                    fully_covered = next_first - 1 <= checkpoint_sequence
-                else:
-                    last = self._last_sequence_in(segment)
-                    fully_covered = last is not None and last <= checkpoint_sequence
-                if fully_covered:
-                    segment.unlink()
-                    del self._segments[0]
-                    removed += 1
-                else:
-                    break
-            self._current = self._segments[-1] if self._segments else None
-            self._adopt_sizes()
+        self._close_handle()
+        segments = list(self._segments)
+        for index, segment in enumerate(segments):
+            if index + 1 < len(segments):
+                # All entries here precede the next segment's first
+                # sequence, readable from its file name.  Sequences are
+                # contiguous, so this segment's last entry *is*
+                # ``next_first - 1``: a checkpoint landing exactly on a
+                # segment's last entry covers it exactly (deleted), and
+                # the surviving successor starts at checkpoint + 1 — a
+                # replayer resuming from ``since == checkpoint`` still
+                # sees every later entry.  Cursors *behind* the
+                # checkpoint lose their tail here; they must detect that
+                # via ``covers()`` and re-bootstrap from the manifest.
+                next_first = self._segment_first_sequence(segments[index + 1])
+                fully_covered = next_first - 1 <= checkpoint_sequence
+            else:
+                last = self._last_sequence_in(segment)
+                fully_covered = last is not None and last <= checkpoint_sequence
+            if fully_covered:
+                segment.unlink()
+                del self._segments[0]
+                removed += 1
+            else:
+                break
+        self._current = self._segments[-1] if self._segments else None
+        self._adopt_sizes()
         return removed
 
     def replace_segments(self, lines: List[bytes],
@@ -495,27 +483,26 @@ class JsonlWalBackend:
         new segment sorts (and reads) after the survivors of a partial
         crash.
         """
-        with self._lock:
-            self._close_handle()
-            old = self._segments
-            target = self.directory / self._segment_name(first_sequence)
-            tmp = target.with_suffix(target.suffix + ".tmp")
-            with open(tmp, "wb") as handle:
-                for line in lines:
-                    handle.write(line)
-                handle.flush()
-                if self.fsync_policy != FSYNC_NEVER:
-                    os.fsync(handle.fileno())
-                    self.syncs += 1
-            os.replace(tmp, target)
-            for segment in old:
-                if segment != target:
-                    segment.unlink()
-            self.rotations += 1
-            self._segments = [target]
-            self._current = target
-            self._adopt_sizes()
-            return target
+        self._close_handle()
+        old = self._segments
+        target = self.directory / self._segment_name(first_sequence)
+        tmp = target.with_suffix(target.suffix + ".tmp")
+        with open(tmp, "wb") as handle:
+            for line in lines:
+                handle.write(line)
+            handle.flush()
+            if self.fsync_policy != FSYNC_NEVER:
+                os.fsync(handle.fileno())
+                self.syncs += 1
+        os.replace(tmp, target)
+        for segment in old:
+            if segment != target:
+                segment.unlink()
+        self.rotations += 1
+        self._segments = [target]
+        self._current = target
+        self._adopt_sizes()
+        return target
 
     def _last_sequence_in(self, segment: pathlib.Path) -> Optional[int]:
         last: Optional[int] = None

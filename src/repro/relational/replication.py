@@ -38,7 +38,6 @@ re-bootstrap drops it — and a peer nothing was appended to is not read.
 from __future__ import annotations
 
 import pathlib
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -106,23 +105,19 @@ class ReadReplica:
         self.reads_served = 0
         self.entries_replayed = 0
         self.bootstraps = 0
-        self._lock = threading.RLock()
 
     # --------------------------------------------------------------- replaying
 
     def applied_sequence(self, peer: str) -> int:
-        with self._lock:
-            return self._applied.get(peer, 0)
+        return self._applied.get(peer, 0)
 
     @property
     def peer_names(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._databases))
+        return tuple(sorted(self._databases))
 
     def follows(self, peer: str) -> bool:
         """Whether this replica holds a follower database for ``peer``."""
-        with self._lock:
-            return peer in self._databases
+        return peer in self._databases
 
     def bootstrap(self, peer: str, state_dir, backend=None,
                   now: float = 0.0) -> int:
@@ -157,14 +152,13 @@ class ReadReplica:
                         replay_entry(database, entry)
                         applied = entry.sequence
                         replayed += 1
-            with self._lock:
-                self._databases[peer] = database
-                self._applied[peer] = applied
-                self.entries_replayed += replayed
-                self.bootstraps += 1
-                self.replayed_through = max(self.replayed_through, now)
-                # Anything cached for this peer predates the re-seed.
-                self.cache.invalidate_all()
+            self._databases[peer] = database
+            self._applied[peer] = applied
+            self.entries_replayed += replayed
+            self.bootstraps += 1
+            self.replayed_through = max(self.replayed_through, now)
+            # Anything cached for this peer predates the re-seed.
+            self.cache.invalidate_all()
             span.annotate(applied=applied, replayed=replayed)
         return applied
 
@@ -176,80 +170,75 @@ class ReadReplica:
         replica may receive a prefix it already holds); a *gap* past the
         cursor means the shipper lost entries and raises.
         """
-        with self._lock:
-            database = self._databases.get(batch.peer)
-            if database is None:
-                raise ReplicationError(
-                    f"replica {self.name!r} holds no follower for peer "
-                    f"{batch.peer!r}; bootstrap it first")
-            applied = self._applied[batch.peer]
-            fresh = [entry for entry in batch.entries if entry.sequence > applied]
-            if fresh and fresh[0].sequence != applied + 1:
-                raise ReplicationError(
-                    f"replica {self.name!r} gap on peer {batch.peer!r}: "
-                    f"applied through {applied}, shipment starts at "
-                    f"{fresh[0].sequence}")
-            with self.tracer.span("replica.replay", replica=self.name,
-                                  peer=batch.peer, entries=len(fresh)) as span:
-                with database.wal.suspended():
-                    for entry in fresh:
-                        replay_entry(database, entry)
-                if fresh:
-                    self._applied[batch.peer] = fresh[-1].sequence
-                    self.entries_replayed += len(fresh)
-                self.replayed_through = max(self.replayed_through,
-                                            batch.committed_at)
-                span.annotate(applied_through=self._applied[batch.peer])
-            return len(fresh)
+        database = self._databases.get(batch.peer)
+        if database is None:
+            raise ReplicationError(
+                f"replica {self.name!r} holds no follower for peer "
+                f"{batch.peer!r}; bootstrap it first")
+        applied = self._applied[batch.peer]
+        fresh = [entry for entry in batch.entries if entry.sequence > applied]
+        if fresh and fresh[0].sequence != applied + 1:
+            raise ReplicationError(
+                f"replica {self.name!r} gap on peer {batch.peer!r}: "
+                f"applied through {applied}, shipment starts at "
+                f"{fresh[0].sequence}")
+        with self.tracer.span("replica.replay", replica=self.name,
+                              peer=batch.peer, entries=len(fresh)) as span:
+            with database.wal.suspended():
+                for entry in fresh:
+                    replay_entry(database, entry)
+            if fresh:
+                self._applied[batch.peer] = fresh[-1].sequence
+                self.entries_replayed += len(fresh)
+            self.replayed_through = max(self.replayed_through,
+                                        batch.committed_at)
+            span.annotate(applied_through=self._applied[batch.peer])
+        return len(fresh)
 
     def prewarm(self, notices: Tuple[DiffNotice, ...]) -> None:
         """Materialise the views a shipment touched into the replica cache."""
-        with self._lock:
-            for notice in notices:
-                for peer in notice.peers:
-                    database = self._databases.get(peer)
-                    if database is None:
-                        continue
-                    try:
-                        view_name = self._view_name_for(peer, notice.metadata_id)
-                        view = database.table(view_name).snapshot()
-                    except ReproError:
-                        continue  # agreement or table not replayed yet
-                    self.cache.prewarm(peer, notice.metadata_id, view)
+        for notice in notices:
+            for peer in notice.peers:
+                database = self._databases.get(peer)
+                if database is None:
+                    continue
+                try:
+                    view_name = self._view_name_for(peer, notice.metadata_id)
+                    view = database.table(view_name).snapshot()
+                except ReproError:
+                    continue  # agreement or table not replayed yet
+                self.cache.prewarm(peer, notice.metadata_id, view)
 
     # ------------------------------------------------------------------- reads
 
     def lag(self, primary_committed_at: float) -> float:
         """Measured staleness: primary's last commit time minus the
         simulated time this replica has replayed through."""
-        with self._lock:
-            return max(0.0, primary_committed_at - self.replayed_through)
+        return max(0.0, primary_committed_at - self.replayed_through)
 
     def read_view(self, peer: str, metadata_id: str):
         """A snapshot of the follower's materialised shared view."""
-        with self._lock:
-            database = self._databases.get(peer)
-            if database is None:
-                raise ReplicationError(
-                    f"replica {self.name!r} holds no follower for peer {peer!r}")
-            cached = self.cache.peek(peer, metadata_id)
-            if cached is not None:
-                self.cache.hits += 1
-                self.reads_served += 1
-                return cached
-            self.cache.misses += 1
-            view_name = self._view_name_for(peer, metadata_id)
-            view = database.table(view_name).snapshot()
-            self.cache.prewarm(peer, metadata_id, view)
+        database = self._databases.get(peer)
+        if database is None:
+            raise ReplicationError(
+                f"replica {self.name!r} holds no follower for peer {peer!r}")
+        cached = self.cache.peek(peer, metadata_id)
+        if cached is not None:
+            self.cache.hits += 1
             self.reads_served += 1
-            return view
+            return cached
+        self.cache.misses += 1
+        view_name = self._view_name_for(peer, metadata_id)
+        view = database.table(view_name).snapshot()
+        self.cache.prewarm(peer, metadata_id, view)
+        self.reads_served += 1
+        return view
 
     def reserve(self, now: float) -> Tuple[float, float]:
         """Occupy the service lane for one read; returns (start, latency)."""
-        with self._lock:
-            start = max(now, self.next_free_at)
-            self.next_free_at = start + self.read_service_time
-            return start, (self.next_free_at - now)
+        start = max(now, self.next_free_at)
+        self.next_free_at = start + self.read_service_time
+        return start, (self.next_free_at - now)
 
     # --------------------------------------------------------------- integrity
 
@@ -257,25 +246,23 @@ class ReadReplica:
         """Per-peer per-table content fingerprints, shaped exactly like
         :meth:`MedicalDataSharingSystem.state_fingerprints` for byte-identity
         checks against the primary."""
-        with self._lock:
-            return {
-                peer: {table: database.table(table).fingerprint()
-                       for table in sorted(database.table_names)}
-                for peer, database in sorted(self._databases.items())
-            }
+        return {
+            peer: {table: database.table(table).fingerprint()
+                   for table in sorted(database.table_names)}
+            for peer, database in sorted(self._databases.items())
+        }
 
     def statistics(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "name": self.name,
-                "peers": len(self._databases),
-                "applied": dict(sorted(self._applied.items())),
-                "replayed_through": self.replayed_through,
-                "entries_replayed": self.entries_replayed,
-                "reads_served": self.reads_served,
-                "bootstraps": self.bootstraps,
-                "cache": self.cache.statistics(),
-            }
+        return {
+            "name": self.name,
+            "peers": len(self._databases),
+            "applied": dict(sorted(self._applied.items())),
+            "replayed_through": self.replayed_through,
+            "entries_replayed": self.entries_replayed,
+            "reads_served": self.reads_served,
+            "bootstraps": self.bootstraps,
+            "cache": self.cache.statistics(),
+        }
 
 
 class SegmentShipper:
@@ -305,7 +292,6 @@ class SegmentShipper:
         self.rebootstraps = 0
         #: peer → where the last shipment stopped reading its WAL.
         self._positions: Dict[str, Optional[TailPosition]] = {}
-        self._lock = threading.Lock()
         state_dir = system.config.durability.state_dir
         if state_dir is None:
             raise ReplicationError(
@@ -329,27 +315,23 @@ class SegmentShipper:
                               backend=backend, now=now)
             # The bootstrap read everything: its cursor stands at the end.
             self._positions.setdefault(peer_name, backend.tail_position())
-        with self._lock:
-            if replica not in self.replicas:
-                self.replicas.append(replica)
+        if replica not in self.replicas:
+            self.replicas.append(replica)
         return replica
 
     def detach(self, replica: ReadReplica) -> None:
-        with self._lock:
-            if replica in self.replicas:
-                self.replicas.remove(replica)
+        if replica in self.replicas:
+            self.replicas.remove(replica)
 
     # ---------------------------------------------------------------- shipping
 
     def on_shared_diff(self, metadata_id: str, operation: str,
                        peers: Tuple[str, ...], diff=None) -> None:
         """The :meth:`UpdateCoordinator.subscribe_shared_diff` listener:
-        queue the touched view for pre-warming at the next shipment.  May
-        fire from executor threads under parallel cascades."""
-        with self._lock:
-            self._pending_notices.append(
-                DiffNotice(metadata_id=metadata_id, operation=operation,
-                           peers=tuple(peers)))
+        queue the touched view for pre-warming at the next shipment."""
+        self._pending_notices.append(
+            DiffNotice(metadata_id=metadata_id, operation=operation,
+                       peers=tuple(peers)))
 
     def ship(self, force: bool = False) -> int:
         """Publish new WAL entries to every replica; returns entries shipped.
@@ -357,20 +339,18 @@ class SegmentShipper:
         Throttled by ``ship_interval`` unless ``force``d (quiesce/drain
         ships unconditionally so the fleet converges).
         """
-        with self._lock:
-            replicas = list(self.replicas)
-            if not replicas:
-                self._pending_notices.clear()
-                return 0
+        replicas = list(self.replicas)
+        if not replicas:
+            self._pending_notices.clear()
+            return 0
         now = self.clock.now()
         if (not force and self.ship_interval > 0.0
                 and self._last_ship is not None
                 and now - self._last_ship < self.ship_interval):
             return 0
         self._last_ship = now
-        with self._lock:
-            notices = tuple(dict.fromkeys(self._pending_notices))
-            self._pending_notices.clear()
+        notices = tuple(dict.fromkeys(self._pending_notices))
+        self._pending_notices.clear()
         shipped = 0
         with self.tracer.span("replica.ship", replicas=len(replicas)) as span:
             for peer_name in self.system.peer_names:
@@ -457,7 +437,6 @@ class ReplicaRouter:
         #: Simulated time of the primary's newest commit — the staleness
         #: reference every routed read is measured against.
         self.last_commit_at = 0.0
-        self._lock = threading.Lock()
         if registry is not None:
             registry.gauge("replica_fleet_size",
                            fn=lambda: len(self.shipper.replicas))
@@ -473,15 +452,13 @@ class ReplicaRouter:
                                default=0.0))
 
     def record_commit(self, committed_at: float) -> None:
-        with self._lock:
-            if committed_at > self.last_commit_at:
-                self.last_commit_at = committed_at
+        if committed_at > self.last_commit_at:
+            self.last_commit_at = committed_at
 
     def route(self, peer: str, metadata_id: str) -> Optional[RoutedRead]:
         """Serve one view read from the fleet, or ``None`` to use the primary."""
         now = self.clock.now()
-        with self._lock:
-            reference = self.last_commit_at
+        reference = self.last_commit_at
         candidates = sorted(
             ((replica.next_free_at, replica.name, replica)
              for replica in self.shipper.replicas
@@ -494,13 +471,11 @@ class ReplicaRouter:
             except ReproError:
                 continue
             _, latency = replica.reserve(now)
-            with self._lock:
-                self.replica_reads += 1
+            self.replica_reads += 1
             return RoutedRead(view=view, source="replica",
                               staleness=replica.lag(reference),
                               latency=latency, replica=replica.name)
-        with self._lock:
-            self.primary_fallbacks += 1
+        self.primary_fallbacks += 1
         return None
 
     def statistics(self) -> Dict[str, object]:

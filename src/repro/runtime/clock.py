@@ -15,13 +15,12 @@ possible, so the runtime splits the clock into:
     monotone, so the merged value is the earliest instant consistent with
     everything any worker has already done.  The merge is deterministic:
     it depends only on the multiset of reported times, never on arrival
-    order, which is what keeps fleet runs reproducible even though OS
-    scheduling interleaves worker replies differently on every run.
+    order, which is what keeps fleet runs reproducible even though forked
+    workers finish in a different order on every run.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict
 
 from repro.ledger.clock import SimClock
@@ -52,7 +51,6 @@ class ClockCoordinator:
     def __init__(self, start: float = 0.0):
         self._clock = SimClock(start=start)
         self._reports: Dict[str, float] = {}
-        self._lock = threading.Lock()
 
     @property
     def clock(self) -> SimClock:
@@ -70,10 +68,8 @@ class ClockCoordinator:
         """
         if reported_now < 0:
             raise ValueError("reported time must be non-negative")
-        with self._lock:
-            previous = self._reports.get(worker, 0.0)
-            if reported_now > previous:
-                self._reports[worker] = reported_now
+        if reported_now > self._reports.get(worker, 0.0):
+            self._reports[worker] = reported_now
         return self._clock.advance_to(reported_now)
 
     def seed_for(self, worker: str) -> float:
@@ -83,13 +79,11 @@ class ClockCoordinator:
         time it already reported — its durable state (WAL) may already
         reflect events up to that instant.
         """
-        with self._lock:
-            return self._reports.get(worker, self._clock.now())
+        return self._reports.get(worker, self._clock.now())
 
     def reports(self) -> Dict[str, float]:
         """Last reported time per worker (for metrics and tests)."""
-        with self._lock:
-            return dict(self._reports)
+        return dict(self._reports)
 
     def __repr__(self) -> str:
         return f"ClockCoordinator(now={self.now():.3f}, workers={len(self.reports())})"

@@ -10,10 +10,10 @@ results, clocks and fingerprints.
 Two placements share one protocol:
 
 ``loopback``
-    Worker slices run on in-process threads over
-    :class:`LoopbackTransport` queues.  Because every slice owns its own
-    system, clock and seed, results are deterministic regardless of thread
-    interleaving — and byte-identical to running the slices sequentially.
+    Worker slices run in the coordinator process, one after another on the
+    calling thread, over :class:`LoopbackTransport` queues.  Every slice
+    owns its own system, clock and seed, so the results are the ones the
+    forked placement produces.
 
 ``multiprocess``
     Worker slices run in forked child processes over ``socketpair`` framing
@@ -42,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -153,7 +152,7 @@ def _serve_worker(transport: Transport, forked: bool = False) -> None:
 
     ``forked`` is True only in a forked child process
     (:func:`_mp_worker_entry`).  The injected-crash hook is gated on it: in
-    loopback mode this function runs on a coordinator thread, where
+    loopback mode this function runs in the coordinator process, where
     ``os._exit`` would kill the whole coordinator and the class-wide
     ``ResponseJournal.sync`` patch would leak into every in-process worker.
     """
@@ -168,12 +167,10 @@ def _serve_worker(transport: Transport, forked: bool = False) -> None:
         spec = WorkerSpec.from_dict(envelope.payload)
         if spec.crash_after_syncs is not None:
             if not forked:
-                # Surface as a clean end-of-stream (-> WorkerCrashError on
-                # the coordinator side) instead of hanging the collector.
                 transport.close()
                 raise FleetProtocolError(
                     "crash_after_syncs requires a forked worker process; "
-                    "it cannot be armed on a coordinator thread"
+                    "it cannot be armed in the coordinator process"
                 )
             _install_crash_hook(spec.crash_after_syncs)
         result = run_worker_slice(spec)
@@ -215,7 +212,7 @@ class GatewayFleet:
             if crashers:
                 raise FleetError(
                     "crash_after_syncs needs a forked worker process to kill "
-                    "(os._exit on a loopback thread would take down the "
+                    "(os._exit in a loopback worker would take down the "
                     f"coordinator): use mode='multiprocess' for {crashers}")
         self.specs = list(specs)
         self.mode = mode
@@ -254,24 +251,17 @@ class GatewayFleet:
     # -- placements --------------------------------------------------------
 
     def _run_loopback(self):
+        """Queue each worker's whole conversation, then serve it here."""
         ends = {}
-        threads = {}
         for spec in self.specs:
             coordinator_end, worker_end = LoopbackTransport.pair(
                 left=f"coordinator->{spec.name}", right=spec.name,
                 codec=self.wire_codec)
-            thread = threading.Thread(target=_serve_worker, args=(worker_end,),
-                                      name=f"fleet-{spec.name}", daemon=True)
-            thread.start()
+            coordinator_end.send("worker.run", spec.to_dict())
+            coordinator_end.send("worker.shutdown", None)
+            _serve_worker(worker_end)
             ends[spec.name] = coordinator_end
-            threads[spec.name] = thread
-        for spec in self.specs:
-            ends[spec.name].send("worker.run", spec.to_dict())
         workers, crashes = self._collect(ends, exitcode_of=lambda name: None)
-        for spec in self.specs:
-            ends[spec.name].send("worker.shutdown", None)
-        for thread in threads.values():
-            thread.join(timeout=self.timeout)
         return workers, crashes, self._transport_stats(ends)
 
     def _run_multiprocess(self):

@@ -6,7 +6,9 @@ an :class:`~repro.runtime.envelope.EnvelopeChannel`, so sequence gaps are
 protocol errors regardless of the medium underneath:
 
 :class:`LoopbackTransport`
-    In-process queues.  This is today's behaviour — envelopes are passed
+    In-process queues, read on the same thread that writes them: a
+    receive finds an envelope already queued or times out at once.
+    Envelopes are passed
     as objects, nothing is re-encoded, and fingerprints stay byte-identical
     to the direct-call graph.  With a ``codec`` it additionally round-trips
     every payload through encode/decode, proving a component's traffic fits
@@ -21,11 +23,11 @@ protocol errors regardless of the medium underneath:
 
 from __future__ import annotations
 
-import queue
 import select
+from collections import deque
 import socket
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Deque, Dict, Optional
 
 from repro.errors import CodecError, FleetProtocolError, ReceiveTimeout
 from repro.runtime.codec import WireCodec, get_codec, read_frame, write_frame
@@ -114,8 +116,8 @@ class LoopbackTransport(Transport):
     """
 
     def __init__(self, name: str,
-                 outbox: "queue.Queue[Optional[Envelope]]",
-                 inbox: "queue.Queue[Optional[Envelope]]",
+                 outbox: Deque[Optional[Envelope]],
+                 inbox: Deque[Optional[Envelope]],
                  codec: "WireCodec | str | None" = None):
         super().__init__(name, codec=codec)
         self._outbox = outbox
@@ -125,8 +127,8 @@ class LoopbackTransport(Transport):
     def pair(cls, left: str = "left", right: str = "right",
              codec: "WireCodec | str | None" = None
              ) -> "tuple[LoopbackTransport, LoopbackTransport]":
-        a_to_b: "queue.Queue[Optional[Envelope]]" = queue.Queue()
-        b_to_a: "queue.Queue[Optional[Envelope]]" = queue.Queue()
+        a_to_b: Deque[Optional[Envelope]] = deque()
+        b_to_a: Deque[Optional[Envelope]] = deque()
         return (
             cls(left, outbox=a_to_b, inbox=b_to_a, codec=codec),
             cls(right, outbox=b_to_a, inbox=a_to_b, codec=codec),
@@ -137,15 +139,14 @@ class LoopbackTransport(Transport):
             data = self.codec.encode(envelope.to_dict())
             self._stats["wire_bytes_out"] += len(data)
             envelope = Envelope.from_dict(self.codec.decode(data))
-        self._outbox.put(envelope)
+        self._outbox.append(envelope)
 
     def _collect(self, timeout: Optional[float]) -> Optional[Envelope]:
-        try:
-            envelope = self._inbox.get(timeout=timeout)
-        except queue.Empty:
+        if not self._inbox:
             raise ReceiveTimeout(
-                f"loopback receive on {self.name!r} timed out after {timeout}s"
-            ) from None
+                f"loopback receive on {self.name!r} timed out: nothing is "
+                f"queued and nothing else can send")
+        envelope = self._inbox.popleft()
         if envelope is None:
             return None
         if self.codec is not None:
@@ -153,8 +154,8 @@ class LoopbackTransport(Transport):
         return envelope
 
     def close(self) -> None:
-        # A sentinel unblocks a peer waiting in receive().
-        self._outbox.put(None)
+        # A sentinel reads as end-of-stream at the peer.
+        self._outbox.append(None)
 
 
 class _DeadlineReader:

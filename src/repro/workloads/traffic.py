@@ -7,17 +7,18 @@ tenant's rate and read/write mix; :class:`TrafficGenerator` turns a set of
 profiles into a deterministic, time-ordered stream of
 :class:`TimedRequest`'s that a load test replays against the gateway.
 
-:func:`replay_open_loop` replays such a trace through the *async* transport:
-every arrival is admitted at its simulated arrival time without awaiting the
-response, so the commit pump's consensus rounds interleave with admission —
-the open-loop behaviour a synchronous driver cannot produce.
+:meth:`~repro.gateway.aio.AsyncSharingGateway.replay` replays such a trace
+through the *async* transport: every arrival is admitted at its simulated
+arrival time without awaiting the response, and a commit in flight admits
+the arrivals due at its consensus-round boundaries — the open-loop
+behaviour a synchronous driver cannot produce.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.system import MedicalDataSharingSystem
 from repro.gateway.requests import GatewayRequest, ReadViewRequest, UpdateEntryRequest
@@ -107,29 +108,6 @@ class TrafficGenerator:
                                              request=request))
         arrivals.sort(key=lambda item: (item.arrival_time, item.tenant))
         return arrivals
-
-
-async def replay_open_loop(arrivals: Sequence[TimedRequest],
-                           submit: Callable[[TimedRequest], "asyncio.Future"],
-                           clock) -> List["asyncio.Future"]:
-    """Replay a timed trace open-loop through an async transport.
-
-    For each arrival the simulated clock is advanced to its arrival time and
-    ``submit`` is called *without awaiting the returned future* — exactly how
-    an open-loop tenant behaves: it sends on schedule whether or not earlier
-    requests have finished.  A cooperative yield after every admission lets
-    the commit pump (and any in-flight executor commit completing) run
-    between arrivals.  Returns the response futures in arrival order; gather
-    them (typically after ``await gateway.drain()``) for the responses.
-    """
-    import asyncio  # only async runs pay for the import
-
-    futures: List["asyncio.Future"] = []
-    for timed in arrivals:
-        clock.advance_to(timed.arrival_time)
-        futures.append(submit(timed))
-        await asyncio.sleep(0)
-    return futures
 
 
 def default_tenant_profiles(system: MedicalDataSharingSystem,

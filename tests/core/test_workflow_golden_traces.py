@@ -46,8 +46,8 @@ def _trace_payload(trace) -> dict:
 def _spans(tracer, ordered: bool = True) -> list:
     spans = [[span.name, dict(span.attrs)] for span in tracer.spans()]
     if not ordered:
-        # Executor threads finish their leg spans in scheduler order; the
-        # multiset is deterministic, the interleaving is not.
+        # The hash was captured while the legs' middles ran on executor
+        # threads, whose span order was not deterministic: pin the multiset.
         spans.sort(key=hash_payload)
     return spans
 

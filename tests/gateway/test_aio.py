@@ -1,7 +1,6 @@
 """The asyncio gateway transport: futures, commit pump, triggers, parity."""
 
 import asyncio
-import threading
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.gateway import (
     UpdateEntryRequest,
 )
 from repro.workloads.topology import TopologySpec, build_topology_system
+from repro.workloads.traffic import TrafficGenerator, default_tenant_profiles
 
 #: Generous real-time bound for awaiting pump-driven commits in tests.
 WAIT = 30.0
@@ -291,51 +291,39 @@ class TestPumpTriggers:
 
 
 class TestInterleaving:
-    def test_arrivals_admitted_while_commit_in_flight(self):
-        """Deterministic: the first commit is held open inside the executor
-        (after the gateway counted it in flight) until the loop has admitted
-        the remaining writes — an event pair, not a race against how long a
-        one-write commit happens to take."""
-        commit_started, release_commit = threading.Event(), threading.Event()
+    def test_replay_admits_due_arrivals_at_round_boundaries(self):
+        """Before each consensus round of a commit mines, the replay admits
+        every arrival the simulated clock has reached — so for a fixed trace
+        the number admitted during commits is one exact value."""
 
-        async def scenario():
+        def replay():
             system = build_system(patients=3)
-            tables = tenant_tables(system)
-            real_commit = system.coordinator.commit_entry_batch
-
-            def gated_commit(groups):
-                commit_started.set()
-                assert release_commit.wait(WAIT)
-                return real_commit(groups)
-
-            system.coordinator.commit_entry_batch = gated_commit
             gateway = SharingGateway(system, max_batch_size=16)
-            async with AsyncSharingGateway(gateway, seal_depth=1) as front:
-                sessions = {peer: front.open_session(peer) for peer in tables}
-                writes = [(peer, metadata_id, f"r{round_index}")
-                          for round_index in range(4)
-                          for peer, metadata_id in sorted(tables.items())]
-                futures = []
-                try:
-                    # seal_depth 1 makes the pump commit the first write
-                    # eagerly; the rest arrive while it sits in the executor.
-                    for index, (peer, metadata_id, tag) in enumerate(writes):
-                        futures.append(front.submit_nowait(
-                            sessions[peer], update_for(metadata_id, tag)))
-                        if index == 0:
-                            assert await asyncio.to_thread(commit_started.wait, WAIT)
-                        await asyncio.sleep(0)
-                finally:
-                    release_commit.set()
-                await front.drain()
-                responses = await asyncio.gather(*futures)
-            assert all(response.status == STATUS_OK for response in responses)
-            transport = gateway.metrics()["transport"]
-            assert transport["admitted_during_commit"] > 0
-            assert transport["commits_in_flight"] == 0
-            assert system.all_shared_tables_consistent()
+            clock = system.simulator.clock
+            profiles = default_tenant_profiles(system, request_rate=1.0,
+                                               read_fraction=0.25)
+            arrivals = TrafficGenerator(system, seed=5).open_loop(
+                profiles, duration=6.0, start_time=clock.now())
+            sessions = {profile.peer: gateway.open_session(profile.peer)
+                        for profile in profiles}
 
-        run(scenario())
+            async def scenario():
+                async with AsyncSharingGateway(gateway, seal_depth=1) as front:
+                    futures = await front.replay(arrivals, sessions)
+                    return await asyncio.gather(*futures), front.sealed_by
+
+            responses, sealed_by = run(scenario())
+            assert [response.tenant for response in responses] == [
+                timed.tenant for timed in arrivals]
+            assert all(response.ok for response in responses)
+            assert system.all_shared_tables_consistent()
+            transport = gateway.metrics()["transport"]
+            assert transport["commits_in_flight"] == 0
+            return (len(arrivals), transport["admitted_during_commit"],
+                    transport["pump"]["commits"], sealed_by)
+
+        sealed = {"depth": 7, "deadline": 0, "idle": 0, "flush": 0}
+        assert replay() == replay() == (20, 18, 7, sealed)
 
     def test_matches_sync_transport_fingerprints(self):
         def fingerprints(system):

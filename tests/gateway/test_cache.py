@@ -147,8 +147,8 @@ class TestPatchingThroughWorkflow:
 
 
 class TestGenerationGuard:
-    """The miss path loads outside the cache lock; a load superseded by a
-    patch/invalidation must not be installed (it could be stale)."""
+    """A load superseded by a patch/invalidation while the loader ran must
+    not be installed (it could be stale)."""
 
     def test_plain_miss_installs(self):
         cache = ViewCache()

@@ -6,7 +6,7 @@ from repro.config import SystemConfig
 from repro.core.scenario import DOCTOR_RESEARCHER_TABLE, PATIENT_DOCTOR_TABLE
 from repro.core.workflow import BatchGroup, EntryEdit
 from repro.errors import WorkflowError
-from repro.gateway import GatewayWorkerPool, SharingGateway
+from repro.gateway import SharingGateway
 from repro.gateway.requests import (
     AuditQueryRequest,
     DeleteEntryRequest,
@@ -247,47 +247,6 @@ class TestContention:
             coordinator.commit_entry_batch([group, group])
 
 
-class TestWorkerPool:
-    def test_threaded_workers_drain_the_queue(self, topology_gateway):
-        gateway = topology_gateway
-        tables = _tenant_tables(gateway.system)
-        responses = []
-        sessions = {peer: gateway.open_session(peer) for peer in tables}
-        for peer, metadata_id in sorted(tables.items()):
-            patient_id = int(metadata_id.split(":")[1])
-            for round_index in range(2):
-                responses.append(gateway.submit(sessions[peer], UpdateEntryRequest(
-                    metadata_id, (patient_id,),
-                    {"clinical_data": f"w-{patient_id}-{round_index}"})))
-        with GatewayWorkerPool(gateway, workers=3) as pool:
-            assert pool.join_idle(timeout=30.0)
-        assert pool.batches_committed >= 1
-        assert all(response.ok for response in responses)
-        assert gateway.system.all_shared_tables_consistent()
-
-    def test_pool_lifecycle(self, paper_gateway):
-        pool = GatewayWorkerPool(paper_gateway, workers=1)
-        pool.start()
-        with pytest.raises(RuntimeError):
-            pool.start()
-        pool.stop()
-        assert not pool.running
-
-    def test_classic_pool_unchanged(self, topology_gateway):
-        """The pool's commits land in the gateway's one pump record
-        (``["transport"]["pump"]`` since the ``{"all": …}`` nesting left by
-        the deleted per-shard pumps was flattened — this assertion's path is
-        one of the two that moved with it)."""
-        gateway = topology_gateway
-        doctor = gateway.open_session("doctor")
-        tables = sorted(gateway.system.agreement_ids)
-        with GatewayWorkerPool(gateway, workers=2) as pool:
-            responses = _submit_doctor_rounds(gateway, doctor, tables, rounds=3)
-            assert pool.join_idle(timeout=60.0)
-        assert all(response.ok for response in responses)
-        assert gateway.metrics()["transport"]["pump"]["commits"] >= 1
-
-
 class TestReadsAndMetrics:
     def test_unfiltered_commits_use_the_all_key(self, topology_gateway):
         """Every commit is counted in the one pump record, read at
@@ -365,7 +324,7 @@ class TestReadsAndMetrics:
 
 class TestServingHooks:
     """The terminal/enqueue hooks and the interleave metrics added for the
-    async transport and the event-driven worker pool."""
+    async transport."""
 
     def test_terminal_listener_fires_for_every_terminal_status(self, paper_gateway):
         gateway = paper_gateway
@@ -428,19 +387,3 @@ class TestServingHooks:
         assert stats["rate"] == 2.0 and stats["burst"] == 4.0
         assert 0 <= stats["tokens_available"] <= 4.0
         assert stats["closed"] is False
-
-    def test_join_idle_wakes_on_terminal_not_polling(self, topology_gateway):
-        gateway = topology_gateway
-        tables = {f"patient-{mid.split(':')[1]}": mid
-                  for mid in gateway.system.agreement_ids}
-        sessions = {peer: gateway.open_session(peer) for peer in tables}
-        with GatewayWorkerPool(gateway, workers=2) as pool:
-            for peer, metadata_id in sorted(tables.items()):
-                patient_id = int(metadata_id.split(":")[1])
-                gateway.submit(sessions[peer], UpdateEntryRequest(
-                    metadata_id, (patient_id,), {"clinical_data": "evented"}))
-            assert pool.join_idle(timeout=30.0)
-            assert gateway.outstanding_writes == 0
-        # Idle pool with an empty queue parks on the enqueue event and still
-        # shuts down cleanly (stop() wakes it) — reaching here proves it.
-        assert not pool.running

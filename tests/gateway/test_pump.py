@@ -1,9 +1,9 @@
 """The commit pump is written once: one seal rule, one record, one drain.
 
-Regression tests for the three ways the sync loop, the worker pool and the
-asyncio pump used to disagree (a capacity-bound queue the async pump never
-sealed, replicas left behind after an async drain, two trigger counts for one
-run), plus the rule itself and ``close()``.
+Regression tests for the three ways the sync loop, the (since removed)
+threaded worker pool and the asyncio pump used to disagree (a capacity-bound
+queue the async pump never sealed, replicas left behind after an async drain,
+two trigger counts for one run), plus the rule itself and ``close()``.
 """
 
 import asyncio
@@ -21,7 +21,6 @@ from repro.cli import run_gateway_loadtest
 from repro.config import DurabilityConfig, ReplicationConfig, SystemConfig
 from repro.gateway import (
     AsyncSharingGateway,
-    GatewayWorkerPool,
     ReadViewRequest,
     SharingGateway,
     STATUS_OK,
@@ -201,18 +200,6 @@ class TestEveryFrontEndQuiescesAlike:
 
         run(scenario())
 
-    def test_pool_join_idle_force_ships(self, tmp_path):
-        system = replicated_system(tmp_path)
-        gateway = SharingGateway(system)
-        with GatewayWorkerPool(gateway, workers=2) as pool:
-            for index in range(3):
-                for peer, metadata_id in tenant_tables(system):
-                    gateway.submit(gateway.open_session(peer),
-                                   update_for(metadata_id, f"v{index}"))
-            assert pool.join_idle(timeout=WAIT)
-            assert_replicas_equal_primary(system, gateway)
-        system.close()
-
     def test_async_loadtest_replicas_converge(self):
         result = run_gateway_loadtest(tenants=4, duration=10, replicas=2,
                                       replica_ship_interval=1000,
@@ -255,23 +242,6 @@ class TestOneRecord:
                 pump["triggers"], 4, 1)
 
         run(scenario())
-
-    def test_pool_views_equal_the_record(self):
-        system = self.doomed_system()
-        gateway = SharingGateway(system)
-        with GatewayWorkerPool(gateway, workers=2) as pool:
-            for peer, metadata_id in tenant_tables(system):
-                gateway.submit(gateway.open_session(peer),
-                               update_for(metadata_id, "v"))
-                assert pool.join_idle(timeout=WAIT)
-        pump = gateway.metrics()["transport"]["pump"]
-        assert pool.batches_committed == pump["commits"] == 2
-        assert pool.errors == pump["errors"]
-        assert len(pump["errors"]) == 1 and "injected" in pump["errors"][0]
-        # Workers are always-idle drivers: each batch was sealed the moment
-        # it was queued.
-        assert pump["triggers"]["idle"] == 2
-
 
 class TestClose:
     def test_gateway_and_system_close_are_idempotent(self, tmp_path):

@@ -243,53 +243,6 @@ class TestCrossPeerFolding:
         for table in tables:
             assert depths[router.shard_of(table)] >= 1
 
-    def test_snapshots_survive_concurrent_queue_churn(self):
-        """Per-shard depth (and the other iterating snapshots) must not blow
-        up with 'deque mutated during iteration' while enqueue/plan churn the
-        queue from another thread — that error killed lane pumps silently."""
-        import threading
-
-        from repro.ledger.sharding import ShardRouter
-
-        scheduler = WriteScheduler(max_batch_size=4)
-        router = ShardRouter(4)
-        errors = []
-        done = threading.Event()
-
-        def churn():
-            try:
-                for index in range(3000):
-                    scheduler.enqueue(_write(
-                        f"r{index}", f"p{index % 3}",
-                        _update(f"T{index % 5}", (index,))))
-                    if index % 5 == 0:
-                        scheduler.plan()
-            except Exception as exc:  # noqa: BLE001 - recorded for the assert
-                errors.append(exc)
-            finally:
-                done.set()
-
-        def snapshot():
-            try:
-                while not done.is_set():
-                    depths = scheduler.queue_depth_by_shard(router)
-                    # Each snapshot is internally consistent; counts across
-                    # *separate* snapshots may differ (the queue moves on).
-                    assert sum(depths.values()) >= 0
-                    scheduler.pending()
-                    scheduler.queued_by_tenant()
-            except Exception as exc:  # noqa: BLE001 - recorded for the assert
-                errors.append(exc)
-
-        threads = ([threading.Thread(target=churn)]
-                   + [threading.Thread(target=snapshot) for _ in range(2)])
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-
-
 class TestLimits:
     def test_max_batch_size_bounds_the_plan(self):
         scheduler = WriteScheduler(max_batch_size=2)

@@ -182,11 +182,15 @@ class TestWorkflowRobustness:
 
         if driver == "sequential":
             system = build_paper_scenario()
+            system.coordinator.subscribe_shared_diff(listener)
             inject(system.server_app("doctor"))
             with pytest.raises(WorkflowError, match=message):
                 system.coordinator.update_shared_entry(
                     "researcher", DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
                     {"mechanism_of_action": "MeA1-v2"})
+            # The researcher's side was installed before the fault:
+            # listeners hear about it, without a diff.
+            assert notified == [(DOCTOR_RESEARCHER_TABLE, None)]
             return
 
         if driver == "batch":
@@ -257,16 +261,23 @@ class TestWorkflowRobustness:
             healthy = [leg for leg in legs if leg != f"patient-{victim}"]
             assert actors("notified") == actors("fetch_data") == healthy
             assert actors("acknowledge") == []
-            # The hospital group itself was installed on both sides:
-            # listeners still hear about it, without a diff.
+            # Every leg's view and the hospital group itself were installed:
+            # listeners hear about each, without a diff.
             assert not trace.succeeded
-            assert notified == [(HOSPITAL_TABLE_ID, None)]
+            assert notified == [(f"D13&D31:{patient_id}", None)
+                                for patient_id in patient_ids] + [
+                (HOSPITAL_TABLE_ID, None)]
         else:
             # Legs are confirmed in sorted order up to the failing one.
             assert actors("notified") == actors("fetch_data") == legs
             assert actors("acknowledge") == legs[:2]
+            # The first leg finished; the failing leg and every later one
+            # are installed but unfinished, so they go without a diff.
             assert [mid for mid, _diff in notified] == [
-                f"D13&D31:{patient_ids[0]}", HOSPITAL_TABLE_ID]
+                f"D13&D31:{patient_id}" for patient_id in patient_ids] + [
+                HOSPITAL_TABLE_ID]
+            assert notified[0][1] is not None
+            assert all(diff is None for _mid, diff in notified[1:])
             # The first leg's confirmation must not leave the group marked
             # successful: listeners drop the hospital views instead of
             # patching them.
@@ -338,6 +349,43 @@ class TestWorkflowRobustness:
         assert ({row["mechanism_of_action"] for row in read.payload["table"]["rows"]}
                 == {row["mechanism_of_action"] for row in stored.rows}
                 == {"MeA-fanout"})
+
+    def test_a_failed_cascade_announces_every_installed_leg(self):
+        """When one patient's acknowledgement fails inside a parallel
+        cascade, the failing leg's view and every later leg's view are
+        already installed: each is announced to the change listeners, the
+        failing one without a diff."""
+        system = build_join_topology_system(
+            TopologySpec(patients=12, researchers=0, distinct_medications=3,
+                         first_patient_id=1008),
+            SystemConfig(
+                ledger=LedgerConfig(
+                    consensus=ConsensusConfig(kind="poa", block_interval=1.0),
+                    max_transactions_per_block=16, consensus_shards=5),
+                network=NetworkConfig(base_latency=0.002, latency_jitter=0.001)))
+        announced = {}
+        system.coordinator.subscribe_shared_diff(
+            lambda metadata_id, _operation, _peers, diff:
+            announced.setdefault(metadata_id, diff))
+        gateway = SharingGateway(system)
+        _medication, patient_ids = max(patients_by_medication(system).items(),
+                                       key=lambda item: len(item[1]))
+        victim_view = f"D13&D31:{patient_ids[1]}"
+        _break_acknowledgement(system.server_app(f"patient-{patient_ids[1]}"))
+        hospital = gateway.open_session("hospital")
+        responses = [gateway.submit(hospital, UpdateEntryRequest(
+            metadata_id=HOSPITAL_TABLE_ID, key=(patient_id,),
+            updates={"mechanism_of_action": "MeA-fanout"}))
+            for patient_id in patient_ids]
+        gateway.drain()
+        assert {response.status for response in responses} == {"rejected"}
+        later_views = [f"D13&D31:{patient_id}" for patient_id in patient_ids[2:]]
+        assert later_views
+        for view in [victim_view] + later_views:
+            assert view in announced, view
+            stored = system.peer(f"patient-{view.split(':')[1]}").shared_table(view)
+            assert {row["mechanism_of_action"] for row in stored.rows} == {"MeA-fanout"}
+        assert announced[victim_view] is None
 
 
 class TestLawChecking:

@@ -11,8 +11,8 @@ exact injection points chaos soaks use.  The contracts under test:
 * the :class:`ViewCache` never keeps a half-patched entry: views touched by
   a failed commit are dropped wholesale and the next read repopulates them
   from the installed tables;
-* the :class:`GatewayWorkerPool` and the async commit pump both survive the
-  failure, record it observably, and keep serving subsequent commits;
+* the async commit pump survives the failure, records it observably, and
+  keeps serving subsequent commits;
 * the same transient faults are *absorbed* once a retry policy is attached.
 """
 
@@ -25,7 +25,6 @@ from repro.config import SystemConfig
 from repro.errors import InjectedFault, TransientFault
 from repro.gateway import (
     AsyncSharingGateway,
-    GatewayWorkerPool,
     ReadViewRequest,
     SharingGateway,
     STATUS_ERROR,
@@ -144,39 +143,13 @@ class TestSyncCommitBlowup:
         assert system.all_shared_tables_consistent()
 
 
-class TestWorkerPoolSurvival:
-    def test_pool_records_error_and_keeps_draining(self):
-        system = build_system(patients=2)
-        tables = tenant_tables(system)
-        gateway = SharingGateway(system)
-        sessions = {peer: gateway.open_session(peer) for peer in tables}
-        injector = inject(system, FaultSpec(kind="commit.fail", max_fires=1))
-        (peer_a, table_a), (peer_b, table_b) = sorted(tables.items())
-        with GatewayWorkerPool(gateway, workers=2) as pool:
-            doomed = gateway.submit(sessions[peer_a], update_for(table_a, "doomed"))
-            assert pool.join_idle(timeout=30.0)
-            # The failure is recorded, the member is terminal, the pool lives.
-            assert pool.errors and "injected" in pool.errors[0]
-            assert doomed.status == STATUS_ERROR
-            assert pool.running
-            # And the pool still commits follow-up work (the fire budget is
-            # spent, so the next batch sails through).
-            survivor = gateway.submit(sessions[peer_b], update_for(table_b, "ok"))
-            assert pool.join_idle(timeout=30.0)
-            assert survivor.status == STATUS_OK
-        assert injector.events_by_kind() == {"commit.fail": 1}
-        patient_id = int(table_b.split(":")[1])
-        view = system.peer(peer_b).shared_table(table_b)
-        assert view.get((patient_id,))["clinical_data"] == "ok"
-
-
 class TestCommitPumpSurvival:
     def test_pump_records_error_and_keeps_pumping(self):
         async def scenario():
             system = build_system(patients=2)
             tables = tenant_tables(system)
             gateway = SharingGateway(system)
-            inject(system, FaultSpec(kind="commit.fail", max_fires=1))
+            injector = inject(system, FaultSpec(kind="commit.fail", max_fires=1))
             (peer_a, table_a), (peer_b, table_b) = sorted(tables.items())
             async with AsyncSharingGateway(gateway, seal_depth=1) as front:
                 session_a = front.open_session(peer_a)
@@ -185,17 +158,17 @@ class TestCommitPumpSurvival:
                     front.submit(session_a, update_for(table_a, "doomed")), 30)
                 assert doomed.status == STATUS_ERROR
                 assert "injected" in doomed.error
-                # The pump survived the blow-up and recorded it (the future
-                # resolves a beat before the pump's executor await returns,
-                # so give the recording a moment).
+                # The pump survived the blow-up and recorded it.
                 assert front.running
-                while not front.commit_errors:
-                    await asyncio.sleep(0.001)
                 assert "injected" in front.commit_errors[0]
                 survivor = await asyncio.wait_for(
                     front.submit(session_b, update_for(table_b, "ok")), 30)
                 assert survivor.status == STATUS_OK
                 assert front.running
+            assert injector.events_by_kind() == {"commit.fail": 1}
+            patient_id = int(table_b.split(":")[1])
+            view = system.peer(peer_b).shared_table(table_b)
+            assert view.get((patient_id,))["clinical_data"] == "ok"
             assert system.all_shared_tables_consistent()
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=90))

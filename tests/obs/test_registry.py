@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core.scenario import DOCTOR_RESEARCHER_TABLE
@@ -75,25 +73,6 @@ class TestGauge:
         gauge.add(1)
         assert registry.snapshot()["gauges"] == {"outstanding": 1}
         assert gauge.peak == 1
-
-    def test_peak_thread_safe_under_contention(self):
-        gauge = Gauge()
-        barrier = threading.Barrier(4)
-
-        def hammer():
-            barrier.wait(timeout=10)
-            for _ in range(2_000):
-                gauge.add(1)
-                gauge.add(-1)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert gauge.value == 0
-        assert 1 <= gauge.peak <= 4
-
 
 class TestHistogram:
     def test_empty_histogram(self):

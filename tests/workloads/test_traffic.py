@@ -70,49 +70,12 @@ class TestOpenLoop:
 
 
 class TestAsyncReplay:
-    def test_replay_open_loop_advances_clock_and_collects_futures(self, topology_system):
-        import asyncio
-
-        from repro.workloads.traffic import replay_open_loop
-
-        profiles = default_tenant_profiles(topology_system, request_rate=2.0)
-        arrivals = TrafficGenerator(topology_system, seed=9).open_loop(
-            profiles, duration=5.0, start_time=1_000.0)
-
-        class FakeClock:
-            def __init__(self):
-                self.times = []
-
-            def advance_to(self, timestamp):
-                self.times.append(timestamp)
-
-        clock = FakeClock()
-        submitted = []
-
-        async def scenario():
-            loop = asyncio.get_running_loop()
-
-            def submit(timed):
-                submitted.append(timed)
-                future = loop.create_future()
-                future.set_result(timed.tenant)
-                return future
-
-            return await replay_open_loop(arrivals, submit, clock)
-
-        futures = asyncio.run(scenario())
-        assert len(futures) == len(arrivals) == len(submitted)
-        # The clock was advanced to every arrival, in trace order.
-        assert clock.times == [timed.arrival_time for timed in arrivals]
-        assert submitted == list(arrivals)
-
     def test_replay_through_async_gateway_end_to_end(self, topology_system):
         import asyncio
 
         from repro.config import SystemConfig
         from repro.gateway import AsyncSharingGateway, SharingGateway
         from repro.workloads.topology import TopologySpec, build_topology_system
-        from repro.workloads.traffic import replay_open_loop
 
         system = build_topology_system(TopologySpec(patients=2, researchers=0),
                                        SystemConfig.private_chain(1.0))
@@ -127,16 +90,19 @@ class TestAsyncReplay:
         async def scenario():
             async with AsyncSharingGateway(gateway, seal_depth=4,
                                            max_delay=1.0) as front:
-                futures = await replay_open_loop(
-                    arrivals,
-                    lambda timed: front.submit_nowait(sessions[timed.tenant],
-                                                      timed.request),
-                    clock)
-                await front.drain()
+                futures = await front.replay(arrivals, sessions)
+                # The replay ends with a flush: nothing is left queued.
+                assert gateway.queue_depth == 0
                 return await asyncio.gather(*futures)
 
         responses = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
-        assert len(responses) == len(arrivals)
+        # One future per arrival, in trace order, each admitted no earlier
+        # than its arrival time.
+        assert [response.tenant for response in responses] == [
+            timed.tenant for timed in arrivals]
+        assert all(response.enqueued_at >= timed.arrival_time
+                   for response, timed in zip(responses, arrivals))
+        assert clock.now() >= arrivals[-1].arrival_time
         assert all(response.terminal for response in responses)
         assert all(response.ok for response in responses)
         assert system.all_shared_tables_consistent()
