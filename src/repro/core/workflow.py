@@ -412,7 +412,9 @@ class UpdateCoordinator:
         one ``tx-batch`` flood, the driver's choice — then everything pending
         is mined.  Returns the number of blocks produced."""
         if self.before_round is not None:
-            self.before_round()
+            # What the hook admits is not part of this commit's trace.
+            with self.tracer.detached():
+                self.before_round()
         with self.tracer.span("consensus.round", phase=phase, **attrs) as span:
             submit(*submission)
             blocks = self._mine()

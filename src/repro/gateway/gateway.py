@@ -904,7 +904,9 @@ class SharingGateway:
             commit_started = self.system.simulator.clock.now()
             try:
                 result = self.system.coordinator.commit_entry_batch(plan.groups)
-            except ReproError as exc:
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                # Any failure, not just the protocol's: a round hook's own
+                # error must not strand the batch at QUEUED either.
                 self._resolve_all_failed(plan, str(exc))
                 raise
             finally:

@@ -12,7 +12,8 @@ Parent/child links come from one span stack: entering a span pushes it, so
 any span opened while it is active becomes its child and inherits its
 ``trace_id``.  A batch commit is a root of its own — the gateway stitches
 causality back together by stamping the batch ``trace_id`` and member
-request ids onto the commit span explicitly.
+request ids onto the commit span explicitly.  So is an admission, even one
+made at a commit's round boundary (:meth:`Tracer.detached`).
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose ``span`` returns
 a shared no-op context manager: instrumentation costs one attribute load and
@@ -21,6 +22,7 @@ one call when tracing is off.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -160,6 +162,9 @@ class NullTracer:
              **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
 
+    def detached(self) -> _NullSpan:
+        return _NULL_SPAN
+
     def spans(self) -> Tuple[Span, ...]:
         return ()
 
@@ -217,6 +222,17 @@ class Tracer:
         roots without one stay ``None`` until :meth:`Span.set_trace_id`.
         """
         return Span(self, next(self._ids), name, trace_id, attrs)
+
+    @contextlib.contextmanager
+    def detached(self) -> Iterator[None]:
+        """Spans opened inside are roots: the open spans are set aside and
+        restored on exit.  For work that runs inside a span without being
+        part of it — an arrival admitted at a commit's round boundary."""
+        outer, self._stack = self._stack, []
+        try:
+            yield
+        finally:
+            self._stack = outer
 
     def current_span(self) -> Optional[Span]:
         """The innermost open span, if any."""

@@ -24,9 +24,9 @@ protocol errors regardless of the medium underneath:
 from __future__ import annotations
 
 import select
-from collections import deque
 import socket
 import time
+from collections import deque
 from typing import Any, Deque, Dict, Optional
 
 from repro.errors import CodecError, FleetProtocolError, ReceiveTimeout

@@ -12,6 +12,14 @@ import threading
 import pytest
 
 from repro.cli import run_gateway_loadtest
+from repro.config import ConsensusConfig, LedgerConfig, SystemConfig
+from repro.gateway import SharingGateway, UpdateEntryRequest
+from repro.workloads.topology import (
+    HOSPITAL_TABLE_ID,
+    TopologySpec,
+    build_join_topology_system,
+    patients_by_medication,
+)
 
 
 def _refuse_to_start(thread):
@@ -22,7 +30,8 @@ def _refuse_to_start(thread):
     {},
     {"transport": "async"},
     {"processes": 2, "fleet_mode": "loopback"},
-], ids=["sync", "async", "loopback-fleet"])
+    {"transport": "async", "replicas": 2},
+], ids=["sync", "async", "loopback-fleet", "async-replicated"])
 def test_loadtest_starts_no_thread(monkeypatch, options):
     monkeypatch.setattr(threading.Thread, "start", _refuse_to_start)
     result = run_gateway_loadtest(tenants=4, duration=6, **options)
@@ -30,4 +39,38 @@ def test_loadtest_starts_no_thread(monkeypatch, options):
     if committed is None:
         committed = result["metrics"]["batches"]["writes_committed"]
     assert committed > 0
+    assert threading.active_count() == 1
+
+
+def test_parallel_cascade_starts_no_thread(monkeypatch):
+    """A hospital write fans out to one view per patient over five consensus
+    lanes: the parallel cascade driver runs every lane group in turn."""
+    system = build_join_topology_system(
+        TopologySpec(patients=12, researchers=0, distinct_medications=3,
+                     first_patient_id=1008),
+        SystemConfig(ledger=LedgerConfig(
+            consensus=ConsensusConfig(kind="poa", block_interval=1.0),
+            max_transactions_per_block=16, consensus_shards=5)))
+    coordinator = system.coordinator
+    parallel_runs = []
+    cascade_parallel = coordinator._cascade_parallel
+    monkeypatch.setattr(coordinator, "_cascade_parallel",
+                        lambda legs: parallel_runs.append(len(legs))
+                        or cascade_parallel(legs))
+    monkeypatch.setattr(threading.Thread, "start", _refuse_to_start)
+    gateway = SharingGateway(system)
+    _medication, patient_ids = max(patients_by_medication(system).items(),
+                                   key=lambda item: len(item[1]))
+    hospital = gateway.open_session("hospital")
+    responses = [gateway.submit(hospital, UpdateEntryRequest(
+        metadata_id=HOSPITAL_TABLE_ID, key=(patient_id,),
+        updates={"mechanism_of_action": "MeA-one-thread"}))
+        for patient_id in patient_ids]
+    gateway.drain()
+    assert all(response.ok for response in responses)
+    assert parallel_runs and max(parallel_runs) > 1
+    for patient_id in patient_ids:
+        view = f"D13&D31:{patient_id}"
+        stored = system.peer(f"patient-{patient_id}").shared_table(view)
+        assert {row["mechanism_of_action"] for row in stored.rows} == {"MeA-one-thread"}
     assert threading.active_count() == 1

@@ -1,6 +1,7 @@
 """The asyncio gateway transport: futures, commit pump, triggers, parity."""
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,8 +18,13 @@ from repro.gateway import (
     STATUS_THROTTLED,
     UpdateEntryRequest,
 )
+from repro.obs import Tracer
 from repro.workloads.topology import TopologySpec, build_topology_system
-from repro.workloads.traffic import TrafficGenerator, default_tenant_profiles
+from repro.workloads.traffic import (
+    TimedRequest,
+    TrafficGenerator,
+    default_tenant_profiles,
+)
 
 #: Generous real-time bound for awaiting pump-driven commits in tests.
 WAIT = 30.0
@@ -49,6 +55,33 @@ def update_for(metadata_id, tag):
     patient_id = int(metadata_id.split(":")[1])
     return UpdateEntryRequest(metadata_id=metadata_id, key=(patient_id,),
                               updates={"clinical_data": tag})
+
+
+def replay_seeded_trace(seed, traced=False, on_terminal=None):
+    """Replay one seeded open-loop trace (3 patients, a quarter reads)
+    through a depth-1 async front end and await every response."""
+    system = build_system(patients=3)
+    tracer = Tracer(system.simulator.clock) if traced else None
+    gateway = SharingGateway(system, max_batch_size=16, tracer=tracer)
+    if on_terminal is not None:
+        gateway.subscribe_terminal(
+            lambda response: on_terminal(gateway, response))
+    clock = system.simulator.clock
+    profiles = default_tenant_profiles(system, request_rate=1.0, read_fraction=0.25)
+    arrivals = TrafficGenerator(system, seed=seed).open_loop(
+        profiles, duration=6.0, start_time=clock.now())
+    sessions = {profile.peer: gateway.open_session(profile.peer)
+                for profile in profiles}
+
+    async def scenario():
+        async with AsyncSharingGateway(gateway, seal_depth=1) as front:
+            futures = await front.replay(arrivals, sessions)
+            return await asyncio.gather(*futures), front.statistics()
+
+    responses, statistics = run(scenario())
+    return SimpleNamespace(system=system, gateway=gateway, tracer=tracer,
+                           arrivals=arrivals, responses=responses,
+                           statistics=statistics)
 
 
 class TestConstruction:
@@ -297,30 +330,15 @@ class TestInterleaving:
         the number admitted during commits is one exact value."""
 
         def replay():
-            system = build_system(patients=3)
-            gateway = SharingGateway(system, max_batch_size=16)
-            clock = system.simulator.clock
-            profiles = default_tenant_profiles(system, request_rate=1.0,
-                                               read_fraction=0.25)
-            arrivals = TrafficGenerator(system, seed=5).open_loop(
-                profiles, duration=6.0, start_time=clock.now())
-            sessions = {profile.peer: gateway.open_session(profile.peer)
-                        for profile in profiles}
-
-            async def scenario():
-                async with AsyncSharingGateway(gateway, seal_depth=1) as front:
-                    futures = await front.replay(arrivals, sessions)
-                    return await asyncio.gather(*futures), front.sealed_by
-
-            responses, sealed_by = run(scenario())
-            assert [response.tenant for response in responses] == [
-                timed.tenant for timed in arrivals]
-            assert all(response.ok for response in responses)
-            assert system.all_shared_tables_consistent()
-            transport = gateway.metrics()["transport"]
+            replayed = replay_seeded_trace(seed=5)
+            assert [response.tenant for response in replayed.responses] == [
+                timed.tenant for timed in replayed.arrivals]
+            assert all(response.ok for response in replayed.responses)
+            assert replayed.system.all_shared_tables_consistent()
+            transport = replayed.gateway.metrics()["transport"]
             assert transport["commits_in_flight"] == 0
-            return (len(arrivals), transport["admitted_during_commit"],
-                    transport["pump"]["commits"], sealed_by)
+            return (len(replayed.arrivals), transport["admitted_during_commit"],
+                    transport["pump"]["commits"], replayed.statistics["sealed_by"])
 
         sealed = {"depth": 7, "deadline": 0, "idle": 0, "flush": 0}
         assert replay() == replay() == (20, 18, 7, sealed)
@@ -385,6 +403,140 @@ class TestInterleaving:
             assert view.get((patient_id,))["clinical_data"] == "seq-4"
 
         run(scenario())
+
+
+class TestReplay:
+    def test_the_outcome_is_a_function_of_the_seed(self):
+        def outcome(seed):
+            replayed = replay_seeded_trace(seed=seed)
+            return (
+                [(response.request_id, response.status, response.enqueued_at,
+                  response.completed_at) for response in replayed.responses],
+                replayed.gateway.metrics()["transport"]["admitted_during_commit"],
+                replayed.statistics["sealed_by"],
+                {metadata_id: replayed.system.peer(f"patient-{metadata_id.split(':')[1]}")
+                 .shared_table(metadata_id).fingerprint()
+                 for metadata_id in replayed.system.agreement_ids},
+            )
+
+        first = outcome(5)
+        assert outcome(5) == first
+        assert outcome(6) == outcome(6) != first
+
+    def test_reads_admitted_inside_a_commit_are_served_after_it(self):
+        """A read admitted at a round boundary would otherwise see a commit
+        half installed: it is held until that commit has finished."""
+        served_in_commit = []
+
+        def on_terminal(gateway, response):
+            if response.kind == "read-view":
+                served_in_commit.append(gateway.commits_in_flight)
+
+        replayed = replay_seeded_trace(seed=5, on_terminal=on_terminal)
+        assert replayed.statistics["reads_in_flight_peak"] == 3
+        assert replayed.statistics["reads_in_flight"] == 0
+        reads = [response for response in replayed.responses
+                 if response.kind == "read-view"]
+        assert reads and all(response.ok for response in reads)
+        assert served_in_commit == [0] * len(reads)
+
+    def test_admissions_at_round_boundaries_are_trace_roots(self):
+        """An arrival admitted while a commit mines is not part of that
+        commit: its admission span is a root with its own trace id, and the
+        whole span set stays structurally sound."""
+        replayed = replay_seeded_trace(seed=5, traced=True)
+        assert replayed.gateway.metrics()["transport"]["admitted_during_commit"] == 18
+        spans = replayed.tracer.spans()
+        ids = [span.span_id for span in spans]
+        assert len(ids) == len(set(ids))
+        by_id = {span.span_id: span for span in spans}
+        admits = [span for span in spans if span.name == "gateway.admit"]
+        assert len(admits) == len(replayed.arrivals)
+        for span in admits:
+            assert span.parent_id is None
+            assert span.trace_id == span.attrs["request_id"]
+        for span in spans:
+            assert span.sim_end >= span.sim_start
+            if span.parent_id is not None:
+                parent = by_id[span.parent_id]
+                assert parent.sim_start <= span.sim_start
+                assert span.sim_end <= parent.sim_end
+        members = {request_id for span in spans if span.name == "gateway.commit"
+                   for request_id in span.attrs.get("requests", ())}
+        writes = {response.request_id for response in replayed.responses
+                  if response.kind != "read-view"}
+        assert writes <= members
+
+    def test_removes_its_round_hook_when_it_fails(self):
+        system = build_system(patients=3)
+        gateway = SharingGateway(system, max_batch_size=16)
+        profiles = default_tenant_profiles(system, request_rate=1.0, read_fraction=0.25)
+        arrivals = TrafficGenerator(system, seed=5).open_loop(
+            profiles, duration=6.0, start_time=system.simulator.clock.now())
+        # No session for the first arrival's tenant: the replay fails at once.
+        sessions = {profile.peer: gateway.open_session(profile.peer)
+                    for profile in profiles if profile.peer != arrivals[0].tenant}
+
+        async def scenario():
+            async with AsyncSharingGateway(gateway, seal_depth=1) as front:
+                with pytest.raises(KeyError):
+                    await front.replay(arrivals, sessions)
+                assert system.coordinator.before_round is None
+                servable = [timed for timed in arrivals if timed.tenant in sessions]
+                futures = await front.replay(servable[:1], sessions)
+                return await asyncio.gather(*futures)
+
+        (response,) = run(scenario())
+        assert response.ok
+        assert system.coordinator.before_round is None
+
+    def test_interleaved_reads_never_observe_a_torn_patch(self):
+        """Each write sets two columns to one tag in one edit, and reads of
+        every table arrive between the writes — many of them inside a
+        commit.  No read may see the two columns disagree, and afterwards
+        every cached view equals a freshly materialised one."""
+        rounds = 6
+        system = build_system(patients=2)
+        tables = tenant_tables(system)
+        gateway = SharingGateway(system, max_batch_size=4)
+        sessions = {"doctor": gateway.open_session("doctor")}
+        start = system.simulator.clock.now()
+        arrivals = []
+        for round_index in range(rounds):
+            at = start + 0.5 * round_index
+            for metadata_id in sorted(tables.values()):
+                patient_id = int(metadata_id.split(":")[1])
+                tag = f"tag-{round_index}"
+                arrivals.append(TimedRequest(at, "doctor", UpdateEntryRequest(
+                    metadata_id=metadata_id, key=(patient_id,),
+                    updates={"clinical_data": tag, "dosage": tag})))
+                arrivals.append(TimedRequest(at + 0.25, "doctor",
+                                             ReadViewRequest(metadata_id)))
+        arrivals.sort(key=lambda timed: timed.arrival_time)
+
+        async def scenario():
+            async with AsyncSharingGateway(gateway, seal_depth=2) as front:
+                futures = await front.replay(arrivals, sessions)
+                return await asyncio.gather(*futures), front.statistics()
+
+        responses, statistics = run(scenario())
+        assert all(response.status == STATUS_OK for response in responses)
+        assert statistics["reads_in_flight_peak"] > 0
+        torn = [(row["clinical_data"], row["dosage"])
+                for response in responses if response.kind == "read-view"
+                for row in response.payload["table"]["rows"]
+                if row["clinical_data"].startswith("tag-")
+                and row["dosage"] != row["clinical_data"]]
+        assert torn == []
+        final_tag = f"tag-{rounds - 1}"
+        for peer, metadata_id in tables.items():
+            fresh = system.coordinator.read_shared_data(peer, metadata_id)
+            cached = gateway.cache.peek(peer, metadata_id)
+            if cached is not None:
+                assert cached.fingerprint() == fresh.fingerprint()
+            patient_id = int(metadata_id.split(":")[1])
+            assert fresh.get((patient_id,))["clinical_data"] == final_tag
+        assert system.all_shared_tables_consistent()
 
 
 class TestStatistics:

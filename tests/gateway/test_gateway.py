@@ -1,4 +1,4 @@
-"""End-to-end gateway behaviour: batching, contention, workers, metrics."""
+"""End-to-end gateway behaviour: batching, contention, serving hooks, metrics."""
 
 import pytest
 
@@ -238,6 +238,29 @@ class TestContention:
         assert "synthetic commit failure" in response.error
         assert gateway.outstanding_writes == 0
 
+    def test_a_round_hook_failure_terminal_fails_every_member(self, paper_gateway):
+        """A commit that fails with an error from outside the protocol — here
+        the round hook's — still gives every member a terminal status."""
+        from repro.gateway.requests import STATUS_ERROR
+
+        gateway = paper_gateway
+        doctor = gateway.open_session("doctor")
+        response = gateway.submit(doctor, UpdateEntryRequest(
+            PATIENT_DOCTOR_TABLE, (188,), {"dosage": "x"}))
+
+        def unknown_tenant():
+            raise KeyError("patient-9")
+
+        gateway.system.coordinator.before_round = unknown_tenant
+        try:
+            gateway.pump_once("depth")
+        finally:
+            gateway.system.coordinator.before_round = None
+        assert response.status == STATUS_ERROR
+        assert "patient-9" in response.error
+        assert gateway.outstanding_writes == 0
+        assert gateway.pump_record()["errors"] == ["KeyError: 'patient-9'"]
+
     def test_batch_with_duplicate_tables_is_refused_by_coordinator(self, paper_gateway):
         coordinator = paper_gateway.system.coordinator
         group = BatchGroup(peer="doctor", metadata_id=PATIENT_DOCTOR_TABLE,
@@ -375,6 +398,41 @@ class TestServingHooks:
         assert transport["commits_in_flight_peak"] == 1
         assert transport["outstanding_writes_peak"] >= 1
         assert gateway.metrics()["queue"]["outstanding_writes"] == 0
+
+    def test_write_admitted_at_a_round_boundary_rides_the_next_batch(
+            self, paper_gateway):
+        """A write admitted by the coordinator's ``before_round`` hook (the
+        async replay's admission point) arrives while a commit is mining:
+        it counts as admitted during the commit and waits for the next
+        batch instead of joining the one in flight."""
+        gateway = paper_gateway
+        researcher = gateway.open_session("researcher")
+        first = gateway.submit(researcher, UpdateEntryRequest(
+            DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
+            {"mechanism_of_action": "MeA1-first"}))
+        late = []
+
+        def admit_once():
+            if not late:
+                late.append(gateway.submit(researcher, UpdateEntryRequest(
+                    DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
+                    {"mechanism_of_action": "MeA1-late"})))
+
+        gateway.system.coordinator.before_round = admit_once
+        try:
+            result = gateway.commit_once()
+        finally:
+            gateway.system.coordinator.before_round = None
+        assert result.accepted == 1
+        assert first.status == STATUS_OK
+        (response,) = late
+        assert response.status == STATUS_QUEUED
+        assert gateway.queue_depth == 1
+        assert gateway.metrics()["transport"]["admitted_during_commit"] == 1
+        assert gateway.drain() == 1
+        assert response.status == STATUS_OK
+        stored = gateway.system.peer("doctor").shared_table(DOCTOR_RESEARCHER_TABLE)
+        assert stored.get(("Ibuprofen",))["mechanism_of_action"] == "MeA1-late"
 
     def test_session_statistics_snapshot(self, paper_gateway):
         gateway = paper_gateway

@@ -243,6 +243,33 @@ class TestCrossPeerFolding:
         for table in tables:
             assert depths[router.shard_of(table)] >= 1
 
+    def test_snapshots_agree_with_the_queue_through_churn(self):
+        """The per-tenant counts are kept incrementally as writes enqueue and
+        plans dequeue; after every step each snapshot must still describe
+        exactly the queued writes."""
+        from collections import Counter
+
+        from repro.ledger.sharding import ShardRouter
+
+        scheduler = WriteScheduler(max_batch_size=4)
+        router = ShardRouter(4)
+        for index in range(300):
+            scheduler.enqueue(_write(f"r{index}", f"p{index % 3}",
+                                     _update(f"T{index % 5}", (index,))))
+            if index % 5 == 0:
+                scheduler.plan()
+            pending = scheduler.pending()
+            tenants = Counter(write.tenant for write in pending)
+            assert scheduler.queued_by_tenant() == dict(sorted(tenants.items()))
+            assert scheduler.active_tenants == len(tenants)
+            assert scheduler.queue_depth == len(pending)
+            assert sum(scheduler.queue_depth_by_shard(router).values()) == len(pending)
+        while scheduler.queue_depth:
+            scheduler.plan()
+        assert scheduler.queued_by_tenant() == {}
+        assert scheduler.active_tenants == 0
+
+
 class TestLimits:
     def test_max_batch_size_bounds_the_plan(self):
         scheduler = WriteScheduler(max_batch_size=2)

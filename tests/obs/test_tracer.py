@@ -66,6 +66,38 @@ class TestSpanStructure:
         assert tracer.current_span() is None
 
 
+class TestDetached:
+    def test_spans_inside_are_roots_and_the_open_spans_return(self):
+        tracer = Tracer()
+        with tracer.span("commit", trace_id="batch-1") as commit:
+            with tracer.detached():
+                assert tracer.current_span() is None
+                with tracer.span("admit") as admit:
+                    with tracer.span("check") as check:
+                        pass
+            assert tracer.current_span() is commit
+            with tracer.span("plan") as plan:
+                pass
+        assert admit.parent_id is None and admit.trace_id is None
+        assert check.parent_id == admit.span_id
+        assert plan.parent_id == commit.span_id
+        # The detached span's time is not the commit's children's time.
+        assert commit.children_wall == plan.wall_elapsed
+
+    def test_the_open_spans_return_when_the_body_raises(self):
+        tracer = Tracer()
+        with tracer.span("commit") as commit:
+            with pytest.raises(RuntimeError):
+                with tracer.detached():
+                    with tracer.span("admit"):
+                        raise RuntimeError("boom")
+            assert tracer.current_span() is commit
+        assert tracer.current_span() is None
+        admit = next(span for span in tracer.spans() if span.name == "admit")
+        assert admit.parent_id is None
+        assert admit.attrs["error"] == "RuntimeError"
+
+
 class TestTimelines:
     def test_sim_times_come_from_the_clock(self):
         clock = FakeClock()
@@ -161,6 +193,11 @@ class TestNullTracer:
     def test_disabled_flag(self):
         assert NULL_TRACER.enabled is False
         assert Tracer().enabled is True
+
+    def test_detached_is_a_noop_context_manager(self):
+        with NULL_TRACER.detached():
+            assert NULL_TRACER.span("stage") is _NULL_SPAN
+        assert NULL_TRACER.spans() == ()
 
     def test_survives_exceptions_without_recording(self):
         with pytest.raises(ValueError):

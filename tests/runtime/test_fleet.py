@@ -2,7 +2,7 @@
 
 The multiprocess tests fork real worker processes and carry the
 ``multiprocess`` marker so CI can run them in a dedicated job under a hard
-timeout; everything else runs on in-process loopback threads.
+timeout; everything else runs the loopback placement in the test process.
 """
 
 from __future__ import annotations
@@ -108,6 +108,27 @@ class TestLoopbackParity:
         baseline = _fingerprints(runs[0])
         assert all(_fingerprints(run) == baseline for run in runs[1:])
         assert len({run.committed_writes for run in runs}) == 1
+
+    def test_loopback_serves_each_worker_in_turn(self, monkeypatch):
+        """No worker runs beside another: each slice runs to completion, in
+        spec order, before the next one starts."""
+        from repro.runtime import fleet as fleet_module
+
+        events = []
+        run_slice = fleet_module.run_worker_slice
+
+        def recording(spec):
+            events.append(("start", spec.name))
+            result = run_slice(spec)
+            events.append(("end", spec.name))
+            return result
+
+        monkeypatch.setattr(fleet_module, "run_worker_slice", recording)
+        specs = _split(6, 3, **SPEC_KWARGS)
+        result = GatewayFleet(specs, mode="loopback").run()
+        assert events == [(edge, spec.name) for spec in specs
+                          for edge in ("start", "end")]
+        assert sorted(result.workers) == sorted(spec.name for spec in specs)
 
     def test_transport_stats_track_codec(self):
         specs = [WorkerSpec("worker-0", LoadtestSpec(tenants=1, **SPEC_KWARGS))]

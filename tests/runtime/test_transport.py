@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -44,6 +45,15 @@ class TestLoopbackTransport:
         left, _right = LoopbackTransport.pair()
         with pytest.raises(FleetProtocolError, match="timed out"):
             left.receive(timeout=0.01)
+
+    def test_receive_with_nothing_queued_fails_without_waiting(self):
+        """Both ends live on one thread, so nothing can arrive while a
+        receive waits: an empty inbox fails at once, whatever the timeout."""
+        left, _right = LoopbackTransport.pair()
+        started = time.perf_counter()
+        with pytest.raises(FleetProtocolError, match="nothing is queued"):
+            left.receive(timeout=30.0)
+        assert time.perf_counter() - started < 5.0
 
     def test_statistics_count_both_directions(self):
         left, right = LoopbackTransport.pair()
