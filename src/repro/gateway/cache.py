@@ -9,6 +9,12 @@ cached views of the affected shared table are *patched in place* — only the
 touched rows are rewritten, so a single-row commit against a 10k-row view
 costs O(1) cache work and the next read is still a hit.  Only when no diff is
 available (a failed, half-installed commit) are the views dropped wholesale.
+
+Each entry is one :class:`CachedView` version.  A patch, pre-warm or
+invalidation replaces the entry and never mutates it, so the version's
+serialised forms are built at most once: the ``to_dict()`` payload on its
+first read, shared by every read of that version, and its JSON only when a
+response journal asks for it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,41 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.errors import ReproError
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.diff import TableDiff
+from repro.relational.durability import encode_payload
 from repro.relational.table import Table
+
+
+class CachedView:
+    """One installed version of a cached view: the table, its install time
+    and, built on first use, its serialised forms.
+
+    ``table_dict()`` is shared by every read served from this version, so
+    callers must treat it as read-only.  Superseded versions are dropped
+    with their memos.
+    """
+
+    __slots__ = ("table", "installed_at", "_table_dict", "_table_json")
+
+    def __init__(self, table: Table, installed_at: Optional[float]):
+        self.table = table
+        #: Simulated install/patch time (``None`` when no clock was
+        #: attached), for the degraded-read path's bounded-staleness
+        #: guarantee.
+        self.installed_at = installed_at
+        self._table_dict: Optional[dict] = None
+        self._table_json: Optional[bytes] = None
+
+    def table_dict(self) -> dict:
+        """``table.to_dict()``, built once per version."""
+        if self._table_dict is None:
+            self._table_dict = self.table.to_dict()
+        return self._table_dict
+
+    def table_json(self) -> bytes:
+        """:meth:`table_dict` as a WAL line encodes it, built once per version."""
+        if self._table_json is None:
+            self._table_json = encode_payload(self.table_dict())
+        return self._table_json
 
 
 class ViewCache:
@@ -31,22 +71,12 @@ class ViewCache:
         #: ages — are *unknown* (``None``), never 0.0: an unknown age must
         #: fail a bounded-staleness cutoff, not trivially pass it.
         self.clock = None
-        self._entries: Dict[Tuple[str, str], Table] = {}
-        #: Simulated install/patch time per entry (``None`` when no clock
-        #: was attached at install time), for the degraded-read path's
-        #: bounded-staleness guarantee.
-        self._installed_at: Dict[Tuple[str, str], Optional[float]] = {}
+        self._entries: Dict[Tuple[str, str], CachedView] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.patches = 0
         self.prewarms = 0
-        #: Per shared table, a counter bumped by every patch/invalidation.
-        #: A loaded view is only installed if no change landed while it
-        #: loaded — otherwise it could be stale and caching it would serve
-        #: stale reads forever.
-        self._generations: Dict[str, int] = {}
-        self.stale_loads_discarded = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -62,13 +92,8 @@ class ViewCache:
     # ------------------------------------------------------------------- reads
 
     def get(self, peer: str, metadata_id: str,
-            loader: Callable[[], Table]) -> Table:
-        """Return the cached view, loading (and caching) it on a miss.
-
-        The load is installed only if no patch/invalidation of the same
-        shared table happened while the loader ran (generation guard); a
-        superseded load is still returned to the caller but not cached.
-        """
+            loader: Callable[[], Table]) -> CachedView:
+        """Return the cached version, loading (and caching) it on a miss."""
         key = (peer, metadata_id)
         with self.tracer.span("cache.get", peer=peer,
                               metadata_id=metadata_id) as span:
@@ -78,73 +103,45 @@ class ViewCache:
                 span.annotate(hit=True)
                 return cached
             self.misses += 1
-            # setdefault (not get): the table must be known to the
-            # generation map while the load is in flight, so an
-            # invalidate_all() during the load bumps it and the superseded
-            # load is discarded even if the table had no cached entry yet.
-            generation = self._generations.setdefault(metadata_id, 0)
             span.annotate(hit=False)
-            view = loader()
-            if self._generations.get(metadata_id, 0) == generation:
-                self._entries[key] = view
-                self._installed_at[key] = self._now()
-            else:
-                self.stale_loads_discarded += 1
-            return view
+            cached = self._entries[key] = CachedView(loader(), self._now())
+            return cached
 
     def _now(self) -> Optional[float]:
         return self.clock.now() if self.clock is not None else None
 
-    def peek(self, peer: str, metadata_id: str) -> Optional[Table]:
+    def peek(self, peer: str, metadata_id: str) -> Optional[CachedView]:
+        """The cached version, without counting a hit or triggering a load."""
         return self._entries.get((peer, metadata_id))
 
-    def peek_entry(self, peer: str,
-                   metadata_id: str) -> Optional[Tuple[Table, Optional[float]]]:
-        """The cached view *and its age* in simulated seconds, without
-        counting a hit or triggering a load (the degraded-read path).
+    def age(self, cached: CachedView) -> Optional[float]:
+        """How long ago ``cached`` was installed, in simulated seconds.
 
-        The age is ``None`` when it cannot be measured — no clock was
-        attached when the entry was installed, or none is attached now.
-        Callers enforcing a staleness bound must treat ``None`` as *over*
-        the bound (unknown age is not fresh age).
+        ``None`` when it cannot be measured — no clock was attached when
+        the entry was installed, or none is attached now.  Callers
+        enforcing a staleness bound must treat ``None`` as *over* the bound
+        (unknown age is not fresh age).
         """
-        key = (peer, metadata_id)
-        view = self._entries.get(key)
-        if view is None:
-            return None
         now = self._now()
-        installed = self._installed_at.get(key)
-        if now is None or installed is None:
-            return view, None
-        return view, now - installed
+        if now is None or cached.installed_at is None:
+            return None
+        return now - cached.installed_at
 
     # ------------------------------------------------------------ invalidation
 
     def invalidate(self, metadata_id: str) -> int:
         """Drop every peer's cached view of ``metadata_id``; returns how many."""
-        self._bump(metadata_id)
         stale = [key for key in self._entries if key[1] == metadata_id]
         for key in stale:
             del self._entries[key]
-            self._installed_at.pop(key, None)
         self.invalidations += len(stale)
         return len(stale)
 
     def invalidate_all(self) -> int:
-        # Every *known* table, not just those with live entries: a miss
-        # registers its table before loading, so in-flight loads are
-        # superseded by this flush too.
-        for metadata_id in list(self._generations):
-            self._bump(metadata_id)
         count = len(self._entries)
         self._entries.clear()
-        self._installed_at.clear()
         self.invalidations += count
         return count
-
-    def _bump(self, metadata_id: str) -> None:
-        """Advance ``metadata_id``'s generation."""
-        self._generations[metadata_id] = self._generations.get(metadata_id, 0) + 1
 
     # ---------------------------------------------------------------- patching
 
@@ -163,20 +160,17 @@ class ViewCache:
         view a caller still holds.
         """
         with self.tracer.span("cache.patch", metadata_id=metadata_id) as span:
-            self._bump(metadata_id)
             patched = 0
             for key in [key for key in self._entries
                         if key[1] == metadata_id]:
                 try:
-                    patched_view = self._entries[key].snapshot()
+                    patched_view = self._entries[key].table.snapshot()
                     patched_view.apply_diff(diff)
                 except ReproError:
                     del self._entries[key]
-                    self._installed_at.pop(key, None)
                     self.invalidations += 1
                 else:
-                    self._entries[key] = patched_view
-                    self._installed_at[key] = self._now()
+                    self._entries[key] = CachedView(patched_view, self._now())
                     patched += 1
             self.patches += patched
             span.annotate(patched=patched)
@@ -184,20 +178,18 @@ class ViewCache:
 
     # -------------------------------------------------------------- pre-warming
 
-    def prewarm(self, peer: str, metadata_id: str, view: Table) -> None:
-        """Install a freshly materialised view ahead of any read.
+    def prewarm(self, peer: str, metadata_id: str, view: Table) -> CachedView:
+        """Install a freshly materialised view ahead of any read; returns
+        the installed version.
 
         The diff-driven pre-warm path: at a commit boundary the gateway (or
         a replica's replayer) materialises the just-changed shared views and
         installs them here, so the next read is a hit instead of a
-        read-through miss.  Bumps the table's generation — a read-through
-        load of the same table still in flight must not overwrite the
-        fresher pre-warmed copy.
+        read-through miss.
         """
-        self._bump(metadata_id)
-        self._entries[(peer, metadata_id)] = view
-        self._installed_at[(peer, metadata_id)] = self._now()
+        cached = self._entries[(peer, metadata_id)] = CachedView(view, self._now())
         self.prewarms += 1
+        return cached
 
     # -------------------------------------------------------------- change hook
 
@@ -221,8 +213,6 @@ class ViewCache:
         registry.gauge("cache_invalidations", fn=lambda: self.invalidations)
         registry.gauge("cache_patches", fn=lambda: self.patches)
         registry.gauge("cache_prewarms", fn=lambda: self.prewarms)
-        registry.gauge("cache_stale_loads_discarded",
-                       fn=lambda: self.stale_loads_discarded)
 
     def statistics(self) -> Dict[str, object]:
         return {
@@ -233,5 +223,4 @@ class ViewCache:
             "invalidations": self.invalidations,
             "patches": self.patches,
             "prewarms": self.prewarms,
-            "stale_loads_discarded": self.stale_loads_discarded,
         }

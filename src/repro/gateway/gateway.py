@@ -54,7 +54,7 @@ from repro.errors import (
     WalCorruptionError,
 )
 from repro.gateway.admission import LatencyShedder, fair_share_exceeded
-from repro.gateway.cache import ViewCache
+from repro.gateway.cache import CachedView, ViewCache
 from repro.gateway.requests import (
     STATUS_ERROR,
     STATUS_OK,
@@ -71,7 +71,11 @@ from repro.gateway.scheduler import BatchPlan, PendingWrite, WriteScheduler
 from repro.gateway.session import DEFAULT_BURST, GatewaySession
 from repro.obs.registry import Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.relational.durability import JsonlWalBackend, checkpoint_database
+from repro.relational.durability import (
+    JsonlWalBackend,
+    checkpoint_database,
+    encode_payload,
+)
 from repro.relational.replication import (
     ReadReplica,
     ReplicaRouter,
@@ -135,12 +139,27 @@ class ResponseJournal:
         self._next_sequence = last_sequence + 1
         self.recovery_seconds = time.perf_counter() - started
 
-    def record(self, response: GatewayResponse) -> None:
-        """Append one terminal response (ordered, crash-safe, indexed)."""
-        entry = WalEntry(self._next_sequence, "response", self.TABLE,
-                         response.to_dict())
+    def record(self, response: GatewayResponse,
+               view: Optional[CachedView] = None) -> None:
+        """Append one terminal response (ordered, crash-safe, indexed).
+
+        ``view`` is the cached version a read's ``payload["table"]`` came
+        from: the line is then assembled around that version's pre-encoded
+        table, byte-identical to encoding the whole response.
+        """
+        body = response.to_dict()
+        encoded = None
+        if view is not None and body["payload"].get("table") is view.table_dict():
+            body["payload"]["table"] = _TABLE_MARK  # a copy: to_dict() copies
+            head, mark, tail = encode_payload(body).partition(_TABLE_MARK_JSON)
+            # Unique unless an id happens to spell the mark; then encode it all.
+            if mark and _TABLE_MARK_JSON not in tail:
+                encoded = head + view.table_json() + tail
+            body["payload"]["table"] = view.table_dict()
+        entry = WalEntry(self._next_sequence, "response", self.TABLE, body)
         self._next_sequence += 1
-        self._locations[response.request_id] = self.backend.append(entry)
+        self._locations[response.request_id] = self.backend.append(
+            entry, encoded)
 
     def sync(self) -> None:
         self.backend.sync()
@@ -216,6 +235,12 @@ class ResponseJournal:
         stats["recovered_responses"] = self.recovered_responses
         stats["recovery_seconds"] = self.recovery_seconds
         return stats
+
+
+#: Stands in for a read's table while the rest of its response is encoded;
+#: the version's pre-encoded table replaces the mark's JSON in the line.
+_TABLE_MARK = "\x00table\x00"
+_TABLE_MARK_JSON = encode_payload(_TABLE_MARK)
 
 
 def _request_number(request_id: str) -> int:
@@ -317,11 +342,10 @@ class SharingGateway:
         #: their consensus rounds; both keep their peak.
         self._outstanding: Gauge = self.registry.gauge("gateway_outstanding_writes")
         self._commits_in_flight: Gauge = self.registry.gauge("gateway_commits_in_flight")
-        #: Callbacks fired when a response reaches a terminal status, and
-        #: when a write is enqueued.  They must be cheap and must not call
-        #: back into the gateway (the async transport resolves futures).
+        #: Callbacks fired when a response reaches a terminal status.  They
+        #: must be cheap and must not call back into the gateway (the async
+        #: transport resolves futures).
         self._terminal_listeners: List[Callable[[GatewayResponse], None]] = []
-        self._enqueue_listeners: List[Callable[[int], None]] = []
         #: The commit pump's one record (every ``commit_once`` call, whichever
         #: driver made it): the front ends' counters are views of it,
         #: ``metrics()["transport"]["pump"]`` renders it.
@@ -480,11 +504,6 @@ class SharingGateway:
         """
         self._terminal_listeners.append(listener)
 
-    def subscribe_enqueue(self, listener: Callable[[int], None]) -> None:
-        """Register a callback fired with the queue depth after every write
-        is enqueued (same constraints as :meth:`subscribe_terminal`)."""
-        self._enqueue_listeners.append(listener)
-
     # ------------------------------------------------------------------ submit
 
     def _new_response(self, session: GatewaySession, request: GatewayRequest,
@@ -534,7 +553,7 @@ class SharingGateway:
             self._responses_evicted.inc(len(evicted))
 
     def _finalize(self, response: GatewayResponse, session: Optional[GatewaySession],
-                  status: str) -> GatewayResponse:
+                  status: str, view: Optional[CachedView] = None) -> GatewayResponse:
         response.status = status
         response.completed_at = self.system.simulator.clock.now()
         self._status_counts[status] = self._status_counts.get(status, 0) + 1
@@ -553,7 +572,7 @@ class SharingGateway:
         # commit boundary (``journal.sync()`` in commit_once / drain) under
         # ``batch``.
         if self.journal is not None:
-            self.journal.record(response)
+            self.journal.record(response, view)
             self._responses_journaled.inc()
             self._journaled_ids.add(response.request_id)
         for listener in self._terminal_listeners:
@@ -618,8 +637,6 @@ class SharingGateway:
                     ))
                     self._outstanding.add(1)
                     session.count(STATUS_QUEUED)
-                    for listener in self._enqueue_listeners:
-                        listener(self.scheduler.queue_depth)
                     return response, False
                 reason, detail = shed
                 self._shed_requests.inc()
@@ -704,15 +721,17 @@ class SharingGateway:
                             span.annotate(replica=routed.replica,
                                           staleness=routed.staleness)
                             self._replica_reads_served.inc()
+                            view = routed.view
                             response.payload = {
                                 "metadata_id": request.metadata_id,
-                                "rows": len(routed.view),
-                                "table": routed.view.to_dict(),
+                                "rows": len(view.table),
+                                "table": view.table_dict(),
                                 "replica": routed.replica,
                                 "staleness": routed.staleness,
                                 "latency": routed.latency,
                             }
-                            return self._finalize(response, session, STATUS_OK)
+                            return self._finalize(response, session,
+                                                  STATUS_OK, view)
                     stale = self._degraded_view(session.peer_name,
                                                 request.metadata_id)
                     if stale is not None:
@@ -720,18 +739,21 @@ class SharingGateway:
                         span.annotate(degraded=True, staleness=age)
                         response.payload = {
                             "metadata_id": request.metadata_id,
-                            "rows": len(view), "table": view.to_dict(),
+                            "rows": len(view.table), "table": view.table_dict(),
                             "degraded": True, "staleness": age,
                         }
                         self._degraded_reads_served.inc()
-                        return self._finalize(response, session, STATUS_OK)
+                        return self._finalize(response, session, STATUS_OK,
+                                              view)
                     view = self.cache.get(
                         session.peer_name, request.metadata_id,
                         lambda: self.system.coordinator.read_shared_data(
                             session.peer_name, request.metadata_id),
                     )
                     response.payload = {"metadata_id": request.metadata_id,
-                                        "rows": len(view), "table": view.to_dict()}
+                                        "rows": len(view.table),
+                                        "table": view.table_dict()}
+                    return self._finalize(response, session, STATUS_OK, view)
                 elif isinstance(request, AuditQueryRequest):
                     trail = self.system.audit_trail(via_peer=session.peer_name)
                     records = trail.records(request.metadata_id)
@@ -754,9 +776,9 @@ class SharingGateway:
         return not self.shedder.healthy
 
     def _degraded_view(self, peer: str,
-                       metadata_id: str) -> Optional[Tuple]:
-        """A ``(view, age)`` pair for the degraded-read path, or None to take
-        the normal read-through path.
+                       metadata_id: str) -> Optional[Tuple[CachedView, float]]:
+        """A ``(cached version, age)`` pair for the degraded-read path, or
+        None to take the normal read-through path.
 
         Degraded reads (when enabled) serve straight from the cache while
         the commit path is unhealthy — never materialising a view from a
@@ -766,10 +788,10 @@ class SharingGateway:
         """
         if not self.resilience.degraded_reads or not self.commit_path_unhealthy():
             return None
-        entry = self.cache.peek_entry(peer, metadata_id)
-        if entry is None:
+        view = self.cache.peek(peer, metadata_id)
+        if view is None:
             return None
-        view, age = entry
+        age = self.cache.age(view)
         if age is None or age > self.max_staleness:
             # An unmeasurable age (entry installed before a clock was
             # attached) is *unknown*, not zero: it must fail the bounded-

@@ -45,6 +45,7 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import RecoveryError, WalCorruptionError
@@ -90,6 +91,21 @@ MANIFEST_VERSION = 1
 #: keyword arguments builds a fresh ``JSONEncoder`` per call, a measurable
 #: tax on a path that rides every logged mutation.
 _ENTRY_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+
+#: ``_ENTRY_ENCODER``'s C encoder, built once: ``JSONEncoder.encode`` builds
+#: a fresh one per call (~2 µs).  No circular-reference check — payloads
+#: are trees built from rows.  ``None`` where ``_json`` is unavailable.
+_C_ENCODER = (None if c_make_encoder is None
+              else c_make_encoder(None, str, encode_basestring_ascii, None,
+                                  ":", ",", False, False, True))
+
+
+def encode_payload(value: Any) -> bytes:
+    """``value`` as a WAL line spells it: the bytes :meth:`JsonlWalBackend.append`
+    writes for a payload, so a caller may encode one ahead and pass it in."""
+    if _C_ENCODER is None:
+        return _ENTRY_ENCODER.encode(value).encode("utf-8")
+    return "".join(_C_ENCODER(value, 0)).encode("utf-8")
 
 #: JSON-escaped-and-encoded operation/table names, cached — both repeat
 #: endlessly (a handful of operations, a few table names per database), so
@@ -207,8 +223,14 @@ class JsonlWalBackend:
 
     # ----------------------------------------------------------------- appends
 
-    def append(self, entry: WalEntry) -> Tuple[pathlib.Path, int, int]:
+    def append(self, entry: WalEntry, encoded_payload: Optional[bytes] = None
+               ) -> Tuple[pathlib.Path, int, int]:
         """Append one entry as a JSON line (rotating segments as needed).
+
+        ``encoded_payload``, when given, must be
+        ``encode_payload(entry.payload)``; the line is then assembled around
+        it without encoding the payload again (the response journal splices
+        a read's pre-encoded table that way).
 
         Returns the entry's location ``(segment_path, offset, length)`` so
         callers that need random access later (the gateway's response
@@ -225,7 +247,8 @@ class JsonlWalBackend:
         data = (b'{"sequence":%d,"operation":%s,"table":%s,"payload":%s'
                 % (entry.sequence, _encoded_name(entry.operation),
                    _encoded_name(entry.table),
-                   _ENTRY_ENCODER.encode(entry.payload).encode("utf-8"))) + tail
+                   encode_payload(entry.payload) if encoded_payload is None
+                   else encoded_payload)) + tail
         with self.tracer.span("wal.append", table=entry.table,
                               bytes=len(data)):
             if self.retrier is not None:

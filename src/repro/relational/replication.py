@@ -217,7 +217,8 @@ class ReadReplica:
         return max(0.0, primary_committed_at - self.replayed_through)
 
     def read_view(self, peer: str, metadata_id: str):
-        """A snapshot of the follower's materialised shared view."""
+        """The cache's version of the follower's materialised shared view
+        (a :class:`~repro.gateway.cache.CachedView`)."""
         database = self._databases.get(peer)
         if database is None:
             raise ReplicationError(
@@ -229,10 +230,10 @@ class ReadReplica:
             return cached
         self.cache.misses += 1
         view_name = self._view_name_for(peer, metadata_id)
-        view = database.table(view_name).snapshot()
-        self.cache.prewarm(peer, metadata_id, view)
+        cached = self.cache.prewarm(peer, metadata_id,
+                                    database.table(view_name).snapshot())
         self.reads_served += 1
-        return view
+        return cached
 
     def reserve(self, now: float) -> Tuple[float, float]:
         """Occupy the service lane for one read; returns (start, latency)."""
@@ -409,7 +410,8 @@ class SegmentShipper:
 
 @dataclass
 class RoutedRead:
-    """How one read was served by the router."""
+    """How one read was served by the router; ``view`` is the replica
+    cache's version of the view (:meth:`ReadReplica.read_view`)."""
 
     view: object
     source: str
@@ -456,27 +458,49 @@ class ReplicaRouter:
             self.last_commit_at = committed_at
 
     def route(self, peer: str, metadata_id: str) -> Optional[RoutedRead]:
-        """Serve one view read from the fleet, or ``None`` to use the primary."""
+        """Serve one view read from the fleet, or ``None`` to use the primary.
+
+        The least-busy eligible replica is picked in one pass; only when it
+        refuses the read are the others tried, in lane order.
+        """
         now = self.clock.now()
         reference = self.last_commit_at
-        candidates = sorted(
-            ((replica.next_free_at, replica.name, replica)
-             for replica in self.shipper.replicas
-             if replica.lag(reference) <= self.max_lag
-             and replica.follows(peer)),
-            key=lambda item: (item[0], item[1]))
-        for _, _, replica in candidates:
-            try:
-                view = replica.read_view(peer, metadata_id)
-            except ReproError:
+        first, rest = None, []
+        for replica in self.shipper.replicas:
+            if replica.lag(reference) > self.max_lag or not replica.follows(peer):
                 continue
-            _, latency = replica.reserve(now)
-            self.replica_reads += 1
-            return RoutedRead(view=view, source="replica",
-                              staleness=replica.lag(reference),
-                              latency=latency, replica=replica.name)
-        self.primary_fallbacks += 1
-        return None
+            if first is None:
+                first = replica
+            elif _lane_order(replica) < _lane_order(first):
+                rest.append(first)
+                first = replica
+            else:
+                rest.append(replica)
+        routed = None
+        if first is not None:
+            routed = self._read_from(first, peer, metadata_id, now, reference)
+            if routed is None:
+                for replica in sorted(rest, key=_lane_order):
+                    routed = self._read_from(replica, peer, metadata_id, now,
+                                             reference)
+                    if routed is not None:
+                        break
+        if routed is None:
+            self.primary_fallbacks += 1
+        return routed
+
+    def _read_from(self, replica: ReadReplica, peer: str, metadata_id: str,
+                   now: float, reference: float) -> Optional[RoutedRead]:
+        """Serve the read from ``replica``; ``None`` when it refuses."""
+        try:
+            view = replica.read_view(peer, metadata_id)
+        except ReproError:
+            return None
+        _, latency = replica.reserve(now)
+        self.replica_reads += 1
+        return RoutedRead(view=view, source="replica",
+                          staleness=replica.lag(reference),
+                          latency=latency, replica=replica.name)
 
     def statistics(self) -> Dict[str, object]:
         return {
@@ -490,3 +514,9 @@ class ReplicaRouter:
             "replicas": [replica.statistics()
                          for replica in self.shipper.replicas],
         }
+
+
+
+def _lane_order(replica: ReadReplica) -> Tuple[float, str]:
+    """Earliest free service lane first, name as the deterministic tie-break."""
+    return replica.next_free_at, replica.name

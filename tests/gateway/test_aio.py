@@ -533,7 +533,7 @@ class TestReplay:
             fresh = system.coordinator.read_shared_data(peer, metadata_id)
             cached = gateway.cache.peek(peer, metadata_id)
             if cached is not None:
-                assert cached.fingerprint() == fresh.fingerprint()
+                assert cached.table.fingerprint() == fresh.fingerprint()
             patient_id = int(metadata_id.split(":")[1])
             assert fresh.get((patient_id,))["clinical_data"] == final_tag
         assert system.all_shared_tables_consistent()

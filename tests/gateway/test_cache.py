@@ -65,7 +65,7 @@ class TestViewCacheUnit:
         assert cache.patch("T1", diff) == 2
         assert cache.patches == 2
         for peer in ("doctor", "patient"):
-            patched = cache.peek(peer, "T1")
+            patched = cache.peek(peer, "T1").table
             assert patched.get((1,))["v"] == "a2"
             assert patched.get((3,))["v"] == "c"
             assert len(patched) == 3
@@ -108,7 +108,7 @@ class TestPatchingThroughWorkflow:
         for peer in ("doctor", "patient"):
             cached = gateway.cache.peek(peer, PATIENT_DOCTOR_TABLE)
             assert cached is not None
-            assert cached.get((188,))["dosage"] == "two tablets every 6h"
+            assert cached.table.get((188,))["dosage"] == "two tablets every 6h"
         assert gateway.cache.patches == 2
         # The next read is a *hit* and still sees the committed value.
         hits_before = gateway.cache.hits
@@ -134,10 +134,10 @@ class TestPatchingThroughWorkflow:
         assert CARE_TABLE in update.payload["cascaded_metadata_ids"]
         # Both the updated table's view and the cascaded table's view were
         # patched in place and carry the committed dosage.
-        study = gateway.cache.peek("researcher", STUDY_TABLE)
-        assert study is not None and study.get((188,))["dosage"] == "two tablets every 12h"
-        care = gateway.cache.peek("patient", CARE_TABLE)
-        assert care is not None and care.get((188,))["dosage"] == "two tablets every 12h"
+        study = gateway.cache.peek("researcher", STUDY_TABLE).table
+        assert study.get((188,))["dosage"] == "two tablets every 12h"
+        care = gateway.cache.peek("patient", CARE_TABLE).table
+        assert care.get((188,))["dosage"] == "two tablets every 12h"
         assert gateway.cache.patches >= 2
         assert gateway.cache.invalidations == 0
         # A warm read sees the cascaded dosage without reloading.
@@ -146,55 +146,16 @@ class TestPatchingThroughWorkflow:
         assert by_id[188]["dosage"] == "two tablets every 12h"
 
 
-class TestGenerationGuard:
-    """A load superseded by a patch/invalidation while the loader ran must
-    not be installed (it could be stale)."""
+class TestVersions:
+    """Each entry is one version: installed by a load, a pre-warm or a
+    patch, replaced — never mutated — by the next."""
 
-    def test_plain_miss_installs(self):
+    def test_read_through_load_is_installed(self):
         cache = ViewCache()
-        view = cache.get("p", "m", _table)
-        assert cache.peek("p", "m") is view
-        assert cache.stale_loads_discarded == 0
-
-    def test_load_superseded_by_invalidation_is_not_cached(self):
-        cache = ViewCache()
-
-        def loader():
-            # A commit completes between the miss and the install.
-            cache.invalidate("m")
-            return _table()
-
-        view = cache.get("p", "m", loader)
-        assert view is not None          # the caller still gets the view ...
-        assert cache.peek("p", "m") is None  # ... but it is not cached
-        assert cache.stale_loads_discarded == 1
-
-    def test_load_superseded_by_patch_is_not_cached(self):
-        cache = ViewCache()
-        from repro.relational.diff import diff_tables
-
-        before = _table(rows=((1, "a"),))
-        after = _table(rows=((1, "b"),))
-        diff = diff_tables(before, after)
-
-        def loader():
-            cache.patch("m", diff)  # no entries yet, but the generation bumps
-            return _table()
-
-        cache.get("p", "m", loader)
-        assert cache.peek("p", "m") is None
-        assert cache.stale_loads_discarded == 1
-
-    def test_unrelated_table_change_does_not_discard(self):
-        cache = ViewCache()
-
-        def loader():
-            cache.invalidate("other")
-            return _table()
-
-        cache.get("p", "m", loader)
-        assert cache.peek("p", "m") is not None
-        assert cache.stale_loads_discarded == 0
+        view = _table()
+        installed = cache.get("p", "m", lambda: view)
+        assert installed.table is view
+        assert cache.peek("p", "m") is installed
 
     def test_patch_is_copy_on_write(self):
         from repro.relational.diff import diff_tables
@@ -204,27 +165,26 @@ class TestGenerationGuard:
         diff = diff_tables(_table(rows=((1, "a"),)), _table(rows=((1, "b"),)))
         assert cache.patch("m", diff) == 1
         # The reader's reference still shows the pre-patch snapshot; the
-        # cache serves the patched copy.
-        assert held.get((1,))["v"] == "a"
-        assert cache.peek("p", "m").get((1,))["v"] == "b"
+        # cache serves the patched copy as a new version.
+        assert held.table.get((1,))["v"] == "a"
+        assert cache.peek("p", "m").table.get((1,))["v"] == "b"
+        assert cache.peek("p", "m") is not held
 
-    def test_statistics_include_stale_loads(self):
+    def test_payload_and_json_built_once_per_version(self):
+        from repro.relational.diff import diff_tables
+        from repro.relational.durability import encode_payload
+
         cache = ViewCache()
-        assert "stale_loads_discarded" in cache.statistics()
-
-    def test_flush_supersedes_in_flight_load_of_uncached_table(self):
-        """invalidate_all() must also discard a miss load that was in flight
-        for a table with no cached entry yet — otherwise a pre-flush view
-        would be installed and served forever."""
-        cache = ViewCache()
-
-        def loader():
-            cache.invalidate_all()  # the flush lands mid-load
-            return _table()
-
-        cache.get("p", "never-cached", loader)
-        assert cache.peek("p", "never-cached") is None
-        assert cache.stale_loads_discarded == 1
+        version = cache.get("p", "m", lambda: _table(rows=((1, "a"),)))
+        assert version.table_dict() is version.table_dict()
+        assert version.table_dict() == version.table.to_dict()
+        assert version.table_json() is version.table_json()
+        assert version.table_json() == encode_payload(version.table.to_dict())
+        cache.patch("m", diff_tables(_table(rows=((1, "a"),)),
+                                     _table(rows=((1, "b"),))))
+        patched = cache.peek("p", "m")
+        assert patched.table_dict()["rows"] == [{"id": 1, "v": "b"}]
+        assert version.table_dict()["rows"] == [{"id": 1, "v": "a"}]
 
 
 class TestStalenessSemantics:
@@ -234,19 +194,16 @@ class TestStalenessSemantics:
 
     def test_age_unknown_without_clock(self):
         cache = ViewCache()  # no clock attached
-        cache.get("p", "m", _table)
-        view, age = cache.peek_entry("p", "m")
-        assert view is not None
-        assert age is None
+        cached = cache.get("p", "m", _table)
+        assert cache.age(cached) is None
 
     def test_age_unknown_when_installed_before_clock(self):
         from repro.ledger.clock import SimClock
 
         cache = ViewCache()
-        cache.get("p", "m", _table)  # installed clock-less
+        cached = cache.get("p", "m", _table)  # installed clock-less
         cache.clock = SimClock(100.0)
-        _, age = cache.peek_entry("p", "m")
-        assert age is None  # install time was never measured
+        assert cache.age(cached) is None  # install time was never measured
 
     def test_age_measured_with_clock(self):
         from repro.ledger.clock import SimClock
@@ -254,10 +211,9 @@ class TestStalenessSemantics:
         cache = ViewCache()
         clock = SimClock()
         cache.clock = clock
-        cache.get("p", "m", _table)
+        cached = cache.get("p", "m", _table)
         clock.advance(3.5)
-        _, age = cache.peek_entry("p", "m")
-        assert age == pytest.approx(3.5)
+        assert cache.age(cached) == pytest.approx(3.5)
 
 
 class TestPrewarm:
@@ -269,16 +225,9 @@ class TestPrewarm:
         assert cache.statistics()["prewarms"] == 1
         assert cache.misses == 0  # never counted as read traffic
 
-    def test_prewarm_supersedes_in_flight_load(self):
-        """A read-through load racing the commit's pre-warm must not
-        overwrite the fresher pre-warmed copy."""
+    def test_prewarm_replaces_the_version(self):
         cache = ViewCache()
-        fresh = _table(rows=((1, "fresh"),))
-
-        def loader():
-            cache.prewarm("p", "m", fresh)  # the commit lands mid-load
-            return _table(rows=((1, "stale"),))
-
-        cache.get("p", "m", loader)
-        assert cache.peek("p", "m").get((1,))["v"] == "fresh"
-        assert cache.stale_loads_discarded == 1
+        cache.get("p", "m", lambda: _table(rows=((1, "old"),)))
+        installed = cache.prewarm("p", "m", _table(rows=((1, "fresh"),)))
+        assert cache.peek("p", "m") is installed
+        assert installed.table_dict()["rows"] == [{"id": 1, "v": "fresh"}]

@@ -371,21 +371,6 @@ class TestServingHooks:
         statuses = dict(seen)
         assert statuses[queued.request_id] == "ok"
 
-    def test_enqueue_listener_reports_queue_depth(self, paper_gateway):
-        gateway = paper_gateway
-        depths = []
-        gateway.subscribe_enqueue(depths.append)
-        researcher = gateway.open_session("researcher")
-        for index in range(3):
-            gateway.submit(researcher, UpdateEntryRequest(
-                DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
-                {"mechanism_of_action": f"MeA1-{index}"}))
-        assert depths == [1, 2, 3]
-        # Reads do not enqueue.
-        gateway.submit(researcher, ReadViewRequest(DOCTOR_RESEARCHER_TABLE))
-        assert depths == [1, 2, 3]
-        gateway.drain()
-
     def test_transport_metrics_quiesce(self, paper_gateway):
         gateway = paper_gateway
         researcher = gateway.open_session("researcher")

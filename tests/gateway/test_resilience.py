@@ -368,8 +368,7 @@ class TestStalenessWiring:
         response = gateway.submit(session, ReadViewRequest(metadata_id))
         assert response.status == STATUS_OK
         gateway.cache.clock = system.simulator.clock
-        view, age = gateway.cache.peek_entry(peer, metadata_id)
-        assert age is None
+        assert gateway.cache.age(gateway.cache.peek(peer, metadata_id)) is None
         for _ in range(3):
             gateway.breakers.record("commit", False)
         assert gateway.commit_path_unhealthy()

@@ -212,7 +212,7 @@ class TestCachePatchFailure:
         assert cached is not None
         # Inject drift: the row the upcoming diff updates vanishes from the
         # cached copy, so the patch raises a diff conflict.
-        cached.delete_by_key((patient_id,))
+        cached.table.delete_by_key((patient_id,))
         response = gateway.submit(sessions[peer], update_for(metadata_id, "fresh"))
         gateway.drain()
         assert response.status == STATUS_OK

@@ -16,7 +16,8 @@ from repro.config import (
 from repro.gateway import (ReadViewRequest, SharingGateway, UpdateEntryRequest,
                            ViewCache)
 from repro.relational.durability import JsonlWalBackend
-from repro.relational.replication import ReadReplica, ReplicationError
+from repro.relational.replication import (ReadReplica, ReplicaRouter,
+                                          ReplicationError)
 from repro.relational.wal import WalEntry
 from repro.workloads.topology import TopologySpec, build_topology_system
 
@@ -180,6 +181,68 @@ class TestReplicaReads:
         with pytest.raises(GatewayError):
             build_replicated_gateway(
                 tmp_path, durability=DurabilityConfig(state_dir=None))
+
+
+class _LaneReplica:
+    """A stand-in replica: a service lane, a lag, and a read it may refuse."""
+
+    def __init__(self, name, next_free_at, lag=0.0, refuses=False, tried=None):
+        self.name, self.next_free_at = name, next_free_at
+        self._lag, self._refuses, self._tried = lag, refuses, tried
+
+    def lag(self, reference):
+        return self._lag
+
+    def follows(self, peer):
+        return True
+
+    def read_view(self, peer, metadata_id):
+        self._tried.append(self.name)
+        if self._refuses:
+            raise ReplicationError("not replayed yet")
+        return "view"
+
+    def reserve(self, now):
+        return now, 0.0
+
+
+class TestRouteOrder:
+    """The router serves from the least-busy eligible replica and tries the
+    others in ``(next_free_at, name)`` order only when it refuses."""
+
+    def _route(self, *specs, max_lag=30.0):
+        from types import SimpleNamespace
+        from repro.ledger.clock import SimClock
+
+        tried = []
+        replicas = [_LaneReplica(*spec[:2], tried=tried, **spec[2])
+                    for spec in specs]
+        router = ReplicaRouter(SimpleNamespace(replicas=replicas), SimClock(),
+                               max_lag=max_lag)
+        return router, router.route("p", "m"), tried
+
+    def test_least_busy_eligible_replica_serves(self):
+        _, routed, tried = self._route(("r-a", 3.0, {}), ("r-b", 1.0, {}),
+                                       ("r-c", 2.0, {}),
+                                       ("r-d", 0.5, {"lag": 99.0}))
+        assert routed.replica == "r-b" and tried == ["r-b"]
+
+    def test_equal_lanes_break_ties_by_name(self):
+        _, routed, _ = self._route(("r-b", 1.0, {}), ("r-a", 1.0, {}))
+        assert routed.replica == "r-a"
+
+    def test_refusal_falls_back_in_lane_order(self):
+        _, routed, tried = self._route(("r-c", 2.0, {}),
+                                       ("r-a", 1.0, {"refuses": True}),
+                                       ("r-d", 3.0, {}), ("r-b", 2.0, {}))
+        assert tried == ["r-a", "r-b"]
+        assert routed.replica == "r-b"
+
+    def test_every_refusal_goes_to_the_primary(self):
+        router, routed, tried = self._route(("r-b", 1.0, {"refuses": True}),
+                                            ("r-a", 2.0, {"refuses": True}))
+        assert routed is None and tried == ["r-b", "r-a"]
+        assert router.primary_fallbacks == 1 and router.replica_reads == 0
 
 
 class TestMeasuredStaleness:

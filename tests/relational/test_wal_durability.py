@@ -3,17 +3,20 @@ torn-tail tolerance, fsync policies, checkpoint/recovery round trips."""
 
 from __future__ import annotations
 
+import datetime
+import decimal
 import json
 
 import pytest
 
 from repro.errors import RecoveryError, WalCorruptionError, WalTruncatedError
-from repro.relational import Column, DataType, Database, Schema
+from repro.relational import Column, DataType, Database, Schema, durability
 from repro.relational.durability import (
     FSYNC_ALWAYS,
     FSYNC_BATCH,
     FSYNC_NEVER,
     JsonlWalBackend,
+    encode_payload,
     open_durable_database,
     read_manifest,
     recover,
@@ -116,6 +119,27 @@ class TestJsonlBackend:
         assert first["table"] == 'odd "name"'
         assert first["payload"] == {"k": [1, 2]}
         assert json.loads(lines[1])["transaction_id"] == 9
+
+    @pytest.mark.parametrize("payload", [
+        {"row": {"name": "Zoë", "city": "東京", "note": 'a "q"\n\t\x00'}},
+        {"floats": [0.1, 7.39230042831929, -0.0, 1e300, float("nan"),
+                    float("inf"), float("-inf")],
+         "ints": [0, -1, 2 ** 70], "flags": [True, False, None]},
+        {"nested": ({"key": (1, "a")}, []), "empty": {}, 3: "int key"},
+        {"by_default_str": [datetime.date(2024, 1, 2), decimal.Decimal("1.50")]},
+        "a bare string",
+        7.5,
+    ])
+    @pytest.mark.parametrize("c_encoder", [True, False])
+    def test_encode_payload_matches_json_dumps(self, payload, c_encoder,
+                                               monkeypatch):
+        # A journaled read splices pre-encoded bytes into its line, so the
+        # payload encoding must be exactly what the envelope's encoder wrote,
+        # with or without the prebuilt C encoder.
+        if not c_encoder:
+            monkeypatch.setattr(durability, "_C_ENCODER", None)
+        expected = json.dumps(payload, separators=(",", ":"), default=str)
+        assert encode_payload(payload) == expected.encode("utf-8")
 
     def test_read_since_filters(self, tmp_path):
         backend = JsonlWalBackend(tmp_path)
