@@ -10,6 +10,7 @@ attributes must not move.
 """
 
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -32,7 +33,13 @@ GOLDEN = {
     "sequential-full": "61d78b5f1867e2cd02b143ffe845dd2b0d304eaccce52e0cebd3069bd46b7692",
     "batch": "7766944f353310d11381c322f13f38b75e328ebcef032f903a5fca804031db3f",
     "parallel": "90b3a3f43146655e09a3d3b31de23a8a5d36e9e9c06898dd8d5e373c47c77f67",
+    "parallel-one-lane": "118d884754edfed8bcdf6afb730770b2a7efdcb59ec1e3ebb96a89e3e8dd9fb9",
 }
+
+#: ``state_fingerprints()`` of every peer after the fan-out, on one lane and
+#: on five, pinned apart from the trace: how the legs reach the ledger may
+#: move the steps and spans, never the tables the peers end with.
+FANOUT_FINGERPRINT = "dcb6df79942d3ee1440837bb014e62ce997d86bea740aa71030935d80a8d0b85"
 
 
 def _trace_payload(trace) -> dict:
@@ -118,13 +125,15 @@ def _batch() -> dict:
             "spans": _spans(tracer)}
 
 
-def _parallel() -> dict:
-    """A hospital batch fans out over the 5-lane join topology through the
-    shared-round cascade; one leg is refused on-chain."""
+@lru_cache(maxsize=None)
+def _fanout(shards: int):
+    """A hospital batch fans out over the join topology on ``shards``
+    consensus lanes, one cascade leg per patient; one leg is refused
+    on-chain.  Returns the hashed payload and the peers' fingerprints."""
     config = SystemConfig(
         ledger=LedgerConfig(
             consensus=ConsensusConfig(kind="poa", block_interval=1.0),
-            max_transactions_per_block=16, consensus_shards=5),
+            max_transactions_per_block=16, consensus_shards=shards),
         network=NetworkConfig(base_latency=0.002, latency_jitter=0.001))
     system = build_join_topology_system(
         TopologySpec(patients=12, researchers=0, distinct_medications=3,
@@ -144,20 +153,23 @@ def _parallel() -> dict:
                     for patient_id in patient_ids))])
     assert system.all_shared_tables_consistent()
     spans = _spans(tracer, ordered=False)
-    assert any(name == "consensus.round" and attrs.get("phase") == "cascade_acks"
-               for name, attrs in spans)
-    return {"traces": [_trace_payload(trace) for trace in result.traces],
-            "blocks_created": result.blocks_created,
-            "consensus_rounds": result.consensus_rounds,
-            "unhealed": sorted(system.server_app("doctor").manager.unhealed_views),
-            "spans": spans}
+    if shards > 1:
+        assert any(name == "consensus.round" and attrs.get("phase") == "cascade_acks"
+                   for name, attrs in spans)
+    payload = {"traces": [_trace_payload(trace) for trace in result.traces],
+               "blocks_created": result.blocks_created,
+               "consensus_rounds": result.consensus_rounds,
+               "unhealed": sorted(system.server_app("doctor").manager.unhealed_views),
+               "spans": spans}
+    return payload, hash_payload(system.state_fingerprints())
 
 
 RUNS = {
     "sequential-delta": lambda: _sequential(delta=True),
     "sequential-full": lambda: _sequential(delta=False),
     "batch": _batch,
-    "parallel": _parallel,
+    "parallel": lambda: _fanout(5)[0],
+    "parallel-one-lane": lambda: _fanout(1)[0],
 }
 
 
@@ -166,6 +178,13 @@ def test_driver_trace_matches_the_parent_commit(name):
     assert hash_payload(RUNS[name]()) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("shards", [1, 5])
+def test_fanout_fingerprints_match_the_parent_commit(shards):
+    assert _fanout(shards)[1] == FANOUT_FINGERPRINT
+
+
 if __name__ == "__main__":  # prints the hashes to paste into GOLDEN
     for run_name in sorted(RUNS):
         print(f'    "{run_name}": "{hash_payload(RUNS[run_name]())}",')
+    for lanes in (1, 5):
+        print(f"    fingerprints on {lanes} lane(s): {_fanout(lanes)[1]}")
