@@ -1,14 +1,15 @@
 """E17 — parallel cascades + join deltas: fan-out propagation over lanes.
 
-The seed runs every cascade leg sequentially: a change that fans out to N
-dependent views pays 2·N consensus rounds (one request round and one
-acknowledgement round per leg), even when the legs target independent
-shared tables on independent consensus lanes.  The parallel cascade path
-(``SystemConfig.parallel_cascades``) commits all legs of one cascade
-through *shared* request/ack rounds and runs their ledger-free middles
-grouped by consensus lane — 2 rounds per cascade instead of 2·N — while
-merging deterministically so the post-state is byte-identical to the
-sequential oracle.
+Run one leg at a time, a change that fans out to N dependent views pays
+2·N consensus rounds (one request round and one acknowledgement round per
+leg), even when the legs target independent shared tables on independent
+consensus lanes.  The coordinator's one phase loop instead takes all legs
+of one cascade at once (``SystemConfig.parallel_cascades``, on any lane
+count): they commit through *shared* request/ack rounds and their
+ledger-free middles run grouped by consensus lane — 2 rounds per cascade
+instead of 2·N — merging deterministically so the post-state is
+byte-identical to the sequential oracle.  A failing leg is dropped alone;
+the others finish.
 
 The workload is cascade-heavy by construction (see
 :func:`repro.workloads.topology.build_join_topology_system`): a hospital

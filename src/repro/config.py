@@ -287,12 +287,12 @@ class SystemConfig:
         application (the first included) is checked against a full
         recomputation via ``Table.fingerprint()``.  ``0`` disables checking.
     parallel_cascades:
-        When true (the default) Fig. 5 cascade legs targeting *different*
-        consensus lanes inside one propagation are batched into shared
-        request/acknowledgement rounds and their counterpart-side work runs
-        lane group by lane group, its trace steps merged in leg order.  Only
-        takes effect with ``consensus_shards > 1`` — single-lane systems
-        keep the sequential path byte-identical to the seed.
+        When true (the default) a Fig. 5 cascade of two or more legs runs
+        through the one phase loop as a unit, on any lane count: its legs
+        share one request and one acknowledgement round, their
+        counterpart-side work runs lane group by lane group, and the trace
+        steps merge in leg order.  A failing leg is dropped and the others
+        finish.  When false, the loop runs one leg at a time: the oracle.
 
     Lens laws are not configurable: every full ``put`` is checked against
     PutGet on the concrete data before the new source is installed.

@@ -33,7 +33,8 @@ from repro.core.sharing import SharingAgreement, PeerViewDefinition
 from repro.core.peer import Peer
 from repro.core.manager import DatabaseManager
 from repro.core.server_app import ServerApp, Notification
-from repro.core.workflow import UpdateCoordinator, WorkflowTrace, WorkflowStep
+from repro.core.trace import WorkflowStep, WorkflowTrace
+from repro.core.workflow import UpdateCoordinator
 from repro.core.audit import AuditTrail, AuditRecord
 from repro.core.system import MedicalDataSharingSystem
 from repro.core.scenario import (

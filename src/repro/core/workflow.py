@@ -15,9 +15,9 @@ Every run produces a :class:`WorkflowTrace` whose steps mirror the numbered
 steps of the figures, with simulated timestamps and block numbers, so the
 benchmarks and the examples can print the exact choreography.
 
-**One leg, three drivers.**  A *leg* carries one diff of one shared table
-from its initiator to the counterpart.  It exists once, as stage methods over
-a :class:`_Leg` record; each stage maps onto Fig. 5 (a cascaded leg repeats
+**One leg, one loop.**  A *leg* carries one diff of one shared table from
+its initiator to the counterpart.  It exists once, as stage methods over a
+:class:`_Leg` record; each stage maps onto Fig. 5 (a cascaded leg repeats
 steps 1–5 as steps 7–11):
 
 * the entry points and ``_cascade`` — step 1: ``get`` / a local edit gives
@@ -30,30 +30,34 @@ steps 1–5 as steps 7–11):
 * ``_confirm`` — the metadata update (``acknowledge``) and step 6:
   ``check_dependencies`` → ``_cascade``, whose legs are steps 7–11.
 
-Three drivers run the stages: ``_run_protocol`` (one leg, two mining rounds
-of its own), :meth:`UpdateCoordinator.commit_entry_batch` (the gateway's
-groups share one request round and one acknowledgement round) and
-``_cascade_parallel`` (one cascade's legs share two rounds, their middles run
-lane group by lane group with buffered steps).  Drivers may differ only in
-how transactions reach the mempool (a single gossip, or local ingestion then
-one ``tx-batch`` flood), in error policy (raise :class:`UpdateRejected` /
-:class:`WorkflowError`; record the error on the group's trace, carry on and
-notify listeners without a diff; or raise the first error after the ordered
-merge of buffered steps) and in where the middle's steps go.  Whatever the
-driver, a leg whose view was installed is announced to the change listeners
-— without a diff when the leg did not finish.  Those differences reach the
-stages as data — a step-text suffix, a step sink — never as a mode a stage
-branches on.
+One phase loop, :meth:`UpdateCoordinator._run_legs`, runs a list of legs
+through the stages: request round, accept, middles, ack round, confirm and
+notify.  Its callers differ only in how transactions reach the mempool (a
+single gossip per transaction, or one ``tx-batch`` flood) and in the labels
+of the two rounds: the entry points run one leg, the gateway's
+:meth:`~UpdateCoordinator.commit_entry_batch` one leg per group and
+``_cascade`` every leg of one step 6 at once.  The loop reads its path only
+off its input: legs sharing one trace run their middles grouped by lane and
+buffer the steps; a leg that runs alone keeps its ``cascade.leg`` span
+around all of its stages.  One error policy holds for every caller: a
+refused or failing leg is recorded on the leg and dropped, the others go on
+through the ack round, and an installed leg that did not finish is announced
+to the change listeners without a diff.  Afterwards an entry point raises
+its refusal or failure, a cascade its first failure (a refused cascade leg
+is a ``cascade_rejected`` step), and the batch leaves each failure on its
+group's trace.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import hash_payload
 from repro.errors import ReproError, UpdateRejected, WorkflowError
 from repro.chaos import NULL_INJECTOR
+from repro.core.trace import WorkflowStep, WorkflowTrace  # noqa: F401 (re-exported)
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.diff import TableDiff, diff_tables
 from repro.relational.table import Table
@@ -66,129 +70,25 @@ SharedDiffListener = Callable[[str, str, Tuple[str, str], Optional[TableDiff]], 
 #: Receives the steps a stage produces: ``(actor, action, description, **data)``.
 StepSink = Callable[..., None]
 
-#: Step-text suffix of the batched driver's shared request/ack rounds.
-BATCHED_ROUND = " (batched round)"
-
 
 @dataclass(frozen=True)
-class WorkflowStep:
-    """One numbered step of a workflow run."""
+class _Rounds:
+    """The labels of one run's two consensus rounds: their ``consensus.round``
+    phases, the span attrs of a round given its ``(via node, transaction)``
+    submissions, and the step-text suffix of the receipts read after them."""
 
-    index: int
-    actor: str
-    action: str
-    description: str
-    simulated_time: float
-    block_number: Optional[int] = None
-    data: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "actor": self.actor,
-            "action": self.action,
-            "description": self.description,
-            "simulated_time": self.simulated_time,
-            "block_number": self.block_number,
-            "data": dict(self.data),
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "WorkflowStep":
-        return WorkflowStep(
-            index=int(payload["index"]),
-            actor=payload["actor"],
-            action=payload["action"],
-            description=payload["description"],
-            simulated_time=float(payload["simulated_time"]),
-            block_number=payload.get("block_number"),
-            data=dict(payload.get("data", {})),
-        )
+    requests: str
+    acks: str
+    attrs: Callable[[List[Tuple[str, Any]]], Dict[str, Any]]
+    suffix: str = ""
 
 
-@dataclass
-class WorkflowTrace:
-    """The full record of one shared-data operation and its propagation."""
-
-    initiator: str
-    metadata_id: str
-    operation: str
-    steps: List[WorkflowStep] = field(default_factory=list)
-    succeeded: bool = False
-    error: Optional[str] = None
-    started_at: float = 0.0
-    finished_at: float = 0.0
-    blocks_created: int = 0
-    cascaded_metadata_ids: List[str] = field(default_factory=list)
-
-    @property
-    def elapsed(self) -> float:
-        """End-to-end simulated latency of the operation."""
-        return self.finished_at - self.started_at
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-    def add_step(self, actor: str, action: str, description: str, clock_now: float,
-                 block_number: Optional[int] = None, **data: Any) -> WorkflowStep:
-        step = WorkflowStep(
-            index=len(self.steps) + 1,
-            actor=actor,
-            action=action,
-            description=description,
-            simulated_time=clock_now,
-            block_number=block_number,
-            data=dict(data),
-        )
-        self.steps.append(step)
-        return step
-
-    def to_dict(self) -> dict:
-        return {
-            "initiator": self.initiator,
-            "metadata_id": self.metadata_id,
-            "operation": self.operation,
-            "steps": [step.to_dict() for step in self.steps],
-            "succeeded": self.succeeded,
-            "error": self.error,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "blocks_created": self.blocks_created,
-            "cascaded_metadata_ids": list(self.cascaded_metadata_ids),
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "WorkflowTrace":
-        return WorkflowTrace(
-            initiator=payload["initiator"],
-            metadata_id=payload["metadata_id"],
-            operation=payload["operation"],
-            steps=[WorkflowStep.from_dict(step) for step in payload.get("steps", ())],
-            succeeded=bool(payload.get("succeeded", False)),
-            error=payload.get("error"),
-            started_at=float(payload.get("started_at", 0.0)),
-            finished_at=float(payload.get("finished_at", 0.0)),
-            blocks_created=int(payload.get("blocks_created", 0)),
-            cascaded_metadata_ids=list(payload.get("cascaded_metadata_ids", ())),
-        )
-
-    def pretty(self) -> str:
-        """A plain-text rendering of the trace, step by step."""
-        lines = [
-            f"Workflow {self.operation!r} on {self.metadata_id!r} initiated by {self.initiator}",
-            f"  succeeded={self.succeeded} elapsed={self.elapsed:.2f}s "
-            f"blocks={self.blocks_created} steps={self.step_count}",
-        ]
-        for step in self.steps:
-            block = f" [block #{step.block_number}]" if step.block_number is not None else ""
-            lines.append(
-                f"  {step.index:>2}. t={step.simulated_time:8.2f}s {step.actor:<12} "
-                f"{step.action:<22} {step.description}{block}"
-            )
-        if self.error:
-            lines.append(f"  ERROR: {self.error}")
-        return "\n".join(lines)
+#: One leg, each transaction gossiped alone and mined in a round of its own.
+SEQUENTIAL = _Rounds("sequential", "sequential",
+                     lambda submissions: {"method": submissions[0][1].method})
+#: The gateway's batch: one request round and one ack round for all groups.
+BATCHED = _Rounds("requests", "acks", lambda submissions: {"groups": len(submissions)},
+                  " (batched round)")
 
 
 @dataclass(frozen=True)
@@ -312,6 +212,9 @@ class _Leg:
     direct_edit: bool = False
     #: The edited snapshot full (non-delta) mode installs instead of the diff.
     candidate_view: Optional[Table] = None
+    #: A cross-peer folded group's attested contributions (see
+    #: ``_fold_contributions``); they make the request a folded one.
+    contributions: Optional[List[dict]] = None
     request_tx: Any = None
     update_id: Optional[int] = None
     #: Why the contract refused the request (set by ``_accept``).
@@ -322,6 +225,16 @@ class _Leg:
     initiator_source_diff: Optional[TableDiff] = None
     counterpart_diff: Optional[TableDiff] = None
     ack_tx: Any = None
+    #: Why a stage failed; the leg was dropped there.
+    error: Optional[Exception] = None
+    #: True once the leg left the loop, finished or dropped, and was
+    #: announced to the change listeners if it had been installed.
+    done: bool = False
+
+    @property
+    def cascaded(self) -> bool:
+        """True for a step-6 leg (steps 7–11), which ``_cascade`` built."""
+        return self.depth > 0
 
 
 class UpdateCoordinator:
@@ -333,11 +246,9 @@ class UpdateCoordinator:
         #: When true, propagation legs push row-level diffs through lenses,
         #: indexes and caches instead of recomputing whole tables.
         self.delta_enabled = bool(getattr(system.config, "delta_propagation", True))
-        #: When true and the ledger has more than one consensus lane, the
-        #: legs of one cascade commit through *shared* request/ack rounds and
-        #: their ledger-free middles run grouped by lane (see
-        #: :meth:`_cascade_parallel`).  Single-lane systems always take the
-        #: sequential path, byte-identical to the seed.
+        #: When true, the legs of one cascade commit through *shared*
+        #: request/ack rounds on any lane count; when false, one leg at a
+        #: time (the oracle).
         self.parallel_enabled = bool(getattr(system.config, "parallel_cascades", True))
         #: Set by :meth:`MedicalDataSharingSystem.attach_tracer`; spans cover
         #: consensus rounds and every delta-propagation leg.
@@ -405,27 +316,26 @@ class UpdateCoordinator:
             return self.retrier.call(one_round, label="consensus.round")
         return one_round()
 
-    def _mine_round(self, phase: str, submit: Callable[..., Any], *submission: Any,
-                    **attrs: Any) -> int:
-        """One consensus round: ``submit(*submission)`` hands the round's
-        transactions to the network — the simulator's single gossip or its
-        one ``tx-batch`` flood, the driver's choice — then everything pending
-        is mined.  Returns the number of blocks produced."""
+    def _mine_round(self, phase: str, submit: Callable[..., Any],
+                    submissions: List[Tuple[str, Any]], **attrs: Any) -> int:
+        """One consensus round: ``submit(submissions)`` hands the round's
+        ``(via node, transaction)`` pairs to the network — a single gossip
+        each or one ``tx-batch`` flood, the caller's choice — then everything
+        pending is mined.  Returns the number of blocks produced."""
         if self.before_round is not None:
             # What the hook admits is not part of this commit's trace.
             with self.tracer.detached():
                 self.before_round()
         with self.tracer.span("consensus.round", phase=phase, **attrs) as span:
-            submit(*submission)
+            submit(submissions)
             blocks = self._mine()
             span.annotate(blocks=blocks)
         return blocks
 
-    def _gossip_and_mine(self, app, tx) -> int:
-        """Gossip one transaction from ``app``'s node and mine it in a round
-        of its own; returns the number of blocks produced."""
-        return self._mine_round("sequential", self.system.simulator.submit_transaction,
-                                app.node.name, tx, method=tx.method)
+    def _gossip(self, submissions: Sequence[Tuple[str, Any]]) -> None:
+        """Single gossip: each ``(via node, transaction)`` floods on its own."""
+        for via_node, tx in submissions:
+            self.system.simulator.submit_transaction(via_node, tx)
 
     def _sink(self, trace: WorkflowTrace) -> StepSink:
         """A step sink that lands steps on ``trace`` at the current sim time."""
@@ -539,21 +449,25 @@ class UpdateCoordinator:
 
     def _finish(self, trace: WorkflowTrace, diff: TableDiff, direct_edit: bool = False,
                 candidate_view: Optional[Table] = None) -> None:
-        """Run the protocol for a non-empty ``diff``, always stamping the trace
-        end time; rejections carry the trace on the raised exception
-        (``exc.trace``)."""
+        """Run a non-empty ``diff`` as one leg, always stamping the trace end
+        time.  A refusal raises :class:`UpdateRejected` carrying the trace
+        (``exc.trace``), any other failure the leg's error."""
         if diff.is_empty:
             trace.succeeded = True
         else:
             leg = self._new_leg(trace.initiator, trace.metadata_id, trace.operation,
                                 diff, trace, direct_edit=direct_edit,
                                 candidate_view=candidate_view)
-            try:
-                self._run_protocol(leg)
-            except UpdateRejected as exc:
-                trace.finished_at = self._clock.now()
-                exc.trace = trace  # type: ignore[attr-defined]
-                raise
+            # Nested cascades add their own blocks while the leg runs.
+            blocks, _rounds = self._run_legs([leg], self._gossip, SEQUENTIAL)
+            trace.blocks_created += blocks
+            trace.finished_at = self._clock.now()
+            if leg.rejection is not None:
+                rejected = UpdateRejected(leg.rejection)
+                rejected.trace = trace  # type: ignore[attr-defined]
+                raise rejected
+            if leg.error is not None:
+                raise leg.error
         trace.finished_at = self._clock.now()
 
     # ---------------------------------------------------------- edits → diff
@@ -610,7 +524,8 @@ class UpdateCoordinator:
             "change_permission",
             {"metadata_id": metadata_id, "attribute": attribute,
              "new_writers": list(new_writers)})
-        self._gossip_and_mine(app, tx)
+        self._mine_round("sequential", self._gossip, [(app.node.name, tx)],
+                         method=tx.method)
         receipt = app.node.chain.receipt(tx.tx_hash)
         if not receipt.success:
             raise UpdateRejected(f"permission change rejected: {receipt.error}")
@@ -630,12 +545,11 @@ class UpdateCoordinator:
             changed=tuple(c for c in diff.touched_columns if c in shared),
             diff_hash=hash_payload(diff.to_dict()), **leg_fields)
 
-    def _build_request(self, leg: _Leg,
-                       contributions: Optional[List[dict]] = None) -> None:
-        """Step 2: build and sign the permission request.  ``contributions``
-        (a cross-peer folded group) turns it into a folded request carrying
-        every contributor's attested attributes."""
-        if contributions is None:
+    def _build_request(self, leg: _Leg) -> None:
+        """Step 2: build and sign the permission request.  A cross-peer
+        folded group's ``contributions`` turn it into a folded request
+        carrying every contributor's attested attributes."""
+        if leg.contributions is None:
             method = {"update": "request_update", "create": "request_create",
                       "delete": "request_delete"}[leg.operation]
             args = {"metadata_id": leg.metadata_id,
@@ -643,7 +557,7 @@ class UpdateCoordinator:
                     "diff_hash": leg.diff_hash}
         else:
             method = "request_folded_update"
-            args = {"metadata_id": leg.metadata_id, "contributions": contributions,
+            args = {"metadata_id": leg.metadata_id, "contributions": leg.contributions,
                     "diff_hash": leg.diff_hash}
         leg.request_tx = self._app(leg.initiator).build_contract_call(method, args)
 
@@ -713,7 +627,7 @@ class UpdateCoordinator:
     def _middle(self, leg: _Leg, emit: StepSink) -> None:
         """Steps 3–5 and the acknowledgement transaction.  Touches no ledger
         state and no trace — only the two peers' apps, ``leg`` and ``emit`` —
-        so the parallel driver may buffer its steps."""
+        so legs sharing a trace may buffer their steps."""
         app = self._app(leg.initiator)
         counterpart_app = self._app(leg.counterpart)
         metadata_id, update_id = leg.metadata_id, leg.update_id
@@ -771,33 +685,171 @@ class UpdateCoordinator:
                           source_diff=leg.initiator_source_diff)
         trace.succeeded = True
 
-    # ------------------------------------------------- driver 1: sequential
+    # ------------------------------------------------------- the phase loop
 
-    def _run_protocol(self, leg: _Leg) -> None:
-        """Steps 2..11 of Fig. 5 for one leg, each of its two transactions
-        gossiped alone and mined in a round of its own.  A refused request
-        raises :class:`UpdateRejected`, any later failure
-        :class:`WorkflowError`."""
-        trace = leg.trace
-        self._build_request(leg)
-        trace.blocks_created += self._gossip_and_mine(self._app(leg.initiator),
-                                                      leg.request_tx)
+    def _run_legs(self, legs: Sequence[_Leg], submit: Callable[..., Any],
+                  rounds: _Rounds) -> Tuple[int, int]:
+        """Request round, accept, middles, ack round, confirm and notify for
+        ``legs``; returns the ``(blocks, rounds)`` mined.  ``submit`` hands a
+        round's transactions to the network, ``rounds`` labels the rounds.
+
+        A stage failure drops its leg (see :meth:`_settle`) and the others go
+        on.  What escapes — a failed round, a bug — first announces every
+        installed leg still in flight.  A leg that runs alone owns its rounds
+        too, so its ``cascade.leg`` span covers every stage; legs sharing
+        their rounds get a span each around their own middle.
+        """
+        solo = len(legs) == 1
+        with self._leg_span(legs[0]) if solo else nullcontext() as solo_span:
+            own_span = (lambda _leg: nullcontext(solo_span)) if solo else self._leg_span
+            blocks = mined = 0
+            try:
+                # Each request is ingested at its initiator's node as it is
+                # built, so a peer starting several legs keeps its nonces
+                # sequential.
+                for leg in legs:
+                    self._build_request(leg)
+                    node = self._app(leg.initiator).node
+                    if not node.receive_transaction(leg.request_tx):
+                        self._settle(leg, error=WorkflowError(
+                            f"request for {leg.metadata_id!r} rejected by "
+                            f"{node.name!r}'s mempool"))
+                requests = [(self._app(leg.initiator).node.name, leg.request_tx)
+                            for leg in legs if not leg.done]
+                if not requests:
+                    return blocks, mined
+                blocks += self._mine_round(rounds.requests, submit, requests,
+                                           **rounds.attrs(requests))
+                mined += 1
+
+                # Accept and middles, one trace at a time: the legs of a batch
+                # each have their own, a cascade's legs share their parent's.
+                units: Dict[int, List[_Leg]] = {}
+                for leg in legs:
+                    units.setdefault(id(leg.trace), []).append(leg)
+                acknowledging: List[_Leg] = []
+                for unit in units.values():
+                    accepted = []
+                    for leg in unit:
+                        if leg.done:
+                            continue
+                        with self._dropping_on_failure(leg):
+                            if self._accept(leg, rounds.suffix):
+                                accepted.append(leg)
+                                continue
+                            with own_span(leg) as span:
+                                self._refused(leg, span)
+                    acknowledging += self._middles(accepted, own_span, shared=len(unit) > 1)
+                acks = [(self._app(leg.counterpart).node.name, leg.ack_tx)
+                        for leg in acknowledging]
+                if not acks:
+                    return blocks, mined
+                blocks += self._mine_round(rounds.acks, submit, acks, **rounds.attrs(acks))
+                mined += 1
+
+                # Confirm (step 6 runs in there), then notify.
+                for leg in acknowledging:
+                    with self._dropping_on_failure(leg):
+                        self._confirm(leg, rounds.suffix)
+                    if leg.done:
+                        continue
+                    self._settle(leg, leg.diff)
+                    if leg.cascaded:
+                        self._app(leg.initiator).manager.clear_view_unhealed(leg.metadata_id)
+                return blocks, mined
+            except BaseException:
+                for leg in legs:
+                    if not leg.done:
+                        self._settle(leg)
+                raise
+
+    def _middles(self, legs: Sequence[_Leg], own_span: Callable[[_Leg], Any],
+                 shared: bool) -> List[_Leg]:
+        """Run each accepted leg's middle and ingest its acknowledgement;
+        returns, in leg order, the legs whose middle ran to the end.
+
+        Legs that share one trace (``shared``) run grouped by consensus lane,
+        the groups in sorted order, a counterpart's legs joining its first
+        group.  Their steps are buffered and merged in leg order, stamped at
+        the post-middle simulated time; a leg that failed hands over none.
+        Simulated-clock advances are additive, so table states and
+        fingerprints equal those of one leg at a time.
+        """
+        order = self._lane_order(legs) if shared else legs
+        buffers: Dict[int, List[Tuple[tuple, dict]]] = {}
+        for leg in order:
+            steps: List[Tuple[tuple, dict]] = []
+            emit: StepSink = ((lambda *step, _steps=steps, **data: _steps.append((step, data)))
+                              if shared else self._sink(leg.trace))
+            with self._dropping_on_failure(leg), own_span(leg):
+                self._middle(leg, emit)
+                self._app(leg.counterpart).node.receive_transaction(leg.ack_tx)
+            if not leg.done:
+                buffers[id(leg)] = steps
+        merged_at = self._clock.now()
+        for leg in legs:
+            for step, data in buffers.get(id(leg), ()):
+                leg.trace.add_step(*step, merged_at, **data)
+        return [leg for leg in legs if id(leg) in buffers]
+
+    def _lane_order(self, legs: Sequence[_Leg]) -> List[_Leg]:
+        """``legs`` grouped by the consensus lane of their table, the groups
+        in lane order; legs sharing a counterpart peer join one group."""
+        router = self.system.simulator.router
+        groups: Dict[int, List[_Leg]] = {}
+        lane_of_counterpart: Dict[str, int] = {}
+        for leg in legs:
+            lane = lane_of_counterpart.setdefault(leg.counterpart,
+                                                  router.shard_of(leg.metadata_id))
+            groups.setdefault(lane, []).append(leg)
+        return [leg for lane in sorted(groups) for leg in groups[lane]]
+
+    def _settle(self, leg: _Leg, view_diff: Optional[TableDiff] = None,
+                error: Optional[Exception] = None) -> None:
+        """The leg leaves the loop: an installed one is announced — with
+        ``view_diff`` only when it finished — and its trace is stamped.
+
+        This is the one error policy: a failure is recorded on the leg, not
+        on the trace it may share, and the leg goes without a diff.  The
+        caller decides afterwards whether to raise it or record it."""
+        leg.done = True
+        leg.error = error
+        if leg.installed:
+            self._notify_change(leg, view_diff)
+        leg.trace.finished_at = self._clock.now()
+
+    @contextmanager
+    def _dropping_on_failure(self, leg: _Leg) -> Iterator[None]:
+        """A stage of ``leg`` runs inside: its failure drops the leg."""
         try:
-            if not self._accept(leg):
-                raise UpdateRejected(leg.rejection)
-            self._middle(leg, self._sink(trace))
-            trace.blocks_created += self._gossip_and_mine(self._app(leg.counterpart),
-                                                          leg.ack_tx)
-            self._confirm(leg)
-        except Exception:
-            if leg.installed:
-                # Listeners must hear of an installed view even though the
-                # protocol did not complete — without a diff.
-                self._notify_change(leg)
-            raise
-        self._notify_change(leg, leg.diff)
+            yield
+        except ReproError as exc:
+            self._settle(leg, error=exc)
 
-    # ---------------------------------------------- driver 2: batched commit
+    def _refused(self, leg: _Leg, span) -> None:
+        """The contract refused the leg's request.  A refused cascade leg
+        does not undo the already-accepted update before it: the peer keeps
+        its other shared piece unchanged and the trace records the refusal.
+        The dependent view now lags its base table, so the delta dependency
+        check must diff it exactly until a leg goes through again."""
+        if leg.cascaded:
+            self._app(leg.initiator).manager.mark_view_unhealed(leg.metadata_id)
+            span.annotate(rejected=True)
+            leg.trace.add_step(leg.initiator, "cascade_rejected", leg.rejection,
+                               self._clock.now())
+        self._settle(leg)
+
+    def _leg_span(self, leg: _Leg):
+        """A cascade leg's ``cascade.leg`` span; other legs have none."""
+        if not leg.cascaded:
+            return NULL_TRACER.span("cascade.leg")
+        return self.tracer.span(
+            "cascade.leg", peer=leg.initiator, metadata_id=leg.metadata_id,
+            depth=leg.depth - 1,
+            lane=self.system.simulator.router.shard_of(leg.metadata_id),
+            rows=len(leg.diff))
+
+    # ----------------------------------------------------- the batched commit
 
     def commit_entry_batch(self, groups: Sequence[BatchGroup]) -> BatchCommitResult:
         """Commit many groups through *shared* consensus rounds (the gateway's
@@ -811,8 +863,8 @@ class UpdateCoordinator:
         write scheduler guarantees this.
 
         A rejected or failed group never aborts the batch: its trace carries
-        ``succeeded=False`` and the error, mirroring what the sequential path
-        raises.
+        ``succeeded=False`` and the error, mirroring what the entry points
+        raise.
         """
         self.injector.maybe_fail("commit.fail")
         seen_ids = set()
@@ -825,13 +877,7 @@ class UpdateCoordinator:
             seen_ids.add(group.metadata_id)
 
         result = BatchCommitResult()
-
-        # Phase A: validate every group locally and build every request
-        # transaction, then mine them all in one consensus round.  Requests
-        # are gossiped as one batch (a single tx-batch flood) after each has
-        # been ingested at its own peer's node for nonce accounting.
-        prepared: List[_Leg] = []
-        request_submissions: List[Tuple[str, Any]] = []
+        legs: List[_Leg] = []
         for group in groups:
             trace = WorkflowTrace(initiator=group.peer, metadata_id=group.metadata_id,
                                   operation=group.operation, started_at=self._clock.now())
@@ -860,78 +906,22 @@ class UpdateCoordinator:
                 leg = self._new_leg(group.peer, group.metadata_id, group.operation,
                                     diff, trace, direct_edit=True,
                                     candidate_view=candidate)
-                self._build_request(
-                    leg, self._fold_contributions(group, leg, edit_errors)
-                    if group.folded else None)
-                # Ingest at the submitting peer's own node right away so a
-                # peer initiating several groups keeps its nonces sequential.
-                node = self._app(group.peer).node
-                if node.receive_transaction(leg.request_tx):
-                    request_submissions.append((node.name, leg.request_tx))
-                    prepared.append(leg)
-                    continue
-                trace.error = f"request transaction rejected by {node.name!r}'s mempool"
+                if group.folded:
+                    leg.contributions = self._fold_contributions(group, leg, edit_errors)
+                legs.append(leg)
+                continue
             # Every group that does not ride the request round ends here.
             trace.finished_at = self._clock.now()
-        if not prepared:
-            return result
-        result.blocks_created += self._mine_round(
-            "requests", self.system.simulator.submit_transaction_batch,
-            request_submissions, groups=len(prepared))
-        result.consensus_rounds += 1
-
-        # Phase B: install accepted groups on both sides and build every
-        # acknowledgement (gossiped as one batch, like the requests), then
-        # mine them all in a second shared round.
-        acknowledged: List[_Leg] = []
-        ack_submissions: List[Tuple[str, Any]] = []
-        for leg in prepared:
-            trace = leg.trace
-            try:
-                if not self._accept(leg, suffix=BATCHED_ROUND):
-                    trace.finished_at = self._clock.now()
-                    continue
-                self._middle(leg, self._sink(trace))
-                counterpart_node = self._app(leg.counterpart).node
-                counterpart_node.receive_transaction(leg.ack_tx)
-                ack_submissions.append((counterpart_node.name, leg.ack_tx))
-            except ReproError as exc:
-                trace.error = str(exc)
-                trace.finished_at = self._clock.now()
-                if leg.installed:
-                    # The initiator's shared table was already replaced, so
-                    # cached views of it are stale even though the protocol
-                    # did not complete — listeners must still be told.  No
-                    # diff is passed: a half-installed change is not safely
-                    # describable as one, so caches drop the views instead.
-                    self._notify_change(leg)
-                continue
-            acknowledged.append(leg)
-        if not acknowledged:
-            return result
-        result.blocks_created += self._mine_round(
-            "acks", self.system.simulator.submit_transaction_batch,
-            ack_submissions, groups=len(acknowledged))
-        result.consensus_rounds += 1
-
-        # Phase C: confirm acknowledgements, run the Fig. 5 step-6 cascades
-        # (each cascade mines its own rounds) and fire the change listeners.
-        for leg in acknowledged:
-            trace = leg.trace
-            try:
-                self._confirm(leg, suffix=BATCHED_ROUND)
-            except ReproError as exc:
-                # A nested cascade leg's confirmation may already have set
-                # ``succeeded`` on this shared trace before a later leg failed.
-                trace.succeeded = False
-                trace.error = str(exc)
-            finally:
-                trace.finished_at = self._clock.now()
-                # The group's data was installed on both sides in Phase B,
-                # whatever happened to its cascade: listeners always fire.
-                # The diff travels along only for fully-successful groups so
-                # caches can patch rather than drop.
-                self._notify_change(leg, leg.diff if trace.succeeded else None)
+        blocks, rounds = self._run_legs(legs, self.system.simulator.submit_transaction_batch,
+                                        BATCHED)
+        result.blocks_created += blocks
+        result.consensus_rounds += rounds
+        for leg in legs:
+            if leg.error is not None:
+                # A nested cascade leg may have set ``succeeded`` on this
+                # trace before a later stage failed.
+                leg.trace.succeeded = False
+                leg.trace.error = str(leg.error)
         return result
 
     # ------------------------------------------------------ step 6: cascades
@@ -944,10 +934,10 @@ class UpdateCoordinator:
         propagation is on, each dependent lens translates that diff forward
         (O(changed rows)) instead of re-running its full ``get``.
 
-        With more than one consensus lane and more than one affected
-        dependent, the legs commit through the batched parallel path
-        (:meth:`_cascade_parallel`); single-lane systems always take the
-        sequential loop below, byte-identical to the seed behaviour.
+        Two or more legs commit through two shared rounds on any lane count
+        (one leg at a time when ``parallel_cascades`` is off).  A refused
+        leg is recorded as ``cascade_rejected``; a failed one raises, after
+        every other leg has run.
         """
         app = self._app(peer_name)
         if self.delta_enabled and source_diff is not None:
@@ -957,155 +947,30 @@ class UpdateCoordinator:
         trace.add_step(peer_name, "check_dependencies",
                        f"{len(dependents)} dependent shared table(s) affected",
                        self._clock.now(), dependents=sorted(dependents))
-        if dependents and depth >= 8:
+        if not dependents:
+            return
+        if depth >= 8:
             raise WorkflowError("propagation cascade exceeded the supported depth")
         legs = [self._new_leg(peer_name, dependent_id, "update", dependent_diff,
                               trace, depth=depth + 1)
                 for dependent_id, dependent_diff in sorted(dependents.items())]
-        if (self.parallel_enabled and self.system.simulator.router.num_shards > 1
-                and len(legs) > 1):
-            self._cascade_parallel(legs)
-            return
-        for leg in legs:
-            self._announce_cascade_leg(leg)
-            with self._cascade_leg_span(leg) as span:
-                try:
-                    self._run_protocol(leg)
-                    app.manager.clear_view_unhealed(leg.metadata_id)
-                except UpdateRejected:
-                    self._cascade_leg_rejected(span, leg)
-
-    def _announce_cascade_leg(self, leg: _Leg) -> None:
-        leg.trace.cascaded_metadata_ids.append(leg.metadata_id)
-        leg.trace.add_step(leg.initiator, "bx_get",
-                           f"regenerate dependent shared view {leg.metadata_id!r} "
-                           f"({len(leg.diff)} row change(s))", self._clock.now(),
-                           rows_changed=len(leg.diff))
-
-    def _cascade_leg_span(self, leg: _Leg):
-        return self.tracer.span(
-            "cascade.leg", peer=leg.initiator, metadata_id=leg.metadata_id,
-            depth=leg.depth - 1,
-            lane=self.system.simulator.router.shard_of(leg.metadata_id),
-            rows=len(leg.diff))
-
-    def _cascade_leg_rejected(self, span, leg: _Leg) -> None:
-        """A rejected cascade leg does not undo the already-accepted primary
-        update; the peer simply keeps its other shared piece unchanged and
-        the trace records the refusal.  The dependent view now lags its base
-        table, so the delta dependency check must diff it exactly until a leg
-        goes through again."""
-        self._app(leg.initiator).manager.mark_view_unhealed(leg.metadata_id)
-        span.annotate(rejected=True)
-        leg.trace.add_step(leg.initiator, "cascade_rejected", leg.rejection,
-                           self._clock.now())
-
-    # --------------------------------------------- driver 3: parallel cascade
-
-    def _cascade_parallel(self, legs: Sequence[_Leg]) -> None:
-        """Propagate one peer's cascade legs through *shared* consensus rounds.
-
-        The sequential loop above costs two mining rounds per leg; here every
-        leg's request transaction mines in one shared round and every
-        acknowledgement in a second (the :meth:`commit_entry_batch` shape).
-        The ledger-free middle of each leg — notification, data transfer,
-        counterpart ``put`` — runs grouped by consensus lane, the groups in
-        sorted order; legs sharing a counterpart peer join one group.  A
-        group stops at its first failing leg and the others still run.
-
-        The middles' trace steps are buffered per leg and merged in sorted
-        leg order, stamped at the post-middle simulated time.  Simulated-clock
-        advances are additive and commutative, so resulting table states and
-        fingerprints are byte-identical to the sequential path.  A rejected
-        leg leaves exactly the sequential bookkeeping (failed trace fields,
-        an unhealed-view mark, a ``cascade_rejected`` step) without aborting
-        the batch.  When a leg fails, every installed leg not yet announced
-        is announced without a diff before the error is re-raised.
-        """
-        peer_name, trace, depth = legs[0].initiator, legs[0].trace, legs[0].depth - 1
-        app = self._app(peer_name)
-        router = self.system.simulator.router
-
-        # Phase A (sorted): record each leg, build + locally ingest its
-        # request transaction (keeping the initiator's nonces sequential)
-        # and resolve the pairwise data channel, so channels are created in
-        # leg order.  Then one shared consensus round mines every request.
-        request_submissions: List[Tuple[str, Any]] = []
-        for leg in legs:
-            self._announce_cascade_leg(leg)
-            app.channel_to(leg.counterpart)
-            self._build_request(leg)
-            if not app.node.receive_transaction(leg.request_tx):
-                raise WorkflowError(
-                    f"cascade request for {leg.metadata_id!r} rejected by "
-                    f"{app.node.name!r}'s mempool"
-                )
-            request_submissions.append((app.node.name, leg.request_tx))
-        trace.blocks_created += self._mine_round(
-            "cascade_requests", self.system.simulator.submit_transaction_batch,
-            request_submissions, legs=len(legs), depth=depth)
-
-        finished = set()
-        try:
-            # Phase B (sorted): read each receipt; install accepted legs on
-            # the initiator side, leave rejected ones with the sequential
-            # path's bookkeeping.
-            active: List[_Leg] = []
-            for leg in legs:
-                if self._accept(leg):
-                    active.append(leg)
-                    continue
-                with self._cascade_leg_span(leg) as span:
-                    self._cascade_leg_rejected(span, leg)
-            if not active:
-                return
-
-            # Phase B2: the ledger-free middle of each accepted leg, its
-            # steps buffered per leg.  Only a leg whose middle ran to the
-            # end hands its buffer over.
-            buffered: Dict[str, List[Tuple[tuple, dict]]] = {}
-            groups: Dict[Any, List[_Leg]] = {}
-            group_of_counterpart: Dict[str, Any] = {}
-            for leg in active:
-                key = group_of_counterpart.setdefault(
-                    leg.counterpart, ("lane", router.shard_of(leg.metadata_id)))
-                groups.setdefault(key, []).append(leg)
-            errors: List[Exception] = []
-            for key in sorted(groups):
-                try:
-                    for leg in groups[key]:
-                        steps: List[Tuple[tuple, dict]] = []
-                        with self._cascade_leg_span(leg):
-                            self._middle(leg, lambda *step, **data: steps.append((step, data)))
-                            self._app(leg.counterpart).node.receive_transaction(leg.ack_tx)
-                        buffered[leg.metadata_id] = steps
-                except Exception as exc:  # noqa: BLE001 — re-raised after the merge
-                    errors.append(exc)
-            # The ordered merge: buffered steps land on the trace in sorted
-            # leg order, stamped at the post-middle simulated time.
-            merged_at = self._clock.now()
-            for leg in active:
-                for step, data in buffered.get(leg.metadata_id, ()):
-                    trace.add_step(*step, merged_at, **data)
-            if errors:
-                raise errors[0]
-
-            # Phase B3: one shared consensus round for every acknowledgement.
-            trace.blocks_created += self._mine_round(
-                "cascade_acks", self.system.simulator.submit_transaction_batch,
-                [(self._app(leg.counterpart).node.name, leg.ack_tx) for leg in active],
-                legs=len(active), depth=depth)
-
-            # Phase C (sorted): confirm acknowledgements, recurse into each
-            # counterpart's own cascade (which may batch again), fire the
-            # change listeners and heal the view bookkeeping.
-            for leg in active:
-                self._confirm(leg)
-                self._notify_change(leg, leg.diff)
-                finished.add(leg.metadata_id)
-                app.manager.clear_view_unhealed(leg.metadata_id)
-        except Exception:
-            for leg in legs:
-                if leg.installed and leg.metadata_id not in finished:
-                    self._notify_change(leg)
-            raise
+        shared_rounds = _Rounds("cascade_requests", "cascade_acks",
+                                lambda submissions: {"legs": len(submissions), "depth": depth})
+        for run in [legs] if self.parallel_enabled else [[leg] for leg in legs]:
+            for leg in run:
+                # Channels open in leg order, whatever order the middles run in.
+                app.channel_to(leg.counterpart)
+                trace.cascaded_metadata_ids.append(leg.metadata_id)
+                trace.add_step(peer_name, "bx_get",
+                               f"regenerate dependent shared view {leg.metadata_id!r} "
+                               f"({len(leg.diff)} row change(s))", self._clock.now(),
+                               rows_changed=len(leg.diff))
+            if len(run) == 1:
+                submit, rounds = self._gossip, SEQUENTIAL
+            else:
+                submit, rounds = self.system.simulator.submit_transaction_batch, shared_rounds
+            blocks, _rounds = self._run_legs(run, submit, rounds)
+            trace.blocks_created += blocks
+        failure = next((leg.error for leg in legs if leg.error is not None), None)
+        if failure is not None:
+            raise failure

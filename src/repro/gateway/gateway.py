@@ -158,8 +158,10 @@ class ResponseJournal:
             body["payload"]["table"] = view.table_dict()
         entry = WalEntry(self._next_sequence, "response", self.TABLE, body)
         self._next_sequence += 1
-        self._locations[response.request_id] = self.backend.append(
-            entry, encoded)
+        path, offset, length = self.backend.append(entry, encoded)
+        # The backend counts the bytes it wrote; the index holds the line
+        # without its newline, as the open-time scan and ``compact`` do.
+        self._locations[response.request_id] = (path, offset, length - 1)
 
     def sync(self) -> None:
         self.backend.sync()

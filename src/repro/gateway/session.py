@@ -150,6 +150,8 @@ class GatewaySession:
         elif isinstance(request, (InsertEntryRequest, DeleteEntryRequest)):
             # Row-level create/delete touches every shared attribute.
             attributes = agreement.shared_columns
+        if not attributes:
+            return  # a read checks membership only
         shared = set(agreement.shared_columns)
         for attribute in attributes:
             if attribute not in shared:

@@ -44,7 +44,7 @@ def test_loadtest_starts_no_thread(monkeypatch, options):
 
 def test_parallel_cascade_starts_no_thread(monkeypatch):
     """A hospital write fans out to one view per patient over five consensus
-    lanes: the parallel cascade driver runs every lane group in turn."""
+    lanes: the cascade's shared-round run takes every lane group in turn."""
     system = build_join_topology_system(
         TopologySpec(patients=12, researchers=0, distinct_medications=3,
                      first_patient_id=1008),
@@ -53,10 +53,14 @@ def test_parallel_cascade_starts_no_thread(monkeypatch):
             max_transactions_per_block=16, consensus_shards=5)))
     coordinator = system.coordinator
     parallel_runs = []
-    cascade_parallel = coordinator._cascade_parallel
-    monkeypatch.setattr(coordinator, "_cascade_parallel",
-                        lambda legs: parallel_runs.append(len(legs))
-                        or cascade_parallel(legs))
+    run_legs = coordinator._run_legs
+
+    def spy(legs, submit, rounds):
+        if rounds.requests == "cascade_requests":
+            parallel_runs.append(len(legs))
+        return run_legs(legs, submit, rounds)
+
+    monkeypatch.setattr(coordinator, "_run_legs", spy)
     monkeypatch.setattr(threading.Thread, "start", _refuse_to_start)
     gateway = SharingGateway(system)
     _medication, patient_ids = max(patients_by_medication(system).items(),

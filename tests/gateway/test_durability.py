@@ -277,3 +277,35 @@ class TestRestartRecovery:
         recovered = restarted.get_response(response.request_id)
         assert recovered is not None
         assert recovered.canonical() == response.canonical()
+
+
+class TestJournalLocations:
+    def test_a_location_counts_the_line_without_its_newline(self, tmp_path):
+        """``record``, the open-time scan and ``compact`` index a response by
+        the same line length, so the index means one thing however it was
+        built, and ``lookup`` answers from each."""
+        gateway = SharingGateway(_fresh_system(), state_dir=tmp_path)
+        session = gateway.open_session("researcher")
+        write = gateway.submit(session, _update(1))
+        gateway.drain()
+        read = gateway.submit(session, _read())
+        request_id = read.request_id
+
+        def length_of(journal):
+            path, offset, length = journal._locations[request_id]
+            journal.backend.flush()
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                line = handle.read(length + 1)
+            assert line.endswith(b"}\n") and len(line) == length + 1
+            assert journal.lookup(request_id).canonical() == read.canonical()
+            return length
+
+        recorded = length_of(gateway.journal)
+        gateway.close()
+        reopened = SharingGateway(_fresh_system(), state_dir=tmp_path)
+        assert length_of(reopened.journal) == recorded
+        # Compaction renumbers the two lines 3 and 4: same digits, same bytes.
+        reopened.journal.compact()
+        assert length_of(reopened.journal) == recorded
+        assert reopened.get_response(write.request_id).canonical() == write.canonical()

@@ -159,6 +159,29 @@ def _break_acknowledgement(app):
     app.build_contract_call = acknowledge_the_wrong_update
 
 
+def _fanout_system():
+    """The join topology on five consensus lanes: a hospital write to a
+    medication's patients cascades into one view per patient."""
+    return build_join_topology_system(
+        TopologySpec(patients=12, researchers=0, distinct_medications=3,
+                     first_patient_id=1008),
+        SystemConfig(
+            ledger=LedgerConfig(
+                consensus=ConsensusConfig(kind="poa", block_interval=1.0),
+                max_transactions_per_block=16, consensus_shards=5),
+            network=NetworkConfig(base_latency=0.002, latency_jitter=0.001)))
+
+
+def _hospital_write(system, patient_ids, value):
+    """One batch group: the hospital sets ``mechanism_of_action`` on each
+    patient's row."""
+    return system.coordinator.commit_entry_batch([BatchGroup(
+        peer="hospital", metadata_id=HOSPITAL_TABLE_ID,
+        edits=tuple(EntryEdit(op="update", key=(patient_id,),
+                              values={"mechanism_of_action": value})
+                    for patient_id in patient_ids))])
+
+
 SHARED_MIDDLE_FAULTS = {
     "missing_notification": (_drop_notifications, "did not receive the contract notification"),
     "failing_acknowledgement": (_break_acknowledgement, "acknowledgement by"),
@@ -169,11 +192,11 @@ class TestWorkflowRobustness:
     @pytest.mark.parametrize("fault", sorted(SHARED_MIDDLE_FAULTS))
     @pytest.mark.parametrize("driver", ["sequential", "batch", "parallel"])
     def test_middle_faults_keep_each_drivers_contract(self, driver, fault):
-        """The notification check and the acknowledgement are shared by the
-        three Fig. 5 drivers; what a failure there *means* is the driver's:
-        the sequential protocol raises, the batched commit records the error
-        on the group's trace and carries on, the parallel cascade lands every
-        buffered step in sorted leg order and then raises."""
+        """The notification check and the acknowledgement are shared by every
+        run of the phase loop, and so is the error policy: the failing leg is
+        dropped, announced without a diff, and the others finish.  Then the
+        entry point raises, the batch records the error on the group's trace,
+        and a cascade raises into the confirmation of the leg above it."""
         inject, message = SHARED_MIDDLE_FAULTS[fault]
         notified = []
 
@@ -216,14 +239,7 @@ class TestWorkflowRobustness:
                 (faulted, True), (healthy, False)]
             return
 
-        system = build_join_topology_system(
-            TopologySpec(patients=12, researchers=0, distinct_medications=3,
-                         first_patient_id=1008),
-            SystemConfig(
-                ledger=LedgerConfig(
-                    consensus=ConsensusConfig(kind="poa", block_interval=1.0),
-                    max_transactions_per_block=16, consensus_shards=5),
-                network=NetworkConfig(base_latency=0.002, latency_jitter=0.001)))
+        system = _fanout_system()
         coordinator = system.coordinator
         coordinator.subscribe_shared_diff(listener)
         _medication, patient_ids = max(patients_by_medication(system).items(),
@@ -231,58 +247,53 @@ class TestWorkflowRobustness:
         victim = patient_ids[1]
         inject(system.server_app(f"patient-{victim}"))
         raised = []
-        cascade_parallel = coordinator._cascade_parallel
+        run_legs = coordinator._run_legs
 
-        def spy(*args, **kwargs):
-            try:
-                return cascade_parallel(*args, **kwargs)
-            except WorkflowError as exc:
-                raised.append(str(exc))
-                raise
+        def spy(legs, submit, rounds):
+            ran = run_legs(legs, submit, rounds)
+            if rounds.requests == "cascade_requests":
+                raised.extend(str(leg.error) for leg in legs if leg.error is not None)
+            return ran
 
-        coordinator._cascade_parallel = spy
-        result = coordinator.commit_entry_batch([BatchGroup(
-            peer="hospital", metadata_id=HOSPITAL_TABLE_ID,
-            edits=tuple(EntryEdit(op="update", key=(patient_id,),
-                                  values={"mechanism_of_action": "MeA-fanout"})
-                        for patient_id in patient_ids))])
+        coordinator._run_legs = spy
+        result = _hospital_write(system, patient_ids, "MeA-fanout")
         trace = result.traces[0]
+        # The shared-round cascade dropped the failing leg alone, and the
+        # hospital group failed with its error.
         assert len(raised) == 1 and message in raised[0]
         assert trace.error == raised[0]
+        assert not trace.succeeded
         legs = [f"patient-{patient_id}" for patient_id in patient_ids]
+        healthy = [leg for leg in legs if leg != f"patient-{victim}"]
+        views = [f"D13&D31:{patient_id}" for patient_id in patient_ids]
+        victim_view = f"D13&D31:{victim}"
 
         def actors(action):
             return [step.actor for step in trace.steps
                     if step.action == action and step.actor in legs]
 
+        # Every leg's view was installed and is announced once: the healthy
+        # legs finished and carry their diffs, the failing one goes without.
+        # The hospital group failed, so it goes without a diff too.
+        assert notified[-1] == (HOSPITAL_TABLE_ID, None)
+        announced = dict(notified[:-1])
+        assert len(notified) == len(views) + 1 and sorted(announced) == sorted(views)
+        assert announced[victim_view] is None
+        assert all(announced[view] is not None
+                   for view in views if view != victim_view)
         if fault == "missing_notification":
-            # Every healthy leg's buffered middle landed, in sorted leg
-            # order, before the error surfaced; no acknowledgement was mined.
-            healthy = [leg for leg in legs if leg != f"patient-{victim}"]
+            # The healthy legs' buffered middles landed in sorted leg order,
+            # and each was acknowledged; the victim was dropped (and
+            # announced) in its middle, before the ack round.
             assert actors("notified") == actors("fetch_data") == healthy
-            assert actors("acknowledge") == []
-            # Every leg's view and the hospital group itself were installed:
-            # listeners hear about each, without a diff.
-            assert not trace.succeeded
-            assert notified == [(f"D13&D31:{patient_id}", None)
-                                for patient_id in patient_ids] + [
-                (HOSPITAL_TABLE_ID, None)]
+            assert actors("acknowledge") == healthy
+            assert notified[0] == (victim_view, None)
         else:
-            # Legs are confirmed in sorted order up to the failing one.
+            # Every leg fetched and sent its acknowledgement; legs are
+            # confirmed and announced in sorted order, the failing one too.
             assert actors("notified") == actors("fetch_data") == legs
-            assert actors("acknowledge") == legs[:2]
-            # The first leg finished; the failing leg and every later one
-            # are installed but unfinished, so they go without a diff.
-            assert [mid for mid, _diff in notified] == [
-                f"D13&D31:{patient_id}" for patient_id in patient_ids] + [
-                HOSPITAL_TABLE_ID]
-            assert notified[0][1] is not None
-            assert all(diff is None for _mid, diff in notified[1:])
-            # The first leg's confirmation must not leave the group marked
-            # successful: listeners drop the hospital views instead of
-            # patching them.
-            assert not trace.succeeded
-            assert notified[-1] == (HOSPITAL_TABLE_ID, None)
+            assert actors("acknowledge") == legs
+            assert [mid for mid, _diff in notified[:-1]] == views
 
     def test_missing_notification_is_an_explicit_error(self, fresh_paper_system):
         """If the contract event never reaches the sharing peer (e.g. its node
@@ -316,14 +327,7 @@ class TestWorkflowRobustness:
         later leg's acknowledgement fails, every member of the batch is
         rejected and a reader of the failed leg's view gets the installed
         data, not the copy it cached before the write."""
-        system = build_join_topology_system(
-            TopologySpec(patients=12, researchers=0, distinct_medications=3,
-                         first_patient_id=1008),
-            SystemConfig(
-                ledger=LedgerConfig(
-                    consensus=ConsensusConfig(kind="poa", block_interval=1.0),
-                    max_transactions_per_block=16, consensus_shards=5),
-                network=NetworkConfig(base_latency=0.002, latency_jitter=0.001)))
+        system = _fanout_system()
         gateway = SharingGateway(system)
         _medication, patient_ids = max(patients_by_medication(system).items(),
                                        key=lambda item: len(item[1]))
@@ -355,14 +359,7 @@ class TestWorkflowRobustness:
         cascade, the failing leg's view and every later leg's view are
         already installed: each is announced to the change listeners, the
         failing one without a diff."""
-        system = build_join_topology_system(
-            TopologySpec(patients=12, researchers=0, distinct_medications=3,
-                         first_patient_id=1008),
-            SystemConfig(
-                ledger=LedgerConfig(
-                    consensus=ConsensusConfig(kind="poa", block_interval=1.0),
-                    max_transactions_per_block=16, consensus_shards=5),
-                network=NetworkConfig(base_latency=0.002, latency_jitter=0.001)))
+        system = _fanout_system()
         announced = {}
         system.coordinator.subscribe_shared_diff(
             lambda metadata_id, _operation, _peers, diff:
@@ -386,6 +383,30 @@ class TestWorkflowRobustness:
             stored = system.peer(f"patient-{view.split(':')[1]}").shared_table(view)
             assert {row["mechanism_of_action"] for row in stored.rows} == {"MeA-fanout"}
         assert announced[victim_view] is None
+
+
+    def test_a_lost_notification_leaves_the_healthy_legs_writable(self):
+        """One patient's contract notification is lost inside a fan-out: the
+        other patients' legs still fetch, acknowledge and finish, so the next
+        hospital write to a healthy patient reaches that patient's view
+        instead of being refused for an unacknowledged update."""
+        system = _fanout_system()
+        _medication, patient_ids = max(patients_by_medication(system).items(),
+                                       key=lambda item: len(item[1]))
+        victim, healthy = patient_ids[1], patient_ids[2]
+        _drop_notifications(system.server_app(f"patient-{victim}"))
+        first = _hospital_write(system, patient_ids, "MeA-first").traces[0]
+        assert not first.succeeded
+        assert "did not receive the contract notification" in first.error
+        second = _hospital_write(system, [healthy], "MeA-second").traces[0]
+        assert second.succeeded, second.error
+        assert not any(step.action == "cascade_rejected" for step in second.steps)
+        view = f"D13&D31:{healthy}"
+        stored = system.peer(f"patient-{healthy}").shared_table(view)
+        assert {row["mechanism_of_action"] for row in stored.rows} == {"MeA-second"}
+        # Only the victim, who never fetched, lags its doctor.
+        assert [mid for mid in sorted(system.agreement_ids)
+                if not system.shared_tables_consistent(mid)] == [f"D13&D31:{victim}"]
 
 
 class TestLawChecking:
@@ -415,3 +436,34 @@ class TestLawChecking:
                 "researcher", DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
                 {"mechanism_of_action": "MeA1-v2"})
         assert doctor.local_table("D3") == before
+    def test_a_batch_group_whose_own_put_fails_fails_alone(self):
+        """A direct edit is ``put`` into the initiator's base table as soon as
+        the contract accepts it: a failure there fails that group alone,
+        announced without a diff, and the rest of the batch commits."""
+        system = build_paper_scenario()
+        notified = []
+        system.coordinator.subscribe_shared_diff(
+            lambda metadata_id, _operation, _peers, diff:
+            notified.append((metadata_id, diff is None)))
+        manager = system.server_app("doctor").manager
+        reflect = manager.reflect_shared_table_delta
+
+        def failing_put(metadata_id, view_diff):
+            if metadata_id == PATIENT_DOCTOR_TABLE:
+                raise SynchronizationError("the doctor's put failed")
+            return reflect(metadata_id, view_diff)
+
+        manager.reflect_shared_table_delta = failing_put
+        result = system.coordinator.commit_entry_batch([
+            BatchGroup(peer="doctor", metadata_id=PATIENT_DOCTOR_TABLE,
+                       edits=(EntryEdit(op="update", key=(188,),
+                                        values={"dosage": "broken put"}),)),
+            BatchGroup(peer="researcher", metadata_id=DOCTOR_RESEARCHER_TABLE,
+                       edits=(EntryEdit(op="update", key=("Ibuprofen",),
+                                        values={"mechanism_of_action": "MeA1-v2"}),))])
+        failed, committed = result.traces
+        assert not failed.succeeded and failed.error == "the doctor's put failed"
+        assert committed.succeeded and committed.error is None
+        assert result.consensus_rounds == 2
+        assert notified == [(PATIENT_DOCTOR_TABLE, True), (DOCTOR_RESEARCHER_TABLE, False)]
+
