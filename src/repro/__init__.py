@@ -24,17 +24,16 @@ Quick start::
     print(trace.pretty())
 """
 
+from repro._exports import lazy_exports
 from repro.config import ConsensusConfig, LedgerConfig, NetworkConfig, SystemConfig
-from repro.core import (
-    MedicalDataSharingSystem,
-    Peer,
-    SharingAgreement,
-    build_paper_scenario,
-    build_scaled_scenario,
-)
+from repro.core import MedicalDataSharingSystem, Peer, SharingAgreement
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core.scenario": ("build_paper_scenario", "build_scaled_scenario"),
+})
 
 __all__ = [
     "ConsensusConfig",

@@ -28,21 +28,13 @@ import sys
 from typing import (Any, Container, Dict, List, Optional, get_args,
                     get_type_hints)
 
-from repro.baselines.full_record import FullRecordSharingBaseline
 from repro.config import (DurabilityConfig, LoadtestSpec, ReplicationConfig,
                           ResilienceConfig, SystemConfig)
-from repro.core.scenario import (
-    CARE_TABLE,
-    DOCTOR_RESEARCHER_TABLE,
-    PATIENT_DOCTOR_TABLE,
-    STUDY_TABLE,
-    build_extended_scenario,
-    build_paper_scenario,
-)
 from repro.errors import ChaosError, FleetError
-from repro.metrics.paper import exposure_report, measure_throughput
-from repro.metrics.reporting import format_table
-from repro.workloads.updates import UpdateStreamGenerator
+
+# The paper-scenario commands import the scenario, the baselines and the
+# paper's measures where they run: the load-test engines below are what a
+# worker or a benchmark process loads this module for.
 
 
 def _emit_json(payload: Dict[str, Any]) -> None:
@@ -50,6 +42,9 @@ def _emit_json(payload: Dict[str, Any]) -> None:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.core.scenario import (DOCTOR_RESEARCHER_TABLE, PATIENT_DOCTOR_TABLE,
+                                     build_paper_scenario)
+
     system = build_paper_scenario()
     consistent = system.all_shared_tables_consistent()
     if args.json:
@@ -78,6 +73,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
+    from repro.core.scenario import DOCTOR_RESEARCHER_TABLE, build_paper_scenario
+
     system = build_paper_scenario(SystemConfig.private_chain(args.interval))
     trace = system.coordinator.update_shared_entry(
         "researcher", DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
@@ -92,6 +89,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _cmd_cascade(args: argparse.Namespace) -> int:
+    from repro.core.scenario import CARE_TABLE, STUDY_TABLE, build_extended_scenario
+
     system = build_extended_scenario(SystemConfig.private_chain(args.interval))
     trace = system.coordinator.update_shared_entry(
         "researcher", STUDY_TABLE, (188,), {"dosage": "two tablets every 12h"})
@@ -108,6 +107,9 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from repro.core.scenario import (DOCTOR_RESEARCHER_TABLE, PATIENT_DOCTOR_TABLE,
+                                     build_paper_scenario)
+
     system = build_paper_scenario()
     system.coordinator.update_shared_entry(
         "researcher", DOCTOR_RESEARCHER_TABLE, ("Ibuprofen",),
@@ -134,6 +136,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
+    from repro.core.scenario import build_paper_scenario
+    from repro.metrics.paper import measure_throughput
+    from repro.metrics.reporting import format_table
+    from repro.workloads.updates import UpdateStreamGenerator
+
     system = build_paper_scenario(SystemConfig.private_chain(args.interval))
     events = UpdateStreamGenerator(system, seed=args.seed).stream(args.updates)
     result = measure_throughput(system, events)
@@ -155,6 +162,12 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
 
 
 def _cmd_exposure(args: argparse.Namespace) -> int:
+    from repro.baselines.full_record import FullRecordSharingBaseline
+    from repro.core.scenario import (DOCTOR_RESEARCHER_TABLE, PATIENT_DOCTOR_TABLE,
+                                     build_paper_scenario)
+    from repro.metrics.paper import exposure_report
+    from repro.metrics.reporting import format_table
+
     system = build_paper_scenario()
     baseline = FullRecordSharingBaseline()
     baseline.register_provider_table("doctor", system.peer("doctor").local_table("D3"))
@@ -206,7 +219,7 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
     import tempfile
 
     from repro.gateway import SharingGateway
-    from repro.obs import MetricsRegistry, Tracer, TraceAnalyzer, write_trace_jsonl
+    from repro.obs import MetricsRegistry, Tracer
     from repro.workloads.topology import TopologySpec, build_topology_system
     from repro.workloads.traffic import TrafficGenerator, default_tenant_profiles
 
@@ -298,6 +311,8 @@ def run_gateway_loadtest(spec: Optional[LoadtestSpec] = None,
     if spec.include_fingerprints:
         result["fingerprints"] = system.state_fingerprints()
     if tracer is not None:
+        from repro.obs import TraceAnalyzer, write_trace_jsonl
+
         result["trace"] = TraceAnalyzer.from_tracer(tracer).to_dict()
         result["trace"]["tracer"] = tracer.statistics()
         if spec.trace_out:
@@ -533,6 +548,8 @@ def run_chaos_soak(tenants: int = 4, rounds: int = 12, seed: int = 23,
 
 def _cmd_chaos_soak(args: argparse.Namespace) -> int:
     """Run the faulted soak against its fault-free oracle and compare."""
+    from repro.metrics.reporting import format_table
+
     plan = args.plan  # a path, or None for the default plan
     common = dict(tenants=args.tenants, rounds=args.rounds, seed=args.seed,
                   interval=args.interval, plan=plan)
@@ -633,6 +650,8 @@ def _loadtest_from_args(args: argparse.Namespace,
 
 
 def _cmd_gateway_loadtest(args: argparse.Namespace) -> int:
+    from repro.metrics.reporting import format_table
+
     result = _loadtest_from_args(args)
     if result is None:
         return 2
@@ -720,6 +739,8 @@ def _cmd_gateway_loadtest(args: argparse.Namespace) -> int:
 
 def _print_fleet_tables(result: Dict[str, Any]) -> None:
     """Render a ``--processes N`` (N>1) fleet result: totals, then slices."""
+    from repro.metrics.reporting import format_table
+
     rows = [
         ("placement", result["mode"]),
         ("worker processes", result["processes"]),
@@ -757,6 +778,8 @@ def _print_fleet_tables(result: Dict[str, Any]) -> None:
 
 def _format_stage_table(trace: Dict[str, Any]) -> str:
     """Render a TraceAnalyzer ``to_dict`` stage breakdown as a table."""
+    from repro.metrics.reporting import format_table
+
     rows = []
     for stage, data in trace["stages"].items():
         names = ", ".join(sorted(data["spans"])) or "-"
@@ -770,6 +793,8 @@ def _format_stage_table(trace: Dict[str, Any]) -> str:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace a gateway load test end to end and report where time goes."""
     import tempfile
+
+    from repro.metrics.reporting import format_table
 
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as state_dir:
         # A durable state_dir makes the WAL stage observable too, so the
@@ -807,6 +832,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Run a gateway load test and print the unified registry snapshot."""
+    from repro.metrics.reporting import format_table
+
     result = _loadtest_from_args(args, registry=True)
     if result is None:
         return 2
@@ -838,6 +865,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     """Recover a durable database state directory and report how it went."""
     from repro.errors import RelationalError
+    from repro.metrics.reporting import format_table
     from repro.relational.durability import recover
 
     try:

@@ -21,6 +21,7 @@ propagation workflow):
 * :mod:`repro.core.scenario` — the exact Fig. 1 scenario and scaled variants.
 """
 
+from repro._exports import lazy_exports
 from repro.core.records import (
     ATTRIBUTE_LABELS,
     FULL_RECORD_COLUMNS,
@@ -35,13 +36,13 @@ from repro.core.manager import DatabaseManager
 from repro.core.server_app import ServerApp, Notification
 from repro.core.trace import WorkflowStep, WorkflowTrace
 from repro.core.workflow import UpdateCoordinator
-from repro.core.audit import AuditTrail, AuditRecord
 from repro.core.system import MedicalDataSharingSystem
-from repro.core.scenario import (
-    build_extended_scenario,
-    build_paper_scenario,
-    build_scaled_scenario,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "audit": ("AuditTrail", "AuditRecord"),
+    "scenario": ("build_extended_scenario", "build_paper_scenario",
+                 "build_scaled_scenario"),
+})
 
 __all__ = [
     "ATTRIBUTE_LABELS",

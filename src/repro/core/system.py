@@ -31,14 +31,13 @@ Typical use::
 from __future__ import annotations
 
 import pathlib
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.contracts.registry_contract import SharingRegistryContract
 from repro.contracts.sharing_contract import SharedDataContract
 from repro.contracts.verification import ContractSpecChecker, SpecCheckResult
 from repro.errors import AgreementError, SharingError
-from repro.core.audit import AuditTrail
 from repro.core.peer import Peer
 from repro.core.server_app import ServerApp
 from repro.core.sharing import SharingAgreement
@@ -47,6 +46,9 @@ from repro.chaos import NULL_INJECTOR
 from repro.network.simulator import NetworkSimulator
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.table import Table
+
+if TYPE_CHECKING:  # the audit trail loads with its first query
+    from repro.core.audit import AuditTrail
 
 
 class MedicalDataSharingSystem:
@@ -376,6 +378,8 @@ class MedicalDataSharingSystem:
 
     def audit_trail(self, via_peer: Optional[str] = None) -> AuditTrail:
         """Build the audit trail from one peer's node replica."""
+        from repro.core.audit import AuditTrail
+
         if self.contract_address is None:
             raise SharingError("contracts are not deployed")
         name = via_peer or self.peer_names[0]

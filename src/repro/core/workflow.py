@@ -565,7 +565,9 @@ class UpdateCoordinator:
         """Read the mined request's receipt.  Accepted: install the change on
         the initiator side (and, for a direct edit, ``put`` it into the
         initiator's own base table) and return True.  Refused: record why on
-        the trace and the leg and return False."""
+        the leg and its ``contract_request`` step and return False.  Only a
+        leg that owns its trace fails it: a cascade leg shares its parent's,
+        and the parent's outcome is its own."""
         trace = leg.trace
         app = self._app(leg.initiator)
         receipt = app.node.chain.receipt(leg.request_tx.tx_hash)
@@ -575,8 +577,9 @@ class UpdateCoordinator:
                        self._clock.now(), block_number=receipt.block_number,
                        success=receipt.success, error=receipt.error)
         if not receipt.success:
-            trace.succeeded = False
-            trace.error = receipt.error
+            if not leg.cascaded:
+                trace.succeeded = False
+                trace.error = receipt.error
             leg.rejection = (f"{leg.operation} on {leg.metadata_id!r} by "
                              f"{leg.initiator} rejected: {receipt.error}")
             return False

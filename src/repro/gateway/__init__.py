@@ -20,6 +20,7 @@ so many tenants can read and write shared data concurrently:
 * :mod:`repro.gateway.gateway` — the facade wiring it all together.
 """
 
+from repro._exports import lazy_exports
 from repro.gateway.admission import LatencyShedder, fair_share_exceeded
 from repro.gateway.cache import ViewCache
 from repro.gateway.gateway import ResponseJournal, SharingGateway
@@ -42,14 +43,9 @@ from repro.gateway.requests import (
 from repro.gateway.scheduler import BatchPlan, PendingWrite, WriteScheduler
 from repro.gateway.session import GatewaySession, TokenBucket
 
-
-def __getattr__(name: str):
-    # The asyncio transport loads on first use: importing ``asyncio`` is a
-    # noticeable share of start-up for a run that never drives it.
-    if name == "AsyncSharingGateway":
-        from repro.gateway.aio import AsyncSharingGateway
-        return AsyncSharingGateway
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# The asyncio transport loads on first use: importing ``asyncio`` is a
+# noticeable share of start-up for a run that never drives it.
+__getattr__, __dir__ = lazy_exports(__name__, {"aio": ("AsyncSharingGateway",)})
 
 
 __all__ = [

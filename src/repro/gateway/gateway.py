@@ -41,7 +41,7 @@ import itertools
 import json
 import pathlib
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.chaos import NULL_INJECTOR, STATE_CLOSED, BreakerBoard, Retrier
 from repro.core.system import MedicalDataSharingSystem
@@ -76,12 +76,10 @@ from repro.relational.durability import (
     checkpoint_database,
     encode_payload,
 )
-from repro.relational.replication import (
-    ReadReplica,
-    ReplicaRouter,
-    SegmentShipper,
-)
 from repro.relational.wal import WalEntry
+
+if TYPE_CHECKING:  # replication loads only for a gateway that has replicas
+    from repro.relational.replication import ReplicaRouter, SegmentShipper
 
 
 class ResponseJournal:
@@ -412,6 +410,9 @@ class SharingGateway:
                     "read replicas require durable peers: set "
                     "durability.state_dir (replicas bootstrap from the "
                     "checkpoint manifest and replay shipped WAL segments)")
+            from repro.relational.replication import (ReadReplica, ReplicaRouter,
+                                                      SegmentShipper)
+
             self.shipper = SegmentShipper(
                 system, clock, ship_interval=replication.ship_interval,
                 tracer=self.tracer, registry=self.registry)

@@ -30,6 +30,7 @@ external Ethereum/Fabric dependency:
   (``LedgerConfig.consensus_shards``; an unsharded ledger has one lane).
 """
 
+from repro._exports import lazy_exports
 from repro.ledger.clock import SimClock
 from repro.ledger.transaction import Transaction, TransactionReceipt
 from repro.ledger.block import Block, BlockHeader
@@ -43,7 +44,10 @@ from repro.ledger.lanes import HeldClock, LaneScheduler
 from repro.ledger.miner import Miner
 from repro.ledger.sharding import ShardRouter
 from repro.ledger.light_client import InclusionProof, LightClient, build_inclusion_proof
-from repro.ledger.archive import export_chain, import_chain, verify_archive
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "archive": ("export_chain", "import_chain", "verify_archive"),
+})
 
 __all__ = [
     "SimClock",

@@ -6,6 +6,7 @@
 * :mod:`repro.obs.analysis` — per-stage self-time and critical paths.
 """
 
+from repro._exports import lazy_exports
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.registry import (
     Counter,
@@ -14,14 +15,12 @@ from repro.obs.registry import (
     MetricsRegistry,
     render_key,
 )
-from repro.obs.export import (
-    TRACE_OPERATION,
-    TRACE_TABLE,
-    read_trace_jsonl,
-    trace_entries,
-    write_trace_jsonl,
-)
-from repro.obs.analysis import PIPELINE_STAGES, TraceAnalyzer
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "export": ("TRACE_OPERATION", "TRACE_TABLE", "read_trace_jsonl",
+               "trace_entries", "write_trace_jsonl"),
+    "analysis": ("PIPELINE_STAGES", "TraceAnalyzer"),
+})
 
 __all__ = [
     "NULL_TRACER",

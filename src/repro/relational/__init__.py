@@ -21,6 +21,7 @@ local base table.  This subpackage provides that substrate:
 * :mod:`repro.relational.database` — a named collection of tables and views.
 """
 
+from repro._exports import lazy_exports
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.row import Row
 from repro.relational.predicates import (
@@ -41,38 +42,24 @@ from repro.relational.predicates import (
     TruePredicate,
 )
 from repro.relational.table import Table
-from repro.relational.query import Project, Query, Rename, Select, Join, execute_query
-from repro.relational.index import HashIndex
 from repro.relational.diff import RowChange, TableDiff, diff_tables
 from repro.relational.wal import WriteAheadLog, WalEntry
 from repro.relational.transactions import TransactionManager
 from repro.relational.database import Database
-from repro.relational.persistence import (
-    atomic_write_text,
-    databases_identical,
-    load_database,
-    save_database,
-)
-from repro.relational.durability import (
-    FSYNC_ALWAYS,
-    FSYNC_BATCH,
-    FSYNC_NEVER,
-    CheckpointResult,
-    JsonlWalBackend,
-    RecoveryResult,
-    checkpoint_database,
-    open_durable_database,
-    recover,
-)
-from repro.relational.replication import (
-    DiffNotice,
-    ReadReplica,
-    ReplicaRouter,
-    ReplicationError,
-    RoutedRead,
-    SegmentShipper,
-    ShippedBatch,
-)
+
+# The query AST, indexes and the on-disk layers load with the first caller
+# that needs them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "query": ("Project", "Query", "Rename", "Select", "Join", "execute_query"),
+    "index": ("HashIndex",),
+    "persistence": ("atomic_write_text", "databases_identical", "load_database",
+                    "save_database"),
+    "durability": ("FSYNC_ALWAYS", "FSYNC_BATCH", "FSYNC_NEVER", "CheckpointResult",
+                   "JsonlWalBackend", "RecoveryResult", "checkpoint_database",
+                   "open_durable_database", "recover"),
+    "replication": ("DiffNotice", "ReadReplica", "ReplicaRouter", "ReplicationError",
+                    "RoutedRead", "SegmentShipper", "ShippedBatch"),
+})
 
 __all__ = [
     "Column",

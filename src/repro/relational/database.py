@@ -8,19 +8,22 @@ users", Fig. 2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import (
     DuplicateTableError,
     UnknownTableError,
 )
-from repro.relational.index import HashIndex
 from repro.relational.predicates import Predicate
-from repro.relational.query import Query, execute_query
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.transactions import TransactionManager
 from repro.relational.wal import WriteAheadLog
+
+if TYPE_CHECKING:  # the query AST and indexes load with their first use
+    from repro.relational.index import HashIndex
+    from repro.relational.query import Query
 
 
 class Database:
@@ -189,6 +192,8 @@ class Database:
 
     def query(self, query: Query, name: Optional[str] = None) -> Table:
         """Evaluate a query AST over this database's base tables."""
+        from repro.relational.query import execute_query
+
         return execute_query(query, self._tables, name=name)
 
     def select(self, table_name: str, predicate: Predicate = None) -> List:

@@ -53,13 +53,7 @@ from repro.chaos import NULL_INJECTOR
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.database import Database
 from repro.relational.diff import TableDiff
-from repro.relational.persistence import (
-    atomic_write_text,
-    load_database,
-    save_database,
-)
 from repro.relational.predicates import Predicate
-from repro.relational.query import Query
 from repro.relational.schema import Schema
 from repro.relational.wal import WalEntry, WriteAheadLog
 
@@ -564,6 +558,9 @@ def read_manifest(state_dir: PathLike) -> Optional[Dict[str, Any]]:
 
 
 def _write_manifest(state_dir: pathlib.Path, payload: Dict[str, Any]) -> None:
+    # Snapshots (``persistence``) load with the first durable database.
+    from repro.relational.persistence import atomic_write_text
+
     payload = dict(payload, manifest_version=MANIFEST_VERSION)
     atomic_write_text(_manifest_path(state_dir),
                       json.dumps(payload, indent=2, sort_keys=True))
@@ -603,6 +600,8 @@ def checkpoint_database(database: Database, state_dir: PathLike) -> CheckpointRe
     deleted.  Recovery = the manifest's snapshot + the WAL entries past its
     ``checkpoint_sequence``.
     """
+    from repro.relational.persistence import save_database
+
     state_path = pathlib.Path(state_dir)
     state_path.mkdir(parents=True, exist_ok=True)
     sequence = database.wal.last_sequence
@@ -706,6 +705,8 @@ def replay_entry(database: Database, entry: WalEntry) -> None:
     elif operation == "create_index":
         database.create_index(entry.table, payload["columns"])
     elif operation == "register_view":
+        from repro.relational.query import Query
+
         database.register_view(entry.table, Query.from_dict(payload["query"]))
     else:
         raise RecoveryError(
@@ -739,6 +740,8 @@ def recover(state_dir: PathLike, fsync_policy: str = FSYNC_BATCH,
         snapshot_path = state_path / snapshot_name
         if not snapshot_path.exists():
             raise RecoveryError(f"manifest names missing snapshot {snapshot_path}")
+        from repro.relational.persistence import load_database
+
         database = load_database(snapshot_path)
         snapshot_loaded = True
     else:

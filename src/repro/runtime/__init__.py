@@ -31,29 +31,19 @@ be placed in separate OS processes without changing their semantics:
     slice, and aggregates throughput, metrics and state fingerprints.
 """
 
-from repro.runtime.codec import (
-    BinaryCodec,
-    CanonicalJsonCodec,
-    WireCodec,
-    available_codecs,
-    get_codec,
-    read_frame,
-    write_frame,
-)
-from repro.runtime.envelope import Envelope, EnvelopeChannel
-from repro.runtime.transport import (
-    LoopbackTransport,
-    MultiprocessTransport,
-    Transport,
-)
-from repro.runtime.clock import ClockCoordinator, WorkerClock
-from repro.runtime.fleet import (
-    FleetResult,
-    GatewayFleet,
-    WorkerSpec,
-    partition_tenants,
-    run_worker_slice,
-)
+from repro._exports import lazy_exports
+
+# Every part loads on first use: a process that only runs a worker slice, or
+# only forks, never compiles the others.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "codec": ("BinaryCodec", "CanonicalJsonCodec", "WireCodec", "available_codecs",
+              "get_codec", "read_frame", "write_frame"),
+    "envelope": ("Envelope", "EnvelopeChannel"),
+    "transport": ("LoopbackTransport", "MultiprocessTransport", "Transport"),
+    "clock": ("ClockCoordinator", "WorkerClock"),
+    "fleet": ("FleetResult", "GatewayFleet", "WorkerSpec", "partition_tenants",
+              "run_worker_slice"),
+})
 
 __all__ = [
     "BinaryCodec",

@@ -44,17 +44,19 @@ import json
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.config import LoadtestSpec
 from repro.crypto.hashing import canonical_json
 from repro.errors import FleetError, FleetProtocolError, WorkerCrashError
-from repro.runtime.clock import ClockCoordinator
-from repro.runtime.transport import (
-    LoopbackTransport,
-    MultiprocessTransport,
-    Transport,
-)
+
+if TYPE_CHECKING:
+    from repro.runtime.transport import Transport
+
+# The transports (with their codecs and envelopes) and the clock merge load
+# with the placement that uses them: a process that only binds
+# ``run_worker_slice`` compiles none of them, and the forked placement loads
+# them before it forks.
 
 __all__ = ["WorkerSpec", "FleetResult", "GatewayFleet", "run_worker_slice"]
 
@@ -184,6 +186,8 @@ def _serve_worker(transport: Transport, forked: bool = False) -> None:
 
 def _mp_worker_entry(name: str, sock: socket.socket, codec: Optional[str]) -> None:
     """Child-process entry point (fork start method)."""
+    from repro.runtime.transport import MultiprocessTransport
+
     transport = MultiprocessTransport(name, sock, codec=codec)
     try:
         _serve_worker(transport, forked=True)
@@ -193,11 +197,19 @@ def _mp_worker_entry(name: str, sock: socket.socket, codec: Optional[str]) -> No
 
 
 class GatewayFleet:
-    """Coordinate a set of worker slices over a chosen transport placement."""
+    """Coordinate a set of worker slices over a chosen transport placement.
+
+    ``timeout`` bounds each wait of the forked placement: every socket read
+    of a worker's reply and every join of a worker process.  The loopback
+    placement never waits — a worker's whole conversation is queued before
+    the coordinator reads it — so it has nothing to bound.
+    """
 
     def __init__(self, specs: List[WorkerSpec], mode: str = "loopback",
                  wire_codec: Optional[str] = None, timeout: float = 300.0,
                  on_crash: str = "raise"):
+        from repro.runtime.clock import ClockCoordinator
+
         if mode not in ("loopback", "multiprocess"):
             raise FleetError(f"unknown fleet mode {mode!r}: "
                              "use 'loopback' or 'multiprocess'")
@@ -252,6 +264,8 @@ class GatewayFleet:
 
     def _run_loopback(self):
         """Queue each worker's whole conversation, then serve it here."""
+        from repro.runtime.transport import LoopbackTransport
+
         ends = {}
         for spec in self.specs:
             coordinator_end, worker_end = LoopbackTransport.pair(
@@ -266,6 +280,8 @@ class GatewayFleet:
 
     def _run_multiprocess(self):
         import multiprocessing
+
+        from repro.runtime.transport import MultiprocessTransport
 
         try:
             context = multiprocessing.get_context("fork")
@@ -296,7 +312,8 @@ class GatewayFleet:
             processes[name].join(timeout=self.timeout)
             return processes[name].exitcode
 
-        workers, crashes = self._collect(ends, exitcode_of=exitcode_of)
+        workers, crashes = self._collect(ends, exitcode_of=exitcode_of,
+                                         timeout=self.timeout)
         for name, end in ends.items():
             if processes[name].is_alive():
                 try:
@@ -315,14 +332,16 @@ class GatewayFleet:
 
     # -- shared collection logic ------------------------------------------
 
-    def _collect(self, ends, exitcode_of):
-        """Gather ``clock.report`` + ``worker.result`` from every worker."""
+    def _collect(self, ends, exitcode_of, timeout: Optional[float] = None):
+        """Gather ``clock.report`` + ``worker.result`` from every worker;
+        ``timeout`` bounds each receive (``None``: a loopback end, which
+        never waits)."""
         workers: Dict[str, Dict[str, Any]] = {}
         crashes: List[Dict[str, Any]] = []
         for spec in self.specs:
             end = ends[spec.name]
             try:
-                report = end.receive(timeout=self.timeout)
+                report = end.receive(timeout=timeout)
                 if report is None:
                     raise WorkerCrashError(spec.name,
                                            exitcode=exitcode_of(spec.name))
@@ -332,7 +351,7 @@ class GatewayFleet:
                         f"got {report.kind!r}")
                 self.clock.observe(report.payload["worker"],
                                    float(report.payload["now"]))
-                result = end.receive(timeout=self.timeout)
+                result = end.receive(timeout=timeout)
                 if result is None:
                     raise WorkerCrashError(spec.name,
                                            exitcode=exitcode_of(spec.name))

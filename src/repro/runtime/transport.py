@@ -7,10 +7,10 @@ protocol errors regardless of the medium underneath:
 
 :class:`LoopbackTransport`
     In-process queues, read on the same thread that writes them: a
-    receive finds an envelope already queued or times out at once.
-    Envelopes are passed
-    as objects, nothing is re-encoded, and fingerprints stay byte-identical
-    to the direct-call graph.  With a ``codec`` it additionally round-trips
+    receive finds an envelope already queued or raises at once, whatever
+    its ``timeout``.  Envelopes are passed as objects, nothing is
+    re-encoded, and fingerprints stay byte-identical to the direct-call
+    graph.  With a ``codec`` it additionally round-trips
     every payload through encode/decode, proving a component's traffic fits
     the wire model before it is ever moved out of process.
 
@@ -72,8 +72,9 @@ class Transport:
         """Receive the next envelope, verifying sequence discipline.
 
         Returns ``None`` on clean end-of-stream.  Raises
-        :class:`ReceiveTimeout` when nothing arrived within ``timeout`` — the
-        stream is intact and ``receive`` may be called again — and a plain
+        :class:`ReceiveTimeout` when nothing arrived — within ``timeout`` on
+        a socket; at once on a loopback end, which has nothing to wait for —
+        the stream is intact and ``receive`` may be called again — and a plain
         :class:`FleetProtocolError` on a frame that stalls half-read, a torn
         frame or a sequence gap, all of which mean the peer broke protocol.
         """

@@ -6,15 +6,15 @@ paper's exact schema, plus generators for update streams and larger peer
 topologies used by the throughput and scaling benchmarks.
 """
 
-from repro.workloads.generator import MedicalRecordGenerator
-from repro.workloads.updates import UpdateEvent, UpdateStreamGenerator
-from repro.workloads.topology import TopologySpec, build_topology_system
-from repro.workloads.traffic import (
-    TenantProfile,
-    TimedRequest,
-    TrafficGenerator,
-    default_tenant_profiles,
-)
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "generator": ("MedicalRecordGenerator",),
+    "updates": ("UpdateEvent", "UpdateStreamGenerator"),
+    "topology": ("TopologySpec", "build_topology_system"),
+    "traffic": ("TenantProfile", "TimedRequest", "TrafficGenerator",
+                "default_tenant_profiles"),
+})
 
 __all__ = [
     "MedicalRecordGenerator",

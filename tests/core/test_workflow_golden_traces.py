@@ -12,6 +12,13 @@ or more legs took shared rounds on any lane count: its seven legs (one
 refused) went from thirteen ``sequential`` rounds to one
 ``cascade_requests`` and one ``cascade_acks`` round.  The peers' fingerprints are pinned apart from the
 traces and did not move.
+
+``sequential-delta``, ``sequential-full``, ``parallel`` and
+``parallel-one-lane`` were re-captured on purpose when a refused cascade leg
+stopped writing its error onto the trace it shares with its parent: each
+run's succeeding parent trace went from ``error=<the leg's refusal>`` to
+``error=None``; the refusal stays on the leg's ``contract_request`` step and
+every other field is unchanged.
 """
 
 from dataclasses import replace
@@ -34,11 +41,11 @@ from repro.workloads.topology import (
 )
 
 GOLDEN = {
-    "sequential-delta": "2b475488e80da4559e3cbdba80c20f242552f3ac870e5a3da527c8d115168fbe",
-    "sequential-full": "61d78b5f1867e2cd02b143ffe845dd2b0d304eaccce52e0cebd3069bd46b7692",
+    "sequential-delta": "766adf7bc5a31c3a3246598ff190e1a00bb0f9411adf30192b3a45e48ba2ac74",
+    "sequential-full": "019c8b8842dbf48dfcc687bc03dd85d8a4160465f829aebce09b805d1a25104c",
     "batch": "7766944f353310d11381c322f13f38b75e328ebcef032f903a5fca804031db3f",
-    "parallel": "90b3a3f43146655e09a3d3b31de23a8a5d36e9e9c06898dd8d5e373c47c77f67",
-    "parallel-one-lane": "2a5d0ab200931c84e378dbf1e8c49356d793cb5ad7f684d0314d680977e86aee",
+    "parallel": "c4d3f88c8c7b1882d657bf50a2435ea7462ffd697beca0c8cdec782d702fb06a",
+    "parallel-one-lane": "5c1c5a3cc211b01f72f2f7d9447718256affe143a390eafdc1c370a5e2856b34",
 }
 
 #: ``state_fingerprints()`` of every peer after the fan-out, on one lane and

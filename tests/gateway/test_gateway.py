@@ -16,6 +16,12 @@ from repro.gateway.requests import (
     STATUS_QUEUED,
     STATUS_REJECTED,
 )
+from repro.workloads.topology import (
+    HOSPITAL_TABLE_ID,
+    TopologySpec,
+    build_join_topology_system,
+    patients_by_medication,
+)
 
 
 def _tenant_tables(system):
@@ -85,6 +91,36 @@ class TestWritePath:
         system = gateway.system
         assert not system.peer("patient").shared_table(PATIENT_DOCTOR_TABLE).contains_key(188)
         assert not system.peer("doctor").local_table("D3").contains_key(188)
+
+    def test_a_refused_cascade_leg_leaves_its_batch_ok_without_an_error(self):
+        """A hospital batch fans out one cascade leg per patient; the contract
+        refuses one leg.  The batch itself committed, so it answers ``ok``
+        with no error; the refusal stays on the leg's own step."""
+        system = build_join_topology_system(
+            TopologySpec(patients=4, researchers=0, distinct_medications=1),
+            SystemConfig.private_chain(1.0))
+        gateway = SharingGateway(system)
+        _medication, patient_ids = max(patients_by_medication(system).items(),
+                                       key=lambda item: len(item[1]))
+        victim_table = f"D13&D31:{patient_ids[0]}"
+        system.coordinator.change_permission(
+            "doctor", victim_table, "mechanism_of_action", ["Patient"])
+        hospital = gateway.open_session("hospital")
+        responses = [gateway.submit(hospital, UpdateEntryRequest(
+            HOSPITAL_TABLE_ID, (patient_id,), {"mechanism_of_action": "MeA-new"}))
+            for patient_id in patient_ids]
+        gateway.drain()
+        assert len(patient_ids) >= 2
+        for response in responses:
+            assert response.status == STATUS_OK
+            assert response.error is None
+        steps = responses[0].payload["trace"]["steps"]
+        refused = [step for step in steps if step["action"] == "contract_request"
+                   and not step["data"]["success"]]
+        assert len(refused) == 1
+        assert "may not write attribute 'mechanism_of_action'" in refused[0]["data"]["error"]
+        assert any(step["action"] == "cascade_rejected" for step in steps)
+        assert system.all_shared_tables_consistent()
 
 
 class TestCrossPeerFoldEndToEnd:
