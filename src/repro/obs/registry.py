@@ -14,7 +14,7 @@ or reads a callback (e.g. ``lambda: queue_depth``), and the gateway's
 from __future__ import annotations
 
 import bisect
-import statistics
+import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -46,6 +46,16 @@ def percentile(samples: Sequence[float], q: float,
     lower = int(rank)
     upper = min(lower + 1, len(ordered) - 1)
     return ordered[lower] + (ordered[upper] - ordered[lower]) * (rank - lower)
+
+
+def _median(samples: Sequence[float]) -> float:
+    """The middle sample, or the mean of the two middle ones (as
+    ``statistics.median``, without loading ``decimal`` and ``fractions``)."""
+    ordered = sorted(samples)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def render_key(name: str, labels: LabelKey) -> str:
@@ -133,7 +143,9 @@ class Histogram:
 
     @property
     def mean(self) -> float:
-        return statistics.fmean(self.samples) if self.samples else 0.0
+        # ``statistics.fmean``'s arithmetic, bit for bit.
+        samples = self.samples
+        return math.fsum(samples) / len(samples) if samples else 0.0
 
     def percentile(self, q: float,
                    default: Optional[float] = 0.0) -> Optional[float]:
@@ -160,7 +172,7 @@ class Histogram:
         return {
             "count": float(len(samples)),
             "mean": self.mean,
-            "median": statistics.median(samples) if samples else 0.0,
+            "median": _median(samples) if samples else 0.0,
             "p50": self.percentile(50.0),
             "p95": self.percentile(95.0),
             "p99": self.percentile(99.0),

@@ -21,7 +21,6 @@ from typing import Union
 
 from repro.errors import RelationalError
 from repro.relational.database import Database
-from repro.relational.query import Query
 from repro.relational.schema import Schema
 
 #: Format marker so future layout changes can be detected on load.
@@ -87,8 +86,13 @@ def database_from_dict(payload: dict) -> Database:
                               table_payload.get("rows", ()))
         for columns in table_payload.get("indexes", ()):
             database.create_index(name, columns)
-    for view_name, view_payload in payload.get("views", {}).items():
-        database.register_view(view_name, Query.from_dict(view_payload))
+    views = payload.get("views")
+    if views:
+        # Only a database with registered views needs the query AST.
+        from repro.relational.query import Query
+
+        for view_name, view_payload in views.items():
+            database.register_view(view_name, Query.from_dict(view_payload))
     return database
 
 

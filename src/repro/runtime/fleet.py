@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import socket
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
@@ -51,6 +50,8 @@ from repro.crypto.hashing import canonical_json
 from repro.errors import FleetError, FleetProtocolError, WorkerCrashError
 
 if TYPE_CHECKING:
+    import socket
+
     from repro.runtime.transport import Transport
 
 # The transports (with their codecs and envelopes) and the clock merge load
@@ -280,6 +281,7 @@ class GatewayFleet:
 
     def _run_multiprocess(self):
         import multiprocessing
+        import socket
 
         from repro.runtime.transport import MultiprocessTransport
 

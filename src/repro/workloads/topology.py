@@ -183,6 +183,9 @@ def build_join_topology_system(spec: TopologySpec = TopologySpec(),
       ``mechanism_of_action`` and ``guideline`` as ordinary columns, shared
       through the join-backed per-patient agreements.
 
+    The doctor and the hospital are validators; the patients are light peers
+    attached to the doctor's node, as in :func:`build_topology_system`.
+
     A hospital-side batched ``mechanism_of_action`` update per medication
     reaches every patient on that medication through one cascade — each leg
     translated by the keyed-join delta rules — which is exactly the fan-out
@@ -228,7 +231,7 @@ def build_join_topology_system(spec: TopologySpec = TopologySpec(),
         patient_id = record["patient_id"]
         name = f"patient-{patient_id}"
         patient_names.append((patient_id, name))
-        system.add_peer(name, "Patient")
+        system.add_peer(name, "Patient", light=True)
         row = {c: record.get(c) for c in patient_columns}
         row["guideline"] = guideline_for(record["medication_name"])
         system.peer(name).database.create_table("D1", patient_schema_ext, [row])

@@ -1,4 +1,4 @@
-"""Light patients in the hub topology.
+"""Light patients in the hub and join topologies.
 
 A light peer keeps a header chain and checks one inclusion proof per
 operation it takes part in, instead of replaying every block.  These tests
@@ -18,7 +18,12 @@ from repro.gateway import SharingGateway, UpdateEntryRequest
 from repro.ledger.events import LogEntry
 from repro.ledger.light_client import build_inclusion_proof
 from repro.network.light import LightNode
-from repro.workloads.topology import TopologySpec, build_topology_system
+from repro.workloads.topology import (
+    HOSPITAL_TABLE_ID,
+    TopologySpec,
+    build_join_topology_system,
+    build_topology_system,
+)
 
 
 def _build(seed: int, researchers: int = 1):
@@ -27,19 +32,34 @@ def _build(seed: int, researchers: int = 1):
         SystemConfig.private_chain(1.0))
 
 
-def _build_all_validators(seed: int, monkeypatch):
-    """The same hub with every patient a validator of its own."""
+def _build_join(seed: int):
+    """Doctor, hospital and three patients on join-backed views."""
+    return build_join_topology_system(
+        TopologySpec(patients=3, researchers=0, distinct_medications=2, seed=seed),
+        SystemConfig.private_chain(1.0))
+
+
+#: topology → (builder, the validators' node names).
+TOPOLOGIES = {
+    "hub": (_build, ["node-doctor", "node-researcher-1"]),
+    "join": (_build_join, ["node-doctor", "node-hospital"]),
+}
+
+
+def _build_all_validators(build, seed: int, monkeypatch):
+    """The same topology with every patient a validator of its own."""
     add_peer = MedicalDataSharingSystem.add_peer
     with monkeypatch.context() as patch:
         patch.setattr(MedicalDataSharingSystem, "add_peer",
                       lambda self, name, role, is_miner=None, light=False:
                       add_peer(self, name, role, is_miner))
-        return _build(seed)
+        return build(seed)
 
 
 def _drive(system, rounds: int = 3):
-    """Patients write ``clinical_data``, the doctor ``dosage``, the
-    researcher a mechanism; one patient tries a write the contract refuses."""
+    """Patients write ``clinical_data``, the doctor ``dosage``, a researcher
+    or the hospital a mechanism (the hospital's cascades into every patient's
+    view); one patient tries a write the contract refuses."""
     gateway = SharingGateway(system)
     patient_tables = {mid: int(mid.split(":")[1]) for mid in system.agreement_ids
                       if mid.startswith("D13&D31:")}
@@ -61,6 +81,12 @@ def _drive(system, rounds: int = 3):
                     metadata_id=f"D23&D32:{name}",
                     key=(medication["medication_name"],),
                     updates={"mechanism_of_action": f"MeA-{round_}"}))
+            elif name == "hospital":
+                hospital = gateway.open_session(name)
+                for patient_id in sorted(patient_tables.values()):
+                    gateway.submit(hospital, UpdateEntryRequest(
+                        metadata_id=HOSPITAL_TABLE_ID, key=(patient_id,),
+                        updates={"mechanism_of_action": f"MeA-{round_}"}))
         gateway.drain()
     metadata_id, patient_id = sorted(patient_tables.items())[0]
     refused = gateway.submit(gateway.open_session(f"patient-{patient_id}"),
@@ -84,12 +110,13 @@ def _lights(system):
 
 
 @pytest.mark.parametrize("seed", [23, 300])
-def test_light_patients_reach_the_all_validator_outcome(seed, monkeypatch):
-    full, light = _build_all_validators(seed, monkeypatch), _build(seed)
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_light_patients_reach_the_all_validator_outcome(topology, seed, monkeypatch):
+    build, validators = TOPOLOGIES[topology]
+    full, light = _build_all_validators(build, seed, monkeypatch), build(seed)
     _drive(full)
     _drive(light)
-    assert [node.name for node in light.simulator.nodes] == ["node-doctor",
-                                                             "node-researcher-1"]
+    assert [node.name for node in light.simulator.nodes] == validators
     assert len(full.simulator.nodes) == 5
     assert light.state_fingerprints() == full.state_fingerprints()
     assert _history(light) == _history(full)

@@ -142,9 +142,14 @@ class TestTamperEvidence:
 
 
 def _drop_notifications(app):
-    """The contract event never reaches the peer (e.g. its node is partitioned)."""
+    """The contract event never reaches the peer (e.g. its node is partitioned).
+
+    A validator's own node never hands it over.  A light peer's operation is
+    still verified, but :meth:`LightNode.accept_operation` queues nothing; the
+    trusted validator's node, which other peers use too, is left alone."""
     app._on_event = lambda entry: None
-    app.node._event_subscribers = [app._on_event]
+    if app.light is None:
+        app.node._event_subscribers = [app._on_event]
 
 
 def _break_acknowledgement(app):

@@ -126,6 +126,19 @@ class TestHistogram:
         assert summary["p50"] == pytest.approx(summary["median"])
         assert summary["p50"] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("count", [1, 2, 7, 64, 1001])
+    def test_mean_and_median_equal_the_statistics_module_bit_for_bit(self, count):
+        import random
+        import statistics
+
+        rng = random.Random(count)
+        histogram = Histogram()
+        for _ in range(count):
+            histogram.observe(rng.lognormvariate(-4.0, 1.5))
+        summary = histogram.summary()
+        assert summary["mean"] == statistics.fmean(histogram.samples)
+        assert summary["median"] == statistics.median(histogram.samples)
+
     def test_buckets_are_fixed_log_scale(self):
         # Bounds double from 1 ms; fixed across histograms and runs.
         assert HISTOGRAM_BUCKET_BOUNDS[0] == pytest.approx(0.001)

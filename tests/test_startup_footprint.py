@@ -6,7 +6,10 @@ optional subsystems load with the feature that needs them.  These tests run
 fresh interpreters (``PYTHONPATH=src``) and read ``sys.modules``:
 
 * binding what the benchmark drives and building a ``care-steady``-shaped
-  system loads none of the optional subsystems;
+  system loads none of the optional subsystems, and none of the standard
+  library modules only they (or the command line) need;
+* a durable, replicated set-up (``read-mostly-durable``'s shape) loads no
+  query AST;
 * serving requests loads no ``repro`` module at all — nothing compiles
   inside a measured window;
 * every name a package exports still imports from it and is listed by
@@ -40,6 +43,11 @@ NOT_LOADED = (
     "repro.runtime.envelope", "repro.runtime.clock",
 )
 
+#: Standard library modules a ``care-steady`` start-up never needs:
+#: ``statistics`` (with ``decimal``, ``fractions`` and ``numbers``), the
+#: command line's ``argparse`` and the forked fleet's ``socket``.
+STDLIB_NOT_LOADED = ("statistics", "decimal", "fractions", "argparse", "socket")
+
 PRELUDE = """
 import importlib, json, sys
 def loaded():
@@ -69,9 +77,10 @@ def test_a_care_steady_start_up_loads_no_optional_subsystem():
         system = build_topology_system(TopologySpec(patients=8, researchers=0, seed=23),
                                        SystemConfig.private_chain(2.0))
         SharingGateway(system, max_batch_size=16)
-        print(json.dumps(sorted(loaded())))
+        print(json.dumps(sorted(sys.modules)))
     """)
     assert sorted(set(result) & set(NOT_LOADED)) == []
+    assert sorted(set(result) & set(STDLIB_NOT_LOADED)) == []
 
 
 #: name → the code that builds ``system`` and ``gateway``.
@@ -151,6 +160,20 @@ SERVE = """
     gateway.close()
     print(json.dumps({{"new": sorted(loaded() - before), "writes": writes}}))
 """
+
+
+def test_a_durable_replicated_set_up_loads_no_query_ast():
+    """Peers checkpoint and replicas bootstrap through ``persistence``; no
+    peer registers a view, so nothing needs ``relational.query``."""
+    result = run_fresh(textwrap.dedent("""
+        from repro.config import SystemConfig
+        from repro.gateway import SharingGateway
+        from repro.workloads.topology import TopologySpec, build_topology_system
+    """) + textwrap.dedent(SYSTEMS["durable-replicated"]) + """
+print(json.dumps(sorted(loaded())))
+""")
+    assert "repro.relational.persistence" in result
+    assert "repro.relational.query" not in result
 
 
 @pytest.mark.parametrize("shape", sorted(SYSTEMS))
